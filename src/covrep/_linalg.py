@@ -5,7 +5,16 @@ Conventions used throughout the package:
 * inner products are conjugate-linear in the first argument,
 * matrices act on column vectors, adjoint = conjugate transpose,
 * a residual passes when it is at most ``tol * (1 + scale)`` where
-  ``scale`` is the largest operator norm entering the computation.
+  ``scale`` is the largest operator norm entering the computation;
+* a Hermitian check takes its scale from the eigenvalues it already
+  computes: the largest |eigenvalue| of the Hermitian part (a + a*)/2.
+  That is the norm of the Hermitian part, never above the norm of ``a``,
+  so no bound is looser than with ``scale_of(a)``; the drift |a - a*| is
+  the largest |eigenvalue| of the Hermitian matrix i(a - a*);
+* positivity through the faithful representation of a block algebra is
+  checked one algebra block at a time (``min_eig_herm(..., stats=True)``
+  per block); the minimum eigenvalue, drift and norm of the whole are the
+  extremes over the blocks, so the decision is that of the dense matrix.
 """
 
 from __future__ import annotations
@@ -34,6 +43,21 @@ def op_norm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def max_op_norm(stack) -> float:
+    """Largest spectral norm over a stack of matrices (last two axes).
+
+    Matrices that are exactly zero have norm 0 and skip the batched SVD.
+    """
+    stack = as_complex(stack)
+    if stack.size == 0:
+        return 0.0
+    mats = stack.reshape((-1,) + stack.shape[-2:])
+    mats = mats[mats.any(axis=(1, 2))]
+    if not len(mats):
+        return 0.0
+    return float(np.linalg.norm(mats, 2, axis=(1, 2)).max())
+
+
 def scale_of(*mats) -> float:
     """1 + max operator norm of the arguments, for relative tolerances."""
     return 1.0 + max((op_norm(m) for m in mats), default=0.0)
@@ -48,26 +72,43 @@ def dagger(a) -> np.ndarray:
 
 
 def herm_residual(a) -> float:
+    """Spectral norm of a - a*, as the largest |eigenvalue| of i(a - a*).
+
+    Exactly Hermitian matrices give 0 without a decomposition.
+    """
     a = as_complex(a)
-    return op_norm(a - dagger(a))
+    skew = a - dagger(a)
+    if not skew.any():
+        return 0.0
+    w = np.linalg.eigvalsh(1j * skew)
+    return float(max(-w[0], w[-1]))
 
 
-def min_eig_herm(a, tol: float = DEFAULT_TOL) -> float:
+def min_eig_herm(a, tol: float = DEFAULT_TOL, *, stats: bool = False):
     """Smallest eigenvalue of the Hermitian part of ``a``.
 
     Raises ShapeMismatch when ``a`` drifts measurably from Hermitian,
     so that numerical asymmetry is caught instead of silently averaged
     away.  Empty matrices give +inf (vacuously positive).
+
+    With ``stats=True`` returns ``(min_eig, drift, norm)``, where ``norm``
+    is the norm of the Hermitian part, and leaves the drift judgement to
+    the caller; that lets a block-diagonal matrix be checked one block at
+    a time against the bound of the whole.
     """
     a = as_complex(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"expected square matrix, got {a.shape}")
     if a.shape[0] == 0:
-        return np.inf
+        return (np.inf, 0.0, 0.0) if stats else np.inf
     drift = herm_residual(a)
-    if drift > tol * scale_of(a):
+    w = np.linalg.eigvalsh((a + dagger(a)) / 2.0)
+    lo, norm = float(w[0]), float(max(-w[0], w[-1]))
+    if stats:
+        return lo, drift, norm
+    if drift > tol * (1.0 + norm):
         raise ShapeMismatch(f"matrix is not Hermitian (drift {drift:.3e})")
-    return float(np.linalg.eigvalsh((a + dagger(a)) / 2.0)[0])
+    return lo
 
 
 def orth_cols(a, rank_tol: float = RANK_TOL) -> np.ndarray:
@@ -136,7 +177,7 @@ def gram_quotient(gram, tol: float = DEFAULT_TOL, rank_tol: float = RANK_TOL):
     ``kernel_basis`` spans the Gram kernel orthonormally.
 
     Raises PositivityFailure when the Gram has an eigenvalue below
-    ``-tol * (1 + |gram|)``.
+    ``-tol * (1 + |(gram + gram*)/2|)``.
     """
     gram = as_complex(gram)
     m = gram.shape[0]
@@ -146,10 +187,11 @@ def gram_quotient(gram, tol: float = DEFAULT_TOL, rank_tol: float = RANK_TOL):
         z = np.zeros((0, 0), dtype=complex)
         return z, z, z
     drift = herm_residual(gram)
-    if drift > tol * scale_of(gram):
-        raise ShapeMismatch(f"Gram matrix is not Hermitian (drift {drift:.3e})")
     w, v = np.linalg.eigh((gram + dagger(gram)) / 2.0)
-    if w[0] < -tol * scale_of(gram):
+    scale = 1.0 + max(-w[0], w[-1])
+    if drift > tol * scale:
+        raise ShapeMismatch(f"Gram matrix is not Hermitian (drift {drift:.3e})")
+    if w[0] < -tol * scale:
         raise PositivityFailure(f"semi-Gram has negative eigenvalue {w[0]:.3e}")
     cutoff = rank_tol * max(1.0, w[-1])
     keep = w > cutoff

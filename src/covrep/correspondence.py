@@ -78,18 +78,34 @@ class Correspondence:
         """Trace form tr(pi(<f_i, f_j>)) through the faithful representation."""
         return np.tensordot(self.gram, self.algebra.trace_vec, axes=(2, 0))
 
-    def faithful_gram(self) -> np.ndarray:
-        """The e*N x e*N scalar Gram of E tensored against the faithful rep."""
-        fb = _faithful_basis(self.algebra)
-        n = self.algebra.faithful_dim
-        return np.einsum("ijk,kab->iajb", self.gram, fb).reshape(self.dim * n, self.dim * n)
-
     def validate(self) -> ValidationReport:
         return validate_correspondence(self)
 
 
-def _faithful_basis(alg: MatrixBlocksAlgebra) -> np.ndarray:
-    return np.stack([alg.faithful(alg.unit_coords(k)) for k in range(alg.dim)])
+def _faithful_positivity(
+    gm: np.ndarray, alg: MatrixBlocksAlgebra, tol: float
+) -> tuple[float, float, float]:
+    """Smallest eigenvalue, drift and norm of the faithful positivity matrix.
+
+    ``gm`` holds algebra coordinates per index pair, shape (n, n, alg.dim).
+    The matrix sum_k gm[:, :, k] (x) pi(b_k) is a direct sum over the
+    algebra's blocks: block b is gm[:, :, units of b] with index pairs
+    (x, p) x (y, q), of size n * d_b.  Each block is decomposed on its own;
+    the minimum eigenvalue, the drift |M - M*| and the norm of the
+    Hermitian part of the whole are the extremes over the blocks.  Raises
+    ShapeMismatch when the drift exceeds the bound of the whole.
+    """
+    n = gm.shape[0]
+    lo, drift, norm = np.inf, 0.0, 0.0
+    off = 0
+    for d in alg.block_dims:
+        blk = gm[:, :, off : off + d * d].reshape(n, n, d, d).transpose(0, 2, 1, 3)
+        b_lo, b_drift, b_norm = min_eig_herm(blk.reshape(n * d, n * d), stats=True)
+        lo, drift, norm = min(lo, b_lo), max(drift, b_drift), max(norm, b_norm)
+        off += d * d
+    if drift > tol * (1.0 + norm):
+        raise ShapeMismatch(f"matrix is not Hermitian (drift {drift:.3e})")
+    return lo, drift, norm
 
 
 def validate_correspondence(E: Correspondence) -> ValidationReport:
@@ -136,11 +152,7 @@ def validate_correspondence(E: Correspondence) -> ValidationReport:
                 float(np.linalg.norm(alg.star(E.gram[i, j]) - E.gram[j, i])),
             )
 
-    if e:
-        pos_eig = min_eig_herm(E.faithful_gram(), E.tol)
-        positivity = max(0.0, -pos_eig)
-    else:
-        positivity = 0.0
+    positivity = max(0.0, -_faithful_positivity(E.gram, alg, E.tol)[0]) if e else 0.0
 
     one_mat = E.phi(alg.one)
     essential = op_norm(one_mat - eye_like(e))
@@ -237,13 +249,9 @@ def internal_tensor(
 
     # positivity of the algebra-valued form, through the faithful rep; the
     # trace form below has the same kernel only when this holds
-    n_alg = E.dim * F.dim
-    if n_alg:
-        fb = _faithful_basis(alg)
-        nf = alg.faithful_dim
-        big = np.einsum("xyk,kab->xayb", gm, fb).reshape(n_alg * nf, n_alg * nf)
-        eig = min_eig_herm(big, tol)
-        if eig < -tol * scale_of(big):
+    if E.dim * F.dim:
+        eig, _, norm = _faithful_positivity(gm, alg, tol)
+        if eig < -tol * (1.0 + norm):
             raise PositivityFailure(f"module semi-Gram has eigenvalue {eig:.3e}")
 
     scalar = np.tensordot(gm, alg.trace_vec, axes=(2, 0))

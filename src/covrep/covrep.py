@@ -25,6 +25,7 @@ from ._linalg import (
     dagger,
     eye_like,
     inv_sqrt_psd,
+    max_op_norm,
     min_eig_herm,
     null_cols,
     op_norm,
@@ -154,6 +155,11 @@ class CovariantRep:
         self._tilde_n: dict[int, np.ndarray] = {0: eye_like(n)}
         self._L_n: dict[int, np.ndarray] = {0: eye_like(n)}
         self._tilde: TildeOperator | None = None
+        self._gram_tilde: np.ndarray | None = None
+        self._left_invertible: bool | None = None
+        self._L: np.ndarray | None = None
+        self._P: np.ndarray | None = None
+        self._Q: np.ndarray | None = None
         if validate:
             self._validate_construction()
 
@@ -161,21 +167,18 @@ class CovariantRep:
 
     def _validate_construction(self):
         alg = self.E.algebra
-        n = self.hdim
         scale = scale_of(self.theta, *(self.sigma.images if alg.dim else ()))
         bound = self.tol * scale
+        images = self.sigma.images
         worst = 0.0
+        # one batch per left unit b_k, all (b_l, xi_i) at once, to keep the
+        # working set at d * e matrices of size n x n
         for k in range(alg.dim):
-            sk = self.sigma.images[k]
-            for l in range(alg.dim):
-                sl = self.sigma.images[l]
-                move = self.E.phi(alg.unit_coords(k)) @ np.tensordot(
-                    alg.unit_coords(l), self.E.right_action, axes=(0, 0)
-                )
-                for i in range(self.E.dim):
-                    lhs = np.tensordot(move[:, i], self.T, axes=(0, 0))
-                    rhs = sk @ self.T[i] @ sl
-                    worst = max(worst, op_norm(lhs - rhs))
+            # move[l][:, i] holds the coordinates of b_k . f_i . b_l
+            move = self.E.left_action[k] @ self.E.right_action
+            lhs = np.tensordot(move, self.T, axes=(1, 0))
+            rhs = (images[k] @ self.T)[None, :, :, :] @ images[:, None, :, :]
+            worst = max(worst, max_op_norm(lhs - rhs))
         if worst > bound:
             raise BimoduleViolation(
                 f"T(a xi b) deviates from sigma(a) T(xi) sigma(b) by {worst:.3e}"
@@ -243,14 +246,19 @@ class CovariantRep:
 
     @property
     def gram_tilde(self) -> np.ndarray:
-        return dagger(self.tilde) @ self.tilde
+        if self._gram_tilde is None:
+            self._gram_tilde = dagger(self.tilde) @ self.tilde
+        return self._gram_tilde
 
     def left_invertible(self) -> bool:
-        g = self.gram_tilde
-        if g.shape[0] == 0:
-            return True
-        w = np.linalg.eigvalsh((g + dagger(g)) / 2.0)
-        return bool(w[0] > RANK_TOL * max(1.0, w[-1]))
+        if self._left_invertible is None:
+            g = self.gram_tilde
+            if g.shape[0] == 0:
+                self._left_invertible = True
+            else:
+                w = np.linalg.eigvalsh((g + dagger(g)) / 2.0)
+                self._left_invertible = bool(w[0] > RANK_TOL * max(1.0, w[-1]))
+        return self._left_invertible
 
     def _require_left_invertible(self):
         if not self.left_invertible():
@@ -259,8 +267,10 @@ class CovariantRep:
     @property
     def L(self) -> np.ndarray:
         """The left inverse (T~* T~)^{-1} T~*."""
-        self._require_left_invertible()
-        return solve_hermitian(self.gram_tilde, dagger(self.tilde))
+        if self._L is None:
+            self._require_left_invertible()
+            self._L = solve_hermitian(self.gram_tilde, dagger(self.tilde))
+        return self._L
 
     def lfac(self, k: int) -> np.ndarray:
         """I_{E^{(x)k}} (x) L : space(k) -> space(k+1)."""
@@ -281,11 +291,16 @@ class CovariantRep:
     @property
     def P(self) -> np.ndarray:
         """Orthogonal projection onto the wandering subspace ker T~*."""
-        return eye_like(self.hdim) - self.tilde @ self.L
+        if self._P is None:
+            self._P = eye_like(self.hdim) - self.Q
+        return self._P
 
     @property
     def Q(self) -> np.ndarray:
-        return self.tilde @ self.L
+        """Projection T~ L onto the range of T~."""
+        if self._Q is None:
+            self._Q = self.tilde @ self.L
+        return self._Q
 
     # -- property checks ---------------------------------------------------------
 

@@ -313,6 +313,7 @@ class _ProductFock:
             iter_product(*(range(d + 1) for d in self.depths)), key=lambda n: (sum(n), n)
         )
         self.words = {n: self._word(n) for n in self.indices}
+        self._bubbles: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
         self.spaces: dict[tuple[int, ...], InteriorTensorSpace] = {
             n: interior_tensor_with_rep(system.chain.corr(self.words[n]), pi)
             for n in self.indices
@@ -354,6 +355,22 @@ class _ProductFock:
         images = np.stack([self.rep_image(alg.unit_coords(k)) for k in range(alg.dim)])
         return StarRepresentation(alg, self.dim, images, self.pi.tol)
 
+    def _bubble(self, c: int, n) -> np.ndarray:
+        """Product of the flips carrying a prepended letter c past the lower
+        letters of word n.  It does not depend on the prepended vector, so
+        it is built once per (c, n)."""
+        key = (c, n)
+        if key not in self._bubbles:
+            chain = self.system.chain
+            cur = (c,) + self.words[n]
+            mat = eye_like(chain.corr(cur).dim)
+            for p in range(sum(n[:c])):
+                cur, f = chain.flip_at(cur, p, self.system.flip(cur[p], cur[p + 1]))
+                mat = f @ mat
+            assert cur == self.words[self._bump(n, c)]
+            self._bubbles[key] = mat
+        return self._bubbles[key]
+
     def creation(self, c: int, xi) -> np.ndarray:
         """Creation by xi in E_c: prepend, then bubble past lower letters."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
@@ -363,14 +380,7 @@ class _ProductFock:
             if n[c] == self.depths[c]:
                 continue
             target = self._bump(n, c)
-            word = self.words[n]
-            mat = chain.prepend(word, c, xi)
-            cur = (c,) + word
-            bubble = sum(n[i] for i in range(c))
-            for p in range(bubble):
-                cur, f = chain.flip_at(cur, p, self.system.flip(cur[p], cur[p + 1]))
-                mat = f @ mat
-            assert cur == self.words[target]
+            mat = self._bubble(c, n) @ chain.prepend(self.words[n], c, xi)
             src, dst = self.spaces[n], self.spaces[target]
             block = dst.push @ kron(mat, eye_like(npi)) @ src.lift
             o_s, o_d = self.offsets[n], self.offsets[target]

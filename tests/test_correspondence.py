@@ -6,7 +6,10 @@ from hypothesis import strategies as st
 from covrep.algebra import MatrixBlocksAlgebra, StarRepresentation
 from covrep.correspondence import (
     ChainTower,
+    Correspondence,
     FockHilbert,
+    _faithful_positivity,
+    _module_gram,
     algebra_correspondence,
     creation_operator,
     fock,
@@ -109,6 +112,93 @@ class TestInternalTensor:
             lhs = space.push @ np.kron(za, xi)
             rhs = space.push @ np.kron(zeta, phixi)
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+def dense_faithful_stats(gm, alg):
+    """Minimum eigenvalue, drift and Hermitian-part norm of the dense
+    (n * N)^2 faithful matrix sum_k gm[:, :, k] (x) pi(b_k)."""
+    fb = np.stack([alg.faithful(alg.unit_coords(k)) for k in range(alg.dim)])
+    size = gm.shape[0] * alg.faithful_dim
+    big = np.einsum("xyk,kab->xayb", gm, fb).reshape(size, size)
+    herm = (big + big.conj().T) / 2.0
+    return (
+        np.linalg.eigvalsh(herm)[0],
+        np.linalg.norm(big - big.conj().T, 2),
+        np.linalg.norm(herm, 2),
+    )
+
+
+def twisted_algebra_correspondence(alg, weight):
+    """The algebra over itself with inner product <x, y> = x* w y; for an
+    indefinite ``weight`` block the positivity matrix is indefinite there."""
+    E = algebra_correspondence(alg)
+    gram = np.stack([
+        np.stack([alg.mul(alg.star(alg.unit_coords(i)), alg.mul(weight, alg.unit_coords(j)))
+                  for j in range(alg.dim)])
+        for i in range(alg.dim)
+    ])
+    return Correspondence(alg, E.dim, E.right_action, E.left_action, gram, E.tol)
+
+
+class TestBlockPositivity:
+    """Positivity through the faithful rep is checked one algebra block at a time."""
+
+    ALGEBRAS = [MatrixBlocksAlgebra((2, 1)), MatrixBlocksAlgebra((1, 2, 2))]
+
+    @pytest.mark.parametrize("alg", ALGEBRAS, ids=str)
+    def test_blockwise_stats_equal_dense(self, alg, rng):
+        E = algebra_correspondence(alg)
+        gm = _module_gram(E, E)
+        noise = rng.standard_normal(gm.shape) + 1j * rng.standard_normal(gm.shape)
+        for cand in (gm, E.gram, gm + 1e-12 * noise):
+            got = _faithful_positivity(cand, alg, E.tol)
+            np.testing.assert_allclose(got, dense_faithful_stats(cand, alg), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("alg", ALGEBRAS, ids=str)
+    def test_multi_block_tensor_and_validation(self, alg):
+        E = algebra_correspondence(alg)
+        report = validate_correspondence(E)
+        assert report.passed
+        positivity = next(i for i in report.items if i.name == "positivity")
+        assert positivity.residual == pytest.approx(
+            max(0.0, -dense_faithful_stats(E.gram, alg)[0]), abs=1e-12
+        )
+        Q, space = internal_tensor(E, E)
+        # A (x)_A A = A
+        assert Q.dim == alg.dim and space.gram_kernel_dim == alg.dim ** 2 - alg.dim
+        assert validate_correspondence(Q).passed
+
+    def test_one_indefinite_two_block_fails(self):
+        alg = MatrixBlocksAlgebra((1, 2, 2))
+        weight = alg.coords_from_blocks([np.eye(1), np.eye(2), np.diag([1.0, -1.0])])
+        E = twisted_algebra_correspondence(alg, weight)
+        F = algebra_correspondence(alg)
+        gm = _module_gram(E, F)
+        # only the last block of the positivity matrix has a negative eigenvalue
+        lows = []
+        off = 0
+        for d in alg.block_dims:
+            sub = MatrixBlocksAlgebra((d,))
+            lows.append(dense_faithful_stats(gm[:, :, off : off + d * d], sub)[0])
+            off += d * d
+        assert lows[0] > -1e-12 and lows[1] > -1e-12 and lows[2] < -0.5
+        assert _faithful_positivity(gm, alg, E.tol)[0] == pytest.approx(lows[2], abs=1e-12)
+        with pytest.raises(PositivityFailure):
+            internal_tensor(E, F)
+        report = validate_correspondence(E)
+        positivity = next(i for i in report.items if i.name == "positivity")
+        assert not positivity.passed
+        assert positivity.residual == pytest.approx(
+            -dense_faithful_stats(E.gram, alg)[0], abs=1e-12
+        )
+
+    def test_drift_is_judged_on_the_whole(self):
+        alg = MatrixBlocksAlgebra((2, 1))
+        E = algebra_correspondence(alg)
+        gm = _module_gram(E, E).copy()
+        gm[0, 1, alg.unit_index(1, 0, 0)] += 1e-6
+        with pytest.raises(ShapeMismatch):
+            _faithful_positivity(gm, alg, E.tol)
 
 
 class TestTensorPower:

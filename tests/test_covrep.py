@@ -435,3 +435,57 @@ class TestRestriction:
         v = (p0[:, :1] + p1[:, :1]) / np.sqrt(2)
         with pytest.raises(NotInvariant):
             rep.restrict(v)
+
+
+class TestCachingAndThreads:
+    """Derived operators are cached write-once and instances are shareable."""
+
+    @staticmethod
+    def tasks(rep):
+        from covrep.wold import wold_decompose
+
+        return {
+            "isometric": rep.check_isometric,
+            "fully_coisometric": rep.check_fully_coisometric,
+            "concave": rep.check_concave,
+            "expansive": rep.check_expansive,
+            "growth_2": lambda: rep.check_growth_bound(2),
+            "shimorin": rep.check_shimorin,
+            "eq12": rep.check_eq12,
+            "eq13": rep.check_eq13,
+            "analytic": rep.check_analytic,
+            "left_invertible": rep.left_invertible,
+            "wold": lambda: wold_decompose(rep).to_json(),
+            "chain": lambda: rep.left_inverse_chain(2).telescoping_residual,
+        }
+
+    def test_derived_operators_computed_once(self):
+        rep = weighted_graph_rep(G2, [1.25, 1.1])
+        for name in ("gram_tilde", "L", "P", "Q"):
+            assert getattr(rep, name) is getattr(rep, name)
+        np.testing.assert_allclose(rep.P + rep.Q, np.eye(rep.hdim), atol=1e-15)
+
+    def test_not_left_invertible_is_not_cached_as_L(self):
+        S = np.array([[0.0, 1.0], [0.0, 0.0]])
+        rep = scalar_covrep(np.kron(S, np.eye(2)))
+        for _ in range(2):
+            assert not rep.left_invertible()
+            with pytest.raises(NotLeftInvertible):
+                rep.L
+
+    @pytest.mark.parametrize("weights", [[1.25, 1.1], [1.0, 1.0]])
+    def test_shared_instance_from_thread_pool(self, weights):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        serial = {name: task() for name, task in self.tasks(weighted_graph_rep(G2, weights)).items()}
+        shared = self.tasks(weighted_graph_rep(G2, weights))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = {name: pool.submit(task) for name, task in shared.items()}
+                threaded = {name: fut.result(timeout=60) for name, fut in futures.items()}
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial

@@ -208,3 +208,47 @@ class TestCorpus:
         assert pr.hdim == 9
         assert pr.meta["exact"] is True
         assert pr.is_doubly_commuting()
+
+
+class TestProductFockCreation:
+    """Creation bubbles the new letter past lower letters with flips built once."""
+
+    @staticmethod
+    def per_vector_creation(pf, c, xi):
+        """Reference: prepend xi, then apply each flip in turn, for every level."""
+        from covrep._linalg import kron
+
+        chain = pf.system.chain
+        out = np.zeros((pf.dim, pf.dim), dtype=complex)
+        for n in pf.indices:
+            if n[c] == pf.depths[c]:
+                continue
+            target = pf._bump(n, c)
+            mat = chain.prepend(pf.words[n], c, xi)
+            cur = (c,) + pf.words[n]
+            for p in range(sum(n[:c])):
+                cur, f = chain.flip_at(cur, p, pf.system.flip(cur[p], cur[p + 1]))
+                mat = f @ mat
+            src, dst = pf.spaces[n], pf.spaces[target]
+            block = dst.push @ kron(mat, np.eye(pf.pi.hilbert_dim)) @ src.lift
+            o_s, o_d = pf.offsets[n], pf.offsets[target]
+            out[o_d : o_d + dst.quotient_dim, o_s : o_s + src.quotient_dim] = block
+        return out
+
+    def test_matches_per_vector_bubbling(self, rng):
+        from covrep.algebra import StarRepresentation
+        from covrep.examples import _ProductFock, two_colored_system
+
+        right = [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)]
+        down = [(0, 3), (1, 4), (2, 5), (3, 6), (4, 7), (5, 8)]
+        system = two_colored_system(9, right, down)
+        pf = _ProductFock(system, StarRepresentation.identity(system.algebra), (2, 2))
+        for c in range(system.k):
+            e_c = system.correspondences[c].dim
+            creations = [pf.creation(c, np.eye(e_c)[:, i]) for i in range(e_c)]
+            xi = rng.standard_normal(e_c) + 1j * rng.standard_normal(e_c)
+            expected = self.per_vector_creation(pf, c, xi)
+            np.testing.assert_allclose(pf.creation(c, xi), expected, atol=1e-12)
+            np.testing.assert_allclose(np.tensordot(xi, creations, axes=(0, 0)), expected, atol=1e-12)
+        # coordinate 1 passes coordinate-0 letters, so some bubbles are not identities
+        assert any(not np.allclose(b, np.eye(len(b))) for b in pf._bubbles.values())
