@@ -14,7 +14,6 @@ from .algebra import (
     AlgebraElement,
     MatrixBlocksAlgebra,
     StarRepresentation,
-    rep_apply,
     validate_representation,
 )
 from .correspondence import (
@@ -25,7 +24,6 @@ from .correspondence import (
     HilbertTower,
     InteriorTensorSpace,
     algebra_correspondence,
-    creation_operator,
     fock,
     interior_tensor_with_rep,
     internal_tensor,
@@ -39,20 +37,6 @@ from .covrep import (
     LeftInverseChain,
     TildeOperator,
     UOperator,
-    build_U,
-    cauchy_dual,
-    check_concave,
-    check_eq12,
-    check_eq13,
-    check_expansive,
-    check_fully_coisometric,
-    check_growth_bound,
-    check_isometric,
-    check_shimorin,
-    energy_identity,
-    left_inverse_chain,
-    make_covrep,
-    tilde_n,
 )
 from .errors import (
     AlgebraMismatch,
@@ -60,7 +44,6 @@ from .errors import (
     BimoduleViolation,
     CommutationViolation,
     CovrepError,
-    HypothesisNotMet,
     IllDefinedTilde,
     KindMismatch,
     NotConcave,
@@ -77,12 +60,11 @@ from .product import (
     ProductRep,
     ProductSystem,
     check_T24_condition_b,
-    check_doubly_commuting,
     invariant_closure_alpha,
     script_L_alpha,
-    tilde_multi,
     validate_product_system,
     verify_P21,
+    verify_P21_all,
     verify_T22,
     verify_T24_equivalence,
     wandering_alpha,

@@ -58,6 +58,17 @@ def max_op_norm(stack) -> float:
     return float(np.linalg.norm(mats, 2, axis=(1, 2)).max())
 
 
+def invariance_residual(stack, basis) -> float:
+    """Largest |(I - P_K) M B_K| over a stack of n x n matrices M.
+
+    ``basis`` holds orthonormal columns B_K spanning K and P_K = B_K B_K*;
+    the residual is 0 exactly when every M leaves K invariant.
+    """
+    basis = as_complex(basis)
+    comp = eye_like(basis.shape[0]) - basis @ dagger(basis)
+    return max_op_norm(comp @ as_complex(stack) @ basis)
+
+
 def scale_of(*mats) -> float:
     """1 + max operator norm of the arguments, for relative tolerances."""
     return 1.0 + max((op_norm(m) for m in mats), default=0.0)

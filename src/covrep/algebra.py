@@ -53,14 +53,6 @@ class MatrixBlocksAlgebra:
         d = self.block_dims[block]
         return self._block_offsets[block] + p * d + q
 
-    def unit_labels(self) -> list[tuple[int, int, int]]:
-        return [
-            (b, p, q)
-            for b, d in enumerate(self.block_dims)
-            for p in range(d)
-            for q in range(d)
-        ]
-
     # -- coordinate conversions -------------------------------------------
 
     def blocks_from_coords(self, coords) -> list[np.ndarray]:
@@ -210,13 +202,10 @@ class StarRepresentation:
             raise AlgebraMismatch("element does not belong to this representation's algebra")
         return self.apply_coords(a.coords)
 
-    def validate(self) -> ValidationReport:
-        return validate_representation(self)
-
-
-def rep_apply(sigma: StarRepresentation, a: AlgebraElement) -> np.ndarray:
-    """sigma(a) as an n x n matrix; linear in the element's coordinates."""
-    return sigma.apply(a)
+    @cached_property
+    def scale(self) -> float:
+        """scale_of(*images), the relative-tolerance scale of this representation."""
+        return scale_of(*self.images)
 
 
 def validate_representation(sigma: StarRepresentation) -> ValidationReport:

@@ -20,13 +20,18 @@ from .covrep import CovariantRep
 from .algebra import validate_representation
 from .errors import (
     CovrepError,
-    HypothesisNotMet,
     KindMismatch,
     NotIsometric,
     NotLeftInvertible,
     ParseError,
 )
-from .product import ProductRep, verify_P21, verify_T22, verify_T24_equivalence
+from .product import (
+    ProductRep,
+    validate_product_system,
+    verify_P21_all,
+    verify_T22,
+    verify_T24_equivalence,
+)
 from .reporting import CheckItem, TheoremReport
 from .serialize import dump_json, instance_to_json, load_instance, matrix_to_json
 from .wold import (
@@ -41,8 +46,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
-
-THEOREMS = ("richter", "muhly-solel", "mt1", "cd", "p21", "t22", "t24")
 
 _COVREP_CHECKS = (
     "isometric",
@@ -116,7 +119,7 @@ def _validators_for(obj) -> list:
     elif isinstance(obj, ProductRep):
         for E in obj.system.correspondences:
             reports.append(validate_correspondence(E))
-        reports.append(obj.system.validate())
+        reports.append(validate_product_system(obj.system))
         reports.append(obj.validate_commutation())
     return reports
 
@@ -239,45 +242,38 @@ def cmd_decompose(args) -> int:
     return EXIT_PASS if wd.certified else EXIT_FAIL
 
 
-def _verify_dispatch(obj, theorem: str) -> TheoremReport:
-    if theorem in ("richter", "muhly-solel", "mt1", "cd"):
-        if not isinstance(obj, CovariantRep):
-            raise KindMismatch(f"theorem {theorem!r} expects a covariant representation")
-        if theorem == "richter":
-            return verify_richter(obj, Subspace.full(obj.hdim))
-        if theorem == "muhly-solel":
-            return verify_muhly_solel(obj)
-        if theorem == "cd":
-            return verify_cauchy_dual_props(obj)
-        wd = wold_decompose(obj)
-        return TheoremReport(
-            "mt1",
-            hypotheses=wd.hypotheses,
-            conclusions=wd.certificates,
-            dims={"W": wd.W.dim, "H_u": wd.H_u.dim, "H_inf": wd.H_inf.dim},
-        )
-    if theorem in ("p21", "t22", "t24"):
-        if not isinstance(obj, ProductRep):
-            raise KindMismatch(f"theorem {theorem!r} expects a product-system tuple")
-        if theorem == "t22":
-            return verify_T22(obj)
-        if theorem == "t24":
-            return verify_T24_equivalence(obj)
-        from .product import _nonempty_subsets
+def _verify_mt1(rep: CovariantRep) -> TheoremReport:
+    wd = wold_decompose(rep)
+    return TheoremReport(
+        "mt1",
+        hypotheses=wd.hypotheses,
+        conclusions=wd.certificates,
+        dims={"W": wd.W.dim, "H_u": wd.H_u.dim, "H_inf": wd.H_inf.dim},
+    )
 
-        hyp: tuple = ()
-        concl: tuple = ()
-        dims: dict = {}
-        for alpha in _nonempty_subsets(obj.k):
-            rep = verify_P21(obj, alpha)
-            tag = "{" + ",".join(str(i + 1) for i in alpha) + "}"
-            hyp = rep.hypotheses
-            concl += tuple(
-                CheckItem(f"{tag}:{i.name}", i.passed, i.residual, i.vacuous) for i in rep.conclusions
-            )
-            dims[f"W_{tag}"] = rep.dims["W_alpha"]
-        return TheoremReport("p21", hypotheses=hyp, conclusions=concl, dims=dims)
-    raise KindMismatch(f"unknown theorem {theorem!r}")
+
+_KIND_NAMES = {CovariantRep: "a covariant representation", ProductRep: "a product-system tuple"}
+
+#: theorem name -> (instance kind it applies to, verifier)
+_THEOREMS = {
+    "richter": (CovariantRep, lambda rep: verify_richter(rep, Subspace.full(rep.hdim))),
+    "muhly-solel": (CovariantRep, verify_muhly_solel),
+    "mt1": (CovariantRep, _verify_mt1),
+    "cd": (CovariantRep, verify_cauchy_dual_props),
+    "p21": (ProductRep, verify_P21_all),
+    "t22": (ProductRep, verify_T22),
+    "t24": (ProductRep, verify_T24_equivalence),
+}
+THEOREMS = tuple(_THEOREMS)
+
+
+def _verify_dispatch(obj, theorem: str) -> TheoremReport:
+    if theorem not in _THEOREMS:
+        raise KindMismatch(f"unknown theorem {theorem!r}")
+    kind, verifier = _THEOREMS[theorem]
+    if not isinstance(obj, kind):
+        raise KindMismatch(f"theorem {theorem!r} expects {_KIND_NAMES[kind]}")
+    return verifier(obj)
 
 
 def cmd_verify(args) -> int:
@@ -291,7 +287,7 @@ def cmd_verify(args) -> int:
     except KindMismatch as exc:
         sys.stderr.write(f"kind mismatch: {exc}\n")
         return EXIT_INPUT
-    except (NotIsometric, NotLeftInvertible, HypothesisNotMet) as exc:
+    except (NotIsometric, NotLeftInvertible) as exc:
         sys.stderr.write(f"hypothesis not met: {exc}\n")
         return EXIT_HYPOTHESIS
     report = _base_report(args, "verify", tol)

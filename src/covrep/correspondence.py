@@ -13,8 +13,8 @@ literal conjugate transposes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from itertools import product as iter_product
 
 import numpy as np
 
@@ -68,18 +68,6 @@ class Correspondence:
     def right_apply(self, xi, a_coords) -> np.ndarray:
         mat = np.tensordot(as_complex(a_coords), self.right_action, axes=(0, 0))
         return mat @ as_complex(xi)
-
-    def gram_of(self, x, y) -> np.ndarray:
-        """Algebra coordinates of <x, y>."""
-        return np.einsum("i,j,ijk->k", np.conj(as_complex(x)), as_complex(y), self.gram)
-
-    @cached_property
-    def scalar_gram(self) -> np.ndarray:
-        """Trace form tr(pi(<f_i, f_j>)) through the faithful representation."""
-        return np.tensordot(self.gram, self.algebra.trace_vec, axes=(2, 0))
-
-    def validate(self) -> ValidationReport:
-        return validate_correspondence(self)
 
 
 def _faithful_positivity(
@@ -491,14 +479,6 @@ class HilbertTower:
         contract = kron(self.chain.step(ext).push, eye_like(n))
         return sp.push @ contract @ kron(eye_like(r), alg_rep) @ expand @ sp.lift
 
-    def prepend_op(self, word: Word, letter: int, xi) -> np.ndarray:
-        """Quotient matrix of eta (x) h -> (xi (x) eta) (x) h."""
-        word = tuple(word)
-        pre = self.chain.prepend(word, letter, xi)
-        src = self.space(word)
-        dst = self.space((letter,) + word)
-        return dst.push @ kron(pre, eye_like(self.hdim)) @ src.lift
-
     def flip_op(self, word: Word, p: int, tmat) -> tuple[Word, np.ndarray]:
         """Quotient matrix of (flip at p) (x) I_H : space(word) -> space(flipped)."""
         new_word, mat = self.chain.flip_at(word, p, tmat)
@@ -526,91 +506,123 @@ class FockTruncation:
     depth: int
     levels: tuple[Correspondence, ...]
     nilpotent: bool
-    chain: ChainTower = field(repr=False)
-    letter: int = 0
-    next_level: Correspondence = field(repr=False, default=None)
 
     def level_dims(self) -> tuple[int, ...]:
         return tuple(level.dim for level in self.levels)
 
 
-def fock(E: Correspondence, depth: int, *, chain: ChainTower | None = None, letter: int = 0) -> FockTruncation:
+def fock(E: Correspondence, depth: int) -> FockTruncation:
     """Truncated Fock module of E with levels 0..depth."""
     if depth < 0:
         raise ShapeMismatch("Fock depth must be >= 0")
-    if chain is None:
-        chain = ChainTower([E], E.tol)
-        letter = 0
-    if chain.family[letter] is not E:
-        raise AlgebraMismatch("tower letter does not carry the requested correspondence")
-    levels = tuple(chain.corr((letter,) * n) for n in range(depth + 1))
-    nxt = chain.corr((letter,) * (depth + 1))
-    return FockTruncation(E, depth, levels, nxt.dim == 0, chain, letter, nxt)
+    chain = ChainTower([E], E.tol)
+    levels = tuple(chain.corr((0,) * n) for n in range(depth + 1))
+    return FockTruncation(E, depth, levels, chain.corr((0,) * (depth + 1)).dim == 0)
 
 
 class FockHilbert:
-    """The Hilbert space F_N(E) (x)_sigma H with its creation operators.
+    """The Fock Hilbert space F_N(E) (x)_sigma H of a product system over
+    N_0^k with its creation operators; rank 1 is the case of one letter.
 
-    Level k occupies the coordinate block [offsets[k], offsets[k+1]).
-    ``exact`` records whether creation out of the top level would vanish,
-    i.e. whether the truncation is the honest Fock space over sigma.
+    ``depths`` maps each letter of the tower in use to its truncation depth.
+    The levels are the multi-indices n with n[c] <= depth of the c-th
+    letter, ordered by total degree; level n is the word that repeats each
+    letter n[c] times, letters in increasing order, and occupies the
+    coordinate block that starts at offsets[n].  Level 0 is
+    M (x)_sigma H rather than H itself.  ``flip(i, j)`` maps corr((i, j))
+    to corr((j, i)); it is needed with more than one letter, to carry a
+    created letter past the lower letters of a word.  ``exact`` records
+    whether the sigma-quotient of every word one step past the top has
+    dimension 0, i.e. whether creation out of the top levels vanishes and
+    the truncation is the honest Fock space over sigma.
     """
 
-    def __init__(self, trunc: FockTruncation, sigma: StarRepresentation):
-        self.trunc = trunc
+    def __init__(self, chain: ChainTower, sigma: StarRepresentation, depths, flip=None):
+        self.chain = chain
         self.sigma = sigma
-        self.hilb = HilbertTower(trunc.chain, sigma)
-        words = [(trunc.letter,) * n for n in range(trunc.depth + 1)]
-        # level 0 is M (x)_sigma H rather than H itself
-        self.spaces = [interior_tensor_with_rep(trunc.levels[0], sigma)] + [
-            self.hilb.space(w) for w in words[1:]
-        ]
-        dims = [sp.quotient_dim for sp in self.spaces]
-        self.offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-        self.dim = int(self.offsets[-1])
-        if trunc.nilpotent:
-            self.exact = True
-        else:
-            top = interior_tensor_with_rep(trunc.next_level, sigma)
-            self.exact = top.quotient_dim == 0
+        self.hilb = HilbertTower(chain, sigma)
+        self.letters = tuple(sorted(depths))
+        self.depths = tuple(int(depths[c]) for c in self.letters)
+        if any(d < 0 for d in self.depths):
+            raise ShapeMismatch("Fock depth must be >= 0")
+        if len(self.letters) > 1 and flip is None:
+            raise ShapeMismatch("a Fock space over several letters needs the product system's flips")
+        self.flip = flip
+        self.indices = sorted(
+            iter_product(*(range(d + 1) for d in self.depths)), key=lambda n: (sum(n), n)
+        )
+        self.words = {n: self._word(n) for n in self.indices}
+        self._bubbles: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+        ground = interior_tensor_with_rep(chain.corr(()), sigma)
+        self.spaces = {n: self.hilb.space(w) if w else ground for n, w in self.words.items()}
+        dims = [self.spaces[n].quotient_dim for n in self.indices]
+        self.offsets = dict(zip(self.indices, np.concatenate([[0], np.cumsum(dims)]).astype(int)))
+        self.dim = int(sum(dims))
+        self.exact = all(
+            self.hilb.dim(self._word(self._bump(n, c))) == 0
+            for n in self.indices
+            for c in range(len(self.letters))
+            if n[c] == self.depths[c]
+        )
 
-    def level_dims(self) -> tuple[int, ...]:
-        return tuple(sp.quotient_dim for sp in self.spaces)
+    def _word(self, n) -> Word:
+        word: Word = ()
+        for letter, m in zip(self.letters, n):
+            word += (letter,) * m
+        return word
 
-    def _level_phi(self, k: int, a_coords) -> np.ndarray:
-        sp = self.spaces[k]
-        level = self.trunc.levels[k]
-        n = self.sigma.hilbert_dim
-        return sp.push @ kron(level.phi(a_coords), eye_like(n)) @ sp.lift
+    @staticmethod
+    def _bump(n, c):
+        return tuple(v + 1 if i == c else v for i, v in enumerate(n))
 
     def rep_image(self, a_coords) -> np.ndarray:
         """phi_infinity(a) (x) I as a block-diagonal matrix."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for k in range(len(self.spaces)):
-            o, t = self.offsets[k], self.offsets[k + 1]
-            out[o:t, o:t] = self._level_phi(k, a_coords)
+        n_h = self.sigma.hilbert_dim
+        for n in self.indices:
+            sp = self.spaces[n]
+            corr = self.chain.corr(self.words[n])
+            o = self.offsets[n]
+            out[o : o + sp.quotient_dim, o : o + sp.quotient_dim] = (
+                sp.push @ kron(corr.phi(a_coords), eye_like(n_h)) @ sp.lift
+            )
         return out
 
     def representation(self) -> StarRepresentation:
-        alg = self.trunc.base.algebra
+        alg = self.chain.algebra
         images = np.stack([self.rep_image(alg.unit_coords(k)) for k in range(alg.dim)])
         return StarRepresentation(alg, self.dim, images, self.sigma.tol)
 
-    def creation(self, xi) -> np.ndarray:
-        """Creation by xi in E: level k -> k + 1, top level to zero."""
-        xi = as_complex(xi)
+    def _bubble(self, c: int, n) -> np.ndarray:
+        """Product of the flips carrying a prepended c-th letter past the lower
+        letters of word n.  It does not depend on the prepended vector, so
+        it is built once per (c, n)."""
+        key = (c, n)
+        if key not in self._bubbles:
+            cur = (self.letters[c],) + self.words[n]
+            mat = eye_like(self.chain.corr(cur).dim)
+            for p in range(sum(n[:c])):
+                cur, f = self.chain.flip_at(cur, p, self.flip(cur[p], cur[p + 1]))
+                mat = f @ mat
+            assert cur == self.words[self._bump(n, c)]
+            self._bubbles[key] = mat
+        return self._bubbles[key]
+
+    def creation(self, letter: int, xi) -> np.ndarray:
+        """Creation by xi in E_letter: prepend, then bubble past the lower
+        letters; the top levels of the letter go to zero."""
+        c = self.letters.index(letter)
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        n = self.sigma.hilbert_dim
-        letter = self.trunc.letter
-        for k in range(self.trunc.depth):
-            word = (letter,) * k
-            pre = self.trunc.chain.prepend(word, letter, xi)
-            block = self.spaces[k + 1].push @ kron(pre, eye_like(n)) @ self.spaces[k].lift
-            o_src, o_dst = self.offsets[k], self.offsets[k + 1]
-            out[o_dst : self.offsets[k + 2], o_src:o_dst] = block
+        n_h = self.sigma.hilbert_dim
+        for n in self.indices:
+            if n[c] == self.depths[c]:
+                continue
+            target = self._bump(n, c)
+            mat = self.chain.prepend(self.words[n], letter, xi)
+            if sum(n[:c]):
+                mat = self._bubble(c, n) @ mat
+            src, dst = self.spaces[n], self.spaces[target]
+            block = dst.push @ kron(mat, eye_like(n_h)) @ src.lift
+            o_s, o_d = self.offsets[n], self.offsets[target]
+            out[o_d : o_d + dst.quotient_dim, o_s : o_s + src.quotient_dim] = block
         return out
-
-
-def creation_operator(trunc: FockTruncation, xi, sigma: StarRepresentation) -> np.ndarray:
-    """Matrix of the creation operator T_xi (x) I on F_N(E) (x)_sigma H."""
-    return FockHilbert(trunc, sigma).creation(xi)

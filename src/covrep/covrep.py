@@ -25,6 +25,7 @@ from ._linalg import (
     dagger,
     eye_like,
     inv_sqrt_psd,
+    invariance_residual,
     max_op_norm,
     min_eig_herm,
     null_cols,
@@ -428,13 +429,7 @@ class CovariantRep:
         if basis.ndim != 2 or basis.shape[0] != self.hdim:
             raise ShapeMismatch("restriction basis must be n x d with orthonormal columns")
         bound = self.tol * scale_of(basis, self.theta, *(self.sigma.images if self.E.algebra.dim else ()))
-        proj = basis @ dagger(basis)
-        comp = eye_like(self.hdim) - proj
-        worst = 0.0
-        for img in self.sigma.images:
-            worst = max(worst, op_norm(comp @ img @ basis))
-        for i in range(self.E.dim):
-            worst = max(worst, op_norm(comp @ self.T[i] @ basis))
+        worst = invariance_residual(np.concatenate((self.sigma.images, self.T)), basis)
         if worst > bound:
             raise NotInvariant(f"subspace is not (sigma, T)-invariant (residual {worst:.3e})")
         images = np.stack([dagger(basis) @ img @ basis for img in self.sigma.images])
@@ -525,62 +520,3 @@ class CovariantRep:
             op_norm(U),
             conc.vacuous,
         )
-
-
-# -- module-level operation names matching the documented API ------------------
-
-
-def make_covrep(sigma: StarRepresentation, E: Correspondence, T, **kw) -> CovariantRep:
-    return CovariantRep(sigma, E, T, **kw)
-
-
-def tilde_n(rep: CovariantRep, n: int) -> np.ndarray:
-    return rep.tilde_n(n)
-
-
-def check_isometric(rep: CovariantRep) -> CheckResult:
-    return rep.check_isometric()
-
-
-def check_fully_coisometric(rep: CovariantRep) -> CheckResult:
-    return rep.check_fully_coisometric()
-
-
-def check_concave(rep: CovariantRep) -> CheckResult:
-    return rep.check_concave()
-
-
-def check_expansive(rep: CovariantRep) -> CheckResult:
-    return rep.check_expansive()
-
-
-def check_growth_bound(rep: CovariantRep, n: int) -> CheckResult:
-    return rep.check_growth_bound(n)
-
-
-def check_shimorin(rep: CovariantRep) -> CheckResult:
-    return rep.check_shimorin()
-
-
-def check_eq13(rep: CovariantRep) -> CheckResult:
-    return rep.check_eq13()
-
-
-def check_eq12(rep: CovariantRep) -> CheckResult:
-    return rep.check_eq12()
-
-
-def cauchy_dual(rep: CovariantRep) -> CovariantRep:
-    return rep.cauchy_dual()
-
-
-def left_inverse_chain(rep: CovariantRep, n: int) -> LeftInverseChain:
-    return rep.left_inverse_chain(n)
-
-
-def energy_identity(rep: CovariantRep, basis, n: int) -> float:
-    return rep.energy_identity(basis, n)
-
-
-def build_U(rep: CovariantRep) -> UOperator:
-    return rep.build_U()

@@ -49,10 +49,6 @@ class NotInvariant(CovrepError):
     """The subspace is not invariant for the covariant representation."""
 
 
-class HypothesisNotMet(CovrepError):
-    """A theorem's hypothesis fails on the given instance."""
-
-
 class KindMismatch(CovrepError):
     """The instance kind does not match the requested operation."""
 

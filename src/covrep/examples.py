@@ -12,20 +12,12 @@ source-to-range partial isometries and tensor powers count directed paths
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 
 from ._linalg import DEFAULT_TOL, as_complex, eye_like, kron, random_complex, random_unitary
 from .algebra import MatrixBlocksAlgebra, StarRepresentation
-from .correspondence import (
-    ChainTower,
-    Correspondence,
-    FockHilbert,
-    InteriorTensorSpace,
-    fock,
-    interior_tensor_with_rep,
-)
+from .correspondence import ChainTower, Correspondence, FockHilbert
 from .covrep import CovariantRep
 from .errors import ProfileUnreachable, ShapeMismatch
 from .product import ProductRep, ProductSystem
@@ -165,13 +157,12 @@ def induced_representation(
         depth = _auto_depth(chain, 0)
         if depth is None:
             raise ValueError("correspondence is not nilpotent; pass an explicit depth")
-    trunc = fock(E, depth, chain=chain)
-    fh = FockHilbert(trunc, pi)
+    fh = FockHilbert(chain, pi, {0: depth})
     sigma_hat = fh.representation()
     if weights is None:
         weights = [1.0] * E.dim
     T = np.stack(
-        [weights[i] * fh.creation(np.eye(E.dim, dtype=complex)[:, i]) for i in range(E.dim)]
+        [weights[i] * fh.creation(0, np.eye(E.dim, dtype=complex)[:, i]) for i in range(E.dim)]
     )
     return CovariantRep(
         sigma_hat,
@@ -302,92 +293,6 @@ def two_colored_system(
     return ProductSystem([E1, E2], {(1, 0): tmat}, tol, chain=chain)
 
 
-class _ProductFock:
-    """Fock space of a rank-k product system over a base representation."""
-
-    def __init__(self, system: ProductSystem, pi: StarRepresentation, depths):
-        self.system = system
-        self.pi = pi
-        self.depths = tuple(int(d) for d in depths)
-        self.indices = sorted(
-            iter_product(*(range(d + 1) for d in self.depths)), key=lambda n: (sum(n), n)
-        )
-        self.words = {n: self._word(n) for n in self.indices}
-        self._bubbles: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-        self.spaces: dict[tuple[int, ...], InteriorTensorSpace] = {
-            n: interior_tensor_with_rep(system.chain.corr(self.words[n]), pi)
-            for n in self.indices
-        }
-        dims = [self.spaces[n].quotient_dim for n in self.indices]
-        self.offsets = dict(zip(self.indices, np.concatenate([[0], np.cumsum(dims)]).astype(int)))
-        self.dim = int(sum(dims))
-        self.exact = all(
-            system.chain.corr(self._word(self._bump(n, c))).dim == 0
-            for c in range(system.k)
-            for n in self.indices
-            if n[c] == self.depths[c]
-        )
-
-    def _word(self, n) -> tuple[int, ...]:
-        word: tuple[int, ...] = ()
-        for c, m in enumerate(n):
-            word += (c,) * m
-        return word
-
-    @staticmethod
-    def _bump(n, c):
-        return tuple(v + 1 if i == c else v for i, v in enumerate(n))
-
-    def rep_image(self, a_coords) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        npi = self.pi.hilbert_dim
-        for n in self.indices:
-            sp = self.spaces[n]
-            corr = self.system.chain.corr(self.words[n])
-            o = self.offsets[n]
-            out[o : o + sp.quotient_dim, o : o + sp.quotient_dim] = (
-                sp.push @ kron(corr.phi(a_coords), eye_like(npi)) @ sp.lift
-            )
-        return out
-
-    def representation(self) -> StarRepresentation:
-        alg = self.system.algebra
-        images = np.stack([self.rep_image(alg.unit_coords(k)) for k in range(alg.dim)])
-        return StarRepresentation(alg, self.dim, images, self.pi.tol)
-
-    def _bubble(self, c: int, n) -> np.ndarray:
-        """Product of the flips carrying a prepended letter c past the lower
-        letters of word n.  It does not depend on the prepended vector, so
-        it is built once per (c, n)."""
-        key = (c, n)
-        if key not in self._bubbles:
-            chain = self.system.chain
-            cur = (c,) + self.words[n]
-            mat = eye_like(chain.corr(cur).dim)
-            for p in range(sum(n[:c])):
-                cur, f = chain.flip_at(cur, p, self.system.flip(cur[p], cur[p + 1]))
-                mat = f @ mat
-            assert cur == self.words[self._bump(n, c)]
-            self._bubbles[key] = mat
-        return self._bubbles[key]
-
-    def creation(self, c: int, xi) -> np.ndarray:
-        """Creation by xi in E_c: prepend, then bubble past lower letters."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        npi = self.pi.hilbert_dim
-        chain = self.system.chain
-        for n in self.indices:
-            if n[c] == self.depths[c]:
-                continue
-            target = self._bump(n, c)
-            mat = self._bubble(c, n) @ chain.prepend(self.words[n], c, xi)
-            src, dst = self.spaces[n], self.spaces[target]
-            block = dst.push @ kron(mat, eye_like(npi)) @ src.lift
-            o_s, o_d = self.offsets[n], self.offsets[target]
-            out[o_d : o_d + dst.quotient_dim, o_s : o_s + src.quotient_dim] = block
-        return out
-
-
 def induced_product_representation(
     system: ProductSystem, pi: StarRepresentation | None = None, depths=None
 ) -> ProductRep:
@@ -401,17 +306,17 @@ def induced_product_representation(
             if d is None:
                 raise ValueError(f"coordinate {c} is not nilpotent; pass explicit depths")
             depths.append(d)
-    pf = _ProductFock(system, pi, depths)
-    sigma_hat = pf.representation()
+    fh = FockHilbert(system.chain, pi, dict(enumerate(depths)), system.flip)
+    sigma_hat = fh.representation()
     T_list = []
     for c in range(system.k):
         e_c = system.correspondences[c].dim
         T_list.append(
-            np.stack([pf.creation(c, np.eye(e_c, dtype=complex)[:, i]) for i in range(e_c)])
+            np.stack([fh.creation(c, np.eye(e_c, dtype=complex)[:, i]) for i in range(e_c)])
         )
     return ProductRep(
         system, sigma_hat, T_list, tol=system.tol,
-        meta={"construction": "induced_product", "exact": pf.exact, "depths": tuple(depths)},
+        meta={"construction": "induced_product", "exact": fh.exact, "depths": tuple(depths)},
     )
 
 

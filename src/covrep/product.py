@@ -10,6 +10,7 @@ which keeps every mixed tensor word in literally identical bases.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations, product as iter_product
 
 import numpy as np
@@ -18,14 +19,12 @@ from ._linalg import DEFAULT_TOL, as_complex, dagger, eye_like, op_norm, scale_o
 from .algebra import StarRepresentation
 from .correspondence import ChainTower, HilbertTower
 from .covrep import CovariantRep
-from .errors import (
-    CommutationViolation,
-    NotSigmaInvariant,
-    ShapeMismatch,
-)
+from .errors import CommutationViolation, NotInvariant, ShapeMismatch
 from .reporting import CheckItem, TheoremReport, ValidationReport
 from .wold import (
     Subspace,
+    _require_sigma_invariant,
+    _translate,
     check_analytic,
     check_reducing,
     image,
@@ -89,9 +88,6 @@ class ProductSystem:
         if i > j:
             return self.flips[(i, j)]
         return np.linalg.inv(self.flips[(j, i)])
-
-    def validate(self) -> ValidationReport:
-        return validate_product_system(self)
 
 
 def validate_product_system(ps: ProductSystem) -> ValidationReport:
@@ -275,21 +271,8 @@ def script_L_alpha(pr: ProductRep, alpha, m, K: Subspace) -> Subspace:
     word = multi_word(alpha, m)
     if word == ():
         return K
-    res = _sigma_residual(pr, K)
-    if res > pr.tol * scale_of(*pr.sigma.images):
-        raise NotSigmaInvariant(f"subspace is not sigma(M)-invariant ({res:.3e})")
-    if pr.hilb.dim(word) == 0:
-        return Subspace.zero(pr.hdim)
-    carrier_proj = pr.hilb.tensor_op(word, K.projector())
-    from ._linalg import orth_cols
-
-    carrier = orth_cols(carrier_proj, 0.5)
-    return image(pr.tilde_word(word) @ carrier, pr.hdim)
-
-
-def _sigma_residual(pr: ProductRep, K: Subspace) -> float:
-    comp = eye_like(pr.hdim) - K.projector()
-    return max((op_norm(comp @ img @ K.basis) for img in pr.sigma.images), default=0.0)
+    _require_sigma_invariant(pr.sigma, pr.tol, K)
+    return _translate(pr.hilb, word, K, partial(pr.tilde_word, word))
 
 
 def invariant_closure_alpha(pr: ProductRep, alpha, K: Subspace) -> Subspace:
@@ -315,12 +298,14 @@ def _coordinate_depth(pr: ProductRep, i: int) -> int:
 def alpha_translates(pr: ProductRep, alpha, K: Subspace) -> Subspace:
     """Span of L^alpha_m(K) over all multi-indices m != 0 (bounded sweep)."""
     alpha = validate_alpha(alpha, pr.k)
+    _require_sigma_invariant(pr.sigma, pr.tol, K)
     caps = [_coordinate_depth(pr, i) for i in alpha]
     total = Subspace.zero(pr.hdim)
     for m in iter_product(*(range(c + 1) for c in caps)):
         if all(v == 0 for v in m):
             continue
-        total = total + script_L_alpha(pr, alpha, m, K)
+        word = multi_word(alpha, m)
+        total = total + _translate(pr.hilb, word, K, partial(pr.tilde_word, word))
     return total
 
 
@@ -332,6 +317,11 @@ def _nonempty_subsets(k: int):
     for size in range(1, k + 1):
         out.extend(combinations(range(k), size))
     return out
+
+
+def _tag(alpha) -> str:
+    """The 1-based set notation of a coordinate subset, as in report names."""
+    return "{" + ",".join(str(i + 1) for i in alpha) + "}"
 
 
 def verify_P21(pr: ProductRep, alpha) -> TheoremReport:
@@ -355,13 +345,29 @@ def verify_P21(pr: ProductRep, alpha) -> TheoremReport:
     )
 
 
+def verify_P21_all(pr: ProductRep) -> TheoremReport:
+    """verify_P21 for every nonempty alpha, conclusions tagged by alpha."""
+    hyp: tuple = ()
+    concl: tuple = ()
+    dims: dict = {}
+    for alpha in _nonempty_subsets(pr.k):
+        rep = verify_P21(pr, alpha)
+        tag = _tag(alpha)
+        hyp = rep.hypotheses
+        concl += tuple(
+            CheckItem(f"{tag}:{i.name}", i.passed, i.residual, i.vacuous) for i in rep.conclusions
+        )
+        dims[f"W_{tag}"] = rep.dims["W_alpha"]
+    return TheoremReport("p21", hypotheses=hyp, conclusions=concl, dims=dims)
+
+
 def _gws_items(pr: ProductRep, alpha) -> tuple[list[CheckItem], dict]:
     """Wandering + generating checks for W_alpha, plus the stepwise identity."""
     alpha = validate_alpha(alpha, pr.k)
     n = pr.hdim
     W = wandering_alpha(pr, alpha)
     translates = alpha_translates(pr, alpha, W)
-    tag = "{" + ",".join(str(i + 1) for i in alpha) + "}"
+    tag = _tag(alpha)
     wander_res = (
         op_norm(dagger(W.basis) @ translates.basis) if W.dim and translates.dim else 0.0
     )
@@ -408,8 +414,6 @@ def _direct_hypothesis(pr: ProductRep) -> list[CheckItem]:
     """Check the generating-wandering hypothesis on the reducing subspaces
     that actually occur in the recursion: H itself and every W_beta with
     beta not containing the coordinate."""
-    from .errors import NotInvariant
-
     items = []
     subsets = _nonempty_subsets(pr.k)
     for i in range(pr.k):
@@ -417,8 +421,7 @@ def _direct_hypothesis(pr: ProductRep) -> list[CheckItem]:
         for beta in subsets:
             if i in beta:
                 continue
-            tag = "{" + ",".join(str(b + 1) for b in beta) + "}"
-            candidates.append((f"W_{tag}", wandering_alpha(pr, beta)))
+            candidates.append((f"W_{_tag(beta)}", wandering_alpha(pr, beta)))
         for name, K in candidates:
             if K.dim == 0:
                 items.append(CheckItem(f"gws_{i+1}_on_{name}", True, 0.0, vacuous=True))
@@ -542,11 +545,3 @@ def verify_T24_equivalence(pr: ProductRep) -> TheoremReport:
         dims=dims,
         evaluated=evaluated,
     )
-
-
-def tilde_multi(pr: ProductRep, n) -> np.ndarray:
-    return pr.tilde_multi(n)
-
-
-def check_doubly_commuting(pr: ProductRep) -> ValidationReport:
-    return pr.check_doubly_commuting()

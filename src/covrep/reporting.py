@@ -61,8 +61,8 @@ class TheoremReport:
 
     Conclusions are always evaluated, even when hypotheses fail; a failed
     hypothesis only means the theorem does not assert them, which is what
-    ``asserted`` records.  This keeps the verifiers usable as counterexample
-    explorers.
+    ``hypotheses_met`` records.  This keeps the verifiers usable as
+    counterexample explorers.
     """
 
     theorem: str
@@ -78,16 +78,8 @@ class TheoremReport:
         return all(item.passed for item in self.hypotheses)
 
     @property
-    def conclusions_hold(self) -> bool:
-        return all(item.passed for item in self.conclusions)
-
-    @property
-    def asserted(self) -> bool:
-        return self.hypotheses_met
-
-    @property
     def passed(self) -> bool:
-        return self.conclusions_hold
+        return all(item.passed for item in self.conclusions)
 
     def to_json(self) -> dict:
         out = {

@@ -11,6 +11,7 @@ so failing instances act as counterexample explorers rather than raising.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -20,14 +21,22 @@ from ._linalg import (
     as_complex,
     dagger,
     eye_like,
+    invariance_residual,
     null_cols,
     op_norm,
     orth_cols,
     scale_of,
 )
-from .correspondence import FockHilbert, fock
+from .algebra import StarRepresentation
+from .correspondence import FockHilbert, HilbertTower
 from .covrep import CheckResult, CovariantRep
-from .errors import AmbientMismatch, NotIsometric, NotSigmaInvariant, ShapeMismatch
+from .errors import (
+    AmbientMismatch,
+    NotInvariant,
+    NotIsometric,
+    NotSigmaInvariant,
+    ShapeMismatch,
+)
 from .reporting import CheckItem, TheoremReport
 
 
@@ -144,18 +153,25 @@ def subspace_sum(*spaces: Subspace) -> Subspace:
 # -- representation-driven subspaces ------------------------------------------
 
 
-def _sigma_invariance_residual(rep: CovariantRep, K: Subspace) -> float:
-    comp = eye_like(rep.hdim) - K.projector()
-    worst = 0.0
-    for img in rep.sigma.images:
-        worst = max(worst, op_norm(comp @ img @ K.basis))
-    return worst
-
-
-def _require_sigma_invariant(rep: CovariantRep, K: Subspace):
-    res = _sigma_invariance_residual(rep, K)
-    if res > rep.tol * scale_of(*rep.sigma.images):
+def _require_sigma_invariant(sigma: StarRepresentation, tol: float, K: Subspace):
+    """Check once, at a public entry, that K is a sigma(M)-invariant subspace of H."""
+    if K.ambient_dim != sigma.hilbert_dim:
+        raise AmbientMismatch("subspace does not live in the representation space")
+    res = invariance_residual(sigma.images, K.basis)
+    if res > tol * sigma.scale:
         raise NotSigmaInvariant(f"subspace is not sigma(M)-invariant (residual {res:.3e})")
+
+
+def _translate(hilb: HilbertTower, word, K: Subspace, tilde) -> Subspace:
+    """Closure of T~_word (E(word) (x) K) inside H, for a sigma-invariant K.
+
+    ``tilde()`` returns T~_word : space(word) -> H; it is called only when
+    that space is nonzero.
+    """
+    if hilb.dim(word) == 0:
+        return Subspace.zero(K.ambient_dim)
+    carrier = orth_cols(hilb.tensor_op(word, K.projector()), 0.5)
+    return image(tilde() @ carrier, K.ambient_dim)
 
 
 def wandering_subspace(rep: CovariantRep) -> Subspace:
@@ -165,22 +181,18 @@ def wandering_subspace(rep: CovariantRep) -> Subspace:
 
 def script_L_n(rep: CovariantRep, K: Subspace, n: int) -> Subspace:
     """L_n(K): closure of T~_n (E^{(x)n} (x) K) inside H."""
-    if K.ambient_dim != rep.hdim:
-        raise AmbientMismatch("subspace does not live in the representation space")
-    _require_sigma_invariant(rep, K)
+    _require_sigma_invariant(rep.sigma, rep.tol, K)
     if n == 0:
         return K
-    sub = rep.hilb.tensor_op(rep.word(n), K.projector())
-    carrier = orth_cols(sub, 0.5)
-    return image(rep.tilde_n(n) @ carrier, rep.hdim)
+    return _translate(rep.hilb, rep.word(n), K, partial(rep.tilde_n, n))
 
 
 def invariant_closure(rep: CovariantRep, K: Subspace) -> Subspace:
     """Smallest (sigma, T)-invariant subspace containing K: sum of L_n(K)."""
-    _require_sigma_invariant(rep, K)
+    _require_sigma_invariant(rep.sigma, rep.tol, K)
     total = K
     for n in range(1, rep.hdim + 1):
-        step = total + script_L_n(rep, K, n)
+        step = total + _translate(rep.hilb, rep.word(n), K, partial(rep.tilde_n, n))
         if step.dim == total.dim:
             return total
         total = step
@@ -204,12 +216,7 @@ def check_analytic(rep: CovariantRep) -> bool:
 
 def check_invariant(rep: CovariantRep, K: Subspace) -> CheckResult:
     """P_K commutes with sigma(M) and every T(xi) leaves K invariant."""
-    comp = eye_like(rep.hdim) - K.projector()
-    sigma_res = _sigma_invariance_residual(rep, K)
-    t_res = 0.0
-    for i in range(rep.E.dim):
-        t_res = max(t_res, op_norm(comp @ rep.T[i] @ K.basis))
-    res = max(sigma_res, t_res)
+    res = invariance_residual(np.concatenate((rep.sigma.images, rep.T)), K.basis)
     bound = rep.tol * scale_of(rep.theta, *rep.sigma.images)
     return CheckResult("invariant", res <= bound, res)
 
@@ -223,13 +230,13 @@ def check_reducing(rep: CovariantRep, K: Subspace) -> CheckResult:
 
 def check_wandering(rep: CovariantRep, K: Subspace) -> CheckResult:
     """K is sigma(M)-invariant and orthogonal to all its forward translates."""
-    sigma_res = _sigma_invariance_residual(rep, K)
+    sigma_res = invariance_residual(rep.sigma.images, K.basis)
     bound = rep.tol * scale_of(rep.theta, *rep.sigma.images)
     if sigma_res > bound:
         return CheckResult("wandering", False, sigma_res, reason="NotSigmaInvariant")
     worst = 0.0
     for n in range(1, rep.hdim + 1):
-        ln = script_L_n(rep, K, n)
+        ln = _translate(rep.hilb, rep.word(n), K, partial(rep.tilde_n, n))
         if ln.dim == 0:
             break
         worst = max(worst, op_norm(dagger(K.basis) @ ln.basis))
@@ -328,12 +335,13 @@ def verify_muhly_solel(rep: CovariantRep) -> TheoremReport:
         raise NotIsometric(f"representation is not isometric (residual {iso.residual:.3e})")
     n = rep.hdim
     W = image(eye_like(n) - rep.tilde @ dagger(rep.tilde), n)
+    _require_sigma_invariant(rep.sigma, rep.tol, W)
     pieces = []
     depth = 0
     cur = W
     for k in range(n + 1):
         if k:
-            cur = script_L_n(rep, W, k)
+            cur = _translate(rep.hilb, rep.word(k), W, partial(rep.tilde_n, k))
         if cur.dim == 0:
             break
         pieces.append(cur)
@@ -353,14 +361,11 @@ def verify_muhly_solel(rep: CovariantRep) -> TheoremReport:
     # intertwining unitary from F(E) (x)_sigma|W W onto H1, level by level
     if W.dim:
         sigma_w_images = np.stack([dagger(W.basis) @ img @ W.basis for img in rep.sigma.images])
-        from .algebra import StarRepresentation
-
         sigma_w = StarRepresentation(rep.sigma.algebra, W.dim, sigma_w_images, rep.sigma.tol)
-        trunc = fock(rep.E, depth, chain=rep.chain, letter=rep.letter)
-        model = FockHilbert(trunc, sigma_w)
+        model = FockHilbert(rep.chain, sigma_w, {rep.letter: depth})
         gammas = []
         for k in range(depth + 1):
-            msp = model.spaces[k]
+            msp = model.spaces[(k,)]
             if k == 0:
                 # M (x) W -> H through sigma: a (x) w -> sigma(a) w
                 amap = np.einsum(
@@ -386,7 +391,7 @@ def verify_muhly_solel(rep: CovariantRep) -> TheoremReport:
         for i in range(rep.E.dim):
             xi = np.zeros(rep.E.dim, complex)
             xi[i] = 1.0
-            inter = max(inter, op_norm(gamma @ model.creation(xi) - rep.T[i] @ gamma))
+            inter = max(inter, op_norm(gamma @ model.creation(rep.letter, xi) - rep.T[i] @ gamma))
         model_item = CheckItem("H1_induced_intertwiner", max(unit, inter) <= bound, max(unit, inter))
     else:
         model_item = CheckItem("H1_induced_intertwiner", True, 0.0, vacuous=True)
@@ -410,11 +415,9 @@ def verify_richter(rep: CovariantRep, K: Subspace) -> TheoremReport:
     concave representation: K = closure of the translates of K (-) T~(E (x) K)."""
     inv = check_invariant(rep, K)
     if not inv.passed:
-        from .errors import NotInvariant
-
         raise NotInvariant(f"subspace is not (sigma, T)-invariant (residual {inv.residual:.3e})")
     concave = rep.check_concave()
-    analytic = CheckResult("analytic", check_analytic(rep), float(h_infinity(rep).dim))
+    analytic = rep.check_analytic()
 
     forward = script_L_n(rep, K, 1)
     W_K = K.intersect(forward.orthocomplement())
@@ -448,8 +451,8 @@ def verify_cauchy_dual_props(rep: CovariantRep) -> TheoremReport:
     span = invariant_closure(rep, W)
     span_dual = invariant_closure(dual, W)
 
-    analytic = check_analytic(rep)
-    analytic_dual = check_analytic(dual)
+    analytic = hinf.dim == 0
+    analytic_dual = hinf_dual.dim == 0
     gws = span.equals(Subspace.full(n))
     gws_dual = span_dual.equals(Subspace.full(n))
 

@@ -5,7 +5,6 @@ from covrep.algebra import (
     AlgebraElement,
     MatrixBlocksAlgebra,
     StarRepresentation,
-    rep_apply,
     validate_representation,
 )
 from covrep.errors import AlgebraMismatch, ShapeMismatch
@@ -67,16 +66,16 @@ def test_rep_apply_examples(rng):
     alg = MatrixBlocksAlgebra((1, 1))
     sigma = StarRepresentation.identity(alg)
     one = alg.from_coords(alg.one)
-    np.testing.assert_allclose(rep_apply(sigma, one), np.eye(2))
+    np.testing.assert_allclose(sigma.apply(one), np.eye(2))
     zero = alg.element([np.zeros((1, 1)), np.zeros((1, 1))])
-    np.testing.assert_allclose(rep_apply(sigma, zero), np.zeros((2, 2)))
+    np.testing.assert_allclose(sigma.apply(zero), np.zeros((2, 2)))
     elem = alg.element([[[2.0]], [[3.0]]])
-    np.testing.assert_allclose(rep_apply(sigma, elem), np.diag([2.0, 3.0]))
+    np.testing.assert_allclose(sigma.apply(elem), np.diag([2.0, 3.0]))
     # linearity in the element
     a = alg.from_coords(rng.standard_normal(2) + 1j * rng.standard_normal(2))
     b = alg.from_coords(rng.standard_normal(2) + 1j * rng.standard_normal(2))
     np.testing.assert_allclose(
-        rep_apply(sigma, a + b), rep_apply(sigma, a) + rep_apply(sigma, b)
+        sigma.apply(a + b), sigma.apply(a) + sigma.apply(b)
     )
 
 
@@ -85,7 +84,7 @@ def test_rep_apply_algebra_mismatch():
     other = MatrixBlocksAlgebra((2,))
     elem = other.from_coords(other.one)
     with pytest.raises(AlgebraMismatch):
-        rep_apply(sigma, elem)
+        sigma.apply(elem)
 
 
 def test_star_contractivity_on_random_elements(rng):

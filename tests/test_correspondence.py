@@ -11,7 +11,6 @@ from covrep.correspondence import (
     _faithful_positivity,
     _module_gram,
     algebra_correspondence,
-    creation_operator,
     fock,
     interior_tensor_with_rep,
     internal_tensor,
@@ -301,16 +300,14 @@ class TestFock:
 class TestCreation:
     def test_zero_vector_gives_zero_operator(self):
         E = graph_correspondence(G1)
-        F = fock(E, 1)
         sigma = StarRepresentation.identity(E.algebra)
-        c = creation_operator(F, np.zeros(1), sigma)
+        c = FockHilbert(ChainTower([E]), sigma, {0: 1}).creation(0, np.zeros(1))
         assert np.linalg.norm(c) == 0.0
 
     def test_g1_creation_is_rank_one_partial_isometry(self):
         E = graph_correspondence(G1)
-        F = fock(E, 1)
         sigma = StarRepresentation.identity(E.algebra)
-        c = creation_operator(F, np.ones(1), sigma)
+        c = FockHilbert(ChainTower([E]), sigma, {0: 1}).creation(0, np.ones(1))
         assert c.shape == (3, 3)
         assert np.linalg.matrix_rank(c, tol=1e-10) == 1
         np.testing.assert_allclose(np.sort(np.abs(c).ravel())[-1], 1.0, atol=1e-12)
@@ -321,9 +318,8 @@ class TestCreation:
 
     def test_truncated_shift_is_jordan_block(self):
         E = scalar_correspondence()
-        F = fock(E, 2)
         sigma = scalar_representation(1)
-        c = creation_operator(F, np.ones(1), sigma)
+        c = FockHilbert(ChainTower([E]), sigma, {0: 2}).creation(0, np.ones(1))
         assert c.shape == (3, 3)
         svals = np.linalg.svd(c, compute_uv=False)
         np.testing.assert_allclose(svals, [1.0, 1.0, 0.0], atol=1e-12)
@@ -332,10 +328,10 @@ class TestCreation:
 
     def test_fock_hilbert_exactness_flags(self):
         E = scalar_correspondence()
-        fh = FockHilbert(fock(E, 2), scalar_representation(1))
+        fh = FockHilbert(ChainTower([E]), scalar_representation(1), {0: 2})
         assert not fh.exact
         E1 = graph_correspondence(G1)
-        fh1 = FockHilbert(fock(E1, 1), StarRepresentation.identity(E1.algebra))
+        fh1 = FockHilbert(ChainTower([E1]), StarRepresentation.identity(E1.algebra), {0: 1})
         assert fh1.exact
 
 

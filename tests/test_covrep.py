@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from covrep.algebra import MatrixBlocksAlgebra, StarRepresentation
 from covrep.correspondence import Correspondence
-from covrep.covrep import make_covrep
+from covrep.covrep import CovariantRep
 from covrep.errors import (
     BimoduleViolation,
     IllDefinedTilde,
@@ -69,7 +69,7 @@ class TestConstruction:
         bad_T = np.zeros((1, 2, 2), dtype=complex)
         bad_T[0, 0, 0] = 1.0  # supported at the source block instead of range->source
         with pytest.raises(BimoduleViolation):
-            make_covrep(sigma, E, bad_T)
+            CovariantRep(sigma, E, bad_T)
 
     def test_ill_defined_tilde(self):
         # degenerate fiber: <f2, f2> = 0, so T(f2) must vanish on classes
@@ -82,7 +82,7 @@ class TestConstruction:
         T = np.zeros((2, 1, 1), dtype=complex)
         T[1, 0, 0] = 1.0
         with pytest.raises(IllDefinedTilde):
-            make_covrep(sigma, E, T)
+            CovariantRep(sigma, E, T)
 
     def test_lemma_bijection_round_trip(self, rng):
         # T -> T~ -> T recovers the algebraic map exactly

@@ -80,6 +80,22 @@ class TestInducedRepresentation:
         report = verify_muhly_solel(graph_induced(G2))
         assert report.passed and report.dims["H2"] == 0
 
+    def test_product_exactness_matches_rank_one_on_a_sink(self):
+        # sigma lives on vertex 3, the range of every edge and the source of
+        # none, so every creation operator vanishes and depth 0 is exact
+        from covrep.algebra import StarRepresentation
+        from covrep.examples import induced_product_representation, two_colored_system
+
+        system = two_colored_system(4, [(0, 1), (2, 3)], [(0, 2), (1, 3)])
+        images = np.zeros((4, 1, 1))
+        images[3, 0, 0] = 1.0
+        pi = StarRepresentation(system.algebra, 1, images)
+        pr = induced_product_representation(system, pi, depths=(0, 0))
+        assert not any(r.T.any() for r in pr.reps)
+        assert pr.meta["exact"] is True
+        for E in system.correspondences:
+            assert induced_representation(E, pi, 0).meta["exact"] is True
+
     def test_depth_required_for_cycles(self):
         g = DirectedGraph(1, ((0, 0),))
         from covrep.algebra import StarRepresentation
@@ -218,7 +234,7 @@ class TestProductFockCreation:
         """Reference: prepend xi, then apply each flip in turn, for every level."""
         from covrep._linalg import kron
 
-        chain = pf.system.chain
+        chain = pf.chain
         out = np.zeros((pf.dim, pf.dim), dtype=complex)
         for n in pf.indices:
             if n[c] == pf.depths[c]:
@@ -227,22 +243,25 @@ class TestProductFockCreation:
             mat = chain.prepend(pf.words[n], c, xi)
             cur = (c,) + pf.words[n]
             for p in range(sum(n[:c])):
-                cur, f = chain.flip_at(cur, p, pf.system.flip(cur[p], cur[p + 1]))
+                cur, f = chain.flip_at(cur, p, pf.flip(cur[p], cur[p + 1]))
                 mat = f @ mat
             src, dst = pf.spaces[n], pf.spaces[target]
-            block = dst.push @ kron(mat, np.eye(pf.pi.hilbert_dim)) @ src.lift
+            block = dst.push @ kron(mat, np.eye(pf.sigma.hilbert_dim)) @ src.lift
             o_s, o_d = pf.offsets[n], pf.offsets[target]
             out[o_d : o_d + dst.quotient_dim, o_s : o_s + src.quotient_dim] = block
         return out
 
     def test_matches_per_vector_bubbling(self, rng):
         from covrep.algebra import StarRepresentation
-        from covrep.examples import _ProductFock, two_colored_system
+        from covrep.correspondence import FockHilbert
+        from covrep.examples import two_colored_system
 
         right = [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)]
         down = [(0, 3), (1, 4), (2, 5), (3, 6), (4, 7), (5, 8)]
         system = two_colored_system(9, right, down)
-        pf = _ProductFock(system, StarRepresentation.identity(system.algebra), (2, 2))
+        pf = FockHilbert(
+            system.chain, StarRepresentation.identity(system.algebra), {0: 2, 1: 2}, system.flip
+        )
         for c in range(system.k):
             e_c = system.correspondences[c].dim
             creations = [pf.creation(c, np.eye(e_c)[:, i]) for i in range(e_c)]

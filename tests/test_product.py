@@ -260,7 +260,7 @@ class TestGridSystem:
 
     def test_system_and_relation(self, grid):
         system, pr, _, _ = grid
-        assert system.validate().passed
+        assert validate_product_system(system).passed
         assert pr.validate_commutation().passed
         assert pr.meta["exact"] is True
         assert pr.is_doubly_commuting()

@@ -13,6 +13,7 @@ from covrep.examples import (
     graph_induced,
     random_instance,
     scalar_covrep,
+    two_color_path_rep,
     weighted_graph_rep,
 )
 from covrep.wold import (
@@ -293,6 +294,12 @@ class TestMuhlySolel:
     def test_rejects_non_isometric(self):
         with pytest.raises(NotIsometric):
             verify_muhly_solel(weighted_graph_rep(G1, [0.5]))
+
+    def test_second_coordinate_of_a_shared_tower(self):
+        # the Fock model is built on letter 1 of the product system's tower
+        rep = verify_muhly_solel(two_color_path_rep().rep(1))
+        assert rep.passed
+        assert rep.dims == {"H1": 9, "H2": 0, "W": 6}
 
 
 class TestRichter:
