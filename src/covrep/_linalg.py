@@ -14,7 +14,10 @@ Conventions used throughout the package:
 * positivity through the faithful representation of a block algebra is
   checked one algebra block at a time (``min_eig_herm(..., stats=True)``
   per block); the minimum eigenvalue, drift and norm of the whole are the
-  extremes over the blocks, so the decision is that of the dense matrix.
+  extremes over the blocks, so the decision is that of the dense matrix;
+* an identity tensor factor is never materialised: (I (x) X (x) I) M and
+  M (I (x) X (x) I) are one reshape and one matmul (``id_tensor_matmul``,
+  ``matmul_id_tensor``).
 """
 
 from __future__ import annotations
@@ -117,9 +120,14 @@ def min_eig_herm(a, tol: float = DEFAULT_TOL, *, stats: bool = False):
     lo, norm = float(w[0]), float(max(-w[0], w[-1]))
     if stats:
         return lo, drift, norm
+    require_hermitian(drift, norm, tol)
+    return lo
+
+
+def require_hermitian(drift: float, norm: float, tol: float) -> None:
+    """Raise ShapeMismatch when the drift |a - a*| exceeds tol * (1 + norm)."""
     if drift > tol * (1.0 + norm):
         raise ShapeMismatch(f"matrix is not Hermitian (drift {drift:.3e})")
-    return lo
 
 
 def orth_cols(a, rank_tol: float = RANK_TOL) -> np.ndarray:
@@ -174,7 +182,7 @@ def sqrt_psd(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     if a.shape[0] == 0:
         return a.copy()
     w, v = np.linalg.eigh((a + dagger(a)) / 2.0)
-    if w.size and w[0] < -tol * scale_of(a):
+    if w[0] < -tol * (1.0 + max(-w[0], w[-1])):
         raise PositivityFailure(f"matrix not PSD (min eig {w[0]:.3e})")
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
 
@@ -221,6 +229,35 @@ def kron(*mats) -> np.ndarray:
     for m in mats[1:]:
         out = np.kron(out, as_complex(m))
     return out
+
+
+def id_tensor_matmul(left: int, x, right: int, m) -> np.ndarray:
+    """(I_left (x) X (x) I_right) @ M without forming the Kronecker product.
+
+    ``x`` is p x q, or a stack (..., p, q) giving a stack of products;
+    ``m`` has left * q * right rows.  The rows of M are read as a
+    (left, q, right) array, and X contracts the middle axis.
+    """
+    x, m = as_complex(x), as_complex(m)
+    p, q = x.shape[-2:]
+    cols = m.shape[1]
+    out = x[..., None, :, :] @ m.reshape(left, q, right * cols)
+    return out.reshape(x.shape[:-2] + (left * p * right, cols))
+
+
+def matmul_id_tensor(m, left: int, x, right: int) -> np.ndarray:
+    """M @ (I_left (x) X (x) I_right) without forming the Kronecker product.
+
+    ``x`` is p x q, or a stack (..., p, q); ``m`` has left * p * right
+    columns, read as a (left, p, right) array whose middle axis X contracts
+    in one (rows * left * right) x p by p x q product.
+    """
+    x, m = as_complex(x), as_complex(m)
+    p, q = x.shape[-2:]
+    rows = m.shape[0]
+    flat = m.reshape(rows, left, p, right).swapaxes(-1, -2).reshape(rows * left * right, p)
+    out = (flat @ x).reshape(x.shape[:-2] + (rows, left, right, q))
+    return out.swapaxes(-1, -2).reshape(x.shape[:-2] + (rows, left * q * right))
 
 
 def random_complex(rng: np.random.Generator, shape) -> np.ndarray:

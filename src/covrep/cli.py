@@ -27,6 +27,7 @@ from .errors import (
 )
 from .product import (
     ProductRep,
+    doubly_flag,
     validate_product_system,
     verify_P21_all,
     verify_T22,
@@ -178,7 +179,7 @@ def _run_check(obj, name: str):
             return CheckItem("rep-relation", rep.passed, rep.max_violation)
         if name == "doubly-commuting":
             rep = obj.check_doubly_commuting()
-            return CheckItem("doubly-commuting", obj.is_doubly_commuting(), rep.max_violation)
+            return CheckItem("doubly-commuting", doubly_flag(rep), rep.max_violation)
         if name in _COVREP_CHECKS:
             items = [_run_check(obj.rep(i), name) for i in range(obj.k)]
             return CheckItem(

@@ -8,7 +8,8 @@ Gram-kernel quotients: the scalar semi-inner product (trace form through
 the faithful block representation, or the sigma-twisted form for Hilbert
 spaces) is diagonalized, its kernel dropped, and every derived operator is
 a matrix in the resulting orthonormal quotient basis, so adjoints are
-literal conjugate transposes.
+literal conjugate transposes.  Identity tensor factors (I (x) X,
+X (x) I_H) are applied by reshaping and are never materialised.
 """
 
 from __future__ import annotations
@@ -21,11 +22,14 @@ import numpy as np
 from ._linalg import (
     DEFAULT_TOL,
     as_complex,
+    dagger,
     eye_like,
     gram_quotient,
-    kron,
+    id_tensor_matmul,
+    matmul_id_tensor,
     min_eig_herm,
     op_norm,
+    require_hermitian,
     scale_of,
 )
 from .algebra import MatrixBlocksAlgebra, StarRepresentation
@@ -91,8 +95,7 @@ def _faithful_positivity(
         b_lo, b_drift, b_norm = min_eig_herm(blk.reshape(n * d, n * d), stats=True)
         lo, drift, norm = min(lo, b_lo), max(drift, b_drift), max(norm, b_norm)
         off += d * d
-    if drift > tol * (1.0 + norm):
-        raise ShapeMismatch(f"matrix is not Hermitian (drift {drift:.3e})")
+    require_hermitian(drift, norm, tol)
     return lo, drift, norm
 
 
@@ -246,13 +249,9 @@ def internal_tensor(
     push, lift, kernel = gram_quotient(scalar, tol)
     r = push.shape[0]
 
-    left = np.stack(
-        [push @ kron(E.left_action[k], eye_like(F.dim)) @ lift for k in range(alg.dim)]
-    ) if alg.dim else np.zeros((0, r, r), dtype=complex)
-    right = np.stack(
-        [push @ kron(eye_like(E.dim), F.right_action[k]) @ lift for k in range(alg.dim)]
-    )
-    gram_q = np.einsum("xa,yb,xyk->abk", np.conj(lift), lift, gm)
+    left = push @ id_tensor_matmul(1, E.left_action, F.dim, lift)
+    right = push @ id_tensor_matmul(E.dim, F.right_action, 1, lift)
+    gram_q = (dagger(lift) @ gm.transpose(2, 0, 1) @ lift).transpose(1, 2, 0)
 
     quotient = Correspondence(alg, r, right, left, gram_q, tol)
     space = InteriorTensorSpace((E.dim, F.dim), r, push, lift, scalar, kernel)
@@ -327,25 +326,24 @@ class ChainTower:
             raise ShapeMismatch(f"position {p} out of range for word of length {m}")
         mat = eye_like(self.corr(word).dim)
         tail = 1
-        q = m
-        while q > max(p, 1):
-            mat = kron(self.step(word[:q]).lift, eye_like(tail)) @ mat
+        for q in range(m, max(p, 1), -1):
+            mat = id_tensor_matmul(1, self.step(word[:q]).lift, tail, mat)
             tail *= self.edim(word[q - 1])
-            q -= 1
         return mat
 
-    def fold_tail(self, word: Word, p: int) -> np.ndarray:
-        """Right inverse of unfold_tail: contracts the expanded tail back."""
+    def fold_tail(self, word: Word, p: int, mat=None) -> np.ndarray:
+        """Right inverse of unfold_tail, contracting the expanded tail back,
+        applied to ``mat`` (the matrix of the contraction when None)."""
         word = tuple(word)
         m = len(word)
         if not 0 <= p < m:
             raise ShapeMismatch(f"position {p} out of range for word of length {m}")
-        head = self.corr(word[: max(p, 1)]).dim
-        tail_dims = [self.edim(c) for c in word[max(p, 1):]]
-        mat = eye_like(head * int(np.prod(tail_dims)) if tail_dims else head)
+        if mat is None:
+            tail = int(np.prod([self.edim(c) for c in word[max(p, 1):]], dtype=int))
+            mat = eye_like(self.corr(word[: max(p, 1)]).dim * tail)
         for q in range(max(p, 1) + 1, m + 1):
-            rest = int(np.prod([self.edim(c) for c in word[q:]])) if word[q:] else 1
-            mat = kron(self.step(word[:q]).push, eye_like(rest)) @ mat
+            rest = int(np.prod([self.edim(c) for c in word[q:]], dtype=int))
+            mat = id_tensor_matmul(1, self.step(word[:q]).push, rest, mat)
         return mat
 
     def full_lift(self, word: Word) -> np.ndarray:
@@ -372,12 +370,11 @@ class ChainTower:
             cols = [E.right_apply(xi, self.algebra.unit_coords(k)) for k in range(self.algebra.dim)]
             return np.stack(cols, axis=1)
         target = (letter,) + word
+        push = self.step(target).push
         if len(word) == 1:
-            raw = kron(xi[:, None], eye_like(self.edim(word[0])))
-            return self.step(target).push @ raw
+            return matmul_id_tensor(push, 1, xi[:, None], self.edim(word[0]))
         inner = self.prepend(word[:-1], letter, xi)
-        raw = kron(inner, eye_like(self.edim(word[-1])))
-        return self.step(target).push @ raw @ self.step(word).lift
+        return matmul_id_tensor(push, 1, inner, self.edim(word[-1])) @ self.step(word).lift
 
     def flip_at(self, word: Word, p: int, tmat) -> tuple[Word, np.ndarray]:
         """Apply a two-letter flip at positions (p, p+1) of the chain.
@@ -392,11 +389,10 @@ class ChainTower:
         i, j = word[p], word[p + 1]
         new_word = word[:p] + (j, i) + word[p + 2:]
         head = self.corr(word[:p]).dim if p >= 1 else 1
-        tail = int(np.prod([self.edim(c) for c in word[p + 2:]])) if word[p + 2:] else 1
+        tail = int(np.prod([self.edim(c) for c in word[p + 2:]], dtype=int))
         two_alg = self.step((j, i)).lift @ as_complex(tmat) @ self.step((i, j)).push
-        mid = kron(eye_like(head), two_alg, eye_like(tail))
-        mat = self.fold_tail(new_word, p) @ mid @ self.unfold_tail(word, p)
-        return new_word, mat
+        mid = id_tensor_matmul(head, two_alg, tail, self.unfold_tail(word, p))
+        return new_word, self.fold_tail(new_word, p, mid)
 
 
 class HilbertTower:
@@ -445,9 +441,8 @@ class HilbertTower:
             return theta @ self.space(word).lift
         prefix = word[:-1]
         r_prefix = self.chain.corr(prefix).dim
-        mid = kron(eye_like(r_prefix), theta)
-        expand = kron(self.chain.step(word).lift, eye_like(n))
-        return self.space(prefix).push @ mid @ expand @ self.space(word).lift
+        expanded = id_tensor_matmul(1, self.chain.step(word).lift, n, self.space(word).lift)
+        return self.space(prefix).push @ id_tensor_matmul(r_prefix, theta, 1, expanded)
 
     def tensor_op(self, word: Word, X) -> np.ndarray:
         """Quotient matrix of I_{corr(word)} (x) X for X on H commuting with sigma(M)."""
@@ -457,7 +452,7 @@ class HilbertTower:
             return X
         r = self.chain.corr(word).dim
         sp = self.space(word)
-        return sp.push @ kron(eye_like(r), X) @ sp.lift
+        return sp.push @ id_tensor_matmul(r, X, 1, sp.lift)
 
     def mid_op_at(self, word: Word, letter: int, X) -> np.ndarray:
         """I_{corr(word)} (x) X on space(word + (letter,)), for X acting on
@@ -475,16 +470,17 @@ class HilbertTower:
         alg_rep = one.lift @ X @ one.push
         r = self.chain.corr(word).dim
         sp = self.space(ext)
-        expand = kron(self.chain.step(ext).lift, eye_like(n))
-        contract = kron(self.chain.step(ext).push, eye_like(n))
-        return sp.push @ contract @ kron(eye_like(r), alg_rep) @ expand @ sp.lift
+        step = self.chain.step(ext)
+        mat = id_tensor_matmul(1, step.lift, n, sp.lift)
+        mat = id_tensor_matmul(r, alg_rep, 1, mat)
+        return sp.push @ id_tensor_matmul(1, step.push, n, mat)
 
     def flip_op(self, word: Word, p: int, tmat) -> tuple[Word, np.ndarray]:
         """Quotient matrix of (flip at p) (x) I_H : space(word) -> space(flipped)."""
         new_word, mat = self.chain.flip_at(word, p, tmat)
         src = self.space(word)
         dst = self.space(new_word)
-        return new_word, dst.push @ kron(mat, eye_like(self.hdim)) @ src.lift
+        return new_word, dst.push @ id_tensor_matmul(1, mat, self.hdim, src.lift)
 
 
 def tensor_power(E: Correspondence, n: int) -> Correspondence:
@@ -584,7 +580,7 @@ class FockHilbert:
             corr = self.chain.corr(self.words[n])
             o = self.offsets[n]
             out[o : o + sp.quotient_dim, o : o + sp.quotient_dim] = (
-                sp.push @ kron(corr.phi(a_coords), eye_like(n_h)) @ sp.lift
+                sp.push @ id_tensor_matmul(1, corr.phi(a_coords), n_h, sp.lift)
             )
         return out
 
@@ -622,7 +618,7 @@ class FockHilbert:
             if sum(n[:c]):
                 mat = self._bubble(c, n) @ mat
             src, dst = self.spaces[n], self.spaces[target]
-            block = dst.push @ kron(mat, eye_like(n_h)) @ src.lift
+            block = dst.push @ id_tensor_matmul(1, mat, n_h, src.lift)
             o_s, o_d = self.offsets[n], self.offsets[target]
             out[o_d : o_d + dst.quotient_dim, o_s : o_s + src.quotient_dim] = block
         return out

@@ -24,6 +24,7 @@ from ._linalg import (
     as_complex,
     dagger,
     eye_like,
+    id_tensor_matmul,
     inv_sqrt_psd,
     invariance_residual,
     max_op_norm,
@@ -31,6 +32,7 @@ from ._linalg import (
     null_cols,
     op_norm,
     orth_cols,
+    require_hermitian,
     scale_of,
     solve_hermitian,
     sqrt_psd,
@@ -227,7 +229,7 @@ class CovariantRep:
     def phi_on_tensor(self, k: int) -> np.ndarray:
         """Quotient matrix of phi(b_k) (x) I on E (x)_sigma H."""
         sp = self.space(1)
-        return sp.push @ np.kron(self.E.left_action[k], eye_like(self.hdim)) @ sp.lift
+        return sp.push @ id_tensor_matmul(1, self.E.left_action[k], self.hdim, sp.lift)
 
     def fac(self, k: int) -> np.ndarray:
         """I_{E^{(x)k}} (x) T~ : space(k+1) -> space(k)."""
@@ -308,8 +310,9 @@ class CovariantRep:
     def _psd_check(self, name: str, mat: np.ndarray, vacuous_ok: bool = True) -> CheckResult:
         if mat.shape[0] == 0:
             return CheckResult(name, True, 0.0, None, vacuous=vacuous_ok)
-        m = min_eig_herm(mat, self.tol)
-        bound = self.tol * scale_of(mat)
+        m, drift, norm = min_eig_herm(mat, stats=True)
+        require_hermitian(drift, norm, self.tol)
+        bound = self.tol * (1.0 + norm)
         return CheckResult(name, m >= -bound, max(0.0, -m), m)
 
     def check_isometric(self) -> CheckResult:
@@ -419,8 +422,13 @@ class CovariantRep:
         """D = (T~* T~ - I)^{1/2}; requires an expansive representation."""
         g = self.gram_tilde
         mat = g - eye_like(g.shape[0])
-        if mat.shape[0] and min_eig_herm(mat, self.tol) < -self.tol * scale_of(g):
-            raise NotConcave("T~* T~ - I is not positive; defect operator undefined")
+        if mat.shape[0]:
+            # the Hermitian part of g - I has the eigenvalues of that of g
+            # shifted by -1, so its norm is max(1 - lo, norm - 1)
+            lo, drift, norm = min_eig_herm(g, stats=True)
+            require_hermitian(drift, max(1.0 - lo, norm - 1.0), self.tol)
+            if lo - 1.0 < -self.tol * (1.0 + norm):
+                raise NotConcave("T~* T~ - I is not positive; defect operator undefined")
         return DefectOperator(sqrt_psd(mat, self.tol))
 
     def restrict(self, basis) -> "CovariantRep":

@@ -249,8 +249,13 @@ class ProductRep:
         return ValidationReport("doubly_commuting", tuple(items))
 
     def is_doubly_commuting(self) -> bool:
-        rep = self.check_doubly_commuting()
-        return all(i.passed for i in rep.items if i.name.startswith("doubly_"))
+        return doubly_flag(self.check_doubly_commuting())
+
+
+def doubly_flag(report: ValidationReport) -> bool:
+    """Whether a ``check_doubly_commuting`` report certifies doubly commuting:
+    every item named ``doubly_*`` passes."""
+    return all(i.passed for i in report.items if i.name.startswith("doubly_"))
 
 
 # -- alpha-indexed subspaces -------------------------------------------------------
@@ -324,11 +329,14 @@ def _tag(alpha) -> str:
     return "{" + ",".join(str(i + 1) for i in alpha) + "}"
 
 
-def verify_P21(pr: ProductRep, alpha) -> TheoremReport:
-    """W_alpha is reducing for every coordinate outside alpha."""
-    alpha = validate_alpha(alpha, pr.k)
+def _doubly_item(pr: ProductRep) -> CheckItem:
+    """The doubly-commuting hypothesis, from one ``check_doubly_commuting``."""
     doubly = pr.check_doubly_commuting()
-    hyp = CheckItem("doubly_commuting", pr.is_doubly_commuting(), doubly.max_violation)
+    return CheckItem("doubly_commuting", doubly_flag(doubly), doubly.max_violation)
+
+
+def _p21_conclusions(pr: ProductRep, alpha) -> tuple[tuple[CheckItem, ...], int]:
+    """Reducing checks of W_alpha for the coordinates outside alpha, and dim W_alpha."""
     W = wandering_alpha(pr, alpha)
     conclusions = []
     outside = [j for j in range(pr.k) if j not in alpha]
@@ -337,27 +345,28 @@ def verify_P21(pr: ProductRep, alpha) -> TheoremReport:
     for j in outside:
         red = check_reducing(pr.rep(j), W)
         conclusions.append(CheckItem(f"W_alpha_reducing_for_{j+1}", red.passed, red.residual))
-    return TheoremReport(
-        "P21",
-        hypotheses=(hyp,),
-        conclusions=tuple(conclusions),
-        dims={"W_alpha": W.dim},
-    )
+    return tuple(conclusions), W.dim
+
+
+def verify_P21(pr: ProductRep, alpha) -> TheoremReport:
+    """W_alpha is reducing for every coordinate outside alpha."""
+    alpha = validate_alpha(alpha, pr.k)
+    hyp = _doubly_item(pr)
+    conclusions, w_dim = _p21_conclusions(pr, alpha)
+    return TheoremReport("P21", hypotheses=(hyp,), conclusions=conclusions, dims={"W_alpha": w_dim})
 
 
 def verify_P21_all(pr: ProductRep) -> TheoremReport:
-    """verify_P21 for every nonempty alpha, conclusions tagged by alpha."""
-    hyp: tuple = ()
+    """verify_P21 for every nonempty alpha, conclusions tagged by alpha; the
+    alpha-independent hypothesis is evaluated once."""
+    hyp = (_doubly_item(pr),)
     concl: tuple = ()
     dims: dict = {}
     for alpha in _nonempty_subsets(pr.k):
-        rep = verify_P21(pr, alpha)
+        items, w_dim = _p21_conclusions(pr, alpha)
         tag = _tag(alpha)
-        hyp = rep.hypotheses
-        concl += tuple(
-            CheckItem(f"{tag}:{i.name}", i.passed, i.residual, i.vacuous) for i in rep.conclusions
-        )
-        dims[f"W_{tag}"] = rep.dims["W_alpha"]
+        concl += tuple(CheckItem(f"{tag}:{i.name}", i.passed, i.residual, i.vacuous) for i in items)
+        dims[f"W_{tag}"] = w_dim
     return TheoremReport("p21", hypotheses=hyp, conclusions=concl, dims=dims)
 
 
@@ -451,9 +460,7 @@ def verify_T22(pr: ProductRep, strategy: str = "auto") -> TheoremReport:
     """
     if strategy not in ("auto", "c23", "direct"):
         raise ShapeMismatch(f"unknown strategy {strategy!r}")
-    doubly_item = CheckItem(
-        "doubly_commuting", pr.is_doubly_commuting(), pr.check_doubly_commuting().max_violation
-    )
+    doubly_item = _doubly_item(pr)
     used = strategy
     if strategy in ("auto", "c23"):
         gate = _c23_hypothesis(pr)

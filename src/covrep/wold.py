@@ -21,6 +21,7 @@ from ._linalg import (
     as_complex,
     dagger,
     eye_like,
+    id_tensor_matmul,
     invariance_residual,
     null_cols,
     op_norm,
@@ -375,7 +376,7 @@ def verify_muhly_solel(rep: CovariantRep) -> TheoremReport:
             else:
                 rsp = rep.space(k)
                 r_k = rep.chain.corr(rep.word(k)).dim
-                embed = rsp.push @ np.kron(eye_like(r_k), W.basis) @ msp.lift
+                embed = rsp.push @ id_tensor_matmul(r_k, W.basis, 1, msp.lift)
                 gammas.append(rep.tilde_n(k) @ embed)
         gamma = np.hstack(gammas)
         unit = max(

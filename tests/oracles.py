@@ -99,3 +99,138 @@ def shimorin_vector_oracle(A, rng, samples=200, slack=1e-9):
         if lhs > rhs + slack * (1.0 + rhs):
             return False
     return True
+
+
+# -- dense Kronecker formulas -----------------------------------------------------
+#
+# The tensor-extended maps of covrep.correspondence written with materialised
+# np.kron identity factors.  They read the quotient bases (push, lift) of the
+# towers they are given, and rebuild every I (x) X and X (x) I densely, so the
+# library's reshape-based application can be compared against them.
+
+
+def _eye(n):
+    return np.eye(n, dtype=complex)
+
+
+def _prod(dims):
+    return int(np.prod(dims, dtype=int))
+
+
+def dense_unfold_tail(chain, word, p):
+    mat = _eye(chain.corr(word).dim)
+    tail = 1
+    for q in range(len(word), max(p, 1), -1):
+        mat = np.kron(chain.step(word[:q]).lift, _eye(tail)) @ mat
+        tail *= chain.edim(word[q - 1])
+    return mat
+
+
+def dense_fold_tail(chain, word, p):
+    head = chain.corr(word[: max(p, 1)]).dim
+    mat = _eye(head * _prod([chain.edim(c) for c in word[max(p, 1):]]))
+    for q in range(max(p, 1) + 1, len(word) + 1):
+        rest = _prod([chain.edim(c) for c in word[q:]])
+        mat = np.kron(chain.step(word[:q]).push, _eye(rest)) @ mat
+    return mat
+
+
+def dense_prepend(chain, word, letter, xi):
+    if not word:
+        return chain.prepend((), letter, xi)  # the right action, no identity factor
+    target = (letter,) + word
+    if len(word) == 1:
+        return chain.step(target).push @ np.kron(xi[:, None], _eye(chain.edim(word[0])))
+    inner = dense_prepend(chain, word[:-1], letter, xi)
+    raw = np.kron(inner, _eye(chain.edim(word[-1])))
+    return chain.step(target).push @ raw @ chain.step(word).lift
+
+
+def dense_flip_at(chain, word, p, tmat):
+    i, j = word[p], word[p + 1]
+    new_word = word[:p] + (j, i) + word[p + 2:]
+    head = chain.corr(word[:p]).dim if p >= 1 else 1
+    tail = _prod([chain.edim(c) for c in word[p + 2:]])
+    two_alg = chain.step((j, i)).lift @ tmat @ chain.step((i, j)).push
+    mid = np.kron(np.kron(_eye(head), two_alg), _eye(tail))
+    return new_word, dense_fold_tail(chain, new_word, p) @ mid @ dense_unfold_tail(chain, word, p)
+
+
+def dense_factor(hilb, word, theta):
+    n = hilb.hdim
+    if len(word) == 1:
+        return theta @ hilb.space(word).lift
+    prefix = word[:-1]
+    mid = np.kron(_eye(hilb.chain.corr(prefix).dim), theta)
+    expand = np.kron(hilb.chain.step(word).lift, _eye(n))
+    return hilb.space(prefix).push @ mid @ expand @ hilb.space(word).lift
+
+
+def dense_tensor_op(hilb, word, X):
+    sp = hilb.space(word)
+    return sp.push @ np.kron(_eye(hilb.chain.corr(word).dim), X) @ sp.lift
+
+
+def dense_mid_op_at(hilb, word, letter, X):
+    one = hilb.space((letter,))
+    ext = word + (letter,)
+    n = hilb.hdim
+    alg_rep = one.lift @ X @ one.push
+    sp = hilb.space(ext)
+    expand = np.kron(hilb.chain.step(ext).lift, _eye(n))
+    contract = np.kron(hilb.chain.step(ext).push, _eye(n))
+    mid = np.kron(_eye(hilb.chain.corr(word).dim), alg_rep)
+    return sp.push @ contract @ mid @ expand @ sp.lift
+
+
+def dense_flip_op(hilb, word, p, tmat):
+    new_word, mat = dense_flip_at(hilb.chain, word, p, tmat)
+    src, dst = hilb.space(word), hilb.space(new_word)
+    return new_word, dst.push @ np.kron(mat, _eye(hilb.hdim)) @ src.lift
+
+
+def dense_rep_image(fh, a_coords):
+    out = np.zeros((fh.dim, fh.dim), dtype=complex)
+    for n in fh.indices:
+        sp = fh.spaces[n]
+        o, d = fh.offsets[n], sp.quotient_dim
+        phi = fh.chain.corr(fh.words[n]).phi(a_coords)
+        out[o : o + d, o : o + d] = sp.push @ np.kron(phi, _eye(fh.sigma.hilbert_dim)) @ sp.lift
+    return out
+
+
+def dense_creation(fh, letter, xi):
+    """Prepend xi, then flip the new letter past the lower letters one
+    position at a time; the top levels of the letter go to zero."""
+    c = fh.letters.index(letter)
+    out = np.zeros((fh.dim, fh.dim), dtype=complex)
+    for n in fh.indices:
+        if n[c] == fh.depths[c]:
+            continue
+        target = tuple(v + 1 if i == c else v for i, v in enumerate(n))
+        mat = dense_prepend(fh.chain, fh.words[n], letter, xi)
+        cur = (letter,) + fh.words[n]
+        for p in range(sum(n[:c])):
+            cur, f = dense_flip_at(fh.chain, cur, p, fh.flip(cur[p], cur[p + 1]))
+            mat = f @ mat
+        src, dst = fh.spaces[n], fh.spaces[target]
+        block = dst.push @ np.kron(mat, _eye(fh.sigma.hilbert_dim)) @ src.lift
+        out[fh.offsets[target] : fh.offsets[target] + dst.quotient_dim,
+            fh.offsets[n] : fh.offsets[n] + src.quotient_dim] = block
+    return out
+
+
+def dense_phi_on_tensor(rep, k):
+    sp = rep.space(1)
+    return sp.push @ np.kron(rep.E.left_action[k], _eye(rep.hdim)) @ sp.lift
+
+
+def dense_internal_tensor(E, F, space, gm):
+    """Left action, right action and Gram of the quotient E (x) F, from the
+    quotient maps of ``space`` and the algebra-valued semi-Gram ``gm``."""
+    push, lift = space.push, space.lift
+    d = E.algebra.dim
+    left = np.stack([push @ np.kron(E.left_action[k], _eye(F.dim)) @ lift for k in range(d)])
+    right = np.stack([push @ np.kron(_eye(E.dim), F.right_action[k]) @ lift for k in range(d)])
+    gram = np.einsum("xa,yb,xyk->abk", np.conj(lift), lift, gm)
+    return left, right, gram

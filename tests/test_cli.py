@@ -7,6 +7,7 @@ from covrep.cli import main
 from covrep.examples import write_corpus
 from covrep.serialize import covrep_to_json, dump_json
 from covrep.examples import scalar_covrep
+from covrep.product import ProductRep
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +88,15 @@ class TestCheck:
             capsys, "check", corpus_dir / "jordan-pair.json", "doubly-commuting"
         )
         assert code == 0
+
+    def test_doubly_commuting_evaluated_once(self, corpus_dir, capsys, monkeypatch):
+        calls = []
+        original = ProductRep.check_doubly_commuting
+        monkeypatch.setattr(
+            ProductRep, "check_doubly_commuting", lambda pr: calls.append(1) or original(pr)
+        )
+        code, _, _ = run(capsys, "check", corpus_dir / "jordan-pair.json", "doubly-commuting")
+        assert code == 0 and len(calls) == 1
 
     def test_kind_mismatch_exit_2(self, corpus_dir, capsys):
         code, _, err = run(

@@ -1,8 +1,11 @@
+from itertools import product as iter_product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covrep._linalg import random_complex
 from covrep.algebra import MatrixBlocksAlgebra, StarRepresentation
 from covrep.correspondence import (
     ChainTower,
@@ -23,10 +26,14 @@ from covrep.examples import (
     G2,
     DirectedGraph,
     graph_correspondence,
+    graph_induced,
+    induced_product_representation,
     scalar_correspondence,
     scalar_representation,
+    two_colored_system,
 )
 
+import oracles
 from oracles import path_count
 
 
@@ -357,3 +364,95 @@ class TestChainTower:
             push_full = chain.full_push((0,) * (k + 1))
             direct = push_full @ np.kron(xi[:, None], lift_full)
             np.testing.assert_allclose(pre, direct, atol=1e-10)
+
+
+def _oracle_instance(name):
+    """path-5, dag-4 or the 3 x 3 grid, with a Fock space built on the
+    coordinate representation of the vertices."""
+    if name == "grid-3":
+        at = lambda i, j: 3 * i + j  # noqa: E731
+        right = [(at(i, j), at(i, j + 1)) for i in range(3) for j in range(2)]
+        down = [(at(i, j), at(i + 1, j)) for i in range(2) for j in range(3)]
+        system = two_colored_system(9, right, down)
+        pi = StarRepresentation.identity(system.algebra)
+        fh = FockHilbert(system.chain, pi, {0: 2, 1: 2}, system.flip)
+        return induced_product_representation(system), fh
+    if name == "path-5":
+        g, depth = DirectedGraph(5, tuple((i, i + 1) for i in range(4))), 4
+    else:
+        g, depth = DirectedGraph(4, tuple((s, t) for s in range(4) for t in range(s + 1, 4))), 3
+    rep = graph_induced(g)
+    pi = StarRepresentation.identity(rep.E.algebra)
+    return rep, FockHilbert(ChainTower([rep.E]), pi, {0: depth})
+
+
+class TestDenseKroneckerOracle:
+    """Every tensor-extended map equals its dense np.kron formula
+    (tests/oracles.py) to 1e-12."""
+
+    @staticmethod
+    def _close(actual, expected):
+        assert actual.shape == expected.shape
+        np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("g", [G2, DirectedGraph(3, ((0, 1), (0, 1), (1, 2), (0, 2)))])
+    def test_internal_tensor_in_a_complex_basis(self, g, rng):
+        # a random unitary change of fibre basis makes the quotient maps complex
+        E = graph_correspondence(g)
+        u, _ = np.linalg.qr(random_complex(rng, (E.dim, E.dim)))
+        ud = u.conj().T
+        Eu = Correspondence(
+            E.algebra, E.dim, ud @ E.right_action @ u, ud @ E.left_action @ u,
+            np.einsum("ai,bj,abk->ijk", u.conj(), u, E.gram),
+        )
+        assert validate_correspondence(Eu).passed
+        for F in (Eu, E):
+            Q, space = internal_tensor(Eu, F)
+            assert np.abs(space.lift.imag).max() > 1e-3
+            left, right, gram = oracles.dense_internal_tensor(Eu, F, space, _module_gram(Eu, F))
+            self._close(Q.left_action, left)
+            self._close(Q.right_action, right)
+            self._close(Q.gram, gram)
+
+    @pytest.mark.parametrize("name", ["path-5", "dag-4", "grid-3"])
+    def test_maps_equal_dense_formulas(self, name, rng):
+        inst, fh = _oracle_instance(name)
+        reps = inst.reps if hasattr(inst, "reps") else (inst,)
+        hilb, chain = inst.hilb, inst.hilb.chain
+        letters = tuple(r.letter for r in reps)
+        flip = inst.system.flip if len(reps) > 1 else None
+        n = hilb.hdim
+        words = [w for k in (1, 2, 3) for w in iter_product(letters, repeat=k)]
+        for word in words:
+            theta = reps[letters.index(word[-1])].theta
+            self._close(hilb.factor(word, theta), oracles.dense_factor(hilb, word, theta))
+            X = random_complex(rng, (n, n))
+            self._close(hilb.tensor_op(word, X), oracles.dense_tensor_op(hilb, word, X))
+            for letter in letters:
+                d1 = hilb.dim((letter,))
+                Y = random_complex(rng, (d1, d1))
+                self._close(hilb.mid_op_at(word, letter, Y), oracles.dense_mid_op_at(hilb, word, letter, Y))
+                xi = random_complex(rng, (chain.edim(letter),))
+                self._close(chain.prepend(word, letter, xi), oracles.dense_prepend(chain, word, letter, xi))
+            for p in range(len(word)):
+                self._close(chain.unfold_tail(word, p), oracles.dense_unfold_tail(chain, word, p))
+                self._close(chain.fold_tail(word, p), oracles.dense_fold_tail(chain, word, p))
+            for p in range(len(word) - 1):
+                i, j = word[p], word[p + 1]
+                r = chain.corr((i, j)).dim
+                tmat = flip(i, j) if i != j else random_complex(rng, (r, r))
+                got, expected = chain.flip_at(word, p, tmat), oracles.dense_flip_at(chain, word, p, tmat)
+                assert got[0] == expected[0]
+                self._close(got[1], expected[1])
+                got, expected = hilb.flip_op(word, p, tmat), oracles.dense_flip_op(hilb, word, p, tmat)
+                assert got[0] == expected[0]
+                self._close(got[1], expected[1])
+        alg = chain.algebra
+        for k in range(alg.dim):
+            a = alg.unit_coords(k)
+            self._close(fh.rep_image(a), oracles.dense_rep_image(fh, a))
+            for rep in reps:
+                self._close(rep.phi_on_tensor(k), oracles.dense_phi_on_tensor(rep, k))
+        for letter in letters:
+            xi = random_complex(rng, (chain.edim(letter),))
+            self._close(fh.creation(letter, xi), oracles.dense_creation(fh, letter, xi))

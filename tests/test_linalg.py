@@ -5,10 +5,13 @@ from covrep._linalg import (
     DEFAULT_TOL,
     gram_quotient,
     herm_residual,
+    id_tensor_matmul,
+    matmul_id_tensor,
     max_op_norm,
     min_eig_herm,
     random_complex,
     scale_of,
+    sqrt_psd,
 )
 from covrep.errors import PositivityFailure, ShapeMismatch
 
@@ -63,6 +66,15 @@ class TestHermitianScale:
         assert push.shape == (1, 2) and kernel.shape == (2, 1)
 
 
+class TestSqrtPsd:
+    def test_scale_from_eigenvalues(self):
+        # a negative eigenvalue within tol * (1 + |a|) is clipped, a larger one raises
+        root = sqrt_psd(np.diag([4.0, -DEFAULT_TOL]))
+        np.testing.assert_allclose(root, np.diag([2.0, 0.0]), atol=1e-15)
+        with pytest.raises(PositivityFailure):
+            sqrt_psd(np.diag([4.0, -10 * DEFAULT_TOL]))
+
+
 class TestMaxOpNorm:
     def test_matches_loop_of_spectral_norms(self, rng):
         stack = random_complex(rng, (3, 4, 5, 5))
@@ -74,3 +86,48 @@ class TestMaxOpNorm:
         assert max_op_norm(np.zeros((4, 3, 3))) == 0.0
         assert max_op_norm(np.zeros((2, 0, 0))) == 0.0
         assert max_op_norm(np.zeros((0, 3, 3))) == 0.0
+
+
+class TestIdentityTensorProducts:
+    """(I_l (x) X (x) I_r) M and M (I_l (x) X (x) I_r) by reshape equal the
+    dense Kronecker products, including empty axes and zero columns."""
+
+    SHAPES = [  # left, p, q, right, columns of M (rows of N)
+        (1, 3, 3, 1, 4), (2, 3, 4, 5, 2), (3, 2, 5, 1, 3), (1, 4, 2, 3, 6),
+        (4, 1, 1, 2, 1), (2, 0, 3, 2, 3), (2, 3, 0, 2, 2), (0, 2, 2, 3, 2),
+        (2, 3, 4, 0, 2), (2, 3, 4, 2, 0),
+    ]
+
+    @staticmethod
+    def dense(left, x, right):
+        return np.kron(np.kron(np.eye(left), x), np.eye(right))
+
+    @pytest.mark.parametrize("left,p,q,right,cols", SHAPES)
+    def test_left_and_right_forms_match_kron(self, rng, left, p, q, right, cols):
+        x = random_complex(rng, (p, q))
+        m = random_complex(rng, (left * q * right, cols))
+        n = random_complex(rng, (cols, left * p * right))
+        big = self.dense(left, x, right)
+        np.testing.assert_allclose(id_tensor_matmul(left, x, right, m), big @ m, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(matmul_id_tensor(n, left, x, right), n @ big, rtol=0, atol=1e-12)
+
+    def test_random_shapes(self, rng):
+        for _ in range(30):
+            left, p, q, right, cols = (int(v) for v in rng.integers(0, 5, size=5))
+            x = random_complex(rng, (p, q))
+            m = random_complex(rng, (left * q * right, cols))
+            n = random_complex(rng, (cols, left * p * right))
+            big = self.dense(left, x, right)
+            assert id_tensor_matmul(left, x, right, m).shape == (left * p * right, cols)
+            np.testing.assert_allclose(id_tensor_matmul(left, x, right, m), big @ m, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(matmul_id_tensor(n, left, x, right), n @ big, rtol=0, atol=1e-12)
+
+    def test_stack_of_factors(self, rng):
+        xs = random_complex(rng, (3, 2, 4))
+        m = random_complex(rng, (2 * 4 * 3, 5))
+        n = random_complex(rng, (5, 2 * 2 * 3))
+        left_out, right_out = id_tensor_matmul(2, xs, 3, m), matmul_id_tensor(n, 2, xs, 3)
+        for k, x in enumerate(xs):
+            big = self.dense(2, x, 3)
+            np.testing.assert_allclose(left_out[k], big @ m, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(right_out[k], n @ big, rtol=0, atol=1e-12)

@@ -15,12 +15,14 @@ from covrep.product import (
     ProductRep,
     ProductSystem,
     check_T24_condition_b,
+    doubly_flag,
     invariant_closure_alpha,
     multi_word,
     script_L_alpha,
     validate_alpha,
     validate_product_system,
     verify_P21,
+    verify_P21_all,
     verify_T22,
     verify_T24_equivalence,
     wandering_alpha,
@@ -174,6 +176,62 @@ class TestDoublyCommuting:
         assert report.passed
         # doubly commuting tuples are consistent with the commutation relation
         assert pr.validate_commutation().passed
+
+
+@pytest.fixture
+def doubly_calls(monkeypatch):
+    """Counts ProductRep.check_doubly_commuting calls from here on."""
+    count = [0]
+    original = ProductRep.check_doubly_commuting
+
+    def counted(self):
+        count[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(ProductRep, "check_doubly_commuting", counted)
+    return count
+
+
+class TestDoublyHypothesisOnce:
+    """The verifiers evaluate the doubly-commuting hypothesis once per call."""
+
+    INSTANCES = [jordan_pair, lambda: scalar_tuple([S3, S3 @ S3]), two_color_path_rep]
+
+    @pytest.mark.parametrize("make", INSTANCES)
+    def test_verify_P21_one_call(self, make, doubly_calls):
+        pr = make()
+        doubly_calls[0] = 0
+        report = verify_P21(pr, (0,))
+        assert doubly_calls[0] == 1
+        assert report.hypotheses[0].passed == doubly_flag(pr.check_doubly_commuting())
+
+    @pytest.mark.parametrize("make", INSTANCES)
+    def test_verify_T22_one_call(self, make, doubly_calls):
+        pr = make()
+        doubly_calls[0] = 0
+        report = verify_T22(pr)
+        assert doubly_calls[0] == 1
+        assert report.hypotheses[0].passed == pr.is_doubly_commuting()
+
+    @pytest.mark.parametrize("make", INSTANCES)
+    def test_verify_P21_all_one_call(self, make, doubly_calls):
+        pr = make()
+        doubly_calls[0] = 0
+        report = verify_P21_all(pr)
+        assert doubly_calls[0] == 1
+        for alpha in ((0,), (1,), (0, 1)):
+            single = verify_P21(pr, alpha)
+            assert report.hypotheses == single.hypotheses
+            tag = "{" + ",".join(str(i + 1) for i in alpha) + "}"
+            assert report.dims[f"W_{tag}"] == single.dims["W_alpha"]
+            tagged = [i for i in report.conclusions if i.name.startswith(tag + ":")]
+            assert [(i.name, i.passed) for i in tagged] == [
+                (f"{tag}:{i.name}", i.passed) for i in single.conclusions
+            ]
+
+    def test_flag_reads_the_pair_items(self):
+        assert doubly_flag(jordan_pair().check_doubly_commuting())
+        assert not doubly_flag(scalar_tuple([S3, S3 @ S3]).check_doubly_commuting())
 
 
 class TestAlphaSubspaces:
