@@ -17,7 +17,11 @@ Conventions used throughout the package:
   extremes over the blocks, so the decision is that of the dense matrix;
 * an identity tensor factor is never materialised: (I (x) X (x) I) M and
   M (I (x) X (x) I) are one reshape and one matmul (``id_tensor_matmul``,
-  ``matmul_id_tensor``).
+  ``matmul_id_tensor``);
+* the columns of B count as orthonormal when |B*B - I|_2 is at most
+  ``ORTHONORMAL_TOL``; the Frobenius norm bounds the spectral norm from
+  above, so the SVD runs only when the Frobenius norm is above the cutoff
+  (``orthonormal_drift``).
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ DEFAULT_TOL = 1e-9
 RANK_TOL = 1e-8
 #: maximal principal angle (radians) at which two subspaces count as equal
 ANGLE_TOL = 1e-7
+#: largest |B*B - I|_2 at which the columns of a basis B count as orthonormal
+ORTHONORMAL_TOL = 1e-6
 
 
 def as_complex(a) -> np.ndarray:
@@ -69,7 +75,22 @@ def invariance_residual(stack, basis) -> float:
     """
     basis = as_complex(basis)
     comp = eye_like(basis.shape[0]) - basis @ dagger(basis)
-    return max_op_norm(comp @ as_complex(stack) @ basis)
+    # M B_K first: d n^2 dim K flops instead of d n^3 for (I - P_K) M
+    return max_op_norm(comp @ (as_complex(stack) @ basis))
+
+
+def orthonormal_drift(basis) -> float:
+    """|B*B - I|_2, or an upper bound on it that is at most ``ORTHONORMAL_TOL``.
+
+    The Frobenius norm bounds the spectral norm from above, so a Frobenius
+    norm at or below the cutoff decides the test without an SVD; only above
+    it is the spectral norm computed.  ``drift <= ORTHONORMAL_TOL`` is
+    therefore exactly the spectral decision.
+    """
+    basis = as_complex(basis)
+    gram_err = dagger(basis) @ basis - eye_like(basis.shape[1])
+    fro = float(np.linalg.norm(gram_err))
+    return fro if fro <= ORTHONORMAL_TOL else op_norm(gram_err)
 
 
 def scale_of(*mats) -> float:

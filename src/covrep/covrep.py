@@ -10,16 +10,21 @@ forms of the Shimorin condition).
 
 All instances are immutable after construction; derived operators are
 cached write-once, so representations can be shared across threads and
-independent checks evaluated in parallel.
+independent checks evaluated in parallel.  Besides T~, the Gram T~* T~, the
+left-invertibility check, L, P and Q, the cached constants are the
+tolerance scale ``scale``, the Cauchy dual ``cauchy_dual()`` and the
+factors I (x) T~ of ``factor(word)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._linalg import (
+    ORTHONORMAL_TOL,
     RANK_TOL,
     as_complex,
     dagger,
@@ -32,6 +37,7 @@ from ._linalg import (
     null_cols,
     op_norm,
     orth_cols,
+    orthonormal_drift,
     require_hermitian,
     scale_of,
     solve_hermitian,
@@ -153,16 +159,17 @@ class CovariantRep:
             raise AlgebraMismatch("tower letter does not carry this correspondence")
         # algebraic map theta : C^{e n} -> C^n, column (i*n + p) = T_i e_p
         self.theta = T.transpose(1, 0, 2).reshape(n, E.dim * n)
-        self._fac: dict[int, np.ndarray] = {}
+        self._factor: dict[tuple[int, ...], np.ndarray] = {}
         self._lfac: dict[int, np.ndarray] = {}
         self._tilde_n: dict[int, np.ndarray] = {0: eye_like(n)}
         self._L_n: dict[int, np.ndarray] = {0: eye_like(n)}
         self._tilde: TildeOperator | None = None
         self._gram_tilde: np.ndarray | None = None
-        self._left_invertible: bool | None = None
+        self._left_invertible: CheckResult | None = None
         self._L: np.ndarray | None = None
         self._P: np.ndarray | None = None
         self._Q: np.ndarray | None = None
+        self._dual: CovariantRep | None = None
         if validate:
             self._validate_construction()
 
@@ -170,8 +177,7 @@ class CovariantRep:
 
     def _validate_construction(self):
         alg = self.E.algebra
-        scale = scale_of(self.theta, *(self.sigma.images if alg.dim else ()))
-        bound = self.tol * scale
+        bound = self.tol * max(self.scale, self.sigma.scale)
         images = self.sigma.images
         worst = 0.0
         # one batch per left unit b_k, all (b_l, xi_i) at once, to keep the
@@ -199,6 +205,11 @@ class CovariantRep:
     @property
     def hdim(self) -> int:
         return self.sigma.hilbert_dim
+
+    @cached_property
+    def scale(self) -> float:
+        """scale_of(theta), the relative-tolerance scale of T."""
+        return scale_of(self.theta)
 
     def word(self, k: int) -> tuple[int, ...]:
         return (self.letter,) * k
@@ -231,13 +242,21 @@ class CovariantRep:
         sp = self.space(1)
         return sp.push @ id_tensor_matmul(1, self.E.left_action[k], self.hdim, sp.lift)
 
+    def factor(self, word) -> np.ndarray:
+        """I (x) T~ : space(word) -> space(word[:-1]) in the shared tower,
+        for a word whose last letter is this representation's."""
+        word = tuple(word)
+        if not word or word[-1] != self.letter:
+            raise ShapeMismatch(f"factor needs a word ending in letter {self.letter}, got {word}")
+        if word not in self._factor:
+            self._factor[word] = (
+                self.tilde if len(word) == 1 else self.hilb.factor(word, self.theta)
+            )
+        return self._factor[word]
+
     def fac(self, k: int) -> np.ndarray:
         """I_{E^{(x)k}} (x) T~ : space(k+1) -> space(k)."""
-        if k not in self._fac:
-            self._fac[k] = (
-                self.tilde if k == 0 else self.hilb.factor(self.word(k + 1), self.theta)
-            )
-        return self._fac[k]
+        return self.factor(self.word(k + 1))
 
     def tilde_n(self, n: int) -> np.ndarray:
         """T~_n = T~ (I (x) T~) ... (I (x)^{n-1} T~) : space(n) -> H."""
@@ -253,15 +272,24 @@ class CovariantRep:
             self._gram_tilde = dagger(self.tilde) @ self.tilde
         return self._gram_tilde
 
-    def left_invertible(self) -> bool:
+    def check_left_invertible(self) -> CheckResult:
+        """T~ is bounded below: the smallest eigenvalue of T~* T~ is above the
+        rank cutoff ``RANK_TOL * max(1, largest)``; the residual is how far
+        it falls short."""
         if self._left_invertible is None:
             g = self.gram_tilde
             if g.shape[0] == 0:
-                self._left_invertible = True
+                self._left_invertible = CheckResult("left_invertible", True, 0.0, None, vacuous=True)
             else:
                 w = np.linalg.eigvalsh((g + dagger(g)) / 2.0)
-                self._left_invertible = bool(w[0] > RANK_TOL * max(1.0, w[-1]))
+                lo, cutoff = float(w[0]), RANK_TOL * max(1.0, float(w[-1]))
+                self._left_invertible = CheckResult(
+                    "left_invertible", lo > cutoff, max(0.0, cutoff - lo), lo
+                )
         return self._left_invertible
+
+    def left_invertible(self) -> bool:
+        return self.check_left_invertible().passed
 
     def _require_left_invertible(self):
         if not self.left_invertible():
@@ -401,22 +429,24 @@ class CovariantRep:
     # -- derived representations ----------------------------------------------
 
     def cauchy_dual(self) -> "CovariantRep":
-        """The representation with T~' = T~ (T~* T~)^{-1}."""
-        self._require_left_invertible()
-        tilde_dual = dagger(self.L)
-        theta_dual = tilde_dual @ self.space(1).push
-        n = self.hdim
-        T_dual = theta_dual.reshape(n, self.E.dim, n).transpose(1, 0, 2)
-        return CovariantRep(
-            self.sigma,
-            self.E,
-            T_dual,
-            tol=self.tol,
-            chain=self.chain,
-            hilb=self.hilb,
-            letter=self.letter,
-            meta={"cauchy_dual": True, **self.meta},
-        )
+        """The representation with T~' = T~ (T~* T~)^{-1}, built once."""
+        if self._dual is None:
+            self._require_left_invertible()
+            tilde_dual = dagger(self.L)
+            theta_dual = tilde_dual @ self.space(1).push
+            n = self.hdim
+            T_dual = theta_dual.reshape(n, self.E.dim, n).transpose(1, 0, 2)
+            self._dual = CovariantRep(
+                self.sigma,
+                self.E,
+                T_dual,
+                tol=self.tol,
+                chain=self.chain,
+                hilb=self.hilb,
+                letter=self.letter,
+                meta={"cauchy_dual": True, **self.meta},
+            )
+        return self._dual
 
     def defect_operator(self) -> DefectOperator:
         """D = (T~* T~ - I)^{1/2}; requires an expansive representation."""
@@ -436,7 +466,10 @@ class CovariantRep:
         basis = as_complex(basis)
         if basis.ndim != 2 or basis.shape[0] != self.hdim:
             raise ShapeMismatch("restriction basis must be n x d with orthonormal columns")
-        bound = self.tol * scale_of(basis, self.theta, *(self.sigma.images if self.E.algebra.dim else ()))
+        drift = orthonormal_drift(basis)
+        if drift > ORTHONORMAL_TOL:
+            raise ShapeMismatch(f"restriction basis columns are not orthonormal (drift {drift:.3e})")
+        bound = self.tol * max(scale_of(basis), self.scale, self.sigma.scale)
         worst = invariance_residual(np.concatenate((self.sigma.images, self.T)), basis)
         if worst > bound:
             raise NotInvariant(f"subspace is not (sigma, T)-invariant (residual {worst:.3e})")

@@ -23,6 +23,7 @@ from .errors import CommutationViolation, NotInvariant, ShapeMismatch
 from .reporting import CheckItem, TheoremReport, ValidationReport
 from .wold import (
     Subspace,
+    _angle_item,
     _require_sigma_invariant,
     _translate,
     check_analytic,
@@ -172,22 +173,28 @@ class ProductRep:
         _, mat = self.hilb.flip_op((i, j), 0, self.system.flip(i, j))
         return mat
 
-    def _factor(self, word, last: int) -> np.ndarray:
-        return self.hilb.factor(word, self.reps[last].theta)
+    def _factor(self, word) -> np.ndarray:
+        """I (x) T~(last letter) : space(word) -> space(word[:-1]), cached by that coordinate."""
+        return self.reps[word[-1]].factor(word)
+
+    @property
+    def scale(self) -> float:
+        """The largest coordinate scale, the relative-tolerance scale of the tuple."""
+        return max((r.scale for r in self.reps), default=1.0)
 
     def commutation_residual(self, i: int, j: int) -> float:
         """Residual of T~(i)(I (x) T~(j)) = T~(j)(I (x) T~(i))(t_{i,j} (x) I)."""
-        lhs = self.reps[i].tilde @ self._factor((i, j), j)
-        rhs = self.reps[j].tilde @ self._factor((j, i), i) @ self.flip_op(i, j)
+        lhs = self.reps[i].tilde @ self._factor((i, j))
+        rhs = self.reps[j].tilde @ self._factor((j, i)) @ self.flip_op(i, j)
         return op_norm(lhs - rhs)
 
     def validate_commutation(self) -> ValidationReport:
         items = []
-        scale = scale_of(*(r.theta for r in self.reps))
+        bound = self.tol * self.scale
         for i in range(self.k):
             for j in range(i + 1, self.k):
                 res = self.commutation_residual(i, j)
-                items.append(CheckItem(f"commutation_{i+1},{j+1}", res <= self.tol * scale, res))
+                items.append(CheckItem(f"commutation_{i+1},{j+1}", res <= bound, res))
         return ValidationReport("product_rep", tuple(items))
 
     # -- multi-index operators ------------------------------------------------
@@ -197,7 +204,7 @@ class ProductRep:
         word = tuple(word)
         out = eye_like(self.hdim)
         for q in range(1, len(word) + 1):
-            out = out @ self._factor(word[:q], word[q - 1])
+            out = out @ self._factor(word[:q])
         return out
 
     def tilde_multi(self, n) -> np.ndarray:
@@ -211,7 +218,7 @@ class ProductRep:
     def doubly_residual(self, i: int, j: int) -> float:
         """Residual of T~(j)* T~(i) = (I (x) T~(i))(t_{i,j} (x) I)(I (x) T~(j)*)."""
         lhs = dagger(self.reps[j].tilde) @ self.reps[i].tilde
-        rhs = self._factor((j, i), i) @ self.flip_op(i, j) @ dagger(self._factor((i, j), j))
+        rhs = self._factor((j, i)) @ self.flip_op(i, j) @ dagger(self._factor((i, j)))
         return op_norm(lhs - rhs)
 
     def defect_commutator_residual(self, i: int, j: int) -> float:
@@ -225,8 +232,7 @@ class ProductRep:
         the derived commuting-defect identity; doubly commuting instances
         must pass the derived identity as well."""
         items = []
-        scale = scale_of(*(r.theta for r in self.reps))
-        bound = self.tol * scale
+        bound = self.tol * self.scale
         doubly_all = True
         for i in range(self.k):
             for j in range(self.k):
@@ -380,21 +386,17 @@ def _gws_items(pr: ProductRep, alpha) -> tuple[list[CheckItem], dict]:
     wander_res = (
         op_norm(dagger(W.basis) @ translates.basis) if W.dim and translates.dim else 0.0
     )
-    bound = pr.tol * scale_of(*(r.theta for r in pr.reps))
+    bound = pr.tol * pr.scale
     closure = W + translates
     items = [
         CheckItem(f"wandering_{tag}", wander_res <= bound, wander_res),
-        CheckItem(f"generating_{tag}", closure.equals(Subspace.full(n)),
-                  closure.angle_gap(Subspace.full(n)) if closure.dim == n else 1.0),
+        _angle_item(f"generating_{tag}", closure, Subspace.full(n)),
     ]
     if len(alpha) >= 2:
         for i in alpha:
             rest = tuple(a for a in alpha if a != i)
             lhs = invariant_closure(pr.rep(i), W)
-            rhs = wandering_alpha(pr, rest)
-            ok = lhs.equals(rhs)
-            gap = lhs.angle_gap(rhs) if lhs.dim == rhs.dim else 1.0
-            items.append(CheckItem(f"step_{tag}_drop_{i+1}", ok, gap))
+            items.append(_angle_item(f"step_{tag}_drop_{i+1}", lhs, wandering_alpha(pr, rest)))
     return items, {f"W_{tag}": W.dim}
 
 
@@ -490,16 +492,16 @@ def verify_T22(pr: ProductRep, strategy: str = "auto") -> TheoremReport:
 def check_T24_condition_b(pr: ProductRep) -> ValidationReport:
     """Residuals of the flip-intertwining identity (b), one per pair i < j."""
     items = []
-    scale = scale_of(*(r.theta for r in pr.reps))
+    bound = pr.tol * pr.scale
     for i, j in combinations(range(pr.k), 2):
-        fij = pr._factor((i, j), j)
-        fji = pr._factor((j, i), i)
+        fij = pr._factor((i, j))
+        fji = pr._factor((j, i))
         flip = pr.flip_op(i, j)
         gj = dagger(pr.rep(j).tilde) @ pr.rep(j).tilde
         lhs = fji @ flip @ (dagger(fij) @ fij)
         rhs = gj @ fji @ flip
         res = op_norm(lhs - rhs)
-        items.append(CheckItem(f"condition_b_{i+1},{j+1}", res <= pr.tol * scale, res))
+        items.append(CheckItem(f"condition_b_{i+1},{j+1}", res <= bound, res))
     return ValidationReport("T24_condition_b", tuple(items))
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from ._linalg import (
     ANGLE_TOL,
+    ORTHONORMAL_TOL,
     RANK_TOL,
     as_complex,
     dagger,
@@ -26,7 +27,7 @@ from ._linalg import (
     null_cols,
     op_norm,
     orth_cols,
-    scale_of,
+    orthonormal_drift,
 )
 from .algebra import StarRepresentation
 from .correspondence import FockHilbert, HilbertTower
@@ -55,10 +56,9 @@ class Subspace:
             raise ShapeMismatch(
                 f"basis must be {self.ambient_dim} x d, got {basis.shape}"
             )
-        if basis.shape[1]:
-            drift = op_norm(dagger(basis) @ basis - eye_like(basis.shape[1]))
-            if drift > 1e-6:
-                raise ShapeMismatch(f"basis columns are not orthonormal (drift {drift:.3e})")
+        drift = orthonormal_drift(basis)
+        if drift > ORTHONORMAL_TOL:
+            raise ShapeMismatch(f"basis columns are not orthonormal (drift {drift:.3e})")
         object.__setattr__(self, "basis", basis)
 
     # -- constructors ------------------------------------------------------
@@ -218,7 +218,7 @@ def check_analytic(rep: CovariantRep) -> bool:
 def check_invariant(rep: CovariantRep, K: Subspace) -> CheckResult:
     """P_K commutes with sigma(M) and every T(xi) leaves K invariant."""
     res = invariance_residual(np.concatenate((rep.sigma.images, rep.T)), K.basis)
-    bound = rep.tol * scale_of(rep.theta, *rep.sigma.images)
+    bound = rep.tol * max(rep.scale, rep.sigma.scale)
     return CheckResult("invariant", res <= bound, res)
 
 
@@ -232,7 +232,7 @@ def check_reducing(rep: CovariantRep, K: Subspace) -> CheckResult:
 def check_wandering(rep: CovariantRep, K: Subspace) -> CheckResult:
     """K is sigma(M)-invariant and orthogonal to all its forward translates."""
     sigma_res = invariance_residual(rep.sigma.images, K.basis)
-    bound = rep.tol * scale_of(rep.theta, *rep.sigma.images)
+    bound = rep.tol * max(rep.scale, rep.sigma.scale)
     if sigma_res > bound:
         return CheckResult("wandering", False, sigma_res, reason="NotSigmaInvariant")
     worst = 0.0
@@ -291,7 +291,7 @@ def wold_decompose(rep: CovariantRep) -> WoldDecomposition:
     W = wandering_subspace(rep)
     H_u = invariant_closure(rep, W)
     H_inf = h_infinity(rep)
-    bound = rep.tol * scale_of(rep.theta)
+    bound = rep.tol * rep.scale
 
     orth = op_norm(dagger(H_u.basis) @ H_inf.basis)
     complete_dim = H_u.dim + H_inf.dim == n
@@ -324,8 +324,12 @@ def wold_decompose(rep: CovariantRep) -> WoldDecomposition:
 
 
 def _angle_item(name: str, left: Subspace, right: Subspace) -> CheckItem:
-    gap = left.angle_gap(right) if left.dim == right.dim else 1.0
-    return CheckItem(name, left.equals(right), gap)
+    """``left.equals(right)`` as a check item, with the angle gap computed once."""
+    left._check_ambient(right)
+    if left.dim != right.dim:
+        return CheckItem(name, False, 1.0)
+    gap = left.angle_gap(right)
+    return CheckItem(name, gap <= left.tol, gap)
 
 
 def verify_muhly_solel(rep: CovariantRep) -> TheoremReport:
@@ -352,7 +356,7 @@ def verify_muhly_solel(rep: CovariantRep) -> TheoremReport:
 
     orth = op_norm(dagger(H1.basis) @ H2.basis)
     complete = op_norm(H1.projector() + H2.projector() - eye_like(n))
-    bound = rep.tol * scale_of(rep.theta)
+    bound = rep.tol * rep.scale
     if H2.dim:
         coiso = rep.restrict(H2.basis).check_fully_coisometric()
         coiso_item = CheckItem("H2_fully_coisometric", coiso.passed, coiso.residual)
@@ -442,7 +446,7 @@ def verify_richter(rep: CovariantRep, K: Subspace) -> TheoremReport:
 
 def verify_cauchy_dual_props(rep: CovariantRep) -> TheoremReport:
     """The Cauchy-dual subspace identities and the analytic/GWS biconditionals."""
-    rep._require_left_invertible()
+    left_inv = rep.check_left_invertible()
     dual = rep.cauchy_dual()
     n = rep.hdim
     W = wandering_subspace(rep)
@@ -468,7 +472,7 @@ def verify_cauchy_dual_props(rep: CovariantRep) -> TheoremReport:
     )
     return TheoremReport(
         "cauchy_dual",
-        hypotheses=(CheckItem("left_invertible", True, 0.0),),
+        hypotheses=(left_inv.as_item(),),
         conclusions=conclusions,
         dims={
             "W": W.dim,
@@ -502,6 +506,7 @@ def check_dual_reducing_implication(rep: CovariantRep) -> TheoremReport:
 
 def verify_ker_Ln(rep: CovariantRep, n: int) -> TheoremReport:
     """ker L^n equals the span of the first n translates of the wandering subspace."""
+    left_inv = rep.check_left_invertible()
     rep._require_left_invertible()
     W = wandering_subspace(rep)
     kerL = kernel(rep.L_n(n))
@@ -509,7 +514,7 @@ def verify_ker_Ln(rep: CovariantRep, n: int) -> TheoremReport:
     rhs = subspace_sum(*translates) if translates else Subspace.zero(rep.hdim)
     return TheoremReport(
         "ker_Ln",
-        hypotheses=(CheckItem("left_invertible", True, 0.0),),
+        hypotheses=(left_inv.as_item(),),
         conclusions=(_angle_item("kernel_matches_translates", kerL, rhs),),
         dims={"ker": kerL.dim, "translates": rhs.dim},
     )

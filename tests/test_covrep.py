@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +8,14 @@ from hypothesis import strategies as st
 from covrep.algebra import MatrixBlocksAlgebra, StarRepresentation
 from covrep.correspondence import Correspondence
 from covrep.covrep import CovariantRep
+from covrep._linalg import RANK_TOL, scale_of
 from covrep.errors import (
     BimoduleViolation,
     IllDefinedTilde,
     NotConcave,
     NotInvariant,
     NotLeftInvertible,
+    ShapeMismatch,
 )
 from covrep.examples import (
     G1,
@@ -421,7 +425,7 @@ class TestRestriction:
         basis = np.eye(6, dtype=complex)[:, 3:]
         sub = rep.restrict(basis)
         assert sub.hdim == 3
-        assert sub.check_isometric().residual < 1e-10 or True  # restriction stays covariant
+        assert sub.check_isometric().passed  # restriction stays covariant
         assert sub.tilde.shape[0] == 3
 
     def test_restrict_rejects_non_invariant(self):
@@ -435,6 +439,78 @@ class TestRestriction:
         v = (p0[:, :1] + p1[:, :1]) / np.sqrt(2)
         with pytest.raises(NotInvariant):
             rep.restrict(v)
+
+    def test_restrict_rejects_non_orthonormal_basis(self):
+        # the span is all of H, which is invariant; the basis is what is wrong
+        rep = scalar_covrep(np.roll(np.eye(3), 1, axis=0))
+        with pytest.raises(ShapeMismatch, match="orthonormal"):
+            rep.restrict(2 * np.eye(3))
+        assert rep.restrict(np.eye(3)).hdim == 3
+        assert rep.restrict(np.zeros((3, 0))).hdim == 0
+
+
+class TestCachedConstants:
+    """scale, cauchy_dual() and factor(word) are computed once per instance."""
+
+    @staticmethod
+    def coordinates(inst):
+        return inst.reps if hasattr(inst, "reps") else (inst,)
+
+    def test_scale_equals_joint_scale(self, corpus):
+        for inst in corpus.values():
+            reps = self.coordinates(inst)
+            for rep in reps:
+                assert rep.scale == scale_of(rep.theta)
+                assert max(rep.scale, rep.sigma.scale) == scale_of(rep.theta, *rep.sigma.images)
+            if hasattr(inst, "reps"):
+                assert inst.scale == scale_of(*(r.theta for r in reps))
+
+    def test_cauchy_dual_built_once(self):
+        rep = weighted_graph_rep(G2, [1.25, 1.1])
+        dual = rep.cauchy_dual()
+        assert dual is rep.cauchy_dual()
+        fresh = weighted_graph_rep(G2, [1.25, 1.1]).cauchy_dual()
+        np.testing.assert_array_equal(dual.T, fresh.T)
+
+    def test_factor_matches_tower(self, corpus):
+        for inst in corpus.values():
+            reps = self.coordinates(inst)
+            letters = range(len(reps))
+            for rep in reps:
+                for length in range(1, 4):
+                    for head in itertools.product(letters, repeat=length - 1):
+                        word = head + (rep.letter,)
+                        fac = rep.factor(word)
+                        np.testing.assert_array_equal(fac, rep.hilb.factor(word, rep.theta))
+                        assert rep.factor(word) is fac
+                assert rep.fac(0) is rep.tilde
+                assert rep.fac(2) is rep.factor(rep.word(3))
+
+    def test_factor_rejects_foreign_last_letter(self, corpus):
+        pr = corpus["jordan-pair"]
+        with pytest.raises(ShapeMismatch):
+            pr.rep(0).factor((0, 1))
+        with pytest.raises(ShapeMismatch):
+            pr.rep(0).factor(())
+
+
+class TestLeftInvertibleCheck:
+    def test_measured_from_the_gram(self):
+        rep = weighted_graph_rep(G2, [1.25, 1.1])
+        res = rep.check_left_invertible()
+        assert res is rep.check_left_invertible()
+        assert res.passed and rep.left_invertible()
+        assert res.residual == 0.0
+        assert res.min_eig == pytest.approx(np.linalg.eigvalsh(rep.gram_tilde)[0], abs=1e-12)
+
+    def test_failure_reports_shortfall(self):
+        S = np.array([[0.0, 1.0], [0.0, 0.0]])
+        rep = scalar_covrep(np.kron(S, np.eye(2)))
+        res = rep.check_left_invertible()
+        w = np.linalg.eigvalsh(rep.gram_tilde)
+        assert not res.passed and not rep.left_invertible()
+        assert res.residual == pytest.approx(RANK_TOL * max(1.0, w[-1]) - w[0], abs=1e-15)
+        assert res.residual > 0.0
 
 
 class TestCachingAndThreads:
@@ -473,19 +549,56 @@ class TestCachingAndThreads:
             with pytest.raises(NotLeftInvertible):
                 rep.L
 
-    @pytest.mark.parametrize("weights", [[1.25, 1.1], [1.0, 1.0]])
-    def test_shared_instance_from_thread_pool(self, weights):
+    @staticmethod
+    def verifier_tasks(rep, pr):
+        """Verifiers that read the cached dual, L^n chain and product factors."""
+        from covrep.product import verify_P21, verify_T22, verify_T24_equivalence
+        from covrep.wold import verify_cauchy_dual_props, verify_ker_Ln
+
+        return {
+            "cauchy_dual": lambda: verify_cauchy_dual_props(rep).to_json(),
+            "ker_L3": lambda: verify_ker_Ln(rep, 3).to_json(),
+            "T22": lambda: verify_T22(pr).to_json(),
+            "T24": lambda: verify_T24_equivalence(pr).to_json(),
+            **{
+                f"P21_{alpha}": (lambda alpha=alpha: verify_P21(pr, alpha).to_json())
+                for alpha in ((0,), (1,), (0, 1))
+            },
+        }
+
+    @staticmethod
+    def grid3():
+        """The 3 x 3 commuting-square grid: color 1 steps right, color 2 down."""
+        from covrep.examples import induced_product_representation, two_colored_system
+
+        right = [(3 * i + j, 3 * i + j + 1) for i in range(3) for j in range(2)]
+        down = [(3 * i + j, 3 * i + j + 3) for i in range(2) for j in range(3)]
+        return induced_product_representation(two_colored_system(9, right, down))
+
+    @staticmethod
+    def run_in_pool(tasks):
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
-        serial = {name: task() for name, task in self.tasks(weighted_graph_rep(G2, weights)).items()}
-        shared = self.tasks(weighted_graph_rep(G2, weights))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = {name: pool.submit(task) for name, task in shared.items()}
-                threaded = {name: fut.result(timeout=60) for name, fut in futures.items()}
+                futures = {name: pool.submit(task) for name, task in tasks.items()}
+                return {name: fut.result(timeout=60) for name, fut in futures.items()}
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("weights", [[1.25, 1.1], [1.0, 1.0]])
+    def test_shared_instance_from_thread_pool(self, weights):
+        serial = {name: task() for name, task in self.tasks(weighted_graph_rep(G2, weights)).items()}
+        threaded = self.run_in_pool(self.tasks(weighted_graph_rep(G2, weights)))
+        assert threaded == serial
+
+    def test_shared_verifiers_from_thread_pool(self):
+        def fresh():
+            return self.verifier_tasks(weighted_graph_rep(G2, [1.25, 1.1]), self.grid3())
+
+        serial = {name: task() for name, task in fresh().items()}
+        threaded = self.run_in_pool(fresh())
         assert threaded == serial

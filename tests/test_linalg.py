@@ -3,13 +3,17 @@ import pytest
 
 from covrep._linalg import (
     DEFAULT_TOL,
+    ORTHONORMAL_TOL,
     gram_quotient,
     herm_residual,
     id_tensor_matmul,
+    invariance_residual,
     matmul_id_tensor,
     max_op_norm,
     min_eig_herm,
+    orthonormal_drift,
     random_complex,
+    random_unitary,
     scale_of,
     sqrt_psd,
 )
@@ -131,3 +135,61 @@ class TestIdentityTensorProducts:
             big = self.dense(2, x, 3)
             np.testing.assert_allclose(left_out[k], big @ m, rtol=0, atol=1e-12)
             np.testing.assert_allclose(right_out[k], n @ big, rtol=0, atol=1e-12)
+
+
+def perturbed_basis(rng, n, d, gaps):
+    """An n x d basis B with B*B - I = V diag(gaps) V* for a random unitary V."""
+    q = random_unitary(rng, n)[:, :d]
+    return q @ np.diag(np.sqrt(1.0 + np.asarray(gaps))) @ random_unitary(rng, d).conj().T
+
+
+class TestOrthonormalScreen:
+    """The Frobenius screen decides exactly as |B*B - I|_2 <= 1e-6 does."""
+
+    @staticmethod
+    def spectral(b):
+        return np.linalg.norm(b.conj().T @ b - np.eye(b.shape[1]), 2)
+
+    def test_decision_matches_spectral_norm(self, rng):
+        sides = {True: 0, False: 0}
+        fallback = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            d = int(rng.integers(1, n + 1))
+            # largest |gap| from 10^-6.5 to 10^-5.5, so both sides of the cutoff occur
+            gaps = rng.uniform(-1.0, 1.0, d)
+            gaps *= 10.0 ** rng.uniform(-6.5, -5.5) / np.max(np.abs(gaps))
+            b = perturbed_basis(rng, n, d, gaps)
+            dense = self.spectral(b)
+            accept = orthonormal_drift(b) <= ORTHONORMAL_TOL
+            assert accept == (dense <= 1e-6)
+            sides[accept] += 1
+            fallback += bool(np.linalg.norm(b.conj().T @ b - np.eye(d)) > 1e-6 and dense <= 1e-6)
+        assert sides[True] and sides[False] and fallback
+
+    def test_fallback_when_frobenius_exceeds_cutoff(self, rng):
+        # four equal gaps of 8e-7: Frobenius norm 1.6e-6, spectral norm 8e-7
+        b = perturbed_basis(rng, 6, 4, [8e-7] * 4)
+        assert np.linalg.norm(b.conj().T @ b - np.eye(4)) > 1e-6
+        assert orthonormal_drift(b) == pytest.approx(8e-7, rel=1e-6)
+        assert orthonormal_drift(b) <= ORTHONORMAL_TOL
+        over = perturbed_basis(rng, 6, 4, [1.2e-6] * 4)
+        assert orthonormal_drift(over) == pytest.approx(1.2e-6, rel=1e-6)
+        assert orthonormal_drift(over) > ORTHONORMAL_TOL
+
+    def test_exact_and_empty_bases(self, rng):
+        assert orthonormal_drift(np.zeros((3, 0))) == 0.0
+        assert orthonormal_drift(np.eye(4)[:, 1:]) == 0.0
+        assert orthonormal_drift(2.0 * np.eye(3)) == pytest.approx(3.0)
+
+
+class TestInvarianceResidual:
+    def test_matches_dense_formula(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(2, 8))
+            d = int(rng.integers(0, n + 1))
+            basis = random_unitary(rng, n)[:, :d]
+            stack = random_complex(rng, (3, n, n))
+            comp = np.eye(n) - basis @ basis.conj().T
+            dense = max((np.linalg.norm(comp @ m @ basis, 2) if d else 0.0) for m in stack)
+            assert invariance_residual(stack, basis) == pytest.approx(dense, rel=1e-10, abs=1e-12)

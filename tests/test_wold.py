@@ -341,6 +341,14 @@ class TestCauchyDualProps:
         assert report.passed
         assert all(i.residual <= 1e-9 for i in report.conclusions)
 
+    def test_left_invertible_hypothesis_is_measured(self):
+        rep = weighted_graph_rep(G2, [1.25, 1.1])
+        measured = rep.check_left_invertible().as_item()
+        assert measured.detail.startswith("min_eig=")
+        for report in (verify_cauchy_dual_props(rep), verify_ker_Ln(rep, 2)):
+            assert report.hypotheses == (measured,)
+            assert report.hypotheses_met
+
     def test_scalar_unitary(self):
         report = verify_cauchy_dual_props(unitary3())
         assert report.passed
