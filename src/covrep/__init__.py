@@ -35,7 +35,6 @@ from .covrep import (
     CovariantRep,
     DefectOperator,
     LeftInverseChain,
-    TildeOperator,
     UOperator,
 )
 from .errors import (
@@ -73,7 +72,6 @@ from .reporting import CheckItem, TheoremReport, ValidationReport
 from .wold import (
     Subspace,
     WoldDecomposition,
-    check_analytic,
     check_dual_reducing_implication,
     check_invariant,
     check_reducing,

@@ -12,9 +12,15 @@ Conventions used throughout the package:
   so no bound is looser than with ``scale_of(a)``; the drift |a - a*| is
   the largest |eigenvalue| of the Hermitian matrix i(a - a*);
 * positivity through the faithful representation of a block algebra is
-  checked one algebra block at a time (``min_eig_herm(..., stats=True)``
-  per block); the minimum eigenvalue, drift and norm of the whole are the
-  extremes over the blocks, so the decision is that of the dense matrix;
+  checked one algebra block at a time (``min_eig_herm`` per block); the
+  minimum eigenvalue, drift and norm of the whole are the extremes over
+  the blocks, so the decision is that of the dense matrix;
+* every rank decision goes through ``rank_cutoff``: a value counts as
+  nonzero when it is above ``RANK_TOL * max(1, largest)``.  ``orth_cols``
+  and ``null_cols`` cut singular values; ``gram_quotient``,
+  ``inv_sqrt_psd`` and left invertibility (``CovariantRep``) cut
+  eigenvalues, that is squared singular values.  A projector's range is
+  cut at 0.5 instead (``orth_cols(p, 0.5)``);
 * an identity tensor factor is never materialised: (I (x) X (x) I) M and
   M (I (x) X (x) I) are one reshape and one matmul (``id_tensor_matmul``,
   ``matmul_id_tensor``);
@@ -119,30 +125,22 @@ def herm_residual(a) -> float:
     return float(max(-w[0], w[-1]))
 
 
-def min_eig_herm(a, tol: float = DEFAULT_TOL, *, stats: bool = False):
-    """Smallest eigenvalue of the Hermitian part of ``a``.
+def min_eig_herm(a):
+    """``(min_eig, drift, norm)`` of the Hermitian part of ``a``.
 
-    Raises ShapeMismatch when ``a`` drifts measurably from Hermitian,
-    so that numerical asymmetry is caught instead of silently averaged
-    away.  Empty matrices give +inf (vacuously positive).
-
-    With ``stats=True`` returns ``(min_eig, drift, norm)``, where ``norm``
-    is the norm of the Hermitian part, and leaves the drift judgement to
-    the caller; that lets a block-diagonal matrix be checked one block at
-    a time against the bound of the whole.
+    ``norm`` is the norm of the Hermitian part and ``drift`` is |a - a*|;
+    the caller judges the drift (``require_hermitian``), which lets a
+    block-diagonal matrix be checked one block at a time against the bound
+    of the whole.  Empty matrices give ``(inf, 0, 0)`` (vacuously positive).
     """
     a = as_complex(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"expected square matrix, got {a.shape}")
     if a.shape[0] == 0:
-        return (np.inf, 0.0, 0.0) if stats else np.inf
+        return np.inf, 0.0, 0.0
     drift = herm_residual(a)
     w = np.linalg.eigvalsh((a + dagger(a)) / 2.0)
-    lo, norm = float(w[0]), float(max(-w[0], w[-1]))
-    if stats:
-        return lo, drift, norm
-    require_hermitian(drift, norm, tol)
-    return lo
+    return float(w[0]), drift, float(max(-w[0], w[-1]))
 
 
 def require_hermitian(drift: float, norm: float, tol: float) -> None:
@@ -151,29 +149,34 @@ def require_hermitian(drift: float, norm: float, tol: float) -> None:
         raise ShapeMismatch(f"matrix is not Hermitian (drift {drift:.3e})")
 
 
+def rank_cutoff(largest: float, rank_tol: float = RANK_TOL) -> float:
+    """The cutoff of every rank decision, relative to the largest value: a
+    singular value or eigenvalue counts as nonzero exactly when it is above
+    the returned value."""
+    return rank_tol * max(1.0, largest)
+
+
 def orth_cols(a, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of the column space of ``a`` (SVD, relative cutoff)."""
+    """Orthonormal basis of the column space of ``a``: the left singular
+    vectors whose singular values are above ``rank_cutoff``."""
     a = as_complex(a)
     if a.size == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
-    r = int(np.sum(s > rank_tol * max(1.0, s[0])))
-    return u[:, :r]
+    return u[:, : int(np.sum(s > rank_cutoff(s[0], rank_tol)))]
 
 
-def null_cols(a, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of the null space of ``a``."""
+def null_cols(a) -> np.ndarray:
+    """Orthonormal basis of the null space of ``a``: the right singular
+    vectors past the singular values above ``rank_cutoff``."""
     a = as_complex(a)
     m, n = a.shape
     if n == 0:
         return np.zeros((0, 0), dtype=complex)
-    if m == 0 or a.size == 0:
+    if m == 0:
         return eye_like(n)
     _, s, vh = np.linalg.svd(a)
-    cutoff = rank_tol * max(1.0, s[0] if s.size else 0.0)
-    r = int(np.sum(s > cutoff))
+    r = int(np.sum(s > rank_cutoff(s[0])))
     return vh[r:, :].conj().T
 
 
@@ -186,13 +189,14 @@ def solve_hermitian(a, b) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
-def inv_sqrt_psd(a, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Inverse square root of a Hermitian positive definite matrix."""
+def inv_sqrt_psd(a) -> np.ndarray:
+    """Inverse square root of a Hermitian positive definite matrix; raises
+    when the smallest eigenvalue is not above ``rank_cutoff``."""
     a = as_complex(a)
     if a.shape[0] == 0:
         return a.copy()
     w, v = np.linalg.eigh((a + dagger(a)) / 2.0)
-    if w[0] <= rank_tol * max(1.0, w[-1]):
+    if w[0] <= rank_cutoff(w[-1]):
         raise PositivityFailure(f"matrix not positive definite (min eig {w[0]:.3e})")
     return (v * (w ** -0.5)) @ dagger(v)
 
@@ -208,13 +212,14 @@ def sqrt_psd(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
 
 
-def gram_quotient(gram, tol: float = DEFAULT_TOL, rank_tol: float = RANK_TOL):
+def gram_quotient(gram, tol: float = DEFAULT_TOL):
     """Quotient a semi-inner-product space by the kernel of its Gram matrix.
 
     Returns ``(push, lift, kernel_basis)`` where ``push`` has orthonormal
     rows for the semi-inner product (``push* push = gram`` modulo kernel),
     ``lift`` is the isometric section with ``push @ lift = I``, and
-    ``kernel_basis`` spans the Gram kernel orthonormally.
+    ``kernel_basis`` spans the Gram kernel orthonormally: the eigenvectors
+    whose eigenvalues are not above ``rank_cutoff``.
 
     Raises PositivityFailure when the Gram has an eigenvalue below
     ``-tol * (1 + |(gram + gram*)/2|)``.
@@ -233,8 +238,7 @@ def gram_quotient(gram, tol: float = DEFAULT_TOL, rank_tol: float = RANK_TOL):
         raise ShapeMismatch(f"Gram matrix is not Hermitian (drift {drift:.3e})")
     if w[0] < -tol * scale:
         raise PositivityFailure(f"semi-Gram has negative eigenvalue {w[0]:.3e}")
-    cutoff = rank_tol * max(1.0, w[-1])
-    keep = w > cutoff
+    keep = w > rank_cutoff(w[-1])
     # largest eigenvalue first, for a deterministic well-conditioned basis
     idx = np.nonzero(keep)[0][::-1]
     wk = w[idx]

@@ -10,6 +10,7 @@ embedded instance at the same tolerance reproduces it byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -63,8 +64,8 @@ _PRODUCT_CHECKS = ("rep-relation", "doubly-commuting")
 
 def _resolve_tolerance(value: float | None) -> float:
     if value is not None:
-        if value <= 0:
-            raise ParseError("tolerance must be positive")
+        if not (math.isfinite(value) and value > 0):
+            raise ParseError("tolerance must be a positive finite number")
         return value
     env = os.environ.get("COVREP_TOLERANCE")
     if env:
@@ -72,8 +73,8 @@ def _resolve_tolerance(value: float | None) -> float:
             out = float(env)
         except ValueError as exc:
             raise ParseError(f"COVREP_TOLERANCE is not a number: {env!r}") from exc
-        if out <= 0:
-            raise ParseError("COVREP_TOLERANCE must be positive")
+        if not (math.isfinite(out) and out > 0):
+            raise ParseError("COVREP_TOLERANCE must be a positive finite number")
         return out
     return DEFAULT_TOL
 

@@ -92,7 +92,7 @@ def _faithful_positivity(
     off = 0
     for d in alg.block_dims:
         blk = gm[:, :, off : off + d * d].reshape(n, n, d, d).transpose(0, 2, 1, 3)
-        b_lo, b_drift, b_norm = min_eig_herm(blk.reshape(n * d, n * d), stats=True)
+        b_lo, b_drift, b_norm = min_eig_herm(blk.reshape(n * d, n * d))
         lo, drift, norm = min(lo, b_lo), max(drift, b_drift), max(norm, b_norm)
         off += d * d
     require_hermitian(drift, norm, tol)

@@ -25,11 +25,9 @@ import numpy as np
 
 from ._linalg import (
     ORTHONORMAL_TOL,
-    RANK_TOL,
     as_complex,
     dagger,
     eye_like,
-    id_tensor_matmul,
     inv_sqrt_psd,
     invariance_residual,
     max_op_norm,
@@ -38,6 +36,7 @@ from ._linalg import (
     op_norm,
     orth_cols,
     orthonormal_drift,
+    rank_cutoff,
     require_hermitian,
     scale_of,
     solve_hermitian,
@@ -76,15 +75,6 @@ class CheckResult:
         if not detail and self.min_eig is not None:
             detail = f"min_eig={self.min_eig:.3e}"
         return CheckItem(self.name, self.passed, self.residual, self.vacuous, detail)
-
-
-@dataclass(frozen=True, eq=False)
-class TildeOperator:
-    """The canonical operator of a covariant representation, as a matrix
-    from the E (x)_sigma H quotient to H, with its intertwining residual."""
-
-    matrix: np.ndarray
-    intertwining_residual: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +153,6 @@ class CovariantRep:
         self._lfac: dict[int, np.ndarray] = {}
         self._tilde_n: dict[int, np.ndarray] = {0: eye_like(n)}
         self._L_n: dict[int, np.ndarray] = {0: eye_like(n)}
-        self._tilde: TildeOperator | None = None
         self._gram_tilde: np.ndarray | None = None
         self._left_invertible: CheckResult | None = None
         self._L: np.ndarray | None = None
@@ -222,25 +211,10 @@ class CovariantRep:
 
     # -- canonical operators ----------------------------------------------------
 
-    @property
+    @cached_property
     def tilde(self) -> np.ndarray:
-        return self.tilde_operator.matrix
-
-    @property
-    def tilde_operator(self) -> TildeOperator:
-        if self._tilde is None:
-            mat = self.theta @ self.space(1).lift
-            worst = 0.0
-            for k in range(self.E.algebra.dim):
-                phik = self.phi_on_tensor(k)
-                worst = max(worst, op_norm(mat @ phik - self.sigma.images[k] @ mat))
-            self._tilde = TildeOperator(mat, worst)
-        return self._tilde
-
-    def phi_on_tensor(self, k: int) -> np.ndarray:
-        """Quotient matrix of phi(b_k) (x) I on E (x)_sigma H."""
-        sp = self.space(1)
-        return sp.push @ id_tensor_matmul(1, self.E.left_action[k], self.hdim, sp.lift)
+        """T~ as a matrix from the E (x)_sigma H quotient to H."""
+        return self.theta @ self.space(1).lift
 
     def factor(self, word) -> np.ndarray:
         """I (x) T~ : space(word) -> space(word[:-1]) in the shared tower,
@@ -273,16 +247,15 @@ class CovariantRep:
         return self._gram_tilde
 
     def check_left_invertible(self) -> CheckResult:
-        """T~ is bounded below: the smallest eigenvalue of T~* T~ is above the
-        rank cutoff ``RANK_TOL * max(1, largest)``; the residual is how far
-        it falls short."""
+        """T~ is bounded below: the smallest eigenvalue of T~* T~ is above
+        ``rank_cutoff`` of the largest; the residual is how far it falls short."""
         if self._left_invertible is None:
             g = self.gram_tilde
             if g.shape[0] == 0:
                 self._left_invertible = CheckResult("left_invertible", True, 0.0, None, vacuous=True)
             else:
                 w = np.linalg.eigvalsh((g + dagger(g)) / 2.0)
-                lo, cutoff = float(w[0]), RANK_TOL * max(1.0, float(w[-1]))
+                lo, cutoff = float(w[0]), rank_cutoff(float(w[-1]))
                 self._left_invertible = CheckResult(
                     "left_invertible", lo > cutoff, max(0.0, cutoff - lo), lo
                 )
@@ -338,7 +311,7 @@ class CovariantRep:
     def _psd_check(self, name: str, mat: np.ndarray, vacuous_ok: bool = True) -> CheckResult:
         if mat.shape[0] == 0:
             return CheckResult(name, True, 0.0, None, vacuous=vacuous_ok)
-        m, drift, norm = min_eig_herm(mat, stats=True)
+        m, drift, norm = min_eig_herm(mat)
         require_hermitian(drift, norm, self.tol)
         bound = self.tol * (1.0 + norm)
         return CheckResult(name, m >= -bound, max(0.0, -m), m)
@@ -455,7 +428,7 @@ class CovariantRep:
         if mat.shape[0]:
             # the Hermitian part of g - I has the eigenvalues of that of g
             # shifted by -1, so its norm is max(1 - lo, norm - 1)
-            lo, drift, norm = min_eig_herm(g, stats=True)
+            lo, drift, norm = min_eig_herm(g)
             require_hermitian(drift, max(1.0 - lo, norm - 1.0), self.tol)
             if lo - 1.0 < -self.tol * (1.0 + norm):
                 raise NotConcave("T~* T~ - I is not positive; defect operator undefined")

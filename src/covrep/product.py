@@ -26,7 +26,6 @@ from .wold import (
     _angle_item,
     _require_sigma_invariant,
     _translate,
-    check_analytic,
     check_reducing,
     image,
     invariant_closure,
@@ -416,7 +415,7 @@ def _c23_hypothesis(pr: ProductRep) -> list[CheckItem]:
                 detail=f"concave={concave.passed} shimorin={shim.passed}",
             )
         )
-        analytic = check_analytic(r)
+        analytic = r.check_analytic().passed
         items.append(CheckItem(f"coordinate_{i+1}_analytic", analytic, 0.0 if analytic else 1.0))
     return items
 
@@ -450,28 +449,22 @@ def _direct_hypothesis(pr: ProductRep) -> list[CheckItem]:
     return items
 
 
-def verify_T22(pr: ProductRep, strategy: str = "auto") -> TheoremReport:
+def verify_T22(pr: ProductRep) -> TheoremReport:
     """Generating wandering subspace W_alpha for every nonempty alpha.
 
     The theorem's hypothesis quantifies over all reducing subspaces, which
-    is not computable; ``strategy`` selects a decidable surrogate: "c23"
-    uses the per-coordinate concave-or-Shimorin + analytic sufficient
-    conditions, "direct" checks the hypothesis on the finitely many
-    reducing subspaces the recursion actually visits, and "auto" tries
-    c23 first and falls back to direct.
+    is not computable, so a decidable surrogate stands in for it: first the
+    per-coordinate concave-or-Shimorin + analytic sufficient conditions
+    ("c23"); when those fail, the hypothesis checked on the finitely many
+    reducing subspaces the recursion actually visits ("direct").  The
+    surrogate used is the evaluated item ``hypothesis_strategy_*``.
     """
-    if strategy not in ("auto", "c23", "direct"):
-        raise ShapeMismatch(f"unknown strategy {strategy!r}")
     doubly_item = _doubly_item(pr)
-    used = strategy
-    if strategy in ("auto", "c23"):
-        gate = _c23_hypothesis(pr)
-        used = "c23"
-        if strategy == "auto" and not all(item.passed for item in gate):
-            gate = _direct_hypothesis(pr)
-            used = "direct"
-    else:
+    gate = _c23_hypothesis(pr)
+    used = "c23"
+    if not all(item.passed for item in gate):
         gate = _direct_hypothesis(pr)
+        used = "direct"
     hypotheses = (doubly_item, *gate)
 
     conclusions: list[CheckItem] = []
@@ -529,7 +522,7 @@ def verify_T24_equivalence(pr: ProductRep) -> TheoremReport:
         )
 
     one = pr.is_doubly_commuting()
-    two = all(check_analytic(pr.rep(i)) for i in range(pr.k))
+    two = all(pr.rep(i).check_analytic().passed for i in range(pr.k))
     a_items: list[CheckItem] = []
     dims: dict = {}
     for alpha in _nonempty_subsets(pr.k):

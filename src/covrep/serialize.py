@@ -24,6 +24,14 @@ from .product import ProductRep, ProductSystem
 FORMAT_VERSION = 1
 
 
+def _field(data, key: str):
+    """``data[key]``, or ParseError when the instance lacks the field."""
+    try:
+        return data[key]
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"instance has no {key!r} field") from exc
+
+
 def matrix_to_json(mat) -> list:
     mat = as_complex(mat)
     return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
@@ -85,7 +93,7 @@ def sigma_from_json(algebra: MatrixBlocksAlgebra, data, tol: float) -> StarRepre
                 raise ParseError(f"block {b} must list {d * d} unit images")
             flat.extend(matrix_from_json(m, (n, n)) for m in block_imgs)
         images = np.stack(flat) if flat else np.zeros((0, n, n), complex)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"malformed representation: {exc}") from exc
     return StarRepresentation(algebra, n, images, tol)
 
@@ -113,7 +121,7 @@ def correspondence_from_json(algebra: MatrixBlocksAlgebra, data, tol: float) -> 
         for i in range(e):
             for j in range(e):
                 gram[i, j] = element_from_json(algebra, data["gram"][i][j])
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"malformed correspondence: {exc}") from exc
     if len(data["right_action"]) != algebra.dim or len(data["left_action"]) != algebra.dim:
         raise ParseError("action tensors must list one matrix per algebra basis unit")
@@ -135,11 +143,11 @@ def covrep_to_json(rep: CovariantRep) -> dict:
 
 
 def covrep_from_json(data, tol: float) -> CovariantRep:
-    algebra = algebra_from_json(data["algebra"])
-    sigma = sigma_from_json(algebra, data["sigma"], tol)
-    E = correspondence_from_json(algebra, data["correspondence"], tol)
+    algebra = algebra_from_json(_field(data, "algebra"))
+    sigma = sigma_from_json(algebra, _field(data, "sigma"), tol)
+    E = correspondence_from_json(algebra, _field(data, "correspondence"), tol)
     n = sigma.hilbert_dim
-    T = [matrix_from_json(m, (n, n)) for m in data["T"]]
+    T = [matrix_from_json(m, (n, n)) for m in _field(data, "T")]
     if len(T) != E.dim:
         raise ParseError("T must list one matrix per correspondence basis vector")
     T_arr = np.stack(T) if T else np.zeros((0, n, n), complex)
@@ -193,13 +201,16 @@ def product_rep_to_json(pr: ProductRep) -> dict:
 
 
 def product_rep_from_json(data, tol: float) -> ProductRep:
-    algebra = algebra_from_json(data["algebra"])
-    sigma = sigma_from_json(algebra, data["sigma"], tol)
-    system = product_system_from_json(algebra, data["product_system"], tol)
+    algebra = algebra_from_json(_field(data, "algebra"))
+    sigma = sigma_from_json(algebra, _field(data, "sigma"), tol)
+    system = product_system_from_json(algebra, _field(data, "product_system"), tol)
     n = sigma.hilbert_dim
+    T_all = _field(data, "T")
+    if not isinstance(T_all, list) or len(T_all) != system.k:
+        raise ParseError(f"T must list {system.k} coordinates, one per correspondence")
     T_list = []
     for i in range(system.k):
-        mats = [matrix_from_json(m, (n, n)) for m in data["T"][i]]
+        mats = [matrix_from_json(m, (n, n)) for m in T_all[i]]
         if len(mats) != system.correspondences[i].dim:
             raise ParseError(f"coordinate {i + 1}: wrong number of T matrices")
         T_list.append(np.stack(mats) if mats else np.zeros((0, n, n), complex))

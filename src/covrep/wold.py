@@ -18,7 +18,6 @@ import numpy as np
 from ._linalg import (
     ANGLE_TOL,
     ORTHONORMAL_TOL,
-    RANK_TOL,
     as_complex,
     dagger,
     eye_like,
@@ -48,7 +47,6 @@ class Subspace:
 
     ambient_dim: int
     basis: np.ndarray
-    tol: float = ANGLE_TOL
 
     def __post_init__(self):
         basis = as_complex(self.basis)
@@ -64,17 +62,17 @@ class Subspace:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_span(cls, vectors, tol: float = ANGLE_TOL) -> "Subspace":
+    def from_span(cls, vectors) -> "Subspace":
         vectors = as_complex(vectors)
-        return cls(vectors.shape[0], orth_cols(vectors), tol)
+        return cls(vectors.shape[0], orth_cols(vectors))
 
     @classmethod
-    def zero(cls, n: int, tol: float = ANGLE_TOL) -> "Subspace":
-        return cls(n, np.zeros((n, 0), dtype=complex), tol)
+    def zero(cls, n: int) -> "Subspace":
+        return cls(n, np.zeros((n, 0), dtype=complex))
 
     @classmethod
-    def full(cls, n: int, tol: float = ANGLE_TOL) -> "Subspace":
-        return cls(n, eye_like(n), tol)
+    def full(cls, n: int) -> "Subspace":
+        return cls(n, eye_like(n))
 
     # -- basic data --------------------------------------------------------
 
@@ -94,19 +92,19 @@ class Subspace:
     # -- lattice operations --------------------------------------------------
 
     def orthocomplement(self) -> "Subspace":
-        return Subspace(self.ambient_dim, null_cols(dagger(self.basis)), self.tol)
+        return Subspace(self.ambient_dim, null_cols(dagger(self.basis)))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Kernel of (I - P_1) + (I - P_2), with the global rank tolerance."""
+        """Kernel of (I - P_1) + (I - P_2)."""
         self._check_ambient(other)
         gap = (eye_like(self.ambient_dim) - self.projector()) + (
             eye_like(self.ambient_dim) - other.projector()
         )
-        return Subspace(self.ambient_dim, null_cols(gap, RANK_TOL), self.tol)
+        return Subspace(self.ambient_dim, null_cols(gap))
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.from_span(np.hstack([self.basis, other.basis]), self.tol)
+        return Subspace.from_span(np.hstack([self.basis, other.basis]))
 
     # -- comparisons -----------------------------------------------------------
 
@@ -122,26 +120,26 @@ class Subspace:
         return max(self.containment_gap(other), other.containment_gap(self))
 
     def contains(self, other: "Subspace") -> bool:
-        return self.containment_gap(other) <= self.tol
+        return self.containment_gap(other) <= ANGLE_TOL
 
     def equals(self, other: "Subspace") -> bool:
         """Dimension equality first (authoritative), then principal angles."""
         self._check_ambient(other)
         if self.dim != other.dim:
             return False
-        return self.angle_gap(other) <= self.tol
+        return self.angle_gap(other) <= ANGLE_TOL
 
 
-def image(mat, ambient_dim: int | None = None, tol: float = ANGLE_TOL) -> Subspace:
+def image(mat, ambient_dim: int | None = None) -> Subspace:
     mat = as_complex(mat)
     if ambient_dim is not None and mat.shape[0] != ambient_dim:
         raise AmbientMismatch(f"matrix rows {mat.shape[0]} != ambient {ambient_dim}")
-    return Subspace(mat.shape[0], orth_cols(mat), tol)
+    return Subspace(mat.shape[0], orth_cols(mat))
 
 
-def kernel(mat, tol: float = ANGLE_TOL) -> Subspace:
+def kernel(mat) -> Subspace:
     mat = as_complex(mat)
-    return Subspace(mat.shape[1], null_cols(mat), tol)
+    return Subspace(mat.shape[1], null_cols(mat))
 
 
 def subspace_sum(*spaces: Subspace) -> Subspace:
@@ -209,10 +207,6 @@ def h_infinity(rep: CovariantRep) -> Subspace:
             return cur
         prev = cur
     return prev
-
-
-def check_analytic(rep: CovariantRep) -> bool:
-    return h_infinity(rep).dim == 0
 
 
 def check_invariant(rep: CovariantRep, K: Subspace) -> CheckResult:
@@ -329,7 +323,7 @@ def _angle_item(name: str, left: Subspace, right: Subspace) -> CheckItem:
     if left.dim != right.dim:
         return CheckItem(name, False, 1.0)
     gap = left.angle_gap(right)
-    return CheckItem(name, gap <= left.tol, gap)
+    return CheckItem(name, gap <= ANGLE_TOL, gap)
 
 
 def verify_muhly_solel(rep: CovariantRep) -> TheoremReport:

@@ -31,7 +31,6 @@ from covrep.covrep import CovariantRep
 from covrep.product import check_T24_condition_b, verify_P21, verify_T22, verify_T24_equivalence
 from covrep.wold import (
     Subspace,
-    check_analytic,
     h_infinity,
     verify_cauchy_dual_props,
     verify_muhly_solel,
@@ -200,7 +199,7 @@ def test_criterion_06_u_operator():
                 unitary = u.isometry_residual <= 1e-8 and u.coisometry_residual <= 1e-8
                 if expansive:
                     # the paper's standing hypotheses hold honestly here
-                    assert unitary == check_analytic(rep), (name, idx)
+                    assert unitary == rep.check_analytic().passed, (name, idx)
                 else:
                     # vacuously concave, non-expansive truncation: the
                     # unitary claim is not asserted (and indeed fails)

@@ -44,6 +44,40 @@ class TestValidate:
         assert code == 1
         assert "Positivity" in out
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("algebra", None),
+            ("sigma", None),
+            ("correspondence", None),
+            ("T", None),
+            (("sigma", "hilbert_dim"), "abc"),
+            (("correspondence", "dim"), "q"),
+        ],
+        ids=["no-algebra", "no-sigma", "no-correspondence", "no-T", "hilbert-dim-abc", "dim-q"],
+    )
+    def test_malformed_instance_exit_2(self, tmp_path, capsys, field, value):
+        # a missing field (value None) or a dimension that is not an integer
+        data = covrep_to_json(scalar_covrep(np.eye(2)))
+        if value is None:
+            del data[field]
+        else:
+            data[field[0]][field[1]] = value
+        path = tmp_path / "bad.json"
+        path.write_text(dump_json(data))
+        code, out, _ = run(capsys, "validate", path)
+        assert code == 2
+        assert "parse error" in out
+
+    def test_product_instance_with_too_few_coordinates_exit_2(self, corpus_dir, tmp_path, capsys):
+        data = json.loads((corpus_dir / "jordan-pair.json").read_text())
+        data["T"] = data["T"][:1]
+        path = tmp_path / "short.json"
+        path.write_text(dump_json(data))
+        code, out, _ = run(capsys, "validate", path)
+        assert code == 2
+        assert "parse error" in out
+
     def test_graph_kind_instance(self, tmp_path, capsys):
         path = tmp_path / "graph.json"
         path.write_text(
@@ -249,9 +283,20 @@ class TestToleranceResolution:
         assert json.loads(out)["tolerance"] == 1e-10
 
     def test_invalid_env_rejected(self, corpus_dir, capsys, monkeypatch):
-        monkeypatch.setenv("COVREP_TOLERANCE", "zero")
-        code, _, err = run(capsys, "check", corpus_dir / "g1-induced.json", "isometric")
+        for value in ("zero", "nan", "inf"):
+            monkeypatch.setenv("COVREP_TOLERANCE", value)
+            code, out, err = run(capsys, "check", corpus_dir / "g1-w-half.json", "isometric")
+            assert code == 2, value
+            assert "PASS" not in out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-9"])
+    def test_invalid_flag_rejected(self, corpus_dir, capsys, value):
+        # with inf the non-isometric g1-w-half used to PASS with exit 0
+        code, out, err = run(
+            capsys, "check", corpus_dir / "g1-w-half.json", "isometric", f"--tolerance={value}"
+        )
         assert code == 2
+        assert "PASS" not in out and "tolerance" in err
 
     def test_seed_recorded(self, corpus_dir, capsys):
         code, out, _ = run(

@@ -452,7 +452,9 @@ class TestDenseKroneckerOracle:
             a = alg.unit_coords(k)
             self._close(fh.rep_image(a), oracles.dense_rep_image(fh, a))
             for rep in reps:
-                self._close(rep.phi_on_tensor(k), oracles.dense_phi_on_tensor(rep, k))
+                # T~ intertwines phi(b_k) (x) I with sigma(b_k)
+                phik = oracles.dense_phi_on_tensor(rep, k)
+                self._close(rep.tilde @ phik, rep.sigma.images[k] @ rep.tilde)
         for letter in letters:
             xi = random_complex(rng, (chain.edim(letter),))
             self._close(fh.creation(letter, xi), oracles.dense_creation(fh, letter, xi))

@@ -28,6 +28,8 @@ from covrep.examples import (
 )
 from covrep.wold import Subspace, h_infinity
 
+import oracles
+
 from oracles import shimorin_vector_oracle
 
 
@@ -64,7 +66,10 @@ class TestConstruction:
     def test_g1_induced_tilde_is_creation_matrix(self):
         rep = graph_induced(G1)
         assert rep.tilde.shape == (3, 1)
-        assert rep.tilde_operator.intertwining_residual < 1e-12
+        for k in range(rep.E.algebra.dim):
+            phik = oracles.dense_phi_on_tensor(rep, k)
+            residual = np.linalg.norm(rep.tilde @ phik - rep.sigma.images[k] @ rep.tilde, 2)
+            assert residual < 1e-12
         np.testing.assert_allclose(np.abs(rep.tilde).max(), 1.0, atol=1e-12)
 
     def test_bimodule_violation(self):

@@ -23,7 +23,7 @@ from covrep.examples import (
 )
 from covrep.product import ProductRep
 from covrep.serialize import instance_from_json, instance_to_json
-from covrep.wold import check_analytic, verify_muhly_solel
+from covrep.wold import verify_muhly_solel
 
 from oracles import path_count
 
@@ -62,7 +62,7 @@ class TestInducedRepresentation:
         assert rep.hdim == 3
         assert rep.meta["exact"] is True
         assert rep.check_isometric().passed
-        assert check_analytic(rep)
+        assert rep.check_analytic().passed
 
     def test_g2_is_six_dimensional(self):
         rep = graph_induced(G2)
@@ -114,7 +114,7 @@ class TestScalarTuple:
     def test_jordan_pair_properties(self):
         pr = jordan_pair()
         assert pr.is_doubly_commuting()
-        assert all(check_analytic(pr.rep(i)) for i in range(2))
+        assert all(pr.rep(i).check_analytic().passed for i in range(2))
 
     def test_s_s2_valid_but_not_doubly(self):
         S = np.zeros((3, 3), dtype=complex)
@@ -132,7 +132,7 @@ class TestWeightedGraphRep:
         rep = weighted_graph_rep(G1, [0.5])
         conc = rep.check_concave()
         assert conc.passed and conc.vacuous
-        assert check_analytic(rep)
+        assert rep.check_analytic().passed
         assert rep.left_invertible()
         np.testing.assert_allclose(rep.cauchy_dual().T, 2.0 * graph_induced(G1).T, atol=1e-10)
 

@@ -4,20 +4,26 @@ import pytest
 from covrep._linalg import (
     DEFAULT_TOL,
     ORTHONORMAL_TOL,
+    RANK_TOL,
     gram_quotient,
     herm_residual,
     id_tensor_matmul,
+    inv_sqrt_psd,
     invariance_residual,
     matmul_id_tensor,
     max_op_norm,
     min_eig_herm,
+    null_cols,
+    orth_cols,
     orthonormal_drift,
     random_complex,
     random_unitary,
+    require_hermitian,
     scale_of,
     sqrt_psd,
 )
 from covrep.errors import PositivityFailure, ShapeMismatch
+from covrep.examples import scalar_covrep
 
 
 def random_mats(rng, count=20):
@@ -43,7 +49,7 @@ class TestHermitianScale:
 
     def test_min_eig_stats_match_dense(self, rng):
         for a in random_mats(rng):
-            lo, drift, norm = min_eig_herm(a, stats=True)
+            lo, drift, norm = min_eig_herm(a)
             herm = (a + a.conj().T) / 2.0
             assert lo == pytest.approx(np.linalg.eigvalsh(herm)[0], rel=1e-12, abs=1e-12)
             assert drift == pytest.approx(np.linalg.norm(a - a.conj().T, 2), rel=1e-12, abs=1e-12)
@@ -53,13 +59,13 @@ class TestHermitianScale:
         # equal for Hermitian input, so allow rounding between eigvalsh and SVD
         for a in random_mats(rng, 40):
             for m in (a, a + a.conj().T, a @ a.conj().T):
-                norm = min_eig_herm(m, stats=True)[2]
+                norm = min_eig_herm(m)[2]
                 assert 1.0 + norm <= scale_of(m) * (1.0 + 1e-12)
 
     def test_non_hermitian_input_raises(self):
         a = np.array([[1.0, 1e-6], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ShapeMismatch):
-            min_eig_herm(a)
+            require_hermitian(*min_eig_herm(a)[1:], DEFAULT_TOL)
         with pytest.raises(ShapeMismatch):
             gram_quotient(a)
 
@@ -193,3 +199,57 @@ class TestInvarianceResidual:
             comp = np.eye(n) - basis @ basis.conj().T
             dense = max((np.linalg.norm(comp @ m @ basis, 2) if d else 0.0) for m in stack)
             assert invariance_residual(stack, basis) == pytest.approx(dense, rel=1e-10, abs=1e-12)
+
+
+class TestRankCutoff:
+    """Every rank decision keeps a value exactly when it is above
+    ``cut * max(1, largest)``: singular values for ``orth_cols`` and
+    ``null_cols``, eigenvalues for ``gram_quotient``, ``inv_sqrt_psd`` and
+    ``check_left_invertible``.  One value sits at 0.5x and at 2x the cutoff,
+    with the largest value below, at and above 1."""
+
+    CASES = [  # largest value, factor of the cutoff, kept
+        (lead, factor, factor > 1.0) for lead in (0.01, 1.0, 100.0) for factor in (0.5, 2.0)
+    ]
+
+    @staticmethod
+    def diag(lead, factor, cut=RANK_TOL):
+        return np.diag([lead, factor * cut * max(1.0, lead)])
+
+    @pytest.mark.parametrize("lead,factor,kept", CASES)
+    def test_orth_cols_default_cut(self, lead, factor, kept):
+        assert orth_cols(self.diag(lead, factor)).shape == (2, 1 + kept)
+
+    @pytest.mark.parametrize("lead,factor,kept", [c for c in CASES if c[0] >= 1.0])
+    def test_orth_cols_projector_cut(self, lead, factor, kept):
+        # with the 0.5 cut a largest value of 0.01 would itself be dropped
+        assert orth_cols(self.diag(lead, factor, 0.5), 0.5).shape == (2, 1 + kept)
+
+    def test_orth_cols_zero_matrix(self):
+        assert orth_cols(np.zeros((3, 2))).shape == (3, 0)
+        assert orth_cols(np.zeros((3, 2)), 0.5).shape == (3, 0)
+
+    @pytest.mark.parametrize("lead,factor,kept", CASES)
+    def test_null_cols(self, lead, factor, kept):
+        assert null_cols(self.diag(lead, factor)).shape == (2, 1 - kept)
+
+    @pytest.mark.parametrize("lead,factor,kept", CASES)
+    def test_gram_quotient(self, lead, factor, kept):
+        push, lift, kernel = gram_quotient(self.diag(lead, factor))
+        assert push.shape == (1 + kept, 2) and kernel.shape == (2, 1 - kept)
+
+    @pytest.mark.parametrize("lead,factor,kept", CASES)
+    def test_inv_sqrt_psd(self, lead, factor, kept):
+        a = self.diag(lead, factor)
+        if kept:
+            np.testing.assert_allclose(inv_sqrt_psd(a), np.diag(np.diag(a) ** -0.5), rtol=1e-12)
+        else:
+            with pytest.raises(PositivityFailure):
+                inv_sqrt_psd(a)
+
+    @pytest.mark.parametrize("lead,factor,kept", CASES)
+    def test_check_left_invertible(self, lead, factor, kept):
+        # T~*T~ of a scalar representation has the squared singular values of A
+        rep = scalar_covrep(np.sqrt(self.diag(lead, factor)))
+        assert rep.check_left_invertible().passed == kept
+        assert rep.left_invertible() == kept

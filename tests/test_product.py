@@ -386,8 +386,9 @@ class TestT22:
         assert generating and all(not i.passed for i in generating)
 
     def test_strategy_c23_on_two_color(self):
-        report = verify_T22(two_color_path_rep(), strategy="c23")
+        report = verify_T22(two_color_path_rep())
         assert report.hypotheses_met and report.passed
+        assert "hypothesis_strategy_c23" in [i.name for i in report.evaluated]
 
 
 class TestT24:

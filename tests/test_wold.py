@@ -18,7 +18,6 @@ from covrep.examples import (
 )
 from covrep.wold import (
     Subspace,
-    check_analytic,
     check_dual_reducing_implication,
     check_invariant,
     check_reducing,
@@ -206,14 +205,14 @@ class TestHInfinity:
         assert hinf.equals(extra)
 
     def test_analytic_flags(self):
-        assert check_analytic(graph_induced(G1))
-        assert not check_analytic(unitary3())
-        assert check_analytic(scalar_covrep(np.zeros((2, 2))))
+        assert graph_induced(G1).check_analytic().passed
+        assert not unitary3().check_analytic().passed
+        assert scalar_covrep(np.zeros((2, 2))).check_analytic().passed
 
     def test_analytic_left_invertible_has_vanishing_L_powers(self):
         # |L^n h| -> 0 for analytic representations; exact in finite dims
         for rep in (graph_induced(G2), weighted_graph_rep(G2, [1.25, 1.1])):
-            assert check_analytic(rep)
+            assert rep.check_analytic().passed
             assert np.linalg.norm(rep.L_n(rep.hdim)) < 1e-12
 
 
