@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from ._linalg import ANGLE_TOL, DEFAULT_TOL, RANK_TOL
 from .algebra import (
-    AlgebraElement,
     MatrixBlocksAlgebra,
     StarRepresentation,
     validate_representation,

@@ -1,9 +1,13 @@
 """Finite-dimensional C*-algebras as direct sums of full matrix blocks.
 
-An algebra is determined by its block dimensions (d_1, ..., d_B); an
-element is one complex d_b x d_b matrix per block.  The linear basis is
-the family of matrix units, flattened block by block in row-major order,
-and "coords" always means the coefficient vector in that basis.
+An algebra is determined by its block dimensions (d_1, ..., d_B).  The
+linear basis is the family of matrix units, flattened block by block in
+row-major order, and "coords" always means the coefficient vector in that
+basis; an element is its coords.  A product of two matrix units is a unit
+or zero (e^b_pq e^b_qs = e^b_ps) and the adjoint of a unit is a unit, so a
+cached 0/1 product table and a cached adjoint permutation are the whole
+algebra structure: products, adjoints and the validators are contractions
+with them.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOL, as_complex, dagger, op_norm, scale_of
-from .errors import AlgebraMismatch, ShapeMismatch
+from ._linalg import DEFAULT_TOL, as_complex, max_op_norm, op_norm, scale_of
+from .errors import ShapeMismatch
 from .reporting import CheckItem, ValidationReport
 
 
@@ -55,15 +59,16 @@ class MatrixBlocksAlgebra:
 
     # -- coordinate conversions -------------------------------------------
 
+    def _coords(self, x) -> np.ndarray:
+        """``x`` as a complex coordinate vector, or ShapeMismatch."""
+        x = as_complex(x)
+        if x.shape != (self.dim,):
+            raise ShapeMismatch(f"expected coords of length {self.dim}, got {x.shape}")
+        return x
+
     def blocks_from_coords(self, coords) -> list[np.ndarray]:
-        coords = as_complex(coords)
-        if coords.shape != (self.dim,):
-            raise ShapeMismatch(f"expected coords of length {self.dim}, got {coords.shape}")
-        out = []
-        for b, d in enumerate(self.block_dims):
-            o = self._block_offsets[b]
-            out.append(coords[o : o + d * d].reshape(d, d))
-        return out
+        coords = self._coords(coords)
+        return [coords[o : o + d * d].reshape(d, d) for o, d in zip(self._block_offsets, self.block_dims)]
 
     def coords_from_blocks(self, blocks) -> np.ndarray:
         blocks = list(blocks)
@@ -81,13 +86,33 @@ class MatrixBlocksAlgebra:
 
     # -- algebra operations on coords -------------------------------------
 
+    @cached_property
+    def products(self) -> np.ndarray:
+        """The product table: products[k, l] = coords(b_k b_l), a read-only
+        0/1 tensor of shape (dim, dim, dim)."""
+        out = np.zeros((self.dim,) * 3)
+        for o, d in zip(self._block_offsets, self.block_dims):
+            units = o + np.arange(d * d).reshape(d, d)
+            # e_pq e_qs = e_ps
+            out[units[:, :, None], units[None, :, :], units[:, None, :]] = 1.0
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def star_index(self) -> np.ndarray:
+        """The adjoint permutation: b_k* = b_{star_index[k]}."""
+        out = np.concatenate([
+            o + np.arange(d * d).reshape(d, d).T.ravel()
+            for o, d in zip(self._block_offsets, self.block_dims)
+        ])
+        out.flags.writeable = False
+        return out
+
     def mul(self, x, y) -> np.ndarray:
-        xs = self.blocks_from_coords(x)
-        ys = self.blocks_from_coords(y)
-        return self.coords_from_blocks([a @ b for a, b in zip(xs, ys)])
+        return np.einsum("k,l,klm->m", self._coords(x), self._coords(y), self.products)
 
     def star(self, x) -> np.ndarray:
-        return self.coords_from_blocks([dagger(b) for b in self.blocks_from_coords(x)])
+        return np.conj(self._coords(x)[self.star_index])
 
     @cached_property
     def one(self) -> np.ndarray:
@@ -108,56 +133,6 @@ class MatrixBlocksAlgebra:
             out[o : o + d, o : o + d] = blk
             o += d
         return out
-
-    @cached_property
-    def trace_vec(self) -> np.ndarray:
-        """tr of the faithful image per basis unit (1 on diagonal units)."""
-        t = np.zeros(self.dim, dtype=complex)
-        for b, d in enumerate(self.block_dims):
-            for p in range(d):
-                t[self.unit_index(b, p, p)] = 1.0
-        return t
-
-    def norm(self, coords) -> float:
-        return op_norm(self.faithful(coords))
-
-    def element(self, blocks) -> "AlgebraElement":
-        return AlgebraElement(self, tuple(as_complex(b) for b in blocks))
-
-    def from_coords(self, coords) -> "AlgebraElement":
-        return AlgebraElement(self, tuple(self.blocks_from_coords(coords)))
-
-
-@dataclass(frozen=True, eq=False)
-class AlgebraElement:
-    """One matrix per block of a MatrixBlocksAlgebra."""
-
-    algebra: MatrixBlocksAlgebra
-    blocks: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        # validates shapes as a side effect
-        object.__setattr__(self, "_coords", self.algebra.coords_from_blocks(self.blocks))
-
-    @property
-    def coords(self) -> np.ndarray:
-        return self._coords
-
-    def star(self) -> "AlgebraElement":
-        return self.algebra.from_coords(self.algebra.star(self.coords))
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if other.algebra != self.algebra:
-            raise AlgebraMismatch("elements belong to different algebras")
-        return self.algebra.from_coords(self.algebra.mul(self.coords, other.coords))
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if other.algebra != self.algebra:
-            raise AlgebraMismatch("elements belong to different algebras")
-        return self.algebra.from_coords(self.coords + other.coords)
-
-    def norm(self) -> float:
-        return self.algebra.norm(self.coords)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,21 +161,11 @@ class StarRepresentation:
     @classmethod
     def identity(cls, algebra: MatrixBlocksAlgebra, tol: float = DEFAULT_TOL) -> "StarRepresentation":
         """The defining block-diagonal representation (faithful)."""
-        images = np.stack(
-            [algebra.faithful(algebra.unit_coords(k)) for k in range(algebra.dim)]
-        )
+        images = np.stack([algebra.faithful(unit) for unit in np.eye(algebra.dim)])
         return cls(algebra, algebra.faithful_dim, images, tol)
 
     def apply_coords(self, coords) -> np.ndarray:
-        coords = as_complex(coords)
-        if coords.shape != (self.algebra.dim,):
-            raise ShapeMismatch(f"expected coords of length {self.algebra.dim}")
-        return np.tensordot(coords, self.images, axes=(0, 0))
-
-    def apply(self, a: AlgebraElement) -> np.ndarray:
-        if a.algebra != self.algebra:
-            raise AlgebraMismatch("element does not belong to this representation's algebra")
-        return self.apply_coords(a.coords)
+        return np.tensordot(self.algebra._coords(coords), self.images, axes=(0, 0))
 
     @cached_property
     def scale(self) -> float:
@@ -215,24 +180,14 @@ def validate_representation(sigma: StarRepresentation) -> ValidationReport:
     sigma(1) = I, which is exactly the projection onto span sigma(M)H.
     """
     alg = sigma.algebra
-    scale = scale_of(sigma.images.reshape(alg.dim, -1))
-    bound = sigma.tol * scale
-
-    mult = 0.0
-    for k in range(alg.dim):
-        for l in range(alg.dim):
-            prod = alg.mul(alg.unit_coords(k), alg.unit_coords(l))
-            lhs = sigma.apply_coords(prod)
-            rhs = sigma.images[k] @ sigma.images[l]
-            mult = max(mult, op_norm(lhs - rhs))
-
-    star = 0.0
-    for k in range(alg.dim):
-        lhs = sigma.apply_coords(alg.star(alg.unit_coords(k)))
-        star = max(star, op_norm(lhs - dagger(sigma.images[k])))
-
-    eye = np.eye(sigma.hilbert_dim, dtype=complex)
-    nondeg = op_norm(sigma.apply_coords(alg.one) - eye)
+    images = sigma.images
+    bound = sigma.tol * scale_of(images.reshape(alg.dim, -1))
+    # sigma(b_k b_l) - sigma(b_k) sigma(b_l) and sigma(b_k*) - sigma(b_k)*
+    mult = max_op_norm(
+        np.tensordot(alg.products, images, axes=(2, 0)) - images[:, None] @ images[None, :]
+    )
+    star = max_op_norm(images[alg.star_index] - np.conj(images.transpose(0, 2, 1)))
+    nondeg = op_norm(sigma.apply_coords(alg.one) - np.eye(sigma.hilbert_dim))
 
     items = (
         CheckItem("multiplicativity", mult <= bound, mult),

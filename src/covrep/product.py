@@ -15,7 +15,7 @@ from itertools import combinations, product as iter_product
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOL, as_complex, dagger, eye_like, op_norm, scale_of
+from ._linalg import DEFAULT_TOL, as_complex, dagger, eye_like, max_op_norm, op_norm, scale_of
 from .algebra import StarRepresentation
 from .correspondence import ChainTower, HilbertTower
 from .covrep import CovariantRep
@@ -93,7 +93,6 @@ class ProductSystem:
 def validate_product_system(ps: ProductSystem) -> ValidationReport:
     """Unitarity, inverse pairing, and bimodule equivariance of every flip."""
     items = []
-    alg = ps.algebra
     for i in range(ps.k):
         for j in range(i):
             t = ps.flip(i, j)
@@ -107,10 +106,10 @@ def validate_product_system(ps: ProductSystem) -> ValidationReport:
             inv = op_norm(ps.flip(j, i) @ t - eye_like(cij.dim))
             pulled = np.einsum("ca,db,cdk->abk", np.conj(t), t, cji.gram)
             gram = float(np.max(np.abs(pulled - cij.gram))) if cij.dim else 0.0
-            act = 0.0
-            for k in range(alg.dim):
-                act = max(act, op_norm(t @ cij.left_action[k] - cji.left_action[k] @ t))
-                act = max(act, op_norm(t @ cij.right_action[k] - cji.right_action[k] @ t))
+            act = max(
+                max_op_norm(t @ cij.left_action - cji.left_action @ t),
+                max_op_norm(t @ cij.right_action - cji.right_action @ t),
+            )
             tag = f"{i+1},{j+1}"
             items.append(CheckItem(f"flip_unitary_{tag}", uni <= bound, uni))
             items.append(CheckItem(f"flip_inverse_{tag}", inv <= bound, inv))

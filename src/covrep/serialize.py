@@ -51,6 +51,20 @@ def matrix_from_json(data, shape=None) -> np.ndarray:
     return out
 
 
+def _matrices(data, n: int, what: str) -> list[np.ndarray]:
+    """A JSON list of n x n matrices, or ParseError."""
+    if not isinstance(data, list):
+        raise ParseError(f"{what} must be a list of matrices")
+    return [matrix_from_json(m, (n, n)) for m in data]
+
+
+def _meta(data) -> dict | None:
+    meta = data.get("meta")
+    if meta is not None and not isinstance(meta, dict):
+        raise ParseError("meta must be an object")
+    return meta
+
+
 def element_to_json(algebra: MatrixBlocksAlgebra, coords) -> list:
     return [matrix_to_json(b) for b in algebra.blocks_from_coords(coords)]
 
@@ -147,11 +161,11 @@ def covrep_from_json(data, tol: float) -> CovariantRep:
     sigma = sigma_from_json(algebra, _field(data, "sigma"), tol)
     E = correspondence_from_json(algebra, _field(data, "correspondence"), tol)
     n = sigma.hilbert_dim
-    T = [matrix_from_json(m, (n, n)) for m in _field(data, "T")]
+    T = _matrices(_field(data, "T"), n, "T")
     if len(T) != E.dim:
         raise ParseError("T must list one matrix per correspondence basis vector")
     T_arr = np.stack(T) if T else np.zeros((0, n, n), complex)
-    return CovariantRep(sigma, E, T_arr, tol=tol, meta=data.get("meta"))
+    return CovariantRep(sigma, E, T_arr, tol=tol, meta=_meta(data))
 
 
 def product_system_to_json(ps: ProductSystem) -> dict:
@@ -210,11 +224,11 @@ def product_rep_from_json(data, tol: float) -> ProductRep:
         raise ParseError(f"T must list {system.k} coordinates, one per correspondence")
     T_list = []
     for i in range(system.k):
-        mats = [matrix_from_json(m, (n, n)) for m in T_all[i]]
+        mats = _matrices(T_all[i], n, f"coordinate {i + 1} of T")
         if len(mats) != system.correspondences[i].dim:
             raise ParseError(f"coordinate {i + 1}: wrong number of T matrices")
         T_list.append(np.stack(mats) if mats else np.zeros((0, n, n), complex))
-    return ProductRep(system, sigma, T_list, tol=tol, meta=data.get("meta"))
+    return ProductRep(system, sigma, T_list, tol=tol, meta=_meta(data))
 
 
 def graph_from_json(data, tol: float) -> Correspondence:

@@ -23,6 +23,7 @@ from ._linalg import (
     eye_like,
     id_tensor_matmul,
     invariance_residual,
+    max_op_norm,
     null_cols,
     op_norm,
     orth_cols,
@@ -381,12 +382,8 @@ def verify_muhly_solel(rep: CovariantRep) -> TheoremReport:
             op_norm(dagger(gamma) @ gamma - eye_like(gamma.shape[1])),
             op_norm(gamma @ dagger(gamma) - H1.projector()),
         )
-        inter = 0.0
         rho = model.representation()
-        for k in range(rep.sigma.algebra.dim):
-            inter = max(
-                inter, op_norm(gamma @ rho.images[k] - rep.sigma.images[k] @ gamma)
-            )
+        inter = max_op_norm(gamma @ rho.images - rep.sigma.images @ gamma)
         for i in range(rep.E.dim):
             xi = np.zeros(rep.E.dim, complex)
             xi[i] = 1.0

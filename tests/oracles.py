@@ -7,6 +7,9 @@ numpy, deliberately avoiding the package's quotient machinery.
 
 import numpy as np
 
+from covrep._linalg import op_norm, scale_of
+from covrep.reporting import CheckItem, ValidationReport
+
 
 def orth(cols, tol=1e-10):
     cols = np.asarray(cols, dtype=complex)
@@ -234,3 +237,184 @@ def dense_internal_tensor(E, F, space, gm):
     right = np.stack([push @ np.kron(_eye(E.dim), F.right_action[k]) @ lift for k in range(d)])
     gram = np.einsum("xa,yb,xyk->abk", np.conj(lift), lift, gm)
     return left, right, gram
+
+
+# -- loop validators ---------------------------------------------------------------
+#
+# The validators of covrep.algebra, covrep.correspondence and covrep.product
+# written as plain loops over algebra units, unit pairs and E-basis pairs.
+# Products and adjoints of algebra elements are taken block by block from the
+# matrices, not from the library's matrix-unit product table, and positivity
+# is the smallest eigenvalue of the Hermitian part of the dense faithful
+# matrix, so the batched validators can be compared against them item by item.
+
+
+def alg_mul(alg, x, y):
+    xs, ys = alg.blocks_from_coords(x), alg.blocks_from_coords(y)
+    return alg.coords_from_blocks([a @ b for a, b in zip(xs, ys)])
+
+
+def alg_star(alg, x):
+    return alg.coords_from_blocks([b.conj().T for b in alg.blocks_from_coords(x)])
+
+
+def dense_faithful_stats(gm, alg):
+    """Minimum eigenvalue, drift and Hermitian-part norm of the dense
+    (n * N)^2 faithful matrix sum_k gm[:, :, k] (x) pi(b_k)."""
+    fb = np.stack([alg.faithful(alg.unit_coords(k)) for k in range(alg.dim)])
+    size = gm.shape[0] * alg.faithful_dim
+    big = np.einsum("xyk,kab->xayb", gm, fb).reshape(size, size)
+    herm = (big + big.conj().T) / 2.0
+    return (
+        np.linalg.eigvalsh(herm)[0],
+        np.linalg.norm(big - big.conj().T, 2),
+        np.linalg.norm(herm, 2),
+    )
+
+
+def algebra_correspondence_arrays(alg):
+    """Right action, left action and Gram of the algebra over itself."""
+    d = alg.dim
+    right = np.zeros((d, d, d), dtype=complex)
+    left = np.zeros((d, d, d), dtype=complex)
+    gram = np.zeros((d, d, d), dtype=complex)
+    for k in range(d):
+        uk = alg.unit_coords(k)
+        for l in range(d):
+            ul = alg.unit_coords(l)
+            right[k][:, l] = alg_mul(alg, ul, uk)
+            left[k][:, l] = alg_mul(alg, uk, ul)
+    for i in range(d):
+        si = alg_star(alg, alg.unit_coords(i))
+        for j in range(d):
+            gram[i, j] = alg_mul(alg, si, alg.unit_coords(j))
+    return right, left, gram
+
+
+def validate_representation(sigma):
+    alg = sigma.algebra
+    scale = scale_of(sigma.images.reshape(alg.dim, -1))
+    bound = sigma.tol * scale
+
+    mult = 0.0
+    for k in range(alg.dim):
+        for l in range(alg.dim):
+            prod = alg_mul(alg, alg.unit_coords(k), alg.unit_coords(l))
+            lhs = sigma.apply_coords(prod)
+            rhs = sigma.images[k] @ sigma.images[l]
+            mult = max(mult, op_norm(lhs - rhs))
+
+    star = 0.0
+    for k in range(alg.dim):
+        lhs = sigma.apply_coords(alg_star(alg, alg.unit_coords(k)))
+        star = max(star, op_norm(lhs - sigma.images[k].conj().T))
+
+    eye = np.eye(sigma.hilbert_dim, dtype=complex)
+    nondeg = op_norm(sigma.apply_coords(alg.one) - eye)
+
+    items = (
+        CheckItem("multiplicativity", mult <= bound, mult),
+        CheckItem("star_preservation", star <= bound, star),
+        CheckItem("nondegeneracy", nondeg <= bound, nondeg),
+    )
+    return ValidationReport("star_representation", items)
+
+
+def validate_correspondence(E):
+    alg = E.algebra
+    d, e = alg.dim, E.dim
+    scale = scale_of(
+        E.gram.reshape(e * e, d), E.left_action.reshape(d * e, e), E.right_action.reshape(d * e, e)
+    )
+    bound = E.tol * scale
+
+    right_lin = 0.0
+    star_sym = 0.0
+    adj = 0.0
+    hom = 0.0
+    module = 0.0
+    commute = 0.0
+    for k in range(d):
+        uk = alg.unit_coords(k)
+        phik = E.left_action[k]
+        phik_star = E.phi(alg_star(alg, uk))
+        rk = E.right_action[k]
+        for i in range(e):
+            for j in range(e):
+                # <f_i, f_j . b_k> = <f_i, f_j> b_k
+                lhs = np.einsum("m,mc->c", rk[:, j], E.gram[i])
+                rhs = alg_mul(alg, E.gram[i, j], uk)
+                right_lin = max(right_lin, float(np.linalg.norm(lhs - rhs)))
+                # <phi(b_k) f_i, f_j> = <f_i, phi(b_k*) f_j>
+                lhs = np.einsum("m,mc->c", np.conj(phik[:, i]), E.gram[:, j])
+                rhs = np.einsum("m,mc->c", phik_star[:, j], E.gram[i])
+                adj = max(adj, float(np.linalg.norm(lhs - rhs)))
+        for l in range(d):
+            ul = alg.unit_coords(l)
+            hom = max(hom, op_norm(E.phi(alg_mul(alg, uk, ul)) - E.left_action[k] @ E.left_action[l]))
+            # (xi . b_l) . b_k = xi . (b_l b_k)
+            mixed = np.tensordot(alg_mul(alg, ul, uk), E.right_action, axes=(0, 0))
+            module = max(module, op_norm(E.right_action[k] @ E.right_action[l] - mixed))
+            commute = max(commute, op_norm(E.left_action[k] @ E.right_action[l] - E.right_action[l] @ E.left_action[k]))
+    for i in range(e):
+        for j in range(e):
+            star_sym = max(
+                star_sym,
+                float(np.linalg.norm(alg_star(alg, E.gram[i, j]) - E.gram[j, i])),
+            )
+
+    positivity = max(0.0, -dense_faithful_stats(E.gram, alg)[0]) if e else 0.0
+
+    eye = np.eye(e, dtype=complex)
+    essential = op_norm(E.phi(alg.one) - eye)
+    unit_right = op_norm(np.tensordot(alg.one, E.right_action, axes=(0, 0)) - eye)
+    nonzero = 0.0 if (e > 0 and op_norm(E.left_action.reshape(d * e, e)) > bound) else 1.0
+
+    items = (
+        CheckItem("right_linearity", right_lin <= bound, right_lin),
+        CheckItem("star_symmetry", star_sym <= bound, star_sym),
+        CheckItem("positivity", positivity <= bound, positivity),
+        CheckItem("phi_adjointable", adj <= bound, adj),
+        CheckItem("phi_homomorphism", hom <= bound, hom),
+        CheckItem("phi_nonzero_essential", essential <= bound and nonzero == 0.0, max(essential, nonzero)),
+        CheckItem("right_module", max(module, unit_right) <= bound, max(module, unit_right)),
+        CheckItem("bimodule_commutation", commute <= bound, commute),
+    )
+    return ValidationReport("correspondence", items)
+
+
+def validate_product_system(ps):
+    items = []
+    alg = ps.algebra
+    for i in range(ps.k):
+        for j in range(i):
+            t = ps.flip(i, j)
+            cij = ps.chain.corr((i, j))
+            cji = ps.chain.corr((j, i))
+            bound = ps.tol * scale_of(t, cij.gram.reshape(cij.dim * cij.dim, -1) if cij.dim else t)
+            uni = max(
+                op_norm(t.conj().T @ t - _eye(cij.dim)),
+                op_norm(t @ t.conj().T - _eye(cji.dim)),
+            )
+            inv = op_norm(ps.flip(j, i) @ t - _eye(cij.dim))
+            pulled = np.einsum("ca,db,cdk->abk", np.conj(t), t, cji.gram)
+            gram = float(np.max(np.abs(pulled - cij.gram))) if cij.dim else 0.0
+            act = 0.0
+            for k in range(alg.dim):
+                act = max(act, op_norm(t @ cij.left_action[k] - cji.left_action[k] @ t))
+                act = max(act, op_norm(t @ cij.right_action[k] - cji.right_action[k] @ t))
+            tag = f"{i+1},{j+1}"
+            items.append(CheckItem(f"flip_unitary_{tag}", uni <= bound, uni))
+            items.append(CheckItem(f"flip_inverse_{tag}", inv <= bound, inv))
+            items.append(CheckItem(f"flip_gram_{tag}", gram <= bound, gram))
+            items.append(CheckItem(f"flip_bimodule_{tag}", act <= bound, act))
+    return ValidationReport("product_system", tuple(items))
+
+
+def assert_reports_agree(report, expected, rtol=1e-12):
+    """Same item names, order and flags; residuals within rtol * max(1, residual)."""
+    assert report.subject == expected.subject
+    assert [i.name for i in report.items] == [i.name for i in expected.items]
+    for got, want in zip(report.items, expected.items):
+        assert got.passed == want.passed, (got, want)
+        assert abs(got.residual - want.residual) <= rtol * max(1.0, want.residual), (got, want)

@@ -78,6 +78,29 @@ class TestValidate:
         assert code == 2
         assert "parse error" in out
 
+    @pytest.mark.parametrize(
+        "name,field,value",
+        [
+            ("g1-induced", "T", 5),
+            ("g1-induced", "meta", 5),
+            ("g1-induced", "meta", [1, 2]),
+            ("jordan-pair", ("T", 0), 5),
+            ("jordan-pair", "meta", 5),
+        ],
+        ids=["covariant-T-5", "covariant-meta-5", "covariant-meta-list", "product-T-coordinate-5", "product-meta-5"],
+    )
+    def test_malformed_T_or_meta_exit_2(self, corpus_dir, tmp_path, capsys, name, field, value):
+        data = json.loads((corpus_dir / f"{name}.json").read_text())
+        if isinstance(field, tuple):
+            data[field[0]][field[1]] = value
+        else:
+            data[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(dump_json(data))
+        code, out, _ = run(capsys, "validate", path)
+        assert code == 2
+        assert "parse error" in out
+
     def test_graph_kind_instance(self, tmp_path, capsys):
         path = tmp_path / "graph.json"
         path.write_text(

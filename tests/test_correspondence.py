@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covrep._linalg import random_complex
-from covrep.algebra import MatrixBlocksAlgebra, StarRepresentation
+from covrep._linalg import random_complex, scale_of
+from covrep.algebra import MatrixBlocksAlgebra, StarRepresentation, validate_representation
 from covrep.correspondence import (
     ChainTower,
     Correspondence,
@@ -32,15 +32,25 @@ from covrep.examples import (
     scalar_representation,
     two_colored_system,
 )
+from covrep.product import validate_product_system
 
 import oracles
-from oracles import path_count
+from oracles import dense_faithful_stats, path_count
+
+
+def replaced(E, right=None, left=None, gram=None):
+    return Correspondence(
+        E.algebra,
+        E.dim,
+        E.right_action if right is None else right,
+        E.left_action if left is None else left,
+        E.gram if gram is None else gram,
+        E.tol,
+    )
 
 
 def flipped_gram(E):
-    from covrep.correspondence import Correspondence
-
-    return Correspondence(E.algebra, E.dim, E.right_action, E.left_action, -E.gram, E.tol)
+    return replaced(E, gram=-E.gram)
 
 
 class TestValidation:
@@ -56,9 +66,195 @@ class TestValidation:
         assert report.passed and report.max_violation == 0.0
 
     def test_negated_gram_fails_positivity(self):
-        report = validate_correspondence(flipped_gram(graph_correspondence(G1)))
+        report = checked(flipped_gram(graph_correspondence(G1)))
         assert not report.passed
         assert any(i.name == "positivity" and not i.passed for i in report.items)
+
+
+def checked(E):
+    """validate_correspondence(E), asserted equal to the loop oracle."""
+    report = validate_correspondence(E)
+    oracles.assert_reports_agree(report, oracles.validate_correspondence(E))
+    return report
+
+
+def failed(report):
+    return {item.name for item in report.failures()}
+
+
+def null_summand(E, left_n, right_n):
+    """E (+) N with an inner product that vanishes on N: right linearity and
+    adjointability say nothing about how the algebra acts on N."""
+    d, e, m = E.algebra.dim, E.dim, left_n.shape[1]
+
+    def block_diag(a, b):
+        out = np.zeros((d, e + m, e + m), dtype=complex)
+        out[:, :e, :e], out[:, e:, e:] = a, b
+        return out
+
+    gram = np.zeros((e + m, e + m, d), dtype=complex)
+    gram[:e, :e] = E.gram
+    return Correspondence(
+        E.algebra, e + m, block_diag(E.right_action, right_n), block_diag(E.left_action, left_n), gram, E.tol
+    )
+
+
+class TestValidatorItems:
+    """Each item of validate_correspondence fails on a perturbation of its
+    own axiom, and the whole report agrees with the loop oracle."""
+
+    P = np.diag([1.0, 0.0])
+
+    def test_moved_edge_source_fails_right_linearity_only(self):
+        # the right action says edge 0 starts at vertex 2, its Gram says 0
+        E = graph_correspondence(G2)
+        right = E.right_action.copy()
+        right[0, 0, 0], right[2, 0, 0] = 0.0, 1.0
+        assert failed(checked(replaced(E, right=right))) == {"right_linearity"}
+
+    def test_small_gram_asymmetry_fails_star_symmetry_only(self):
+        # b_1 = e^0_12 is not self-adjoint; the asymmetry is above the
+        # validator's bound tol * scale but, with the faithful positivity
+        # matrix's larger norm, within the bound of its Hermitian check
+        alg = MatrixBlocksAlgebra((2, 1))
+        E = algebra_correspondence(alg)
+        d = alg.dim
+        scale = scale_of(
+            E.gram.reshape(d * d, d), E.left_action.reshape(d * d, d), E.right_action.reshape(d * d, d)
+        )
+        gram = E.gram.copy()
+        gram[0, 0, 1] += 0.9 * E.tol * scale
+        assert failed(checked(replaced(E, gram=gram))) == {"star_symmetry"}
+
+    def test_conjugated_left_action_fails_phi_adjointable_only(self):
+        # phi'(b) = phi(a)^-1 phi(b) phi(a) for a non-unitary a is still a
+        # unital homomorphism commuting with the right action
+        alg = MatrixBlocksAlgebra((2,))
+        E = algebra_correspondence(alg)
+        la = E.phi(alg.coords_from_blocks([np.array([[1.0, 1.0], [0.0, 1.0]])]))
+        left = np.linalg.inv(la) @ E.left_action @ la
+        assert failed(checked(replaced(E, left=left))) == {"phi_adjointable"}
+
+    def test_halved_left_action_fails_phi_homomorphism_only(self):
+        # phi(b_0) = phi(b_1) = I/2: self-adjoint and unital, not multiplicative
+        E = algebra_correspondence(MatrixBlocksAlgebra((1, 1)))
+        left = np.stack([np.eye(2) / 2.0] * 2)
+        assert failed(checked(replaced(E, left=left))) == {"phi_homomorphism"}
+
+    def test_zero_left_action_fails_phi_nonzero_essential_only(self):
+        E = algebra_correspondence(MatrixBlocksAlgebra((2, 1)))
+        report = checked(replaced(E, left=np.zeros_like(E.left_action)))
+        assert failed(report) == {"phi_nonzero_essential"}
+
+    def test_halved_right_action_on_null_summand_fails_right_module_only(self):
+        E = algebra_correspondence(MatrixBlocksAlgebra((1, 1)))
+        left_n = np.stack([self.P, np.eye(2) - self.P])
+        right_n = np.stack([np.eye(2) / 2.0] * 2)
+        assert failed(checked(null_summand(E, left_n, right_n))) == {"right_module"}
+
+    def test_oblique_right_action_on_null_summand_fails_commutation_only(self):
+        # right idempotents Q, I - Q that do not commute with P, I - P
+        E = algebra_correspondence(MatrixBlocksAlgebra((1, 1)))
+        q = np.array([[1.0, 1.0], [0.0, 0.0]])
+        left_n = np.stack([self.P, np.eye(2) - self.P])
+        right_n = np.stack([q, np.eye(2) - q])
+        assert failed(checked(null_summand(E, left_n, right_n))) == {"bimodule_commutation"}
+
+    def test_broken_star_symmetry_is_reported_not_raised(self):
+        alg = MatrixBlocksAlgebra((2, 1))
+        E = algebra_correspondence(alg)
+        gram = E.gram.copy()
+        gram[0, 1, 0] += 0.5
+        bad = replaced(E, gram=gram)
+        items = {item.name: item for item in checked(bad).items}
+        assert not items["star_symmetry"].passed
+        assert items["star_symmetry"].residual == pytest.approx(0.5)
+        # positivity is judged on the Hermitian part (gram + gram^*) / 2
+        star_t = np.stack([[oracles.alg_star(alg, gram[j, i]) for j in range(E.dim)] for i in range(E.dim)])
+        herm_low = dense_faithful_stats((gram + star_t) / 2.0, alg)[0]
+        assert items["positivity"].residual == pytest.approx(max(0.0, -herm_low), abs=1e-12)
+        # the tensor product still refuses a non-Hermitian form
+        with pytest.raises(ShapeMismatch):
+            internal_tensor(bad, E)
+
+
+ORACLE_ALGEBRAS = [(2, 1), (1, 2, 2), (3,)]
+
+
+def hermitian_noise_correspondence(E, eps, rng):
+    """E with noise of size eps on both actions and on the Gram; the Gram
+    noise is star-symmetric, so the positivity matrix stays Hermitian."""
+    if eps == 0.0 or E.dim == 0:
+        return E
+    alg, e = E.algebra, E.dim
+    noise = random_complex(rng, E.gram.shape)
+    star_t = np.stack([[oracles.alg_star(alg, noise[j, i]) for j in range(e)] for i in range(e)])
+    return replaced(
+        E,
+        right=E.right_action + eps * random_complex(rng, E.right_action.shape),
+        left=E.left_action + eps * random_complex(rng, E.left_action.shape),
+        gram=E.gram + eps * (noise + star_t) / 2.0,
+    )
+
+
+def hermitian_noise_representation(sigma, eps, rng):
+    if eps == 0.0:
+        return sigma
+    noise = random_complex(rng, sigma.images.shape)
+    herm = (noise + noise.conj().transpose(0, 2, 1)) / 2.0
+    return StarRepresentation(sigma.algebra, sigma.hilbert_dim, sigma.images + eps * herm, sigma.tol)
+
+
+def oracle_cases(corpus):
+    """Correspondences and representations of the corpus and of the
+    algebras over themselves, with the internal square of each correspondence."""
+    corrs, reps = [], []
+    for inst in corpus.values():
+        reps.append(inst.sigma)
+        corrs.extend(inst.system.correspondences if hasattr(inst, "system") else (inst.E,))
+    for blocks in ORACLE_ALGEBRAS:
+        alg = MatrixBlocksAlgebra(blocks)
+        corrs.append(algebra_correspondence(alg))
+        ident = StarRepresentation.identity(alg)
+        reps.append(ident)
+        reps.append(StarRepresentation(alg, 2 * alg.faithful_dim, np.kron(np.eye(2), ident.images)))
+    corrs += [internal_tensor(E, E)[0] for E in corrs]
+    return corrs, reps
+
+
+class TestBatchedValidatorsMatchOracle:
+    @pytest.mark.parametrize("eps", [0.0, 1e-4])
+    def test_correspondences(self, corpus, eps, rng):
+        corrs, _ = oracle_cases(corpus)
+        for E in corrs:
+            report = checked(hermitian_noise_correspondence(E, eps, rng))
+            if eps:
+                assert E.dim == 0 or not report.passed
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-4])
+    def test_representations(self, corpus, eps, rng):
+        _, reps = oracle_cases(corpus)
+        for sigma in reps:
+            noisy = hermitian_noise_representation(sigma, eps, rng)
+            report = validate_representation(noisy)
+            oracles.assert_reports_agree(report, oracles.validate_representation(noisy))
+            assert report.passed == (eps == 0.0)
+
+    def test_product_systems(self, corpus):
+        for inst in corpus.values():
+            if hasattr(inst, "system"):
+                oracles.assert_reports_agree(
+                    validate_product_system(inst.system), oracles.validate_product_system(inst.system)
+                )
+
+    @pytest.mark.parametrize("blocks", ORACLE_ALGEBRAS + [(1,), (1, 1, 1)], ids=str)
+    def test_algebra_correspondence_is_the_loop_construction(self, blocks):
+        alg = MatrixBlocksAlgebra(blocks)
+        E = algebra_correspondence(alg)
+        right, left, gram = oracles.algebra_correspondence_arrays(alg)
+        np.testing.assert_array_equal(E.right_action, right)
+        np.testing.assert_array_equal(E.left_action, left)
+        np.testing.assert_array_equal(E.gram, gram)
 
 
 class TestInternalTensor:
@@ -118,20 +314,6 @@ class TestInternalTensor:
             lhs = space.push @ np.kron(za, xi)
             rhs = space.push @ np.kron(zeta, phixi)
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
-
-
-def dense_faithful_stats(gm, alg):
-    """Minimum eigenvalue, drift and Hermitian-part norm of the dense
-    (n * N)^2 faithful matrix sum_k gm[:, :, k] (x) pi(b_k)."""
-    fb = np.stack([alg.faithful(alg.unit_coords(k)) for k in range(alg.dim)])
-    size = gm.shape[0] * alg.faithful_dim
-    big = np.einsum("xyk,kab->xayb", gm, fb).reshape(size, size)
-    herm = (big + big.conj().T) / 2.0
-    return (
-        np.linalg.eigvalsh(herm)[0],
-        np.linalg.norm(big - big.conj().T, 2),
-        np.linalg.norm(herm, 2),
-    )
 
 
 def twisted_algebra_correspondence(alg, weight):
@@ -448,9 +630,9 @@ class TestDenseKroneckerOracle:
                 assert got[0] == expected[0]
                 self._close(got[1], expected[1])
         alg = chain.algebra
+        rho = fh.representation()
         for k in range(alg.dim):
-            a = alg.unit_coords(k)
-            self._close(fh.rep_image(a), oracles.dense_rep_image(fh, a))
+            self._close(rho.images[k], oracles.dense_rep_image(fh, alg.unit_coords(k)))
             for rep in reps:
                 # T~ intertwines phi(b_k) (x) I with sigma(b_k)
                 phik = oracles.dense_phi_on_tensor(rep, k)
