@@ -49,6 +49,7 @@ from .errors import (
     NotIsometric,
     NotLeftInvertible,
     NotSigmaInvariant,
+    NotStarRepresentation,
     ParseError,
     PositivityFailure,
     ProfileUnreachable,

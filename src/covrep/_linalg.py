@@ -12,9 +12,13 @@ Conventions used throughout the package:
   so no bound is looser than with ``scale_of(a)``; the drift |a - a*| is
   the largest |eigenvalue| of the Hermitian matrix i(a - a*);
 * positivity through the faithful representation of a block algebra is
-  checked one algebra block at a time (``min_eig_herm`` per block); the
-  minimum eigenvalue, drift and norm of the whole are the extremes over
-  the blocks, so the decision is that of the dense matrix;
+  checked one algebra block at a time (``min_eig_herm`` on the stack of
+  the blocks of each size); the minimum eigenvalue, drift and norm of the
+  whole are the extremes over the blocks, so the decision is that of the
+  dense matrix.  A
+  block-diagonal Gram is quotiented the same way: ``gram_quotient`` takes
+  its diagonal blocks and judges drift, positivity and the rank cutoff on
+  the whole;
 * every rank decision goes through ``rank_cutoff``: a value counts as
   nonzero when it is above ``RANK_TOL * max(1, largest)``.  ``orth_cols``
   and ``null_cols`` cut singular values; ``gram_quotient``,
@@ -27,7 +31,7 @@ Conventions used throughout the package:
 * the columns of B count as orthonormal when |B*B - I|_2 is at most
   ``ORTHONORMAL_TOL``; the Frobenius norm bounds the spectral norm from
   above, so the SVD runs only when the Frobenius norm is above the cutoff
-  (``orthonormal_drift``).
+  (``orthonormal_drift``, ``screened_op_norm``).
 """
 
 from __future__ import annotations
@@ -85,18 +89,24 @@ def invariance_residual(stack, basis) -> float:
     return max_op_norm(comp @ (as_complex(stack) @ basis))
 
 
-def orthonormal_drift(basis) -> float:
-    """|B*B - I|_2, or an upper bound on it that is at most ``ORTHONORMAL_TOL``.
+def screened_op_norm(stack, bound: float) -> float:
+    """Largest spectral norm over a stack (last two axes), or an upper bound
+    on it that is at most ``bound``.
 
-    The Frobenius norm bounds the spectral norm from above, so a Frobenius
-    norm at or below the cutoff decides the test without an SVD; only above
-    it is the spectral norm computed.  ``drift <= ORTHONORMAL_TOL`` is
-    therefore exactly the spectral decision.
+    The Frobenius norm of the whole stack bounds every spectral norm in it
+    from above, so a Frobenius norm at or below ``bound`` decides the test
+    without an SVD; only above it are the spectral norms computed.
+    ``result <= bound`` is therefore exactly the spectral decision.
     """
+    fro = float(np.linalg.norm(as_complex(stack).ravel()))
+    return fro if fro <= bound else max_op_norm(stack)
+
+
+def orthonormal_drift(basis) -> float:
+    """|B*B - I|_2, or an upper bound on it that is at most ``ORTHONORMAL_TOL``
+    (``screened_op_norm``)."""
     basis = as_complex(basis)
-    gram_err = dagger(basis) @ basis - eye_like(basis.shape[1])
-    fro = float(np.linalg.norm(gram_err))
-    return fro if fro <= ORTHONORMAL_TOL else op_norm(gram_err)
+    return screened_op_norm(dagger(basis) @ basis - eye_like(basis.shape[1]), ORTHONORMAL_TOL)
 
 
 def scale_of(*mats) -> float:
@@ -113,20 +123,22 @@ def dagger(a) -> np.ndarray:
 
 
 def herm_residual(a) -> float:
-    """Spectral norm of a - a*, as the largest |eigenvalue| of i(a - a*).
+    """Spectral norm of a - a*, as the largest |eigenvalue| of i(a - a*);
+    the largest over a stack (last two axes).
 
     Exactly Hermitian matrices give 0 without a decomposition.
     """
     a = as_complex(a)
-    skew = a - dagger(a)
+    skew = a - np.conj(np.swapaxes(a, -1, -2))
     if not skew.any():
         return 0.0
     w = np.linalg.eigvalsh(1j * skew)
-    return float(max(-w[0], w[-1]))
+    return float(max(-w[..., 0].min(), w[..., -1].max()))
 
 
 def min_eig_herm(a):
-    """``(min_eig, drift, norm)`` of the Hermitian part of ``a``.
+    """``(min_eig, drift, norm)`` of the Hermitian part of ``a``, or their
+    extremes over a stack (last two axes).
 
     ``norm`` is the norm of the Hermitian part and ``drift`` is |a - a*|;
     the caller judges the drift (``require_hermitian``), which lets a
@@ -134,13 +146,14 @@ def min_eig_herm(a):
     of the whole.  Empty matrices give ``(inf, 0, 0)`` (vacuously positive).
     """
     a = as_complex(a)
-    if a.shape[0] != a.shape[1]:
+    if a.shape[-2] != a.shape[-1]:
         raise ShapeMismatch(f"expected square matrix, got {a.shape}")
-    if a.shape[0] == 0:
+    if a.size == 0:
         return np.inf, 0.0, 0.0
     drift = herm_residual(a)
-    w = np.linalg.eigvalsh((a + dagger(a)) / 2.0)
-    return float(w[0]), drift, float(max(-w[0], w[-1]))
+    w = np.linalg.eigvalsh((a + np.conj(np.swapaxes(a, -1, -2))) / 2.0)
+    lo, hi = float(w[..., 0].min()), float(w[..., -1].max())
+    return lo, drift, max(-lo, hi)
 
 
 def require_hermitian(drift: float, norm: float, tol: float) -> None:
@@ -219,33 +232,71 @@ def gram_quotient(gram, tol: float = DEFAULT_TOL):
     rows for the semi-inner product (``push* push = gram`` modulo kernel),
     ``lift`` is the isometric section with ``push @ lift = I``, and
     ``kernel_basis`` spans the Gram kernel orthonormally: the eigenvectors
-    whose eigenvalues are not above ``rank_cutoff``.
+    whose eigenvalues are not above ``rank_cutoff``, largest first.
 
-    Raises PositivityFailure when the Gram has an eigenvalue below
-    ``-tol * (1 + |(gram + gram*)/2|)``.
+    ``gram`` is one matrix (a 2-D array), or the diagonal blocks of one
+    block-diagonal Gram (a list of square matrices, or a 3-D stack), which
+    is never assembled: the blocks of each size are decomposed in one batch
+    and drift, positivity and the rank cutoff are those of the whole
+    matrix, the extremes over its blocks.  The three then come back as
+    stacks padded to the largest block: column i of ``lift[b]`` and
+    ``kernel[b]``, and row i of ``push[b]``, belong to the i-th largest
+    eigenvalue of block b, and are zero where the other part, or padding,
+    holds that place.
+
+    Raises ShapeMismatch when the drift |G - G*| exceeds ``tol * scale``
+    and PositivityFailure when an eigenvalue is below ``-tol * scale``,
+    with ``scale = 1 + |(G + G*)/2|``.
     """
-    gram = as_complex(gram)
-    m = gram.shape[0]
-    if gram.shape != (m, m):
-        raise ShapeMismatch(f"Gram matrix must be square, got {gram.shape}")
-    if m == 0:
-        z = np.zeros((0, 0), dtype=complex)
-        return z, z, z
-    drift = herm_residual(gram)
-    w, v = np.linalg.eigh((gram + dagger(gram)) / 2.0)
-    scale = 1.0 + max(-w[0], w[-1])
+    single = isinstance(gram, np.ndarray) and gram.ndim == 2
+    if isinstance(gram, np.ndarray):
+        stack = as_complex(gram)[None] if single else as_complex(gram)
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise ShapeMismatch(f"Gram blocks must be square, got {gram.shape}")
+        sizes, stacks = [stack.shape[1]] * len(stack), [(slice(None), stack)]
+    else:
+        blocks = [as_complex(g) for g in gram]
+        if any(g.ndim != 2 or g.shape[0] != g.shape[1] for g in blocks):
+            raise ShapeMismatch(f"Gram blocks must be square, got {[g.shape for g in blocks]}")
+        sizes = [g.shape[0] for g in blocks]
+        stacks = []
+        for size in sorted(set(sizes)):
+            idx = [i for i, s in enumerate(sizes) if s == size]
+            stacks.append((idx, np.stack([blocks[i] for i in idx])))
+    drift = 0.0
+    groups = []
+    for idx, stack in stacks:
+        drift = max(drift, herm_residual(stack))
+        w, v = np.linalg.eigh((stack + np.conj(stack.transpose(0, 2, 1))) / 2.0)
+        # largest eigenvalue first, for a deterministic well-conditioned basis
+        groups.append((idx, w[:, ::-1], v[:, :, ::-1]))
+    if len(groups) == 1:
+        _, vals, vecs = groups[0]
+        real = True
+        lo, hi = float(vals.min(initial=np.inf)), float(vals.max(initial=-np.inf))
+    else:
+        top = max(sizes, default=0)
+        vals = np.zeros((len(blocks), top))
+        vecs = np.zeros((len(blocks), top, top), dtype=complex)
+        for idx, w, v in groups:
+            vals[idx, : w.shape[1]] = w
+            vecs[idx, : w.shape[1], : w.shape[1]] = v
+        real = np.arange(top) < np.array(sizes, dtype=int)[:, None]
+        lo = float(np.min(vals, initial=np.inf, where=real))
+        hi = float(np.max(vals, initial=-np.inf, where=real))
+    scale = 1.0 + max(-lo, hi, 0.0)
     if drift > tol * scale:
         raise ShapeMismatch(f"Gram matrix is not Hermitian (drift {drift:.3e})")
-    if w[0] < -tol * scale:
-        raise PositivityFailure(f"semi-Gram has negative eigenvalue {w[0]:.3e}")
-    keep = w > rank_cutoff(w[-1])
-    # largest eigenvalue first, for a deterministic well-conditioned basis
-    idx = np.nonzero(keep)[0][::-1]
-    wk = w[idx]
-    vk = v[:, idx]
-    push = (np.sqrt(wk)[:, None]) * dagger(vk)
-    lift = vk * (wk ** -0.5)
-    kernel = v[:, ~keep]
+    if lo < -tol * scale:
+        raise PositivityFailure(f"semi-Gram has negative eigenvalue {lo:.3e}")
+    keep = real & (vals > rank_cutoff(hi))
+    # w^(-1/2) on the kept eigenvalues, 0 elsewhere; w * w^(-1/2) = w^(1/2)
+    inv_root = np.where(keep, vals, np.inf) ** -0.5
+    lift = vecs * inv_root[:, None, :]
+    push = np.conj(vecs.transpose(0, 2, 1)) * (vals * inv_root)[:, :, None]
+    kernel = vecs * (real & ~keep)[:, None, :]
+    if single:
+        return push[0][keep[0]], lift[0][:, keep[0]], kernel[0][:, ~keep[0]]
     return push, lift, kernel
 
 

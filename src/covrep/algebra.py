@@ -17,8 +17,18 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOL, as_complex, max_op_norm, op_norm, scale_of
-from .errors import ShapeMismatch
+from ._linalg import (
+    DEFAULT_TOL,
+    as_complex,
+    dagger,
+    eye_like,
+    max_op_norm,
+    op_norm,
+    orth_cols,
+    scale_of,
+    screened_op_norm,
+)
+from .errors import NotStarRepresentation, ShapeMismatch
 from .reporting import CheckItem, ValidationReport
 
 
@@ -99,6 +109,27 @@ class MatrixBlocksAlgebra:
         return out
 
     @cached_property
+    def size_groups(self) -> tuple[tuple[int, tuple[int, ...], np.ndarray], ...]:
+        """``(d, blocks, units)`` for each block size d: the blocks of that
+        size and their matrix units, block by block in row-major order."""
+        out = []
+        for d in sorted(set(self.block_dims)):
+            blocks = tuple(b for b, db in enumerate(self.block_dims) if db == d)
+            units = np.concatenate([self._block_offsets[b] + np.arange(d * d) for b in blocks])
+            units.flags.writeable = False
+            out.append((d, blocks, units))
+        return tuple(out)
+
+    @cached_property
+    def unit_positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(block, p, q)`` of every matrix unit e^block_pq, in basis order."""
+        units = [(b, p, q) for b, d in enumerate(self.block_dims) for p in range(d) for q in range(d)]
+        out = tuple(np.array(x) for x in zip(*units))
+        for x in out:
+            x.flags.writeable = False
+        return out
+
+    @cached_property
     def star_index(self) -> np.ndarray:
         """The adjoint permutation: b_k* = b_{star_index[k]}."""
         out = np.concatenate([
@@ -169,8 +200,96 @@ class StarRepresentation:
 
     @cached_property
     def scale(self) -> float:
-        """scale_of(*images), the relative-tolerance scale of this representation."""
-        return scale_of(*self.images)
+        """scale_of(*images), the relative-tolerance scale of this
+        representation, from one batched SVD of the images."""
+        return 1.0 + max_op_norm(self.images)
+
+    @cached_property
+    def multiplicity(self) -> "Multiplicity":
+        """sigma in its own basis, built once: U* sigma(e^b_pq) U = e_pq (x) I_{m_b}.
+
+        Column (p, j) of block b is sigma(e^b_p1) v_j, for an orthonormal
+        basis v_1..v_{m_b} of the range of sigma(e^b_11).  The ranges of the
+        projections sigma(e^b_11) are orthogonal, so one decomposition of
+        sum_b (b + 1) sigma(e^b_11) gives them all: the eigenvectors with
+        eigenvalue within 0.5 of b + 1 (0.5 is the cut of every projector
+        range).  A basis of the complement of sigma(1)H closes U.  Raises
+        NotStarRepresentation when |U*U - I|, some |sigma(b_k) U - U (e_k (x) I)|
+        (which is |U* sigma(b_k) U - e_k (x) I| for a unitary U) or
+        |sigma(b_k) U_c| on the complement U_c exceeds tol * scale.
+        """
+        alg, images, n = self.algebra, self.images, self.hilbert_dim
+        dims, firsts = alg.block_dims, alg._block_offsets[:-1]
+        count, width = len(dims), max(dims)
+        # eigh reads one triangle; a sigma that is not a *-representation
+        # fails the residual check below
+        heads = (np.arange(1.0, count + 1.0) @ images[list(firsts)].reshape(count, n * n)).reshape(n, n)
+        vals, vecs = np.linalg.eigh(heads)
+        level = np.rint(vals).tolist()
+        mults = [level.count(b + 1.0) for b in range(count)]
+        depth = max(mults)
+        # eigenvalues ascend: block b's vectors follow those of the lower levels
+        at = sum(v < 1.0 for v in level)
+        starts = [at + sum(mults[:b]) for b in range(count)]
+        have = np.array([[j < m for j in range(depth)] for m in mults], dtype=bool)
+        picks = [[s + j if j < m else 0 for j in range(depth)] for s, m in zip(starts, mults)]
+        ranges = vecs[:, np.array(picks, dtype=int)] * have
+        # cols[:, b, p, j] = sigma(e^b_p1) v_j, zero where p >= d_b or j >= m_b
+        rows = np.array([[p < d for p in range(width)] for d in dims])
+        units = [[f + p * d if p < d else f for p in range(width)] for f, d in zip(firsts, dims)]
+        cols = (images[units] @ ranges.transpose(1, 0, 2)[:, None]) * rows[:, :, None, None]
+        cols = cols.transpose(2, 0, 1, 3)
+        valid = rows[:, :, None] & have[:, None, :]
+        basis = cols.reshape(n, valid.size)[:, valid.ravel()]
+        if basis.shape[1] < n:
+            basis = np.concatenate((basis, orth_cols(eye_like(n) - basis @ dagger(basis), 0.5)), axis=1)
+        span = sum(d * m for d, m in zip(dims, mults))
+        # sigma(e^b_pq) moves column (b, q, j) to (b, p, j) and kills the rest
+        b, p, q = alg.unit_positions
+        moved = np.zeros((alg.dim, n, count, width, depth), dtype=complex)
+        moved[np.arange(alg.dim), :, b, q, :] = cols[:, b, p, :].transpose(1, 0, 2)
+        # scale >= 1: a residual within tol passes without the scale's SVDs
+        residual = max(
+            screened_op_norm(dagger(basis) @ basis - eye_like(basis.shape[1]), self.tol),
+            screened_op_norm(images @ cols.reshape(n, valid.size) - moved.reshape(alg.dim, n, valid.size), self.tol),
+            screened_op_norm(images @ basis[:, span:], self.tol) if span < n else 0.0,
+        )
+        if residual > self.tol and residual > self.tol * self.scale:
+            raise NotStarRepresentation(
+                f"sigma is not unitarily a sum of id (x) I_m blocks (residual {residual:.3e})"
+            )
+        live = [b for b in range(count) if mults[b]]
+        padded = cols[:, live].transpose(1, 0, 3, 2).reshape(len(live), n * depth, width)
+        offsets = [sum(d * m for d, m in zip(dims[:b], mults[:b])) for b in range(count)]
+        return Multiplicity(basis, tuple(mults), tuple(offsets), live, padded, have[live], basis[:, span:])
+
+
+@dataclass(frozen=True, eq=False)
+class Multiplicity:
+    """The multiplicity decomposition H = (+)_b C^{d_b} (x) C^{m_b} (+) ker sigma(1).
+
+    ``basis`` is the unitary U: block b owns the d_b * m_b columns from
+    ``offsets[b]`` on, ordered (p, j) with p < d_b, j < m_b, and the columns
+    after the last block span the complement of sigma(1)H.  ``live`` lists
+    the blocks with m_b > 0; ``padded[i]`` holds the columns of block
+    live[i] as an (n * max m) x (max d) matrix, U[h, (p, j)] at row (h, j)
+    and column p, zero where j >= m_b or p >= d_b, and ``present[i, j]``
+    is j < m_b.  ``complement`` holds the columns after the last block.
+    """
+
+    basis: np.ndarray
+    mults: tuple[int, ...]
+    offsets: tuple[int, ...]
+    live: list[int]
+    padded: np.ndarray
+    present: np.ndarray
+    complement: np.ndarray
+
+    def coords(self, block: int, p: int) -> slice:
+        """The columns (p, j), j < m_b, of U in block ``block``."""
+        m = self.mults[block]
+        start = self.offsets[block] + p * m
+        return slice(start, start + m)
 
 
 def validate_representation(sigma: StarRepresentation) -> ValidationReport:

@@ -10,12 +10,21 @@ spaces) is diagonalized, its kernel dropped, and every derived operator is
 a matrix in the resulting orthonormal quotient basis, so adjoints are
 literal conjugate transposes.  Identity tensor factors (I (x) X,
 X (x) I_H) are applied by reshaping and are never materialised.
+
+A Hilbert-space quotient E (x)_sigma H is taken in sigma's own basis
+(``StarRepresentation.multiplicity``): there sigma is (+)_b id_{d_b} (x)
+I_{m_b}, so the twisted Gram is (+)_b G_b (x) I_{m_b}, and only the
+(dim E * d_b)-square blocks G_b are decomposed, never the (dim E * dim H)-
+square Gram.  The quotient basis is carried back to the canonical basis
+of E (x) H, where every operator of this module acts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as iter_product
+from typing import Callable
 
 import numpy as np
 
@@ -84,16 +93,27 @@ def _faithful_positivity(
     Hermitian part of the whole are the extremes over the blocks.  Raises
     ShapeMismatch when the drift exceeds the bound of the whole.
     """
-    n = gm.shape[0]
     lo, drift, norm = np.inf, 0.0, 0.0
-    off = 0
-    for d in alg.block_dims:
-        blk = gm[:, :, off : off + d * d].reshape(n, n, d, d).transpose(0, 2, 1, 3)
-        b_lo, b_drift, b_norm = min_eig_herm(blk.reshape(n * d, n * d))
+    for _, stack in _faithful_blocks(gm, alg):
+        b_lo, b_drift, b_norm = min_eig_herm(stack)
         lo, drift, norm = min(lo, b_lo), max(drift, b_drift), max(norm, b_norm)
-        off += d * d
     require_hermitian(drift, norm, tol)
     return lo, drift, norm
+
+
+def _faithful_blocks(gm: np.ndarray, alg: MatrixBlocksAlgebra) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """The algebra blocks of sum_k gm[:, :, k] (x) pi(b_k), pi faithful, as
+    ``(blocks, stack)`` per block size: the indices of the blocks of that
+    size and their matrices, stacked.
+
+    Block b is gm[:, :, units of b] with rows (p, x) and columns (q, y),
+    p, q < d_b and x, y < n: the entry is gm[x, y, e^b_pq].
+    """
+    n = gm.shape[0]
+    return [
+        (blocks, gm[:, :, units].reshape(n, n, len(blocks), d, d).transpose(2, 3, 0, 4, 1).reshape(len(blocks), d * n, d * n))
+        for d, blocks, units in alg.size_groups
+    ]
 
 
 def _max_coord_norm(x) -> float:
@@ -161,18 +181,29 @@ class InteriorTensorSpace:
     ``push`` maps the algebraic space onto the quotient C^r and has
     orthonormal rows for the semi-inner product; ``lift`` is the isometric
     section with ``push @ lift = I``; ``kernel`` spans the Gram kernel.
+    ``gram`` and ``kernel`` are built when first read.
     """
 
     source_dims: tuple[int, ...]
     quotient_dim: int
     push: np.ndarray
     lift: np.ndarray
-    gram: np.ndarray
-    kernel: np.ndarray
+    gram_of: Callable[[], np.ndarray] = field(repr=False)
+    kernel_of: Callable[[], np.ndarray] = field(repr=False)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The semi-Gram of the algebraic space."""
+        return self.gram_of()
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """An orthonormal basis of the Gram kernel."""
+        return self.kernel_of()
 
     @property
     def gram_kernel_dim(self) -> int:
-        return self.kernel.shape[1]
+        return self.algebraic_dim - self.quotient_dim
 
     @property
     def algebraic_dim(self) -> int:
@@ -181,7 +212,7 @@ class InteriorTensorSpace:
 
 def _identity_space(n: int) -> InteriorTensorSpace:
     eye = eye_like(n)
-    return InteriorTensorSpace((n,), n, eye.copy(), eye.copy(), eye.copy(), np.zeros((n, 0), dtype=complex))
+    return InteriorTensorSpace((n,), n, eye.copy(), eye.copy(), eye.copy, lambda: np.zeros((n, 0), dtype=complex))
 
 
 def algebra_correspondence(alg: MatrixBlocksAlgebra, tol: float = DEFAULT_TOL) -> Correspondence:
@@ -237,18 +268,69 @@ def internal_tensor(
     gram_q = (dagger(lift) @ gm.transpose(2, 0, 1) @ lift).transpose(1, 2, 0)
 
     quotient = Correspondence(alg, r, right, left, gram_q, tol)
-    space = InteriorTensorSpace((E.dim, F.dim), r, push, lift, scalar, kernel)
+    space = InteriorTensorSpace((E.dim, F.dim), r, push, lift, lambda: scalar, lambda: kernel)
     return quotient, space
 
 
 def interior_tensor_with_rep(E: Correspondence, sigma: StarRepresentation) -> InteriorTensorSpace:
-    """Hilbert-space quotient of E (x) H under the sigma-twisted inner product."""
+    """Hilbert-space quotient of E (x) H under the sigma-twisted inner product.
+
+    In sigma's own basis U (``StarRepresentation.multiplicity``) the Gram
+    <xi (x) h, eta (x) k> = <h, sigma(<xi, eta>) k> is (+)_b G_b (x) I_{m_b},
+    and 0 on E (x) ker sigma(1); G_b is block b of E's Gram through the
+    faithful representation (``_faithful_blocks``).  The blocks with
+    m_b > 0 are quotiented by one ``gram_quotient`` call, which judges
+    drift, positivity and the rank cutoff on their direct sum, and push,
+    lift and kernel are carried back to the canonical basis by one
+    contraction with the columns of U.  Quotient coordinates run block by
+    block, each block by kept eigenvector (largest first), then by the
+    multiplicity index j < m_b.
+    """
     if E.algebra != sigma.algebra:
         raise AlgebraMismatch("correspondence and representation algebras differ")
-    n = sigma.hilbert_dim
-    gram = np.einsum("ijk,kpq->ipjq", E.gram, sigma.images).reshape(E.dim * n, E.dim * n)
-    push, lift, kernel = gram_quotient(gram, min(E.tol, sigma.tol))
-    return InteriorTensorSpace((E.dim, n), push.shape[0], push, lift, gram, kernel)
+    alg = E.algebra
+    e, n = E.dim, sigma.hilbert_dim
+
+    def gram():
+        return np.einsum("ijk,kpq->ipjq", E.gram, sigma.images).reshape(e * n, e * n)
+
+    if not e * n:
+        z = np.zeros((0, 0), dtype=complex)
+        return InteriorTensorSpace((e, n), 0, z, z, gram, lambda: z)
+    mult = sigma.multiplicity
+    blocks = {b: blk for idx, stack in _faithful_blocks(E.gram, alg) for b, blk in zip(idx, stack)}
+    push, lift, kernel = gram_quotient([blocks[b] for b in mult.live], min(E.tol, sigma.tol))
+    # block b's rows (p, x) are padded to p < max d, U[h, (p, j)] to j < max m
+    live, width, top = len(mult.live), mult.padded.shape[2], lift.shape[2]
+    columns = mult.padded.reshape(live, n, mult.present.shape[1], width).transpose(3, 1, 0, 2)
+
+    def carry(stack):
+        """Column i of stack[b], where nonzero, as the columns (b, i, j), j < m_b,
+        with sum_p stack[b][(p, x), i] U[h, (p, j)] at row (x, h); the
+        result comes out contiguous, as the towers reshape it."""
+        b, i, j = np.nonzero(stack.any(axis=1)[:, :, None] & mult.present[:, None, :])
+        vecs = stack.reshape(live, width, e, top).transpose(1, 2, 0, 3)[:, :, b, i]
+        basis = columns[:, :, b, j]
+        out = vecs[0][:, None, :] * basis[0][None, :, :]
+        for p in range(1, width):
+            out += vecs[p][:, None, :] * basis[p][None, :, :]
+        return b, i, basis, out.reshape(e * n, len(b))
+
+    b, i, basis, lift = carry(lift)
+    # push = lift* with each row scaled by its eigenvalue, from push's own rows
+    rows = push.reshape(live, top, width, e)[b, i]
+    push = rows[:, 0, :, None] * np.conj(basis[0].T)[:, None, :]
+    for p in range(1, width):
+        push += rows[:, p, :, None] * np.conj(basis[p].T)[:, None, :]
+
+    def kernel_basis():
+        # E (x) ker sigma(1) is Gram kernel too
+        comp = mult.complement
+        outside = np.zeros((e, n, e, comp.shape[1]), dtype=complex)
+        outside[np.arange(e), :, np.arange(e), :] = comp
+        return np.concatenate((carry(kernel)[3], outside.reshape(e * n, e * comp.shape[1])), axis=1)
+
+    return InteriorTensorSpace((e, n), lift.shape[1], push.reshape(len(b), e * n), lift, gram, kernel_basis)
 
 
 class ChainTower:

@@ -30,7 +30,6 @@ from ._linalg import (
     eye_like,
     inv_sqrt_psd,
     invariance_residual,
-    max_op_norm,
     min_eig_herm,
     null_cols,
     op_norm,
@@ -39,6 +38,7 @@ from ._linalg import (
     rank_cutoff,
     require_hermitian,
     scale_of,
+    screened_op_norm,
     solve_hermitian,
     sqrt_psd,
 )
@@ -167,16 +167,23 @@ class CovariantRep:
     def _validate_construction(self):
         alg = self.E.algebra
         bound = self.tol * max(self.scale, self.sigma.scale)
-        images = self.sigma.images
+        # in sigma's own basis U, sigma(e^b_pq) T sigma(e^c_rs) is the block
+        # of U* T U at rows (b, q), columns (c, r), moved to rows (b, p),
+        # columns (c, s); U is unitary, so the norms are those of H
+        mult = self.sigma.multiplicity
+        tu = dagger(mult.basis) @ self.T @ mult.basis
+        units = list(zip(*(x.tolist() for x in alg.unit_positions)))
         worst = 0.0
         # one batch per left unit b_k, all (b_l, xi_i) at once, to keep the
         # working set at d * e matrices of size n x n
-        for k in range(alg.dim):
+        for k, (b, p, q) in enumerate(units):
             # move[l][:, i] holds the coordinates of b_k . f_i . b_l
             move = self.E.left_action[k] @ self.E.right_action
-            lhs = np.tensordot(move, self.T, axes=(1, 0))
-            rhs = (images[k] @ self.T)[None, :, :, :] @ images[:, None, :, :]
-            worst = max(worst, max_op_norm(lhs - rhs))
+            diff = np.tensordot(move, tu, axes=(1, 0))
+            rows_to, rows_from = mult.coords(b, p), mult.coords(b, q)
+            for l, (c, r, s) in enumerate(units):
+                diff[l, :, rows_to, mult.coords(c, s)] -= tu[:, rows_from, mult.coords(c, r)]
+            worst = max(worst, screened_op_norm(diff, bound))
         if worst > bound:
             raise BimoduleViolation(
                 f"T(a xi b) deviates from sigma(a) T(xi) sigma(b) by {worst:.3e}"

@@ -21,6 +21,10 @@ class PositivityFailure(CovrepError):
     """A semi-inner-product Gram matrix has a significantly negative eigenvalue."""
 
 
+class NotStarRepresentation(CovrepError):
+    """The coefficient representation is not unitarily a sum of id (x) I_m blocks."""
+
+
 class BimoduleViolation(CovrepError):
     """T(a xi b) != sigma(a) T(xi) sigma(b) beyond tolerance."""
 

@@ -46,6 +46,9 @@ def matrix_from_json(data, shape=None) -> np.ndarray:
             out = out.reshape(shape if shape is not None else (0, 0))
     except (TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"malformed matrix: {exc}") from exc
+    # json reads NaN and Infinity, which no residual can judge
+    if not np.isfinite(out).all():
+        raise ParseError("matrix has a non-finite entry")
     if shape is not None and out.shape != tuple(shape):
         raise ParseError(f"matrix has shape {out.shape}, expected {tuple(shape)}")
     return out

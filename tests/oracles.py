@@ -7,7 +7,7 @@ numpy, deliberately avoiding the package's quotient machinery.
 
 import numpy as np
 
-from covrep._linalg import op_norm, scale_of
+from covrep._linalg import gram_quotient, op_norm, scale_of
 from covrep.reporting import CheckItem, ValidationReport
 
 
@@ -226,6 +226,35 @@ def dense_creation(fh, letter, xi):
 def dense_phi_on_tensor(rep, k):
     sp = rep.space(1)
     return sp.push @ np.kron(rep.E.left_action[k], _eye(rep.hdim)) @ sp.lift
+
+
+def dense_interior_tensor_with_rep(E, sigma):
+    """``(push, lift, kernel, gram)`` of E (x)_sigma H from one decomposition
+    of the dense (e n)^2 sigma-twisted Gram <xi (x) h, eta (x) k> =
+    <h, sigma(<xi, eta>) k>, without the multiplicity basis of sigma."""
+    n = sigma.hilbert_dim
+    gram = np.einsum("ijk,kpq->ipjq", E.gram, sigma.images).reshape(E.dim * n, E.dim * n)
+    return (*gram_quotient(gram, min(E.tol, sigma.tol)), gram)
+
+
+def multiplicity_representation(alg, mults, rng, extra=0):
+    """The representation unitarily equal to (+)_b id_{d_b} (x) I_{m_b} (+) 0_extra,
+    conjugated by a random unitary; ``extra`` > 0 makes it degenerate."""
+    from covrep._linalg import random_unitary
+    from covrep.algebra import StarRepresentation
+
+    n = sum(d * m for d, m in zip(alg.block_dims, mults)) + extra
+    w = random_unitary(rng, n)
+    images = np.zeros((alg.dim, n, n), dtype=complex)
+    o = 0
+    for b, (d, m) in enumerate(zip(alg.block_dims, mults)):
+        for p in range(d):
+            for q in range(d):
+                unit = np.zeros((d, d))
+                unit[p, q] = 1.0
+                images[alg.unit_index(b, p, q), o : o + d * m, o : o + d * m] = np.kron(unit, np.eye(m))
+        o += d * m
+    return StarRepresentation(alg, n, w.conj().T @ images @ w)
 
 
 def dense_internal_tensor(E, F, space, gm):

@@ -6,7 +6,7 @@ from covrep.algebra import (
     StarRepresentation,
     validate_representation,
 )
-from covrep.errors import ShapeMismatch
+from covrep.errors import NotStarRepresentation, ShapeMismatch
 
 import oracles
 
@@ -155,3 +155,50 @@ def test_product_table_matches_block_products(blocks):
             expected = oracles.alg_mul(alg, uk, alg.unit_coords(l))
             np.testing.assert_array_equal(alg.products[k, l], expected)
             np.testing.assert_array_equal(alg.mul(uk, alg.unit_coords(l)), expected)
+
+
+class TestMultiplicity:
+    """sigma's own basis: U is unitary and U* sigma(e^b_pq) U = e_pq (x) I_{m_b}."""
+
+    CASES = [  # block dims, multiplicities, dims of ker sigma(1)
+        ((2, 1), (2, 3), 0),
+        ((1, 2, 2), (2, 1, 3), 0),
+        ((1, 2, 2), (2, 0, 1), 2),
+        ((3,), (2,), 1),
+    ]
+
+    @pytest.mark.parametrize("blocks,mults,extra", CASES, ids=str)
+    def test_recovers_the_decomposition(self, rng, blocks, mults, extra):
+        alg = MatrixBlocksAlgebra(blocks)
+        sigma = oracles.multiplicity_representation(alg, mults, rng, extra)
+        mult = sigma.multiplicity
+        assert mult.mults == mults
+        assert list(mult.live) == [b for b, m in enumerate(mults) if m]
+        u, n = mult.basis, sigma.hilbert_dim
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(n), rtol=0, atol=1e-12)
+        for b, d in enumerate(blocks):
+            for p in range(d):
+                for q in range(d):
+                    target = np.zeros((n, n))
+                    target[mult.coords(b, p), mult.coords(b, q)] = np.eye(mults[b])
+                    image = sigma.images[alg.unit_index(b, p, q)]
+                    np.testing.assert_allclose(u.conj().T @ image @ u, target, rtol=0, atol=1e-12)
+
+    def test_built_once(self, rng):
+        sigma = oracles.multiplicity_representation(MatrixBlocksAlgebra((2, 1)), (1, 2), rng)
+        assert sigma.multiplicity is sigma.multiplicity
+
+    @pytest.mark.parametrize("name", ["oblique", "doubled", "transposed"])
+    def test_not_a_star_representation_raises_with_residual(self, name):
+        alg = MatrixBlocksAlgebra((1, 1) if name == "oblique" else (2,))
+        if name == "oblique":
+            p = np.array([[1.0, 1.0], [0.0, 0.0]])
+            images = np.stack([p, np.eye(2) - p])
+        elif name == "doubled":
+            images = 2.0 * StarRepresentation.identity(alg).images
+        else:
+            images = StarRepresentation.identity(alg).images.transpose(0, 2, 1)
+        sigma = StarRepresentation(alg, images.shape[1], images)
+        assert not validate_representation(sigma).passed
+        with pytest.raises(NotStarRepresentation, match="residual"):
+            sigma.multiplicity

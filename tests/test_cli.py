@@ -101,6 +101,17 @@ class TestValidate:
         assert code == 2
         assert "parse error" in out
 
+    def test_non_star_representation_is_a_reported_fail(self, tmp_path, capsys):
+        # sigma(1) an oblique idempotent: construction in sigma's own basis
+        # refuses it, and validate reports the failure with its residual
+        data = covrep_to_json(scalar_covrep(np.zeros((2, 2))))
+        data["sigma"]["images"][0][0] = [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        path = tmp_path / "oblique.json"
+        path.write_text(dump_json(data))
+        code, out, _ = run(capsys, "validate", path)
+        assert code == 1
+        assert "FAIL (NotStarRepresentation" in out and "residual" in out
+
     def test_graph_kind_instance(self, tmp_path, capsys):
         path = tmp_path / "graph.json"
         path.write_text(
@@ -124,6 +135,30 @@ class TestValidate:
             str(corpus_dir / "g1-induced.json"),
             str(corpus_dir / "g2-induced.json"),
         ]
+
+
+class TestNonFiniteEntries:
+    """NaN or Infinity anywhere in a matrix is an input error (exit 2) for
+    every command that loads the instance, not a failed decomposition."""
+
+    PLACES = {
+        "T": lambda d: d["T"][0][0],
+        "sigma": lambda d: d["sigma"]["images"][0][0][0],
+        "gram": lambda d: d["correspondence"]["gram"][0][0][0][0],
+    }
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("place", list(PLACES))
+    @pytest.mark.parametrize("command", [["validate"], ["check", "isometric"], ["decompose"]], ids=str)
+    def test_exit_2(self, corpus_dir, tmp_path, capsys, place, value, command):
+        data = json.loads((corpus_dir / "g1-induced.json").read_text())
+        self.PLACES[place](data)[0] = [value, 0.0]
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(data))
+        argv = [command[0], path] + command[1:]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "non-finite" in out + err
 
 
 class TestCheck:

@@ -469,6 +469,81 @@ class TestInteriorTensorWithRep:
         assert interior_tensor_with_rep(E2, sigma).quotient_dim == 1
 
 
+def positive_algebra_correspondence(alg, rng):
+    """The algebra over itself with <x, y> = x* w y for a random positive
+    definite w, so every block G_b has a generic spectrum."""
+    a = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+    return twisted_algebra_correspondence(alg, alg.mul(alg.star(a), a) + alg.one)
+
+
+def corpus_quotients(corpus):
+    """(E, sigma) for every tower word of length <= 2 of the corpus, with the
+    algebra correspondence at the empty word."""
+    out = []
+    for inst in corpus.values():
+        reps = inst.reps if hasattr(inst, "reps") else [inst]
+        letters = range(len(reps))
+        words = [()] + [(a,) for a in letters] + [(a, b) for a in letters for b in letters]
+        out += [(reps[0].chain.corr(w), reps[0].sigma) for w in words]
+    return out
+
+
+class TestBlockQuotientOracle:
+    """The block quotient in sigma's own basis against one dense decomposition
+    of the whole sigma-twisted Gram (``oracles.dense_interior_tensor_with_rep``):
+    the quotient dim, push* push against the Gram, lift* Gram lift = I and
+    the kernel projector agree to 1e-12."""
+
+    @staticmethod
+    def assert_agree(E, sigma):
+        space = interior_tensor_with_rep(E, sigma)
+        push, lift, kernel, gram = oracles.dense_interior_tensor_with_rep(E, sigma)
+        r = space.quotient_dim
+        assert (r, space.gram_kernel_dim) == (push.shape[0], kernel.shape[1])
+        assert space.push.shape == (r, gram.shape[0]) and space.lift.shape == (gram.shape[0], r)
+        np.testing.assert_array_equal(space.gram, gram)
+        close = dict(rtol=0, atol=1e-12)
+        pp = space.push.conj().T @ space.push
+        np.testing.assert_allclose(pp, push.conj().T @ push, **close)
+        np.testing.assert_allclose(pp, gram, **close)
+        np.testing.assert_allclose(space.lift.conj().T @ gram @ space.lift, np.eye(r), **close)
+        np.testing.assert_allclose(space.push @ space.lift, np.eye(r), **close)
+        np.testing.assert_allclose(
+            space.kernel @ space.kernel.conj().T, kernel @ kernel.conj().T, **close
+        )
+
+    def test_corpus(self, corpus):
+        pairs = corpus_quotients(corpus)
+        assert len(pairs) > 20
+        for E, sigma in pairs:
+            self.assert_agree(E, sigma)
+
+    @pytest.mark.parametrize(
+        "blocks,mults,extra",
+        [((2, 1), (2, 3), 0), ((1, 2, 2), (2, 1, 3), 0), ((2, 1), (1, 2), 2), ((1, 2, 2), (2, 0, 1), 1)],
+        ids=["2-1", "1-2-2", "2-1-degenerate", "1-2-2-dead-block-degenerate"],
+    )
+    def test_multiplicities_under_a_random_unitary(self, rng, blocks, mults, extra):
+        alg = MatrixBlocksAlgebra(blocks)
+        sigma = oracles.multiplicity_representation(alg, mults, rng, extra)
+        E = positive_algebra_correspondence(alg, rng)
+        for F in (E, internal_tensor(E, algebra_correspondence(alg))[0], algebra_correspondence(alg)):
+            self.assert_agree(F, sigma)
+
+    def test_indefinite_block_without_multiplicity_does_not_raise(self, rng):
+        # only the last block of the Gram is indefinite; sigma does not see it
+        alg = MatrixBlocksAlgebra((1, 2, 2))
+        weight = alg.coords_from_blocks([np.eye(1), np.eye(2), np.diag([1.0, -1.0])])
+        E = twisted_algebra_correspondence(alg, weight)
+        blind = oracles.multiplicity_representation(alg, (1, 2, 0), rng)
+        self.assert_agree(E, blind)
+        seeing = oracles.multiplicity_representation(alg, (1, 2, 1), rng)
+        with pytest.raises(PositivityFailure):
+            oracles.dense_interior_tensor_with_rep(E, seeing)
+        with pytest.raises(PositivityFailure):
+            interior_tensor_with_rep(E, seeing)
+
+
 class TestFock:
     def test_g1_fock(self):
         F = fock(graph_correspondence(G1), 1)

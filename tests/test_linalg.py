@@ -239,6 +239,27 @@ class TestRankCutoff:
         assert push.shape == (1 + kept, 2) and kernel.shape == (2, 1 - kept)
 
     @pytest.mark.parametrize("lead,factor,kept", CASES)
+    def test_gram_quotient_across_blocks(self, lead, factor, kept):
+        # the value sits in its own block; the cutoff comes from the other
+        blocks = [np.diag([lead]), np.diag([factor * RANK_TOL * max(1.0, lead)])]
+        push, lift, kernel = gram_quotient(blocks)
+        assert lift.any(axis=1).sum(axis=1).tolist() == [1, int(kept)]
+        assert kernel.any(axis=1).sum(axis=1).tolist() == [0, 1 - kept]
+        assert push.any(axis=2).sum(axis=1).tolist() == [1, int(kept)]
+
+    def test_gram_quotient_judges_the_whole(self):
+        # -1e-8 and a drift of 1e-8 are within tol * (1 + 100), not within
+        # tol * (1 + 1e-8): the bound is that of the block-diagonal matrix
+        small = np.diag([-1e-8])
+        skew = np.array([[1e-8, 1e-8], [0.0, 1e-8]])
+        gram_quotient([np.diag([100.0]), small])
+        gram_quotient([np.diag([100.0, 1.0]), skew])
+        with pytest.raises(PositivityFailure):
+            gram_quotient([small])
+        with pytest.raises(ShapeMismatch):
+            gram_quotient([skew])
+
+    @pytest.mark.parametrize("lead,factor,kept", CASES)
     def test_inv_sqrt_psd(self, lead, factor, kept):
         a = self.diag(lead, factor)
         if kept:
