@@ -15,10 +15,9 @@ Conventions used throughout the package:
   checked one algebra block at a time (``min_eig_herm`` on the stack of
   the blocks of each size); the minimum eigenvalue, drift and norm of the
   whole are the extremes over the blocks, so the decision is that of the
-  dense matrix.  A
-  block-diagonal Gram is quotiented the same way: ``gram_quotient`` takes
-  its diagonal blocks and judges drift, positivity and the rank cutoff on
-  the whole;
+  dense matrix.  A block-diagonal Gram is quotiented the same way:
+  ``gram_quotient`` takes its diagonal blocks, stacked by size, and judges
+  drift, positivity and the rank cutoff on the whole;
 * every rank decision goes through ``rank_cutoff``: a value counts as
   nonzero when it is above ``RANK_TOL * max(1, largest)``.  ``orth_cols``
   and ``null_cols`` cut singular values; ``gram_quotient``,
@@ -234,70 +233,53 @@ def gram_quotient(gram, tol: float = DEFAULT_TOL):
     ``kernel_basis`` spans the Gram kernel orthonormally: the eigenvectors
     whose eigenvalues are not above ``rank_cutoff``, largest first.
 
-    ``gram`` is one matrix (a 2-D array), or the diagonal blocks of one
-    block-diagonal Gram (a list of square matrices, or a 3-D stack), which
-    is never assembled: the blocks of each size are decomposed in one batch
-    and drift, positivity and the rank cutoff are those of the whole
-    matrix, the extremes over its blocks.  The three then come back as
-    stacks padded to the largest block: column i of ``lift[b]`` and
+    ``gram`` is one matrix, or the diagonal blocks of one block-diagonal
+    Gram as a list of stacks (3-D arrays), each stack holding blocks of
+    one size.  The whole matrix is never assembled: each stack is
+    decomposed in one batched ``eigh``, and drift, positivity and the rank
+    cutoff are those of the whole matrix, the extremes over its blocks.
+    For a list the result is one ``(push, lift, kernel)`` of stacks per
+    input stack, each of the input's shape: column i of ``lift[b]`` and
     ``kernel[b]``, and row i of ``push[b]``, belong to the i-th largest
-    eigenvalue of block b, and are zero where the other part, or padding,
-    holds that place.
+    eigenvalue of block b and are zero where the other part holds that
+    place.
 
     Raises ShapeMismatch when the drift |G - G*| exceeds ``tol * scale``
     and PositivityFailure when an eigenvalue is below ``-tol * scale``,
     with ``scale = 1 + |(G + G*)/2|``.
     """
-    single = isinstance(gram, np.ndarray) and gram.ndim == 2
-    if isinstance(gram, np.ndarray):
-        stack = as_complex(gram)[None] if single else as_complex(gram)
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-            raise ShapeMismatch(f"Gram blocks must be square, got {gram.shape}")
-        sizes, stacks = [stack.shape[1]] * len(stack), [(slice(None), stack)]
-    else:
-        blocks = [as_complex(g) for g in gram]
-        if any(g.ndim != 2 or g.shape[0] != g.shape[1] for g in blocks):
-            raise ShapeMismatch(f"Gram blocks must be square, got {[g.shape for g in blocks]}")
-        sizes = [g.shape[0] for g in blocks]
-        stacks = []
-        for size in sorted(set(sizes)):
-            idx = [i for i, s in enumerate(sizes) if s == size]
-            stacks.append((idx, np.stack([blocks[i] for i in idx])))
-    drift = 0.0
-    groups = []
-    for idx, stack in stacks:
-        drift = max(drift, herm_residual(stack))
-        w, v = np.linalg.eigh((stack + np.conj(stack.transpose(0, 2, 1))) / 2.0)
+    single = not isinstance(gram, list)
+    stacks = [as_complex(gram)[None]] if single else [as_complex(s) for s in gram]
+    if any(s.ndim != 3 or s.shape[1] != s.shape[2] for s in stacks):
+        raise ShapeMismatch(f"Gram blocks must be square, got {[s.shape[1:] for s in stacks]}")
+    drift, lo, hi = 0.0, np.inf, -np.inf
+    decomps = []
+    for stack in stacks:
+        skew = herm_residual(stack)
+        # an exactly Hermitian stack is its own Hermitian part
+        w, v = np.linalg.eigh(stack if skew == 0.0 else (stack + np.conj(stack.transpose(0, 2, 1))) / 2.0)
+        drift = max(drift, skew)
+        lo, hi = min(lo, w.min(initial=np.inf)), max(hi, w.max(initial=-np.inf))
         # largest eigenvalue first, for a deterministic well-conditioned basis
-        groups.append((idx, w[:, ::-1], v[:, :, ::-1]))
-    if len(groups) == 1:
-        _, vals, vecs = groups[0]
-        real = True
-        lo, hi = float(vals.min(initial=np.inf)), float(vals.max(initial=-np.inf))
-    else:
-        top = max(sizes, default=0)
-        vals = np.zeros((len(blocks), top))
-        vecs = np.zeros((len(blocks), top, top), dtype=complex)
-        for idx, w, v in groups:
-            vals[idx, : w.shape[1]] = w
-            vecs[idx, : w.shape[1], : w.shape[1]] = v
-        real = np.arange(top) < np.array(sizes, dtype=int)[:, None]
-        lo = float(np.min(vals, initial=np.inf, where=real))
-        hi = float(np.max(vals, initial=-np.inf, where=real))
+        decomps.append((w[:, ::-1], v[:, :, ::-1]))
     scale = 1.0 + max(-lo, hi, 0.0)
     if drift > tol * scale:
         raise ShapeMismatch(f"Gram matrix is not Hermitian (drift {drift:.3e})")
     if lo < -tol * scale:
         raise PositivityFailure(f"semi-Gram has negative eigenvalue {lo:.3e}")
-    keep = real & (vals > rank_cutoff(hi))
-    # w^(-1/2) on the kept eigenvalues, 0 elsewhere; w * w^(-1/2) = w^(1/2)
-    inv_root = np.where(keep, vals, np.inf) ** -0.5
-    lift = vecs * inv_root[:, None, :]
-    push = np.conj(vecs.transpose(0, 2, 1)) * (vals * inv_root)[:, :, None]
-    kernel = vecs * (real & ~keep)[:, None, :]
+    cut = rank_cutoff(hi)
+    out = []
+    for w, v in decomps:
+        keep = w > cut
+        # w^(-1/2) on the kept eigenvalues, 0 elsewhere; w * w^(-1/2) = w^(1/2)
+        inv_root = np.where(keep, w, np.inf) ** -0.5
+        lift = v * inv_root[:, None, :]
+        push = np.conj(v.transpose(0, 2, 1)) * (w * inv_root)[:, :, None]
+        out.append((push, lift, v * ~keep[:, None, :]))
     if single:
-        return push[0][keep[0]], lift[0][:, keep[0]], kernel[0][:, ~keep[0]]
-    return push, lift, kernel
+        (push, lift, kernel), keep = out[0], decomps[0][0][0] > cut
+        return push[0][keep], lift[0][:, keep], kernel[0][:, ~keep]
+    return out
 
 
 def kron(*mats) -> np.ndarray:

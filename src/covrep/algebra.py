@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,6 +131,17 @@ class MatrixBlocksAlgebra:
         return out
 
     @cached_property
+    def first_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, units)``, both (blocks, max d): ``rows[b, p]`` is p < d_b
+        and ``units[b, p]`` the index of e^b_p1 (of e^b_11 where p >= d_b)."""
+        dims = np.array(self.block_dims)
+        p = np.arange(dims.max())
+        rows = p < dims[:, None]
+        units = np.array(self._block_offsets[:-1])[:, None] + np.where(rows, p * dims[:, None], 0)
+        rows.flags.writeable = units.flags.writeable = False
+        return rows, units
+
+    @cached_property
     def star_index(self) -> np.ndarray:
         """The adjoint permutation: b_k* = b_{star_index[k]}."""
         out = np.concatenate([
@@ -214,82 +226,100 @@ class StarRepresentation:
         sum_b (b + 1) sigma(e^b_11) gives them all: the eigenvectors with
         eigenvalue within 0.5 of b + 1 (0.5 is the cut of every projector
         range).  A basis of the complement of sigma(1)H closes U.  Raises
-        NotStarRepresentation when |U*U - I|, some |sigma(b_k) U - U (e_k (x) I)|
-        (which is |U* sigma(b_k) U - e_k (x) I| for a unitary U) or
-        |sigma(b_k) U_c| on the complement U_c exceeds tol * scale.
+        NotStarRepresentation when |U*U - I| or some
+        |sigma(b_k) U - U (e_k (x) I (+) 0)| (which is
+        |U* sigma(b_k) U - e_k (x) I (+) 0| for a unitary U) exceeds
+        tol * scale.
         """
         alg, images, n = self.algebra, self.images, self.hilbert_dim
-        dims, firsts = alg.block_dims, alg._block_offsets[:-1]
-        count, width = len(dims), max(dims)
+        count = len(alg.block_dims)
         # eigh reads one triangle; a sigma that is not a *-representation
         # fails the residual check below
-        heads = (np.arange(1.0, count + 1.0) @ images[list(firsts)].reshape(count, n * n)).reshape(n, n)
-        vals, vecs = np.linalg.eigh(heads)
-        level = np.rint(vals).tolist()
-        mults = [level.count(b + 1.0) for b in range(count)]
-        depth = max(mults)
+        heads = np.arange(1.0, count + 1.0) @ images[list(alg._block_offsets[:-1])].reshape(count, n * n)
+        vals, vecs = np.linalg.eigh(heads.reshape(n, n))
+        level = np.rint(vals)
+        mults = np.count_nonzero(level == np.arange(1.0, count + 1.0)[:, None], axis=1)
         # eigenvalues ascend: block b's vectors follow those of the lower levels
-        at = sum(v < 1.0 for v in level)
-        starts = [at + sum(mults[:b]) for b in range(count)]
-        have = np.array([[j < m for j in range(depth)] for m in mults], dtype=bool)
-        picks = [[s + j if j < m else 0 for j in range(depth)] for s, m in zip(starts, mults)]
-        ranges = vecs[:, np.array(picks, dtype=int)] * have
+        starts = np.count_nonzero(level < 1.0) + np.cumsum(mults) - mults
+        j = np.arange(mults.max())
+        have = j < mults[:, None]
+        ranges = vecs[:, np.where(have, starts[:, None] + j, 0)] * have
         # cols[:, b, p, j] = sigma(e^b_p1) v_j, zero where p >= d_b or j >= m_b
-        rows = np.array([[p < d for p in range(width)] for d in dims])
-        units = [[f + p * d if p < d else f for p in range(width)] for f, d in zip(firsts, dims)]
+        rows, units = alg.first_columns
         cols = (images[units] @ ranges.transpose(1, 0, 2)[:, None]) * rows[:, :, None, None]
         cols = cols.transpose(2, 0, 1, 3)
         valid = rows[:, :, None] & have[:, None, :]
         basis = cols.reshape(n, valid.size)[:, valid.ravel()]
-        if basis.shape[1] < n:
+        span = basis.shape[1]
+        if span < n:
             basis = np.concatenate((basis, orth_cols(eye_like(n) - basis @ dagger(basis), 0.5)), axis=1)
-        span = sum(d * m for d, m in zip(dims, mults))
-        # sigma(e^b_pq) moves column (b, q, j) to (b, p, j) and kills the rest
-        b, p, q = alg.unit_positions
-        moved = np.zeros((alg.dim, n, count, width, depth), dtype=complex)
-        moved[np.arange(alg.dim), :, b, q, :] = cols[:, b, p, :].transpose(1, 0, 2)
+        if basis.shape[1] != n:
+            raise NotStarRepresentation(f"sigma's block ranges give {basis.shape[1]} basis vectors in dimension {n}")
+        # column c of U is (block_of, p_of, j_of)[c], and index[b, p, j] is its
+        # column; b_k = e^b_pq moves row (b, p, j) from (b, q, j)
+        block_of, p_of, j_of = np.nonzero(valid)
+        index = np.full(valid.shape, n)
+        index[valid] = np.arange(span)
+        b, p, q = (x[:, None] for x in alg.unit_positions)
+        moves = np.full((alg.dim, n), n)
+        moves[:, :span] = np.where((block_of == b) & (p_of == p), index[b, q, j_of], n)
+        moves.flags.writeable = False
+        # U (e_k (x) I (+) 0) = [U 0][:, moves of b_k*], as a stack of transposes;
         # scale >= 1: a residual within tol passes without the scale's SVDs
+        closed = np.concatenate((basis, np.zeros((n, 1), dtype=complex)), axis=1)
         residual = max(
-            screened_op_norm(dagger(basis) @ basis - eye_like(basis.shape[1]), self.tol),
-            screened_op_norm(images @ cols.reshape(n, valid.size) - moved.reshape(alg.dim, n, valid.size), self.tol),
-            screened_op_norm(images @ basis[:, span:], self.tol) if span < n else 0.0,
+            screened_op_norm(dagger(basis) @ basis - eye_like(n), self.tol),
+            screened_op_norm((images @ basis).transpose(0, 2, 1) - closed.T[moves[alg.star_index]], self.tol),
         )
         if residual > self.tol and residual > self.tol * self.scale:
             raise NotStarRepresentation(
                 f"sigma is not unitarily a sum of id (x) I_m blocks (residual {residual:.3e})"
             )
-        live = [b for b in range(count) if mults[b]]
-        padded = cols[:, live].transpose(1, 0, 3, 2).reshape(len(live), n * depth, width)
-        offsets = [sum(d * m for d, m in zip(dims[:b], mults[:b])) for b in range(count)]
-        return Multiplicity(basis, tuple(mults), tuple(offsets), live, padded, have[live], basis[:, span:])
+        groups = []
+        for d, blocks, block_units in alg.size_groups:
+            live = [i for i, blk in enumerate(blocks) if mults[blk]]
+            if live:
+                seen = [blocks[i] for i in live]
+                top = mults[seen].max()
+                columns = cols[:, seen, :d, :top].transpose(2, 0, 1, 3)
+                units_seen = block_units.reshape(len(blocks), d * d)[live].ravel()
+                groups.append(LiveBlocks(d, units_seen, columns, have[seen, :top]))
+        return Multiplicity(basis, tuple(mults.tolist()), moves, tuple(groups), basis[:, span:])
+
+
+class LiveBlocks(NamedTuple):
+    """The algebra blocks of one size d that sigma does not kill (m_b > 0).
+
+    ``units`` are their matrix units, d * d per block in row-major order;
+    ``columns[p, h, i, j]`` is U[h, (p, j)] of the i-th of them, zero where
+    j >= m_b, and ``present[i, j]`` is j < m_b.
+    """
+
+    d: int
+    units: np.ndarray
+    columns: np.ndarray
+    present: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class Multiplicity:
     """The multiplicity decomposition H = (+)_b C^{d_b} (x) C^{m_b} (+) ker sigma(1).
 
-    ``basis`` is the unitary U: block b owns the d_b * m_b columns from
-    ``offsets[b]`` on, ordered (p, j) with p < d_b, j < m_b, and the columns
-    after the last block span the complement of sigma(1)H.  ``live`` lists
-    the blocks with m_b > 0; ``padded[i]`` holds the columns of block
-    live[i] as an (n * max m) x (max d) matrix, U[h, (p, j)] at row (h, j)
-    and column p, zero where j >= m_b or p >= d_b, and ``present[i, j]``
-    is j < m_b.  ``complement`` holds the columns after the last block.
+    ``basis`` is the unitary U: the blocks follow each other, block b
+    owning d_b * m_b columns ordered (p, j) with p < d_b, j < m_b, and the
+    columns after the last block span the complement of sigma(1)H.
+    ``moves[k]`` applies U* sigma(b_k) U = e_k (x) I (+) 0 as a gather:
+    row r of (U* sigma(b_k) U) X is row ``moves[k, r]`` of X, and zero
+    where ``moves[k, r]`` is n.
+    ``groups`` holds the blocks with m_b > 0, by size (``LiveBlocks``), and
+    ``complement`` the columns after the last block.
     """
 
     basis: np.ndarray
     mults: tuple[int, ...]
-    offsets: tuple[int, ...]
-    live: list[int]
-    padded: np.ndarray
-    present: np.ndarray
+    moves: np.ndarray
+    groups: tuple[LiveBlocks, ...]
     complement: np.ndarray
-
-    def coords(self, block: int, p: int) -> slice:
-        """The columns (p, j), j < m_b, of U in block ``block``."""
-        m = self.mults[block]
-        start = self.offsets[block] + p * m
-        return slice(start, start + m)
 
 
 def validate_representation(sigma: StarRepresentation) -> ValidationReport:

@@ -94,26 +94,24 @@ def _faithful_positivity(
     ShapeMismatch when the drift exceeds the bound of the whole.
     """
     lo, drift, norm = np.inf, 0.0, 0.0
-    for _, stack in _faithful_blocks(gm, alg):
-        b_lo, b_drift, b_norm = min_eig_herm(stack)
+    for d, _, units in alg.size_groups:
+        b_lo, b_drift, b_norm = min_eig_herm(_faithful_blocks(gm, d, units))
         lo, drift, norm = min(lo, b_lo), max(drift, b_drift), max(norm, b_norm)
     require_hermitian(drift, norm, tol)
     return lo, drift, norm
 
 
-def _faithful_blocks(gm: np.ndarray, alg: MatrixBlocksAlgebra) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """The algebra blocks of sum_k gm[:, :, k] (x) pi(b_k), pi faithful, as
-    ``(blocks, stack)`` per block size: the indices of the blocks of that
-    size and their matrices, stacked.
+def _faithful_blocks(gm: np.ndarray, d: int, units: np.ndarray) -> np.ndarray:
+    """The algebra blocks of size d of sum_k gm[:, :, k] (x) pi(b_k), pi
+    faithful, stacked: the blocks whose matrix units are ``units``, d * d
+    per block in row-major order.
 
-    Block b is gm[:, :, units of b] with rows (p, x) and columns (q, y),
-    p, q < d_b and x, y < n: the entry is gm[x, y, e^b_pq].
+    A block has rows (p, x) and columns (q, y), p, q < d and x, y < n: the
+    entry is gm[x, y, e_pq].
     """
     n = gm.shape[0]
-    return [
-        (blocks, gm[:, :, units].reshape(n, n, len(blocks), d, d).transpose(2, 3, 0, 4, 1).reshape(len(blocks), d * n, d * n))
-        for d, blocks, units in alg.size_groups
-    ]
+    count = len(units) // (d * d)
+    return gm[:, :, units].reshape(n, n, count, d, d).transpose(2, 3, 0, 4, 1).reshape(count, d * n, d * n)
 
 
 def _max_coord_norm(x) -> float:
@@ -279,58 +277,65 @@ def interior_tensor_with_rep(E: Correspondence, sigma: StarRepresentation) -> In
     <xi (x) h, eta (x) k> = <h, sigma(<xi, eta>) k> is (+)_b G_b (x) I_{m_b},
     and 0 on E (x) ker sigma(1); G_b is block b of E's Gram through the
     faithful representation (``_faithful_blocks``).  The blocks with
-    m_b > 0 are quotiented by one ``gram_quotient`` call, which judges
-    drift, positivity and the rank cutoff on their direct sum, and push,
-    lift and kernel are carried back to the canonical basis by one
-    contraction with the columns of U.  Quotient coordinates run block by
-    block, each block by kept eigenvector (largest first), then by the
-    multiplicity index j < m_b.
+    m_b > 0, stacked by size, are quotiented by one ``gram_quotient`` call,
+    which judges drift, positivity and the rank cutoff on their direct
+    sum, and push, lift and kernel are carried back to the canonical basis
+    by one gathered contraction with the columns of U per block size.
+    Quotient coordinates run by block size, then block by block, each
+    block by kept eigenvector (largest first), then by the multiplicity
+    index j < m_b.
     """
     if E.algebra != sigma.algebra:
         raise AlgebraMismatch("correspondence and representation algebras differ")
-    alg = E.algebra
     e, n = E.dim, sigma.hilbert_dim
 
     def gram():
         return np.einsum("ijk,kpq->ipjq", E.gram, sigma.images).reshape(e * n, e * n)
 
-    if not e * n:
-        z = np.zeros((0, 0), dtype=complex)
-        return InteriorTensorSpace((e, n), 0, z, z, gram, lambda: z)
-    mult = sigma.multiplicity
-    blocks = {b: blk for idx, stack in _faithful_blocks(E.gram, alg) for b, blk in zip(idx, stack)}
-    push, lift, kernel = gram_quotient([blocks[b] for b in mult.live], min(E.tol, sigma.tol))
-    # block b's rows (p, x) are padded to p < max d, U[h, (p, j)] to j < max m
-    live, width, top = len(mult.live), mult.padded.shape[2], lift.shape[2]
-    columns = mult.padded.reshape(live, n, mult.present.shape[1], width).transpose(3, 1, 0, 2)
+    mult = sigma.multiplicity if e * n else None
+    if mult is None or not mult.groups:
+        z = np.zeros((0, e * n), dtype=complex)
+        return InteriorTensorSpace((e, n), 0, z, z.T, gram, lambda: eye_like(e * n))
+    groups = mult.groups
+    quotients = gram_quotient([_faithful_blocks(E.gram, g.d, g.units) for g in groups], min(E.tol, sigma.tol))
 
-    def carry(stack):
-        """Column i of stack[b], where nonzero, as the columns (b, i, j), j < m_b,
-        with sum_p stack[b][(p, x), i] U[h, (p, j)] at row (x, h); the
-        result comes out contiguous, as the towers reshape it."""
-        b, i, j = np.nonzero(stack.any(axis=1)[:, :, None] & mult.present[:, None, :])
-        vecs = stack.reshape(live, width, e, top).transpose(1, 2, 0, 3)[:, :, b, i]
-        basis = columns[:, :, b, j]
-        out = vecs[0][:, None, :] * basis[0][None, :, :]
-        for p in range(1, width):
-            out += vecs[p][:, None, :] * basis[p][None, :, :]
-        return b, i, basis, out.reshape(e * n, len(b))
-
-    b, i, basis, lift = carry(lift)
-    # push = lift* with each row scaled by its eigenvalue, from push's own rows
-    rows = push.reshape(live, top, width, e)[b, i]
-    push = rows[:, 0, :, None] * np.conj(basis[0].T)[:, None, :]
-    for p in range(1, width):
-        push += rows[:, p, :, None] * np.conj(basis[p].T)[:, None, :]
+    def carried(part):
+        """Part ``part`` (0 push*, 1 lift, 2 kernel) of every block, carried
+        to E (x) H as columns."""
+        cols = [_carry(q[part], g) for g, q in zip(groups, quotients)]
+        return cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)
 
     def kernel_basis():
         # E (x) ker sigma(1) is Gram kernel too
         comp = mult.complement
         outside = np.zeros((e, n, e, comp.shape[1]), dtype=complex)
         outside[np.arange(e), :, np.arange(e), :] = comp
-        return np.concatenate((carry(kernel)[3], outside.reshape(e * n, e * comp.shape[1])), axis=1)
+        return np.concatenate((carried(2), outside.reshape(e * n, e * comp.shape[1])), axis=1)
 
-    return InteriorTensorSpace((e, n), lift.shape[1], push.reshape(len(b), e * n), lift, gram, kernel_basis)
+    # push* = lift with each column scaled by its eigenvalue: carried as
+    # push*, its conjugate transpose has conj(U) where push has it
+    quotients = [(np.conj(push.transpose(0, 2, 1)), lift, kernel) for push, lift, kernel in quotients]
+    lift = carried(1)
+    push = np.ascontiguousarray(np.conj(carried(0).T))
+    return InteriorTensorSpace((e, n), lift.shape[1], push, lift, gram, kernel_basis)
+
+
+def _carry(stack: np.ndarray, g) -> np.ndarray:
+    """The nonzero columns of ``stack`` (one matrix per block of ``g``, rows
+    (p, x)) as columns in the canonical basis of E (x) H: column t of block
+    i becomes the vectors sum_p stack[i][(p, x), t] U[h, (p, j)] at row
+    (x, h), one for each j < m_b, in the order (i, t, j).  The result is
+    contiguous, as the towers reshape it.
+    """
+    count, rows, top = stack.shape
+    e, n = rows // g.d, g.columns.shape[1]
+    i, t, j = np.nonzero(stack.any(axis=1)[:, :, None] & g.present[:, None, :])
+    parts = stack.reshape(count, g.d, e, top).transpose(1, 2, 0, 3)[:, :, i, t]
+    basis = g.columns[:, :, i, j]
+    out = parts[0][:, None, :] * basis[0][None, :, :]
+    for p in range(1, g.d):
+        out += parts[p][:, None, :] * basis[p][None, :, :]
+    return out.reshape(e * n, len(i))
 
 
 class ChainTower:

@@ -167,22 +167,22 @@ class CovariantRep:
     def _validate_construction(self):
         alg = self.E.algebra
         bound = self.tol * max(self.scale, self.sigma.scale)
-        # in sigma's own basis U, sigma(e^b_pq) T sigma(e^c_rs) is the block
-        # of U* T U at rows (b, q), columns (c, r), moved to rows (b, p),
-        # columns (c, s); U is unitary, so the norms are those of H
+        # in sigma's own basis U, sigma(b_k) T sigma(b_l) is M_k (U* T U) M_l
+        # with M_k = e_k (x) I (+) 0, which gathers rows by moves[k] and
+        # columns by moves[l*]; U is unitary, so the norms are those of H
         mult = self.sigma.multiplicity
-        tu = dagger(mult.basis) @ self.T @ mult.basis
-        units = list(zip(*(x.tolist() for x in alg.unit_positions)))
+        n = self.sigma.hilbert_dim
+        tu = np.zeros((self.E.dim, n + 1, n + 1), dtype=complex)
+        tu[:, :n, :n] = dagger(mult.basis) @ self.T @ mult.basis
+        col_moves = mult.moves[alg.star_index][None]
         worst = 0.0
         # one batch per left unit b_k, all (b_l, xi_i) at once, to keep the
         # working set at d * e matrices of size n x n
-        for k, (b, p, q) in enumerate(units):
+        for k in range(alg.dim):
             # move[l][:, i] holds the coordinates of b_k . f_i . b_l
             move = self.E.left_action[k] @ self.E.right_action
-            diff = np.tensordot(move, tu, axes=(1, 0))
-            rows_to, rows_from = mult.coords(b, p), mult.coords(b, q)
-            for l, (c, r, s) in enumerate(units):
-                diff[l, :, rows_to, mult.coords(c, s)] -= tu[:, rows_from, mult.coords(c, r)]
+            diff = np.tensordot(move, tu[:, :n, :n], axes=(1, 0))
+            diff -= tu[:, mult.moves[k][:, None, None], col_moves].transpose(2, 0, 1, 3)
             worst = max(worst, screened_op_norm(diff, bound))
         if worst > bound:
             raise BimoduleViolation(

@@ -165,6 +165,11 @@ class TestMultiplicity:
         ((1, 2, 2), (2, 1, 3), 0),
         ((1, 2, 2), (2, 0, 1), 2),
         ((3,), (2,), 1),
+        # the largest block is killed
+        ((2, 1), (0, 2), 0),
+        ((2, 1), (0, 1), 1),
+        # sigma = 0
+        ((2, 1), (0, 0), 2),
     ]
 
     @pytest.mark.parametrize("blocks,mults,extra", CASES, ids=str)
@@ -173,16 +178,22 @@ class TestMultiplicity:
         sigma = oracles.multiplicity_representation(alg, mults, rng, extra)
         mult = sigma.multiplicity
         assert mult.mults == mults
-        assert list(mult.live) == [b for b, m in enumerate(mults) if m]
+        live = [(d, [m for db, m in zip(blocks, mults) if db == d and m]) for d in sorted(set(blocks))]
+        assert [(g.d, g.present.sum(axis=1).tolist()) for g in mult.groups] == [x for x in live if x[1]]
         u, n = mult.basis, sigma.hilbert_dim
         np.testing.assert_allclose(u.conj().T @ u, np.eye(n), rtol=0, atol=1e-12)
+        offsets = np.cumsum([0] + [d * m for d, m in zip(blocks, mults)])
+        x = rng.standard_normal((n + 1, n))
+        x[n] = 0.0
         for b, d in enumerate(blocks):
             for p in range(d):
                 for q in range(d):
                     target = np.zeros((n, n))
-                    target[mult.coords(b, p), mult.coords(b, q)] = np.eye(mults[b])
-                    image = sigma.images[alg.unit_index(b, p, q)]
-                    np.testing.assert_allclose(u.conj().T @ image @ u, target, rtol=0, atol=1e-12)
+                    at = offsets[b] + np.arange(mults[b])
+                    target[at + p * mults[b], at + q * mults[b]] = 1.0
+                    k = alg.unit_index(b, p, q)
+                    np.testing.assert_allclose(u.conj().T @ sigma.images[k] @ u, target, rtol=0, atol=1e-12)
+                    np.testing.assert_array_equal(x[mult.moves[k]], target @ x[:n])
 
     def test_built_once(self, rng):
         sigma = oracles.multiplicity_representation(MatrixBlocksAlgebra((2, 1)), (1, 2), rng)
@@ -201,4 +212,14 @@ class TestMultiplicity:
         sigma = StarRepresentation(alg, images.shape[1], images)
         assert not validate_representation(sigma).passed
         with pytest.raises(NotStarRepresentation, match="residual"):
+            sigma.multiplicity
+
+    def test_too_many_block_vectors_raise(self):
+        # sigma(e^0_11) = 1 on C^1 asks for a 2-dimensional first block
+        alg = MatrixBlocksAlgebra((2, 1))
+        images = np.zeros((alg.dim, 1, 1))
+        images[alg.unit_index(0, 0, 0)] = 1.0
+        sigma = StarRepresentation(alg, 1, images)
+        assert not validate_representation(sigma).passed
+        with pytest.raises(NotStarRepresentation, match="2 basis vectors in dimension 1"):
             sigma.multiplicity

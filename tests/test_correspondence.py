@@ -520,8 +520,17 @@ class TestBlockQuotientOracle:
 
     @pytest.mark.parametrize(
         "blocks,mults,extra",
-        [((2, 1), (2, 3), 0), ((1, 2, 2), (2, 1, 3), 0), ((2, 1), (1, 2), 2), ((1, 2, 2), (2, 0, 1), 1)],
-        ids=["2-1", "1-2-2", "2-1-degenerate", "1-2-2-dead-block-degenerate"],
+        [
+            ((2, 1), (2, 3), 0),
+            ((1, 2, 2), (2, 1, 3), 0),
+            ((2, 1), (1, 2), 2),
+            ((1, 2, 2), (2, 0, 1), 1),
+            ((2, 1), (0, 2), 0),
+            ((2, 1), (0, 1), 1),
+            ((2, 1), (0, 0), 2),
+        ],
+        ids=["2-1", "1-2-2", "2-1-degenerate", "1-2-2-dead-block-degenerate", "2-1-dead-largest",
+             "2-1-dead-largest-degenerate", "2-1-zero"],
     )
     def test_multiplicities_under_a_random_unitary(self, rng, blocks, mults, extra):
         alg = MatrixBlocksAlgebra(blocks)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covrep.algebra import MatrixBlocksAlgebra, StarRepresentation
-from covrep.correspondence import Correspondence
+from covrep.correspondence import Correspondence, algebra_correspondence
 from covrep.covrep import CovariantRep
 from covrep._linalg import RANK_TOL, scale_of
 from covrep.errors import (
@@ -92,6 +92,16 @@ class TestConstruction:
         T[1, 0, 0] = 1.0
         with pytest.raises(IllDefinedTilde):
             CovariantRep(sigma, E, T)
+
+    @pytest.mark.parametrize("mults,extra", [((0, 2), 0), ((0, 1), 1)], ids=["dead", "dead-degenerate"])
+    def test_sigma_killing_the_largest_block(self, rng, mults, extra):
+        # M_2 (+) C over itself, T = sigma / 2, sigma zero on the M_2 block:
+        # E (x)_sigma H is sigma(1)H
+        alg = MatrixBlocksAlgebra((2, 1))
+        sigma = oracles.multiplicity_representation(alg, mults, rng, extra)
+        rep = CovariantRep(sigma, algebra_correspondence(alg), 0.5 * sigma.images)
+        assert rep.space(1).quotient_dim == mults[1]
+        np.testing.assert_allclose(rep.tilde @ rep.space(1).push, rep.theta, rtol=0, atol=1e-12)
 
     def test_lemma_bijection_round_trip(self, rng):
         # T -> T~ -> T recovers the algebraic map exactly

@@ -238,26 +238,41 @@ class TestRankCutoff:
         push, lift, kernel = gram_quotient(self.diag(lead, factor))
         assert push.shape == (1 + kept, 2) and kernel.shape == (2, 1 - kept)
 
+    @pytest.mark.parametrize("split", [False, True], ids=["one-stack", "two-stacks"])
     @pytest.mark.parametrize("lead,factor,kept", CASES)
-    def test_gram_quotient_across_blocks(self, lead, factor, kept):
-        # the value sits in its own block; the cutoff comes from the other
-        blocks = [np.diag([lead]), np.diag([factor * RANK_TOL * max(1.0, lead)])]
-        push, lift, kernel = gram_quotient(blocks)
-        assert lift.any(axis=1).sum(axis=1).tolist() == [1, int(kept)]
-        assert kernel.any(axis=1).sum(axis=1).tolist() == [0, 1 - kept]
-        assert push.any(axis=2).sum(axis=1).tolist() == [1, int(kept)]
+    def test_gram_quotient_across_blocks(self, lead, factor, kept, split):
+        # the value sits in its own block, in the same stack as the largest
+        # value or in a stack of another size; the cutoff comes from the other
+        value = factor * RANK_TOL * max(1.0, lead)
+        if split:
+            stacks = [np.diag([lead])[None], np.diag([value, 0.0])[None]]
+        else:
+            stacks = [np.stack([np.diag([lead]), np.diag([value])])]
+        out = gram_quotient(stacks)
+        assert len(out) == len(stacks)
+        lift = [lift.any(axis=1).sum(axis=1).tolist() for _, lift, _ in out]
+        kernel = [kernel.any(axis=1).sum(axis=1).tolist() for _, _, kernel in out]
+        push = [push.any(axis=2).sum(axis=1).tolist() for push, _, _ in out]
+        assert sum(lift, []) == [1, int(kept)] and push == lift
+        assert sum(kernel, []) == [0, 1 - kept + split]
 
     def test_gram_quotient_judges_the_whole(self):
         # -1e-8 and a drift of 1e-8 are within tol * (1 + 100), not within
         # tol * (1 + 1e-8): the bound is that of the block-diagonal matrix
         small = np.diag([-1e-8])
         skew = np.array([[1e-8, 1e-8], [0.0, 1e-8]])
-        gram_quotient([np.diag([100.0]), small])
-        gram_quotient([np.diag([100.0, 1.0]), skew])
+        gram_quotient([np.diag([100.0])[None], small[None]])
+        gram_quotient([np.stack([np.diag([100.0, 1.0]), skew])])
         with pytest.raises(PositivityFailure):
-            gram_quotient([small])
+            gram_quotient([small[None]])
         with pytest.raises(ShapeMismatch):
-            gram_quotient([skew])
+            gram_quotient([skew[None]])
+
+    def test_gram_quotient_rejects_non_square_blocks(self):
+        with pytest.raises(ShapeMismatch):
+            gram_quotient(np.zeros((2, 2, 2)))
+        with pytest.raises(ShapeMismatch):
+            gram_quotient([np.zeros((1, 2, 3))])
 
     @pytest.mark.parametrize("lead,factor,kept", CASES)
     def test_inv_sqrt_psd(self, lead, factor, kept):
