@@ -12,8 +12,9 @@ with them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -122,26 +123,6 @@ class MatrixBlocksAlgebra:
         return tuple(out)
 
     @cached_property
-    def unit_positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(block, p, q)`` of every matrix unit e^block_pq, in basis order."""
-        units = [(b, p, q) for b, d in enumerate(self.block_dims) for p in range(d) for q in range(d)]
-        out = tuple(np.array(x) for x in zip(*units))
-        for x in out:
-            x.flags.writeable = False
-        return out
-
-    @cached_property
-    def first_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, units)``, both (blocks, max d): ``rows[b, p]`` is p < d_b
-        and ``units[b, p]`` the index of e^b_p1 (of e^b_11 where p >= d_b)."""
-        dims = np.array(self.block_dims)
-        p = np.arange(dims.max())
-        rows = p < dims[:, None]
-        units = np.array(self._block_offsets[:-1])[:, None] + np.where(rows, p * dims[:, None], 0)
-        rows.flags.writeable = units.flags.writeable = False
-        return rows, units
-
-    @cached_property
     def star_index(self) -> np.ndarray:
         """The adjoint permutation: b_k* = b_{star_index[k]}."""
         out = np.concatenate([
@@ -237,54 +218,102 @@ class StarRepresentation:
         # fails the residual check below
         heads = np.arange(1.0, count + 1.0) @ images[list(alg._block_offsets[:-1])].reshape(count, n * n)
         vals, vecs = np.linalg.eigh(heads.reshape(n, n))
-        level = np.rint(vals)
-        mults = np.count_nonzero(level == np.arange(1.0, count + 1.0)[:, None], axis=1)
-        # eigenvalues ascend: block b's vectors follow those of the lower levels
-        starts = np.count_nonzero(level < 1.0) + np.cumsum(mults) - mults
-        j = np.arange(mults.max())
-        have = j < mults[:, None]
-        ranges = vecs[:, np.where(have, starts[:, None] + j, 0)] * have
+        # eigenvalues ascend, so block b's vectors, those at level b + 1,
+        # sit between bounds[b] and bounds[b + 1]
+        bounds = np.searchsorted(np.rint(vals), np.arange(0.5, count + 1.0))
+        lay = _layout(alg, tuple((bounds[1:] - bounds[:-1]).tolist()), n)
+        ranges = vecs[:, bounds[0] + lay.picks] * lay.have
         # cols[:, b, p, j] = sigma(e^b_p1) v_j, zero where p >= d_b or j >= m_b
-        rows, units = alg.first_columns
-        cols = (images[units] @ ranges.transpose(1, 0, 2)[:, None]) * rows[:, :, None, None]
+        cols = (images[lay.units] @ ranges.transpose(1, 0, 2)[:, None]) * lay.rows[:, :, None, None]
         cols = cols.transpose(2, 0, 1, 3)
-        valid = rows[:, :, None] & have[:, None, :]
-        basis = cols.reshape(n, valid.size)[:, valid.ravel()]
-        span = basis.shape[1]
-        if span < n:
+        basis = cols.reshape(n, math.prod(cols.shape[1:]))[:, lay.select]
+        if lay.span < n:
             basis = np.concatenate((basis, orth_cols(eye_like(n) - basis @ dagger(basis), 0.5)), axis=1)
         if basis.shape[1] != n:
             raise NotStarRepresentation(f"sigma's block ranges give {basis.shape[1]} basis vectors in dimension {n}")
-        # column c of U is (block_of, p_of, j_of)[c], and index[b, p, j] is its
-        # column; b_k = e^b_pq moves row (b, p, j) from (b, q, j)
-        block_of, p_of, j_of = np.nonzero(valid)
-        index = np.full(valid.shape, n)
-        index[valid] = np.arange(span)
-        b, p, q = (x[:, None] for x in alg.unit_positions)
-        moves = np.full((alg.dim, n), n)
-        moves[:, :span] = np.where((block_of == b) & (p_of == p), index[b, q, j_of], n)
-        moves.flags.writeable = False
         # U (e_k (x) I (+) 0) = [U 0][:, moves of b_k*], as a stack of transposes;
         # scale >= 1: a residual within tol passes without the scale's SVDs
         closed = np.concatenate((basis, np.zeros((n, 1), dtype=complex)), axis=1)
-        residual = max(
-            screened_op_norm(dagger(basis) @ basis - eye_like(n), self.tol),
-            screened_op_norm((images @ basis).transpose(0, 2, 1) - closed.T[moves[alg.star_index]], self.tol),
+        residual = screened_op_norm(
+            np.concatenate((
+                (dagger(basis) @ basis - eye_like(n))[None],
+                (images @ basis).transpose(0, 2, 1) - closed.T[lay.moves[alg.star_index]],
+            )),
+            self.tol,
         )
         if residual > self.tol and residual > self.tol * self.scale:
             raise NotStarRepresentation(
                 f"sigma is not unitarily a sum of id (x) I_m blocks (residual {residual:.3e})"
             )
-        groups = []
-        for d, blocks, block_units in alg.size_groups:
-            live = [i for i, blk in enumerate(blocks) if mults[blk]]
-            if live:
-                seen = [blocks[i] for i in live]
-                top = mults[seen].max()
-                columns = cols[:, seen, :d, :top].transpose(2, 0, 1, 3)
-                units_seen = block_units.reshape(len(blocks), d * d)[live].ravel()
-                groups.append(LiveBlocks(d, units_seen, columns, have[seen, :top]))
-        return Multiplicity(basis, tuple(mults.tolist()), moves, tuple(groups), basis[:, span:])
+        groups = tuple(
+            LiveBlocks(d, units, cols[:, seen, :d, :top].transpose(2, 0, 1, 3), present)
+            for d, units, seen, top, present in lay.groups
+        )
+        return Multiplicity(basis, lay.mults, lay.moves, groups, basis[:, lay.span:])
+
+
+class _Layout(NamedTuple):
+    """Index tables of ``StarRepresentation.multiplicity`` that depend only on
+    the algebra, the multiplicities and dim H (see ``_layout``)."""
+
+    mults: tuple[int, ...]
+    picks: np.ndarray
+    have: np.ndarray
+    rows: np.ndarray
+    units: np.ndarray
+    select: np.ndarray
+    span: int
+    moves: np.ndarray
+    groups: tuple
+
+
+@lru_cache(maxsize=256)
+def _layout(alg: MatrixBlocksAlgebra, mults: tuple[int, ...], n: int) -> _Layout:
+    """The index tables of sigma's own basis for multiplicities ``mults``.
+
+    Representations of one shape recur (every restriction, every rebuilt
+    instance), so the tables are built once per shape.  With depth = max m_b
+    and width = max d_b: ``picks[b, j]`` is the eigenvector of block b's
+    j-th range vector, counted from the first range vector, where
+    ``have[b, j]`` (j < m_b); ``rows[b, p]`` is p < d_b and ``units[b, p]``
+    the index of e^b_p1 (of e^b_11 where p >= d_b); ``select`` picks the
+    columns (b, p, j) with p < d_b, j < m_b from the (blocks, width, depth)
+    grid, ``span`` of them; ``moves`` is ``Multiplicity.moves``; ``groups``
+    holds ``(d, units, blocks, top, present)`` of each size with m_b > 0,
+    top the largest m_b there.
+    """
+    dims, m = np.array(alg.block_dims), np.array(mults)
+    j, p = np.arange(m.max()), np.arange(dims.max())
+    have = j < m[:, None]
+    picks = np.where(have, (np.cumsum(m) - m)[:, None] + j, 0)
+    rows = p < dims[:, None]
+    units = np.array(alg._block_offsets[:-1])[:, None] + np.where(rows, p * dims[:, None], 0)
+    valid = rows[:, :, None] & have[:, None, :]
+    select = np.flatnonzero(valid)
+    span = len(select)
+    # column c of U is (block_of, p_of, j_of)[c], and index[b, p, j] is its
+    # column; b_k = e^b_pq moves row (b, p, j) from (b, q, j)
+    block_of, p_of, j_of = np.nonzero(valid)
+    index = np.full(valid.shape, n)
+    index[valid] = np.arange(span)
+    unit_block = np.repeat(np.arange(len(dims)), dims * dims)[:, None]
+    unit_p = np.concatenate([np.repeat(np.arange(d), d) for d in alg.block_dims])[:, None]
+    unit_q = np.concatenate([np.tile(np.arange(d), d) for d in alg.block_dims])[:, None]
+    # span > n only for a sigma that multiplicity refuses
+    moves = np.full((alg.dim, max(n, span)), n)
+    moves[:, :span] = np.where((block_of == unit_block) & (p_of == unit_p), index[unit_block, unit_q, j_of], n)
+    moves = moves[:, :n]
+    groups = []
+    for d, blocks, block_units in alg.size_groups:
+        live = [i for i, blk in enumerate(blocks) if mults[blk]]
+        if live:
+            seen = [blocks[i] for i in live]
+            top = max(mults[blk] for blk in seen)
+            groups.append((d, block_units.reshape(len(blocks), d * d)[live].ravel(), seen, top, have[seen, :top]))
+    # the tables are shared by every representation of this shape
+    for x in (picks, have, rows, units, select, moves, *(g[1] for g in groups), *(g[4] for g in groups)):
+        x.flags.writeable = False
+    return _Layout(mults, picks, have, rows, units, select, span, moves, tuple(groups))
 
 
 class LiveBlocks(NamedTuple):

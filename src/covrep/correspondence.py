@@ -21,6 +21,7 @@ of E (x) H, where every operator of this module acts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as iter_product
@@ -205,7 +206,7 @@ class InteriorTensorSpace:
 
     @property
     def algebraic_dim(self) -> int:
-        return int(np.prod(self.source_dims)) if self.source_dims else 1
+        return math.prod(self.source_dims)
 
 
 def _identity_space(n: int) -> InteriorTensorSpace:
@@ -300,8 +301,8 @@ def interior_tensor_with_rep(E: Correspondence, sigma: StarRepresentation) -> In
     quotients = gram_quotient([_faithful_blocks(E.gram, g.d, g.units) for g in groups], min(E.tol, sigma.tol))
 
     def carried(part):
-        """Part ``part`` (0 push*, 1 lift, 2 kernel) of every block, carried
-        to E (x) H as columns."""
+        """Part ``part`` (1 lift, 2 kernel) of every block, carried to
+        E (x) H as columns."""
         cols = [_carry(q[part], g) for g, q in zip(groups, quotients)]
         return cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)
 
@@ -312,11 +313,10 @@ def interior_tensor_with_rep(E: Correspondence, sigma: StarRepresentation) -> In
         outside[np.arange(e), :, np.arange(e), :] = comp
         return np.concatenate((carried(2), outside.reshape(e * n, e * comp.shape[1])), axis=1)
 
-    # push* = lift with each column scaled by its eigenvalue: carried as
-    # push*, its conjugate transpose has conj(U) where push has it
-    quotients = [(np.conj(push.transpose(0, 2, 1)), lift, kernel) for push, lift, kernel in quotients]
     lift = carried(1)
-    push = np.ascontiguousarray(np.conj(carried(0).T))
+    # push = lift* with each row scaled by its eigenvalue w; a lift column is
+    # a unit eigenvector over sqrt(w), and U is unitary, so w = 1 / |column|^2
+    push = np.divide(np.conj(lift.T), np.einsum("ij,ij->j", np.conj(lift), lift).real[:, None], order="C")
     return InteriorTensorSpace((e, n), lift.shape[1], push, lift, gram, kernel_basis)
 
 

@@ -165,8 +165,13 @@ class CovariantRep:
     # -- construction checks -------------------------------------------------
 
     def _validate_construction(self):
-        alg = self.E.algebra
-        bound = self.tol * max(self.scale, self.sigma.scale)
+        alg, tol = self.E.algebra, self.tol
+
+        def fails(residual):
+            # the bound is tol * scale with scale >= 1: a residual within tol
+            # passes without the scales' SVDs
+            return residual > tol and residual > tol * max(self.scale, self.sigma.scale)
+
         # in sigma's own basis U, sigma(b_k) T sigma(b_l) is M_k (U* T U) M_l
         # with M_k = e_k (x) I (+) 0, which gathers rows by moves[k] and
         # columns by moves[l*]; U is unitary, so the norms are those of H
@@ -183,15 +188,17 @@ class CovariantRep:
             move = self.E.left_action[k] @ self.E.right_action
             diff = np.tensordot(move, tu[:, :n, :n], axes=(1, 0))
             diff -= tu[:, mult.moves[k][:, None, None], col_moves].transpose(2, 0, 1, 3)
-            worst = max(worst, screened_op_norm(diff, bound))
-        if worst > bound:
+            worst = max(worst, screened_op_norm(diff, tol))
+        if fails(worst):
             raise BimoduleViolation(
                 f"T(a xi b) deviates from sigma(a) T(xi) sigma(b) by {worst:.3e}"
             )
-        kern = self.space(1).kernel
-        if kern.size:
-            drop = op_norm(self.theta @ kern)
-            if drop > bound:
+        space = self.space(1)
+        if space.gram_kernel_dim:
+            # lift push is the orthogonal projector off the Gram kernel K, so
+            # theta - T~ push = theta K K*, whose norm is |theta K|
+            drop = screened_op_norm(self.theta - self.tilde @ space.push, tol)
+            if fails(drop):
                 raise IllDefinedTilde(
                     f"xi (x) h -> T(xi) h does not annihilate the Gram kernel ({drop:.3e})"
                 )

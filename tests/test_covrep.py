@@ -80,6 +80,18 @@ class TestConstruction:
         with pytest.raises(BimoduleViolation):
             CovariantRep(sigma, E, bad_T)
 
+    @pytest.mark.parametrize("weight,eps,raises", [(1.0, 1e-8, True), (1e3, 1e-8, False), (1e3, 1e-4, True)])
+    def test_bimodule_bound_is_relative_to_the_scale(self, weight, eps, raises):
+        # a perturbation off the bimodule structure passes exactly when it is
+        # within tol * scale, also where it is above tol itself
+        rep = graph_induced(G1)
+        T = weight * rep.T + eps * np.ones_like(rep.T)
+        if raises:
+            with pytest.raises(BimoduleViolation):
+                CovariantRep(rep.sigma, rep.E, T)
+        else:
+            CovariantRep(rep.sigma, rep.E, T)
+
     def test_ill_defined_tilde(self):
         # degenerate fiber: <f2, f2> = 0, so T(f2) must vanish on classes
         alg = MatrixBlocksAlgebra((1,))
