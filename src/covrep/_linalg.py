@@ -238,11 +238,11 @@ def gram_quotient(gram, tol: float = DEFAULT_TOL):
     one size.  The whole matrix is never assembled: each stack is
     decomposed in one batched ``eigh``, and drift, positivity and the rank
     cutoff are those of the whole matrix, the extremes over its blocks.
-    For a list the result is one ``(push, lift, kernel)`` of stacks per
-    input stack, each of the input's shape: column i of ``lift[b]`` and
-    ``kernel[b]``, and row i of ``push[b]``, belong to the i-th largest
-    eigenvalue of block b and are zero where the other part holds that
-    place.
+    For a list the result is, per stack, ``(w, v, keep)``: the eigenvalues
+    of each block, largest first, its eigenvectors as columns in the same
+    order, and ``keep = w > rank_cutoff``.  Push, lift and kernel of block
+    b are those built from ``w[b], v[b], keep[b]`` as for one matrix; the
+    caller carries them to the basis it works in.
 
     Raises ShapeMismatch when the drift |G - G*| exceeds ``tol * scale``
     and PositivityFailure when an eigenvalue is below ``-tol * scale``,
@@ -259,7 +259,8 @@ def gram_quotient(gram, tol: float = DEFAULT_TOL):
         # an exactly Hermitian stack is its own Hermitian part
         w, v = np.linalg.eigh(stack if skew == 0.0 else (stack + np.conj(stack.transpose(0, 2, 1))) / 2.0)
         drift = max(drift, skew)
-        lo, hi = min(lo, w.min(initial=np.inf)), max(hi, w.max(initial=-np.inf))
+        if w.size:
+            lo, hi = min(lo, float(w[:, 0].min())), max(hi, float(w[:, -1].max()))
         # largest eigenvalue first, for a deterministic well-conditioned basis
         decomps.append((w[:, ::-1], v[:, :, ::-1]))
     scale = 1.0 + max(-lo, hi, 0.0)
@@ -268,18 +269,12 @@ def gram_quotient(gram, tol: float = DEFAULT_TOL):
     if lo < -tol * scale:
         raise PositivityFailure(f"semi-Gram has negative eigenvalue {lo:.3e}")
     cut = rank_cutoff(hi)
-    out = []
-    for w, v in decomps:
-        keep = w > cut
-        # w^(-1/2) on the kept eigenvalues, 0 elsewhere; w * w^(-1/2) = w^(1/2)
-        inv_root = np.where(keep, w, np.inf) ** -0.5
-        lift = v * inv_root[:, None, :]
-        push = np.conj(v.transpose(0, 2, 1)) * (w * inv_root)[:, :, None]
-        out.append((push, lift, v * ~keep[:, None, :]))
-    if single:
-        (push, lift, kernel), keep = out[0], decomps[0][0][0] > cut
-        return push[0][keep], lift[0][:, keep], kernel[0][:, ~keep]
-    return out
+    if not single:
+        return [(w, v, w > cut) for w, v in decomps]
+    w, v = decomps[0][0][0], decomps[0][1][0]
+    keep = w > cut
+    wk, vk = w[keep], v[:, keep]
+    return np.sqrt(wk)[:, None] * dagger(vk), vk * wk ** -0.5, v[:, ~keep]
 
 
 def kron(*mats) -> np.ndarray:

@@ -298,44 +298,46 @@ def interior_tensor_with_rep(E: Correspondence, sigma: StarRepresentation) -> In
         z = np.zeros((0, e * n), dtype=complex)
         return InteriorTensorSpace((e, n), 0, z, z.T, gram, lambda: eye_like(e * n))
     groups = mult.groups
-    quotients = gram_quotient([_faithful_blocks(E.gram, g.d, g.units) for g in groups], min(E.tol, sigma.tol))
+    decomps = gram_quotient([_faithful_blocks(E.gram, g.d, g.units) for g in groups], min(E.tol, sigma.tol))
 
-    def carried(part):
-        """Part ``part`` (1 lift, 2 kernel) of every block, carried to
-        E (x) H as columns."""
-        cols = [_carry(q[part], g) for g, q in zip(groups, quotients)]
-        return cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)
+    def carried(kept):
+        """The eigenvectors of every block that are kept (or not), carried to
+        E (x) H as columns, and their eigenvalues."""
+        parts = [_carry(w, v, keep if kept else ~keep, g) for g, (w, v, keep) in zip(groups, decomps)]
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts], axis=1)
 
     def kernel_basis():
         # E (x) ker sigma(1) is Gram kernel too
         comp = mult.complement
         outside = np.zeros((e, n, e, comp.shape[1]), dtype=complex)
         outside[np.arange(e), :, np.arange(e), :] = comp
-        return np.concatenate((carried(2), outside.reshape(e * n, e * comp.shape[1])), axis=1)
+        return np.concatenate((carried(False)[1], outside.reshape(e * n, e * comp.shape[1])), axis=1)
 
-    lift = carried(1)
-    # push = lift* with each row scaled by its eigenvalue w; a lift column is
-    # a unit eigenvector over sqrt(w), and U is unitary, so w = 1 / |column|^2
-    push = np.divide(np.conj(lift.T), np.einsum("ij,ij->j", np.conj(lift), lift).real[:, None], order="C")
+    vals, vecs = carried(True)
+    lift = vecs * vals ** -0.5
+    push = np.multiply(np.conj(vecs.T), np.sqrt(vals)[:, None], order="C")
     return InteriorTensorSpace((e, n), lift.shape[1], push, lift, gram, kernel_basis)
 
 
-def _carry(stack: np.ndarray, g) -> np.ndarray:
-    """The nonzero columns of ``stack`` (one matrix per block of ``g``, rows
-    (p, x)) as columns in the canonical basis of E (x) H: column t of block
-    i becomes the vectors sum_p stack[i][(p, x), t] U[h, (p, j)] at row
-    (x, h), one for each j < m_b, in the order (i, t, j).  The result is
-    contiguous, as the towers reshape it.
+def _carry(w: np.ndarray, v: np.ndarray, mask: np.ndarray, g) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvectors ``v`` (one stack per block of ``g``, rows (p, x))
+    where ``mask``, as columns in the canonical basis of E (x) H: column t
+    of block i becomes the vectors sum_p v[i][(p, x), t] U[h, (p, j)] at
+    row (x, h), one for each j < m_b, in the order (i, t, j).  Returns
+    their eigenvalues ``w[i, t]`` and the vectors, contiguous, as the towers
+    reshape them.
     """
-    count, rows, top = stack.shape
+    count, rows, top = v.shape
     e, n = rows // g.d, g.columns.shape[1]
-    i, t, j = np.nonzero(stack.any(axis=1)[:, :, None] & g.present[:, None, :])
-    parts = stack.reshape(count, g.d, e, top).transpose(1, 2, 0, 3)[:, :, i, t]
+    i, t, j = np.nonzero(mask[:, :, None] & g.present[:, None, :])
+    parts = v.reshape(count, g.d, e, top).transpose(1, 2, 0, 3)[:, :, i, t]
     basis = g.columns[:, :, i, j]
     out = parts[0][:, None, :] * basis[0][None, :, :]
     for p in range(1, g.d):
         out += parts[p][:, None, :] * basis[p][None, :, :]
-    return out.reshape(e * n, len(i))
+    return w[i, t], out.reshape(e * n, len(i))
 
 
 class ChainTower:

@@ -176,9 +176,10 @@ class CovariantRep:
         # with M_k = e_k (x) I (+) 0, which gathers rows by moves[k] and
         # columns by moves[l*]; U is unitary, so the norms are those of H
         mult = self.sigma.multiplicity
-        n = self.sigma.hilbert_dim
-        tu = np.zeros((self.E.dim, n + 1, n + 1), dtype=complex)
-        tu[:, :n, :n] = dagger(mult.basis) @ self.T @ mult.basis
+        e, n = self.E.dim, self.sigma.hilbert_dim
+        tu = dagger(mult.basis) @ self.T @ mult.basis
+        padded = np.zeros((e, n + 1, n + 1), dtype=complex)
+        padded[:, :n, :n] = tu
         col_moves = mult.moves[alg.star_index][None]
         worst = 0.0
         # one batch per left unit b_k, all (b_l, xi_i) at once, to keep the
@@ -186,8 +187,8 @@ class CovariantRep:
         for k in range(alg.dim):
             # move[l][:, i] holds the coordinates of b_k . f_i . b_l
             move = self.E.left_action[k] @ self.E.right_action
-            diff = np.tensordot(move, tu[:, :n, :n], axes=(1, 0))
-            diff -= tu[:, mult.moves[k][:, None, None], col_moves].transpose(2, 0, 1, 3)
+            diff = (move.transpose(0, 2, 1) @ tu.reshape(e, n * n)).reshape(alg.dim, e, n, n)
+            diff -= padded[:, mult.moves[k][:, None, None], col_moves].transpose(2, 0, 1, 3)
             worst = max(worst, screened_op_norm(diff, tol))
         if fails(worst):
             raise BimoduleViolation(

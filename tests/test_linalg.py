@@ -250,11 +250,12 @@ class TestRankCutoff:
             stacks = [np.stack([np.diag([lead]), np.diag([value])])]
         out = gram_quotient(stacks)
         assert len(out) == len(stacks)
-        lift = [lift.any(axis=1).sum(axis=1).tolist() for _, lift, _ in out]
-        kernel = [kernel.any(axis=1).sum(axis=1).tolist() for _, _, kernel in out]
-        push = [push.any(axis=2).sum(axis=1).tolist() for push, _, _ in out]
-        assert sum(lift, []) == [1, int(kept)] and push == lift
-        assert sum(kernel, []) == [0, 1 - kept + split]
+        kept_per_block = sum((keep.sum(axis=1).tolist() for _, _, keep in out), [])
+        assert kept_per_block == [1, int(kept)]
+        for (w, v, keep), stack in zip(out, stacks):
+            # largest first, and v diagonalizes the block
+            assert (np.diff(w, axis=1) <= 0).all()
+            np.testing.assert_allclose(v @ (w[:, :, None] * v.conj().transpose(0, 2, 1)), stack, atol=1e-15)
 
     def test_gram_quotient_judges_the_whole(self):
         # -1e-8 and a drift of 1e-8 are within tol * (1 + 100), not within
