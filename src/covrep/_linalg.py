@@ -224,32 +224,27 @@ def sqrt_psd(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
 
 
-def gram_quotient(gram, tol: float = DEFAULT_TOL):
-    """Quotient a semi-inner-product space by the kernel of its Gram matrix.
+def gram_quotient(stacks, tol: float = DEFAULT_TOL) -> list:
+    """Decompose a block-diagonal Gram matrix for its quotient by the kernel.
 
-    Returns ``(push, lift, kernel_basis)`` where ``push`` has orthonormal
-    rows for the semi-inner product (``push* push = gram`` modulo kernel),
-    ``lift`` is the isometric section with ``push @ lift = I``, and
-    ``kernel_basis`` spans the Gram kernel orthonormally: the eigenvectors
-    whose eigenvalues are not above ``rank_cutoff``, largest first.
-
-    ``gram`` is one matrix, or the diagonal blocks of one block-diagonal
-    Gram as a list of stacks (3-D arrays), each stack holding blocks of
-    one size.  The whole matrix is never assembled: each stack is
-    decomposed in one batched ``eigh``, and drift, positivity and the rank
-    cutoff are those of the whole matrix, the extremes over its blocks.
-    For a list the result is, per stack, ``(w, v, keep)``: the eigenvalues
-    of each block, largest first, its eigenvectors as columns in the same
-    order, and ``keep = w > rank_cutoff``.  Push, lift and kernel of block
-    b are those built from ``w[b], v[b], keep[b]`` as for one matrix; the
-    caller carries them to the basis it works in.
+    ``stacks`` holds the diagonal blocks of the Gram as a list of stacks
+    (3-D arrays), each stack holding blocks of one size; one matrix is the
+    list ``[gram[None]]``.  The whole matrix is never assembled: each stack
+    is decomposed in one batched ``eigh``, and drift, positivity and the
+    rank cutoff are those of the whole matrix, the extremes over its
+    blocks.  The result is, per stack, ``(w, v, keep)``: the eigenvalues of
+    each block, largest first, its eigenvectors as columns in the same
+    order, and ``keep = w > rank_cutoff``.  The kept pairs of a block give
+    the push (orthonormal rows for the semi-inner product, ``push* push =
+    gram`` modulo kernel) and its isometric section ``lift`` with ``push @
+    lift = I``; the others span the Gram kernel orthonormally.  The caller
+    carries them to the basis it works in.
 
     Raises ShapeMismatch when the drift |G - G*| exceeds ``tol * scale``
     and PositivityFailure when an eigenvalue is below ``-tol * scale``,
     with ``scale = 1 + |(G + G*)/2|``.
     """
-    single = not isinstance(gram, list)
-    stacks = [as_complex(gram)[None]] if single else [as_complex(s) for s in gram]
+    stacks = [as_complex(s) for s in stacks]
     if any(s.ndim != 3 or s.shape[1] != s.shape[2] for s in stacks):
         raise ShapeMismatch(f"Gram blocks must be square, got {[s.shape[1:] for s in stacks]}")
     drift, lo, hi = 0.0, np.inf, -np.inf
@@ -269,12 +264,7 @@ def gram_quotient(gram, tol: float = DEFAULT_TOL):
     if lo < -tol * scale:
         raise PositivityFailure(f"semi-Gram has negative eigenvalue {lo:.3e}")
     cut = rank_cutoff(hi)
-    if not single:
-        return [(w, v, w > cut) for w, v in decomps]
-    w, v = decomps[0][0][0], decomps[0][1][0]
-    keep = w > cut
-    wk, vk = w[keep], v[:, keep]
-    return np.sqrt(wk)[:, None] * dagger(vk), vk * wk ** -0.5, v[:, ~keep]
+    return [(w, v, w > cut) for w, v in decomps]
 
 
 def kron(*mats) -> np.ndarray:

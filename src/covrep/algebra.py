@@ -79,22 +79,26 @@ class MatrixBlocksAlgebra:
         return x
 
     def blocks_from_coords(self, coords) -> list[np.ndarray]:
-        coords = self._coords(coords)
-        return [coords[o : o + d * d].reshape(d, d) for o, d in zip(self._block_offsets, self.block_dims)]
+        """The blocks of an element, or of each element of a stack
+        (..., dim) of coords, as (..., d, d) arrays."""
+        coords = as_complex(coords)
+        if coords.shape[-1:] != (self.dim,):
+            raise ShapeMismatch(f"expected coords of length {self.dim}, got {coords.shape}")
+        lead = coords.shape[:-1]
+        return [coords[..., o : o + d * d].reshape(lead + (d, d)) for o, d in zip(self._block_offsets, self.block_dims)]
 
     def coords_from_blocks(self, blocks) -> np.ndarray:
-        blocks = list(blocks)
+        """Inverse of ``blocks_from_coords``: (..., d, d) blocks to (..., dim) coords."""
+        blocks = [as_complex(b) for b in blocks]
         if len(blocks) != len(self.block_dims):
             raise ShapeMismatch(
                 f"expected {len(self.block_dims)} blocks, got {len(blocks)}"
             )
-        pieces = []
+        lead = blocks[0].shape[:-2]
         for d, blk in zip(self.block_dims, blocks):
-            blk = as_complex(blk)
-            if blk.shape != (d, d):
+            if blk.shape != lead + (d, d):
                 raise ShapeMismatch(f"block of shape {blk.shape} does not match dim {d}")
-            pieces.append(blk.reshape(-1))
-        return np.concatenate(pieces)
+        return np.concatenate([b.reshape(lead + (-1,)) for b in blocks], axis=-1)
 
     # -- algebra operations on coords -------------------------------------
 

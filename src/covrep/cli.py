@@ -49,6 +49,7 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
 
+#: covariant property -> method ``check_<name>`` of CovariantRep, dashes as underscores
 _COVREP_CHECKS = (
     "isometric",
     "fully-coisometric",
@@ -159,21 +160,11 @@ def cmd_validate(args) -> int:
 
 def _run_check(obj, name: str):
     if isinstance(obj, CovariantRep):
-        table = {
-            "isometric": obj.check_isometric,
-            "fully-coisometric": obj.check_fully_coisometric,
-            "concave": obj.check_concave,
-            "expansive": obj.check_expansive,
-            "shimorin": obj.check_shimorin,
-            "eq13": obj.check_eq13,
-            "eq12": obj.check_eq12,
-            "analytic": obj.check_analytic,
-        }
-        if name not in table:
+        if name not in _COVREP_CHECKS:
             raise KindMismatch(
                 f"property {name!r} does not apply to a covariant representation"
             )
-        return table[name]().as_item()
+        return getattr(obj, "check_" + name.replace("-", "_"))().as_item()
     if isinstance(obj, ProductRep):
         if name == "rep-relation":
             rep = obj.validate_commutation()

@@ -259,7 +259,9 @@ def internal_tensor(
 
     # tr pi(b_k) is 1 on the diagonal units and 0 elsewhere: the coords of 1
     scalar = np.tensordot(gm, alg.one, axes=(2, 0))
-    push, lift, kernel = gram_quotient(scalar, tol)
+    [(w, v, keep)] = gram_quotient([scalar[None]], tol)
+    push, lift = _push_lift(w[0, keep[0]], v[0][:, keep[0]])
+    kernel = v[0][:, ~keep[0]]
     r = push.shape[0]
 
     left = push @ id_tensor_matmul(1, E.left_action, F.dim, lift)
@@ -315,10 +317,15 @@ def interior_tensor_with_rep(E: Correspondence, sigma: StarRepresentation) -> In
         outside[np.arange(e), :, np.arange(e), :] = comp
         return np.concatenate((carried(False)[1], outside.reshape(e * n, e * comp.shape[1])), axis=1)
 
-    vals, vecs = carried(True)
-    lift = vecs * vals ** -0.5
-    push = np.multiply(np.conj(vecs.T), np.sqrt(vals)[:, None], order="C")
+    push, lift = _push_lift(*carried(True))
     return InteriorTensorSpace((e, n), lift.shape[1], push, lift, gram, kernel_basis)
+
+
+def _push_lift(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Push and lift of a Gram quotient from its kept eigenvalues and
+    eigenvectors: push has orthonormal rows for the semi-inner product, and
+    lift is its isometric section, push @ lift = I."""
+    return np.multiply(np.conj(vecs.T), np.sqrt(vals)[:, None], order="C"), vecs * vals ** -0.5
 
 
 def _carry(w: np.ndarray, v: np.ndarray, mask: np.ndarray, g) -> tuple[np.ndarray, np.ndarray]:

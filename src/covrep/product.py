@@ -299,7 +299,7 @@ def _coordinate_depth(pr: ProductRep, i: int) -> int:
     """Smallest m with L^(i)_m(H) = 0, capped at dim H."""
     n = pr.hdim
     for m in range(1, n + 1):
-        if image(pr.rep(i).tilde_n(m), n).dim == 0:
+        if image(pr.rep(i).tilde_n(m)).dim == 0:
             return m
     return n
 
@@ -398,23 +398,25 @@ def _gws_items(pr: ProductRep, alpha) -> tuple[list[CheckItem], dict]:
     return items, {f"W_{tag}": W.dim}
 
 
+def _concave_or_shimorin(pr: ProductRep, i: int) -> CheckItem:
+    """Coordinate i is concave or Shimorin; vacuous when only a vacuous concavity holds."""
+    r = pr.rep(i)
+    concave = r.check_concave()
+    shim = r.check_shimorin()
+    return CheckItem(
+        f"coordinate_{i+1}_concave_or_shimorin",
+        concave.passed or shim.passed,
+        min(concave.residual, shim.residual),
+        vacuous=concave.vacuous and concave.passed and not shim.passed,
+        detail=f"concave={concave.passed} shimorin={shim.passed}",
+    )
+
+
 def _c23_hypothesis(pr: ProductRep) -> list[CheckItem]:
     items = []
     for i in range(pr.k):
-        r = pr.rep(i)
-        concave = r.check_concave()
-        shim = r.check_shimorin()
-        either = concave.passed or shim.passed
-        items.append(
-            CheckItem(
-                f"coordinate_{i+1}_concave_or_shimorin",
-                either,
-                min(concave.residual, shim.residual),
-                vacuous=concave.vacuous and concave.passed and not shim.passed,
-                detail=f"concave={concave.passed} shimorin={shim.passed}",
-            )
-        )
-        analytic = r.check_analytic().passed
+        items.append(_concave_or_shimorin(pr, i))
+        analytic = pr.rep(i).check_analytic().passed
         items.append(CheckItem(f"coordinate_{i+1}_analytic", analytic, 0.0 if analytic else 1.0))
     return items
 
@@ -505,21 +507,7 @@ def verify_T24_equivalence(pr: ProductRep) -> TheoremReport:
     asserted conclusion, and the per-coordinate concave-or-Shimorin
     hypothesis gates only whether the theorem claims it.
     """
-    hyp_items = []
-    for i in range(pr.k):
-        r = pr.rep(i)
-        concave = r.check_concave()
-        shim = r.check_shimorin()
-        either = concave.passed or shim.passed
-        hyp_items.append(
-            CheckItem(
-                f"coordinate_{i+1}_concave_or_shimorin",
-                either,
-                min(concave.residual, shim.residual),
-                detail=f"concave={concave.passed} shimorin={shim.passed}",
-            )
-        )
-
+    hyp_items = tuple(_concave_or_shimorin(pr, i) for i in range(pr.k))
     one = pr.is_doubly_commuting()
     two = all(pr.rep(i).check_analytic().passed for i in range(pr.k))
     a_items: list[CheckItem] = []
@@ -541,7 +529,7 @@ def verify_T24_equivalence(pr: ProductRep) -> TheoremReport:
     )
     return TheoremReport(
         "T24",
-        hypotheses=tuple(hyp_items),
+        hypotheses=hyp_items,
         conclusions=(CheckItem("equivalence", equiv, 0.0 if equiv else 1.0),),
         dims=dims,
         evaluated=evaluated,

@@ -10,6 +10,7 @@ unit order.  Instance files carry a ``kind`` discriminator
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -18,7 +19,7 @@ from ._linalg import DEFAULT_TOL, as_complex
 from .algebra import MatrixBlocksAlgebra, StarRepresentation
 from .correspondence import ChainTower, Correspondence
 from .covrep import CovariantRep
-from .errors import ParseError
+from .errors import ParseError, ShapeMismatch
 from .product import ProductRep, ProductSystem
 
 FORMAT_VERSION = 1
@@ -33,32 +34,35 @@ def _field(data, key: str):
 
 
 def matrix_to_json(mat) -> list:
-    mat = as_complex(mat)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+    """A matrix, or a stack of matrices, as nested lists of ``[re, im]``."""
+    a = as_complex(mat)
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
-def matrix_from_json(data, shape=None) -> np.ndarray:
+def matrix_from_json(data, shape) -> np.ndarray:
+    """The complex array of exactly ``shape`` that nested lists of
+    ``[re, im]`` encode, or ParseError.  Entries must be JSON numbers
+    (integers that fit a float included) and finite."""
+    want = (*shape, 2)
+    if 0 in want:
+        # an empty list shows no axis after its own
+        want = want[: want.index(0) + 1]
     try:
-        out = np.array(
-            [[complex(z[0], z[1]) for z in row] for row in data], dtype=complex
-        )
-        if out.size == 0:
-            out = out.reshape(shape if shape is not None else (0, 0))
-    except (TypeError, IndexError, ValueError) as exc:
+        raw = np.array(data)
+        # integers too long for int64 come as Python objects
+        if raw.dtype == object and all(isinstance(x, (int, float)) for x in raw.flat):
+            raw = raw.astype(float)
+    except (ValueError, OverflowError) as exc:
         raise ParseError(f"malformed matrix: {exc}") from exc
+    if raw.dtype.kind not in "biuf":
+        raise ParseError("matrix entries must be numbers")
+    if raw.shape != want:
+        raise ParseError(f"matrix lists have shape {raw.shape}, expected {want} ([re, im] last)")
     # json reads NaN and Infinity, which no residual can judge
-    if not np.isfinite(out).all():
+    if not np.isfinite(raw).all():
         raise ParseError("matrix has a non-finite entry")
-    if shape is not None and out.shape != tuple(shape):
-        raise ParseError(f"matrix has shape {out.shape}, expected {tuple(shape)}")
-    return out
-
-
-def _matrices(data, n: int, what: str) -> list[np.ndarray]:
-    """A JSON list of n x n matrices, or ParseError."""
-    if not isinstance(data, list):
-        raise ParseError(f"{what} must be a list of matrices")
-    return [matrix_from_json(m, (n, n)) for m in data]
+    # pairs of float64 are complex128 bit for bit, signed zeros included
+    return np.ascontiguousarray(raw, dtype=float).view(complex).reshape(shape)
 
 
 def _meta(data) -> dict | None:
@@ -68,17 +72,6 @@ def _meta(data) -> dict | None:
     return meta
 
 
-def element_to_json(algebra: MatrixBlocksAlgebra, coords) -> list:
-    return [matrix_to_json(b) for b in algebra.blocks_from_coords(coords)]
-
-
-def element_from_json(algebra: MatrixBlocksAlgebra, data) -> np.ndarray:
-    if len(data) != len(algebra.block_dims):
-        raise ParseError("element block count does not match algebra")
-    blocks = [matrix_from_json(b, (d, d)) for b, d in zip(data, algebra.block_dims)]
-    return algebra.coords_from_blocks(blocks)
-
-
 def algebra_to_json(algebra: MatrixBlocksAlgebra) -> dict:
     return {"blocks": list(algebra.block_dims)}
 
@@ -86,62 +79,54 @@ def algebra_to_json(algebra: MatrixBlocksAlgebra) -> dict:
 def algebra_from_json(data) -> MatrixBlocksAlgebra:
     try:
         return MatrixBlocksAlgebra(tuple(int(d) for d in data["blocks"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ShapeMismatch) as exc:
         raise ParseError(f"malformed algebra: {exc}") from exc
 
 
 def sigma_to_json(sigma: StarRepresentation) -> dict:
-    alg = sigma.algebra
-    images = []
-    k = 0
-    for d in alg.block_dims:
-        images.append([matrix_to_json(sigma.images[k + u]) for u in range(d * d)])
-        k += d * d
+    units = iter(matrix_to_json(sigma.images))
+    images = [list(itertools.islice(units, d * d)) for d in sigma.algebra.block_dims]
     return {"hilbert_dim": sigma.hilbert_dim, "images": images}
 
 
 def sigma_from_json(algebra: MatrixBlocksAlgebra, data, tol: float) -> StarRepresentation:
     try:
         n = int(data["hilbert_dim"])
-        flat = []
-        for b, d in enumerate(algebra.block_dims):
-            block_imgs = data["images"][b]
-            if len(block_imgs) != d * d:
-                raise ParseError(f"block {b} must list {d * d} unit images")
-            flat.extend(matrix_from_json(m, (n, n)) for m in block_imgs)
-        images = np.stack(flat) if flat else np.zeros((0, n, n), complex)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        blocks = data["images"]
+        if [len(b) for b in blocks] != [d * d for d in algebra.block_dims]:
+            raise ParseError(f"images must list {[d * d for d in algebra.block_dims]} unit images per block")
+        images = matrix_from_json(list(itertools.chain.from_iterable(blocks)), (algebra.dim, n, n))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed representation: {exc}") from exc
     return StarRepresentation(algebra, n, images, tol)
 
 
 def correspondence_to_json(E: Correspondence) -> dict:
-    alg = E.algebra
+    blocks = [matrix_to_json(b) for b in E.algebra.blocks_from_coords(E.gram)]
     return {
         "dim": E.dim,
-        "right_action": [matrix_to_json(E.right_action[k]) for k in range(alg.dim)],
-        "left_action": [matrix_to_json(E.left_action[k]) for k in range(alg.dim)],
-        "gram": [
-            [element_to_json(alg, E.gram[i, j]) for j in range(E.dim)] for i in range(E.dim)
-        ],
+        "right_action": matrix_to_json(E.right_action),
+        "left_action": matrix_to_json(E.left_action),
+        # per basis pair, an algebra element: blocks [b][i][j] regrouped as [i][j][b]
+        "gram": [[list(cell) for cell in zip(*rows)] for rows in zip(*blocks)],
     }
 
 
 def correspondence_from_json(algebra: MatrixBlocksAlgebra, data, tol: float) -> Correspondence:
     try:
         e = int(data["dim"])
-        right = np.stack(
-            [matrix_from_json(m, (e, e)) for m in data["right_action"]]
-        ) if algebra.dim else np.zeros((0, e, e), complex)
-        left = np.stack([matrix_from_json(m, (e, e)) for m in data["left_action"]])
-        gram = np.zeros((e, e, algebra.dim), dtype=complex)
-        for i in range(e):
-            for j in range(e):
-                gram[i, j] = element_from_json(algebra, data["gram"][i][j])
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        right = matrix_from_json(data["right_action"], (algebra.dim, e, e))
+        left = matrix_from_json(data["left_action"], (algebra.dim, e, e))
+        # gram[i][j][b] regrouped as [b][i][j]; zip(strict=True) refuses ragged cells
+        rows = [list(zip(*row, strict=True)) for row in data["gram"]]
+        blocks = list(zip(*rows, strict=True)) if rows else [[]] * len(algebra.block_dims)
+        if len(blocks) != len(algebra.block_dims):
+            raise ParseError("gram entries must list one matrix per algebra block")
+        gram = algebra.coords_from_blocks(
+            matrix_from_json(b, (e, e, d, d)) for b, d in zip(blocks, algebra.block_dims)
+        )
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed correspondence: {exc}") from exc
-    if len(data["right_action"]) != algebra.dim or len(data["left_action"]) != algebra.dim:
-        raise ParseError("action tensors must list one matrix per algebra basis unit")
     return Correspondence(algebra, e, right, left, gram, tol)
 
 
@@ -152,7 +137,7 @@ def covrep_to_json(rep: CovariantRep) -> dict:
         "algebra": algebra_to_json(rep.sigma.algebra),
         "sigma": sigma_to_json(rep.sigma),
         "correspondence": correspondence_to_json(rep.E),
-        "T": [matrix_to_json(rep.T[i]) for i in range(rep.E.dim)],
+        "T": matrix_to_json(rep.T),
     }
     if rep.meta:
         out["meta"] = _plain(rep.meta)
@@ -163,12 +148,8 @@ def covrep_from_json(data, tol: float) -> CovariantRep:
     algebra = algebra_from_json(_field(data, "algebra"))
     sigma = sigma_from_json(algebra, _field(data, "sigma"), tol)
     E = correspondence_from_json(algebra, _field(data, "correspondence"), tol)
-    n = sigma.hilbert_dim
-    T = _matrices(_field(data, "T"), n, "T")
-    if len(T) != E.dim:
-        raise ParseError("T must list one matrix per correspondence basis vector")
-    T_arr = np.stack(T) if T else np.zeros((0, n, n), complex)
-    return CovariantRep(sigma, E, T_arr, tol=tol, meta=_meta(data))
+    T = matrix_from_json(_field(data, "T"), (E.dim, sigma.hilbert_dim, sigma.hilbert_dim))
+    return CovariantRep(sigma, E, T, tol=tol, meta=_meta(data))
 
 
 def product_system_to_json(ps: ProductSystem) -> dict:
@@ -193,6 +174,8 @@ def product_system_from_json(algebra: MatrixBlocksAlgebra, data, tol: float) -> 
         flips = {}
         for key, mat in data["flips"].items():
             i, j = (int(x) - 1 for x in key.split(","))
+            if not 0 <= j < i < k:
+                raise ParseError(f"flip {key!r}: flips are stored under \"i,j\" with 1 <= j < i <= {k}")
             want = (chain.corr((j, i)).dim, chain.corr((i, j)).dim)
             flips[(i, j)] = matrix_from_json(mat, want)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -207,10 +190,7 @@ def product_rep_to_json(pr: ProductRep) -> dict:
         "algebra": algebra_to_json(pr.sigma.algebra),
         "sigma": sigma_to_json(pr.sigma),
         "product_system": product_system_to_json(pr.system),
-        "T": [
-            [matrix_to_json(pr.reps[i].T[b]) for b in range(pr.system.correspondences[i].dim)]
-            for i in range(pr.k)
-        ],
+        "T": [matrix_to_json(rep.T) for rep in pr.reps],
     }
     if pr.meta:
         out["meta"] = _plain(pr.meta)
@@ -225,12 +205,7 @@ def product_rep_from_json(data, tol: float) -> ProductRep:
     T_all = _field(data, "T")
     if not isinstance(T_all, list) or len(T_all) != system.k:
         raise ParseError(f"T must list {system.k} coordinates, one per correspondence")
-    T_list = []
-    for i in range(system.k):
-        mats = _matrices(T_all[i], n, f"coordinate {i + 1} of T")
-        if len(mats) != system.correspondences[i].dim:
-            raise ParseError(f"coordinate {i + 1}: wrong number of T matrices")
-        T_list.append(np.stack(mats) if mats else np.zeros((0, n, n), complex))
+    T_list = [matrix_from_json(T, (E.dim, n, n)) for T, E in zip(T_all, system.correspondences)]
     return ProductRep(system, sigma, T_list, tol=tol, meta=_meta(data))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -63,11 +64,6 @@ class Subspace:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_span(cls, vectors) -> "Subspace":
-        vectors = as_complex(vectors)
-        return cls(vectors.shape[0], orth_cols(vectors))
-
-    @classmethod
     def zero(cls, n: int) -> "Subspace":
         return cls(n, np.zeros((n, 0), dtype=complex))
 
@@ -105,7 +101,7 @@ class Subspace:
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.from_span(np.hstack([self.basis, other.basis]))
+        return image(np.hstack([self.basis, other.basis]))
 
     # -- comparisons -----------------------------------------------------------
 
@@ -131,10 +127,8 @@ class Subspace:
         return self.angle_gap(other) <= ANGLE_TOL
 
 
-def image(mat, ambient_dim: int | None = None) -> Subspace:
+def image(mat) -> Subspace:
     mat = as_complex(mat)
-    if ambient_dim is not None and mat.shape[0] != ambient_dim:
-        raise AmbientMismatch(f"matrix rows {mat.shape[0]} != ambient {ambient_dim}")
     return Subspace(mat.shape[0], orth_cols(mat))
 
 
@@ -171,12 +165,21 @@ def _translate(hilb: HilbertTower, word, K: Subspace, tilde) -> Subspace:
     if hilb.dim(word) == 0:
         return Subspace.zero(K.ambient_dim)
     carrier = orth_cols(hilb.tensor_op(word, K.projector()), 0.5)
-    return image(tilde() @ carrier, K.ambient_dim)
+    return image(tilde() @ carrier)
+
+
+def _translates(rep: CovariantRep, K: Subspace):
+    """L_1(K), L_2(K), ... up to L_{dim H}(K), stopping before the first zero translate."""
+    for n in range(1, rep.hdim + 1):
+        ln = _translate(rep.hilb, rep.word(n), K, partial(rep.tilde_n, n))
+        if ln.dim == 0:
+            return
+        yield ln
 
 
 def wandering_subspace(rep: CovariantRep) -> Subspace:
     """W = ker T~* = H (-) T~(E (x) H)."""
-    return image(rep.tilde, rep.hdim).orthocomplement()
+    return image(rep.tilde).orthocomplement()
 
 
 def script_L_n(rep: CovariantRep, K: Subspace, n: int) -> Subspace:
@@ -191,8 +194,8 @@ def invariant_closure(rep: CovariantRep, K: Subspace) -> Subspace:
     """Smallest (sigma, T)-invariant subspace containing K: sum of L_n(K)."""
     _require_sigma_invariant(rep.sigma, rep.tol, K)
     total = K
-    for n in range(1, rep.hdim + 1):
-        step = total + _translate(rep.hilb, rep.word(n), K, partial(rep.tilde_n, n))
+    for ln in _translates(rep, K):
+        step = total + ln
         if step.dim == total.dim:
             return total
         total = step
@@ -203,7 +206,7 @@ def h_infinity(rep: CovariantRep) -> Subspace:
     """H_infty = intersection of the decreasing ranges of T~_n."""
     prev = Subspace.full(rep.hdim)
     for n in range(1, rep.hdim + 2):
-        cur = image(rep.tilde_n(n), rep.hdim)
+        cur = image(rep.tilde_n(n))
         if cur.dim == prev.dim and prev.contains(cur):
             return cur
         prev = cur
@@ -231,10 +234,7 @@ def check_wandering(rep: CovariantRep, K: Subspace) -> CheckResult:
     if sigma_res > bound:
         return CheckResult("wandering", False, sigma_res, reason="NotSigmaInvariant")
     worst = 0.0
-    for n in range(1, rep.hdim + 1):
-        ln = _translate(rep.hilb, rep.word(n), K, partial(rep.tilde_n, n))
-        if ln.dim == 0:
-            break
+    for ln in _translates(rep, K):
         worst = max(worst, op_norm(dagger(K.basis) @ ln.basis))
     return CheckResult("wandering", worst <= bound, worst)
 
@@ -334,19 +334,11 @@ def verify_muhly_solel(rep: CovariantRep) -> TheoremReport:
     if not iso.passed:
         raise NotIsometric(f"representation is not isometric (residual {iso.residual:.3e})")
     n = rep.hdim
-    W = image(eye_like(n) - rep.tilde @ dagger(rep.tilde), n)
+    W = image(eye_like(n) - rep.tilde @ dagger(rep.tilde))
     _require_sigma_invariant(rep.sigma, rep.tol, W)
-    pieces = []
-    depth = 0
-    cur = W
-    for k in range(n + 1):
-        if k:
-            cur = _translate(rep.hilb, rep.word(k), W, partial(rep.tilde_n, k))
-        if cur.dim == 0:
-            break
-        pieces.append(cur)
-        depth = k
-    H1 = subspace_sum(*pieces) if pieces else Subspace.zero(n)
+    pieces = [W, *_translates(rep, W)]
+    depth = len(pieces) - 1
+    H1 = subspace_sum(*pieces)
     H2 = h_infinity(rep)
 
     orth = op_norm(dagger(H1.basis) @ H2.basis)
@@ -501,8 +493,8 @@ def verify_ker_Ln(rep: CovariantRep, n: int) -> TheoremReport:
     rep._require_left_invertible()
     W = wandering_subspace(rep)
     kerL = kernel(rep.L_n(n))
-    translates = [script_L_n(rep, W, j) for j in range(n)]
-    rhs = subspace_sum(*translates) if translates else Subspace.zero(rep.hdim)
+    _require_sigma_invariant(rep.sigma, rep.tol, W)
+    rhs = subspace_sum(W, *islice(_translates(rep, W), n - 1)) if n else Subspace.zero(rep.hdim)
     return TheoremReport(
         "ker_Ln",
         hypotheses=(left_inv.as_item(),),

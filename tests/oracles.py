@@ -234,7 +234,10 @@ def dense_interior_tensor_with_rep(E, sigma):
     <h, sigma(<xi, eta>) k>, without the multiplicity basis of sigma."""
     n = sigma.hilbert_dim
     gram = np.einsum("ijk,kpq->ipjq", E.gram, sigma.images).reshape(E.dim * n, E.dim * n)
-    return (*gram_quotient(gram, min(E.tol, sigma.tol)), gram)
+    [(w, v, keep)] = gram_quotient([gram[None]], min(E.tol, sigma.tol))
+    w, v, keep = w[0], v[0], keep[0]
+    wk, vk = w[keep], v[:, keep]
+    return np.sqrt(wk)[:, None] * vk.conj().T, vk * wk ** -0.5, v[:, ~keep], gram
 
 
 def multiplicity_representation(alg, mults, rng, extra=0):

@@ -23,6 +23,13 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _set_first_T_entry(value):
+    def edit(data):
+        data["T"][0][0][0] = value
+
+    return edit
+
+
 class TestValidate:
     def test_corpus_instance_passes(self, corpus_dir, capsys):
         code, out, _ = run(capsys, "validate", corpus_dir / "g1-induced.json")
@@ -97,6 +104,29 @@ class TestValidate:
             data[field] = value
         path = tmp_path / "bad.json"
         path.write_text(dump_json(data))
+        code, out, _ = run(capsys, "validate", path)
+        assert code == 2
+        assert "parse error" in out
+
+    @pytest.mark.parametrize(
+        "name,edit",
+        [
+            ("g1-induced", lambda d: d["algebra"].update(blocks=[])),
+            ("g1-induced", lambda d: d["algebra"].update(blocks=[0])),
+            ("jordan-pair", lambda d: d["product_system"].update(flips={"1,2": d["product_system"]["flips"]["2,1"]})),
+            ("g1-induced", _set_first_T_entry([1.0, 0.0, 7.0])),
+            ("g1-induced", _set_first_T_entry([10 ** 400, 0])),
+            ("g1-induced", lambda d: d["sigma"]["images"].append(d["sigma"]["images"][0])),
+            ("g1-induced", _set_first_T_entry(["1", "0"])),
+        ],
+        ids=["no-blocks", "block-0", "flip-1,2", "three-entry-scalar", "400-digit-entry",
+             "extra-sigma-block", "numeric-strings"],
+    )
+    def test_malformed_structure_exit_2(self, corpus_dir, tmp_path, capsys, name, edit):
+        data = json.loads((corpus_dir / f"{name}.json").read_text())
+        edit(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
         code, out, _ = run(capsys, "validate", path)
         assert code == 2
         assert "parse error" in out

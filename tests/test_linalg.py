@@ -67,13 +67,13 @@ class TestHermitianScale:
         with pytest.raises(ShapeMismatch):
             require_hermitian(*min_eig_herm(a)[1:], DEFAULT_TOL)
         with pytest.raises(ShapeMismatch):
-            gram_quotient(a)
+            gram_quotient([a[None]])
 
     def test_gram_quotient_negative_eigenvalue(self):
         with pytest.raises(PositivityFailure):
-            gram_quotient(np.diag([1.0, -1e-6]))
-        push, lift, kernel = gram_quotient(np.diag([2.0, -DEFAULT_TOL]))
-        assert push.shape == (1, 2) and kernel.shape == (2, 1)
+            gram_quotient([np.diag([1.0, -1e-6])[None]])
+        [(w, v, keep)] = gram_quotient([np.diag([2.0, -DEFAULT_TOL])[None]])
+        assert keep.tolist() == [[True, False]]
 
 
 class TestSqrtPsd:
@@ -235,8 +235,8 @@ class TestRankCutoff:
 
     @pytest.mark.parametrize("lead,factor,kept", CASES)
     def test_gram_quotient(self, lead, factor, kept):
-        push, lift, kernel = gram_quotient(self.diag(lead, factor))
-        assert push.shape == (1 + kept, 2) and kernel.shape == (2, 1 - kept)
+        [(w, v, keep)] = gram_quotient([self.diag(lead, factor)[None]])
+        assert keep.tolist() == [[True, kept]]
 
     @pytest.mark.parametrize("split", [False, True], ids=["one-stack", "two-stacks"])
     @pytest.mark.parametrize("lead,factor,kept", CASES)
@@ -270,8 +270,9 @@ class TestRankCutoff:
             gram_quotient([skew[None]])
 
     def test_gram_quotient_rejects_non_square_blocks(self):
+        # a bare matrix is not a stack
         with pytest.raises(ShapeMismatch):
-            gram_quotient(np.zeros((2, 2, 2)))
+            gram_quotient([np.zeros((2, 2))])
         with pytest.raises(ShapeMismatch):
             gram_quotient([np.zeros((1, 2, 3))])
 
