@@ -13,7 +13,9 @@ cached write-once, so representations can be shared across threads and
 independent checks evaluated in parallel.  Besides T~, the Gram T~* T~, the
 left-invertibility check, L, P and Q, the cached constants are the
 tolerance scale ``scale``, the Cauchy dual ``cauchy_dual()`` and the
-factors I (x) T~ of ``factor(word)``.
+factors I (x) T~ of ``factor(word)``; ``wold`` keeps the subspaces that
+depend only on the representation (ranges of T~_n, W, H_inf, [W]_T) in
+``_lattice``.
 """
 
 from __future__ import annotations
@@ -150,6 +152,8 @@ class CovariantRep:
         # algebraic map theta : C^{e n} -> C^n, column (i*n + p) = T_i e_p
         self.theta = T.transpose(1, 0, 2).reshape(n, E.dim * n)
         self._factor: dict[tuple[int, ...], np.ndarray] = {}
+        # the subspaces of wold._lattice: ranges of T~_n, W, H_inf and [W]_T
+        self._lattice: dict = {}
         self._lfac: dict[int, np.ndarray] = {}
         self._tilde_n: dict[int, np.ndarray] = {0: eye_like(n)}
         self._L_n: dict[int, np.ndarray] = {0: eye_like(n)}

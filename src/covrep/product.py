@@ -24,10 +24,12 @@ from .reporting import CheckItem, TheoremReport, ValidationReport
 from .wold import (
     Subspace,
     _angle_item,
+    _lattice,
+    _range,
     _require_sigma_invariant,
     _translate,
+    _wandering_closure,
     check_reducing,
-    image,
     invariant_closure,
     wandering_subspace,
 )
@@ -134,6 +136,8 @@ class ProductRep:
         self.tol = tol if tol is not None else min(system.tol, sigma.tol)
         self.meta = dict(meta or {})
         self.hilb = HilbertTower(system.chain, sigma)
+        # the W_alpha of wold._lattice, keyed ("W", alpha)
+        self._lattice: dict = {}
         self.reps = tuple(
             CovariantRep(
                 sigma,
@@ -266,12 +270,16 @@ def doubly_flag(report: ValidationReport) -> bool:
 
 
 def wandering_alpha(pr: ProductRep, alpha) -> Subspace:
-    """W_alpha: intersection of the coordinate wandering subspaces."""
+    """W_alpha: intersection of the coordinate wandering subspaces, once per alpha."""
     alpha = validate_alpha(alpha, pr.k)
-    out = wandering_subspace(pr.rep(alpha[0]))
-    for i in alpha[1:]:
-        out = out.intersect(wandering_subspace(pr.rep(i)))
-    return out
+
+    def build():
+        out = wandering_subspace(pr.rep(alpha[0]))
+        for i in alpha[1:]:
+            out = out.intersect(wandering_subspace(pr.rep(i)))
+        return out
+
+    return _lattice(pr, ("W", alpha), build)
 
 
 def script_L_alpha(pr: ProductRep, alpha, m, K: Subspace) -> Subspace:
@@ -299,7 +307,7 @@ def _coordinate_depth(pr: ProductRep, i: int) -> int:
     """Smallest m with L^(i)_m(H) = 0, capped at dim H."""
     n = pr.hdim
     for m in range(1, n + 1):
-        if image(pr.rep(i).tilde_n(m)).dim == 0:
+        if _range(pr.rep(i), m).dim == 0:
             return m
     return n
 
@@ -443,8 +451,7 @@ def _direct_hypothesis(pr: ProductRep) -> list[CheckItem]:
                 items.append(CheckItem(f"gws_{i+1}_on_{name}", False, 1.0,
                                        detail="subspace not invariant"))
                 continue
-            W_sub = wandering_subspace(sub)
-            closure = invariant_closure(sub, W_sub)
+            closure = _wandering_closure(sub)
             ok = closure.equals(Subspace.full(K.dim))
             items.append(CheckItem(f"gws_{i+1}_on_{name}", ok, 0.0 if ok else 1.0))
     return items

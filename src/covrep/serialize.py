@@ -178,6 +178,9 @@ def product_system_from_json(algebra: MatrixBlocksAlgebra, data, tol: float) -> 
                 raise ParseError(f"flip {key!r}: flips are stored under \"i,j\" with 1 <= j < i <= {k}")
             want = (chain.corr((j, i)).dim, chain.corr((i, j)).dim)
             flips[(i, j)] = matrix_from_json(mat, want)
+        missing = [f"{i+1},{j+1}" for i in range(k) for j in range(i) if (i, j) not in flips]
+        if missing:
+            raise ParseError(f"product system has no flips under {missing}")
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"malformed product system: {exc}") from exc
     return ProductSystem(corrs, flips, tol, chain=chain)

@@ -6,6 +6,10 @@ angle, measured through the well-conditioned sine residual
 |(I - P_U) V|_2.  Every verifier returns a TheoremReport that evaluates
 the conclusions even when hypotheses fail, flagging them as not asserted,
 so failing instances act as counterexample explorers rather than raising.
+
+The subspaces that depend only on the representation (the ranges of
+T~_n, W, H_inf, [W]_T and, on a product, each W_alpha) are computed once
+per instance and shared with read-only bases (``_lattice``).
 """
 
 from __future__ import annotations
@@ -64,6 +68,15 @@ class Subspace:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, basis: np.ndarray) -> "Subspace":
+        """The subspace of an ``orth_cols``/``null_cols`` basis, which is
+        orthonormal by construction, without the screen of ``__init__``."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "ambient_dim", basis.shape[0])
+        object.__setattr__(space, "basis", basis)
+        return space
+
+    @classmethod
     def zero(cls, n: int) -> "Subspace":
         return cls(n, np.zeros((n, 0), dtype=complex))
 
@@ -89,7 +102,7 @@ class Subspace:
     # -- lattice operations --------------------------------------------------
 
     def orthocomplement(self) -> "Subspace":
-        return Subspace(self.ambient_dim, null_cols(dagger(self.basis)))
+        return Subspace._trusted(null_cols(dagger(self.basis)))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Kernel of (I - P_1) + (I - P_2)."""
@@ -97,7 +110,7 @@ class Subspace:
         gap = (eye_like(self.ambient_dim) - self.projector()) + (
             eye_like(self.ambient_dim) - other.projector()
         )
-        return Subspace(self.ambient_dim, null_cols(gap))
+        return Subspace._trusted(null_cols(gap))
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -128,13 +141,11 @@ class Subspace:
 
 
 def image(mat) -> Subspace:
-    mat = as_complex(mat)
-    return Subspace(mat.shape[0], orth_cols(mat))
+    return Subspace._trusted(orth_cols(mat))
 
 
 def kernel(mat) -> Subspace:
-    mat = as_complex(mat)
-    return Subspace(mat.shape[1], null_cols(mat))
+    return Subspace._trusted(null_cols(mat))
 
 
 def subspace_sum(*spaces: Subspace) -> Subspace:
@@ -177,9 +188,36 @@ def _translates(rep: CovariantRep, K: Subspace):
         yield ln
 
 
+def _lattice(owner, key, build) -> Subspace:
+    """``owner._lattice[key]``, built by ``build()`` on first use.
+
+    The keys are the representation's own subspaces (ranges of T~_n, W,
+    H_inf, [W]_T, W_alpha), never a subspace a caller passed in, so the
+    cache stays bounded.  Cached bases are shared, hence read-only.  Threads
+    that miss together each build the subspace; ``setdefault`` keeps the
+    first, so every caller gets the same object.
+    """
+    space = owner._lattice.get(key)
+    if space is None:
+        space = build()
+        space.basis.flags.writeable = False
+        space = owner._lattice.setdefault(key, space)
+    return space
+
+
+def _range(rep: CovariantRep, n: int) -> Subspace:
+    """ran T~_n, once per representation."""
+    return _lattice(rep, ("range", n), lambda: image(rep.tilde_n(n)))
+
+
 def wandering_subspace(rep: CovariantRep) -> Subspace:
     """W = ker T~* = H (-) T~(E (x) H)."""
-    return image(rep.tilde).orthocomplement()
+    return _lattice(rep, "W", lambda: _range(rep, 1).orthocomplement())
+
+
+def _wandering_closure(rep: CovariantRep) -> Subspace:
+    """[W]_T, the invariant closure of the wandering subspace, once per representation."""
+    return _lattice(rep, "H_u", lambda: invariant_closure(rep, wandering_subspace(rep)))
 
 
 def script_L_n(rep: CovariantRep, K: Subspace, n: int) -> Subspace:
@@ -203,14 +241,18 @@ def invariant_closure(rep: CovariantRep, K: Subspace) -> Subspace:
 
 
 def h_infinity(rep: CovariantRep) -> Subspace:
-    """H_infty = intersection of the decreasing ranges of T~_n."""
-    prev = Subspace.full(rep.hdim)
-    for n in range(1, rep.hdim + 2):
-        cur = image(rep.tilde_n(n))
-        if cur.dim == prev.dim and prev.contains(cur):
-            return cur
-        prev = cur
-    return prev
+    """H_infty = intersection of the decreasing ranges of T~_n, once per representation."""
+
+    def build():
+        prev = Subspace.full(rep.hdim)
+        for n in range(1, rep.hdim + 2):
+            cur = _range(rep, n)
+            if cur.dim == prev.dim and prev.contains(cur):
+                return cur
+            prev = cur
+        return prev
+
+    return _lattice(rep, "H_inf", build)
 
 
 def check_invariant(rep: CovariantRep, K: Subspace) -> CheckResult:
@@ -284,7 +326,7 @@ def wold_decompose(rep: CovariantRep) -> WoldDecomposition:
     concave = rep.check_concave()
     shimorin = rep.check_shimorin()
     W = wandering_subspace(rep)
-    H_u = invariant_closure(rep, W)
+    H_u = _wandering_closure(rep)
     H_inf = h_infinity(rep)
     bound = rep.tol * rep.scale
 
@@ -436,7 +478,7 @@ def verify_cauchy_dual_props(rep: CovariantRep) -> TheoremReport:
     W_dual = wandering_subspace(dual)
     hinf = h_infinity(rep)
     hinf_dual = h_infinity(dual)
-    span = invariant_closure(rep, W)
+    span = _wandering_closure(rep)
     span_dual = invariant_closure(dual, W)
 
     analytic = hinf.dim == 0

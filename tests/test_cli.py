@@ -85,6 +85,15 @@ class TestValidate:
         assert code == 2
         assert "parse error" in out
 
+    def test_product_system_missing_flip_exit_2(self, corpus_dir, tmp_path, capsys):
+        data = json.loads((corpus_dir / "jordan-pair.json").read_text())
+        data["product_system"]["flips"] = {}
+        path = tmp_path / "noflip.json"
+        path.write_text(dump_json(data))
+        code, out, _ = run(capsys, "validate", path)
+        assert code == 2
+        assert "parse error" in out and "'2,1'" in out
+
     @pytest.mark.parametrize(
         "name,field,value",
         [

@@ -622,6 +622,46 @@ class TestCachingAndThreads:
         threaded = self.run_in_pool(self.tasks(weighted_graph_rep(G2, weights)))
         assert threaded == serial
 
+    @staticmethod
+    def lattice_tasks(rep, pr):
+        """First touches of the lattice caches of ``rep`` and of the coordinates of ``pr``."""
+        from covrep.product import wandering_alpha
+        from covrep.wold import h_infinity, wandering_subspace, wold_decompose
+
+        reps = (rep, *pr.reps)
+
+        def bases(spaces):
+            return [(s.basis.shape, s.basis.tobytes()) for s in spaces]
+
+        return {
+            "W": lambda: bases(wandering_subspace(r) for r in reps),
+            "H_inf": lambda: bases(h_infinity(r) for r in reps),
+            "W_alpha": lambda: bases(wandering_alpha(pr, a) for a in ((0, 1), (0,), (1,))),
+            "wold": lambda: [
+                (bases((d.W, d.H_u, d.H_inf)), d.to_json()) for d in map(wold_decompose, reps)
+            ],
+        }
+
+    def test_first_touch_of_lattice_from_threads(self):
+        import threading
+
+        def fresh():
+            return self.lattice_tasks(weighted_graph_rep(G2, [1.25, 1.1]), self.grid3())
+
+        serial = {name: task() for name, task in fresh().items()}
+        # the four tasks start together, on caches no thread has filled yet
+        start = threading.Barrier(4, timeout=60)
+
+        def at_barrier(task):
+            def run():
+                start.wait()
+                return task()
+
+            return run
+
+        threaded = self.run_in_pool({name: at_barrier(task) for name, task in fresh().items()})
+        assert threaded == serial
+
     def test_shared_verifiers_from_thread_pool(self):
         def fresh():
             return self.verifier_tasks(weighted_graph_rep(G2, [1.25, 1.1]), self.grid3())

@@ -234,6 +234,42 @@ class TestDoublyHypothesisOnce:
         assert not doubly_flag(scalar_tuple([S3, S3 @ S3]).check_doubly_commuting())
 
 
+class TestAlphaLatticeCache:
+    """W_alpha is computed once per alpha and product representation."""
+
+    def test_computed_once_and_read_only(self):
+        pr = two_color_path_rep()
+        alphas = [(0,), (1,), (0, 1)]
+        first = {alpha: wandering_alpha(pr, alpha) for alpha in alphas}
+        for alpha in alphas:
+            assert wandering_alpha(pr, alpha) is first[alpha]
+            assert wandering_alpha(pr, reversed(alpha)) is first[alpha]
+            with pytest.raises(ValueError):
+                first[alpha].basis[...] = 0.0
+        # a single coordinate's W_alpha is that coordinate's own W
+        for i in range(2):
+            assert first[(i,)] is wandering_subspace(pr.rep(i))
+        assert set(pr._lattice) == {("W", alpha) for alpha in alphas}
+
+    def test_bit_equal_to_a_fresh_instance(self):
+        pr = two_color_path_rep()
+        verify_T22(pr)
+        verify_P21_all(pr)
+        fresh = ProductRep(pr.system, pr.sigma, [r.T for r in pr.reps], tol=pr.tol)
+        for alpha in [(0, 1), (1,), (0,)]:
+            assert wandering_alpha(pr, alpha).basis.tobytes() == wandering_alpha(fresh, alpha).basis.tobytes()
+        W0, W1 = (wandering_subspace(fresh.rep(i)) for i in range(2))
+        assert wandering_alpha(pr, (0, 1)).basis.tobytes() == W0.intersect(W1).basis.tobytes()
+
+    def test_coordinates_keep_their_own_caches(self):
+        pr = two_color_path_rep()
+        wandering_alpha(pr, (0, 1))
+        assert pr.rep(0)._lattice is not pr.rep(1)._lattice
+        assert pr.rep(0)._lattice["W"] is not pr.rep(1)._lattice["W"]
+        assert ("W", (0, 1)) in pr._lattice
+        assert all(("W", (0, 1)) not in r._lattice for r in pr.reps)
+
+
 class TestAlphaSubspaces:
     def test_singleton_is_coordinate_wandering(self):
         pr = jordan_pair()

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covrep.errors import AmbientMismatch, NotInvariant, NotIsometric, NotSigmaInvariant
+from covrep._linalg import ORTHONORMAL_TOL, op_norm
+from covrep.covrep import CovariantRep
+from covrep.errors import (
+    AmbientMismatch,
+    NotInvariant,
+    NotIsometric,
+    NotSigmaInvariant,
+    ShapeMismatch,
+)
 from covrep.examples import (
     G1,
     G2,
@@ -18,6 +26,8 @@ from covrep.examples import (
 )
 from covrep.wold import (
     Subspace,
+    _range,
+    _translates,
     check_dual_reducing_implication,
     check_invariant,
     check_reducing,
@@ -401,3 +411,125 @@ class TestKerLn:
         report = verify_ker_Ln(rep, 4)
         assert report.passed
         assert report.dims["ker"] == 6
+
+
+def _drift(space: Subspace) -> float:
+    """|B*B - I|_2 of a subspace's basis, by SVD (no screen)."""
+    return op_norm(space.basis.conj().T @ space.basis - np.eye(space.dim))
+
+
+def _low_rank(seed: int, rows: int, cols: int, rank: int, scale: float) -> np.ndarray:
+    """A rows x cols complex matrix of rank at most ``rank`` (zero when scale is 0)."""
+    rng = np.random.default_rng(seed)
+    left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+    right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+    return scale * (left @ right)
+
+
+class TestTrustedBases:
+    """The lattice operations skip the orthonormality screen on the bases
+    ``orth_cols``/``null_cols`` make; those bases are orthonormal anyway."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        cols=st.integers(0, 5),
+        rank=st.integers(0, 5),
+        scale=st.sampled_from([0.0, 1e-12, 1.0, 1e6]),
+    )
+    def test_lattice_bases_are_orthonormal(self, seed, n, cols, rank, scale):
+        a = _low_rank(seed, n, cols, rank, scale)
+        b = _low_rank(seed + 1, n, n, rank, scale)
+        spaces = [image(a), kernel(a), kernel(a.conj().T), image(b)]
+        spaces += [s.orthocomplement() for s in spaces]
+        spaces += [spaces[0].intersect(spaces[3]), spaces[0] + spaces[3], spaces[1] + spaces[1]]
+        # a scalar representation: every subspace is sigma(C)-invariant
+        rep = scalar_covrep(_low_rank(seed + 2, n, n, rank, scale))
+        spaces += list(_translates(rep, spaces[0]))
+        for space in spaces:
+            assert space.basis.shape[0] == space.ambient_dim
+            assert _drift(space) <= ORTHONORMAL_TOL
+
+    @pytest.mark.parametrize(
+        "basis",
+        [np.ones((3, 1)), np.array([[1.0, 1.0], [0.0, 1.0]]), 2.0 * np.eye(2)],
+        ids=["unnormalised", "oblique", "scaled"],
+    )
+    def test_public_constructor_screens(self, basis):
+        with pytest.raises(ShapeMismatch):
+            Subspace(basis.shape[0], basis)
+
+
+def _lattice_reads(rep):
+    """Every lattice subspace of ``rep``, read through the public functions."""
+    return {
+        "W": wandering_subspace(rep),
+        "H_inf": h_infinity(rep),
+        "H_u": wold_decompose(rep).H_u,
+        **{("range", n): _range(rep, n) for n in range(1, rep.hdim + 2)},
+    }
+
+
+class TestLatticeCache:
+    """W, H_inf, [W]_T and the ranges of T~_n are computed once per representation."""
+
+    @staticmethod
+    def rep():
+        return weighted_graph_rep(G2, [1.25, 1.1])
+
+    def test_computed_once(self):
+        rep = self.rep()
+        first = _lattice_reads(rep)
+        again = _lattice_reads(rep)
+        assert all(again[key] is space for key, space in first.items())
+        assert wandering_subspace(rep) is rep._lattice["W"]
+        assert verify_cauchy_dual_props(rep).dims["span"] == first["H_u"].dim
+        assert rep._lattice["H_u"] is first["H_u"]
+        assert set(rep._lattice) == set(first)
+
+    def test_cached_bases_are_read_only(self):
+        rep = self.rep()
+        for space in _lattice_reads(rep).values():
+            with pytest.raises(ValueError):
+                space.basis[...] = 0.0
+
+    def test_bit_equal_to_a_fresh_instance(self):
+        rep = self.rep()
+        verify_cauchy_dual_props(rep)
+        verify_ker_Ln(rep, 2)
+        warm = _lattice_reads(rep)
+        fresh = CovariantRep(rep.sigma, rep.E, rep.T, tol=rep.tol)
+        # the fresh instance fills its cache in another order: ranges from the top, then H_inf
+        cold = {("range", n): _range(fresh, n) for n in range(fresh.hdim + 1, 0, -1)}
+        cold.update(H_inf=h_infinity(fresh), W=wandering_subspace(fresh), H_u=wold_decompose(fresh).H_u)
+        for key, space in warm.items():
+            assert space.basis.tobytes() == cold[key].basis.tobytes(), key
+        # the formulas the cache replaced
+        assert warm["W"].basis.tobytes() == image(rep.tilde).orthocomplement().basis.tobytes()
+        assert warm["H_u"].basis.tobytes() == invariant_closure(fresh, cold["W"]).basis.tobytes()
+
+    def test_caller_subspaces_are_not_cached(self):
+        rep = scalar_covrep(np.diag([2.0, 1.0, 0.5, 0.0]) + np.eye(4, k=1))
+        _lattice_reads(rep)
+        size = len(rep._lattice)
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            K = image(rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1)))
+            invariant_closure(rep, K)
+        assert len(rep._lattice) == size
+
+    def test_dual_and_restriction_have_their_own(self):
+        rep = self.rep()
+        W = wandering_subspace(rep)
+        dual = rep.cauchy_dual()
+        assert dual._lattice is not rep._lattice
+        assert wandering_subspace(dual) is not W
+        assert dual._lattice["W"] is wandering_subspace(dual)
+        H_u = wold_decompose(rep).H_u
+        size = len(rep._lattice)
+        sub = rep.restrict(H_u.basis)
+        assert sub._lattice == {}
+        assert wandering_subspace(sub).ambient_dim == H_u.dim
+        assert h_infinity(sub) is sub._lattice["H_inf"]
+        assert len(rep._lattice) == size
