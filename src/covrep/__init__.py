@@ -19,21 +19,16 @@ from .correspondence import (
     ChainTower,
     Correspondence,
     FockHilbert,
-    FockTruncation,
     HilbertTower,
     InteriorTensorSpace,
     algebra_correspondence,
-    fock,
     interior_tensor_with_rep,
     internal_tensor,
-    tensor_power,
     validate_correspondence,
 )
 from .covrep import (
     CheckResult,
     CovariantRep,
-    DefectOperator,
-    LeftInverseChain,
     UOperator,
 )
 from .errors import (

@@ -425,13 +425,6 @@ class ChainTower:
             mat = id_tensor_matmul(1, self.step(word[:q]).push, rest, mat)
         return mat
 
-    def full_lift(self, word: Word) -> np.ndarray:
-        """corr(word) into the full algebraic tensor prod_q C^{e_{w_q}}."""
-        return self.unfold_tail(word, 0)
-
-    def full_push(self, word: Word) -> np.ndarray:
-        return self.fold_tail(word, 0)
-
     # -- structural maps -----------------------------------------------------
 
     def prepend(self, word: Word, letter: int, xi) -> np.ndarray:
@@ -559,39 +552,6 @@ class HilbertTower:
         src = self.space(word)
         dst = self.space(new_word)
         return new_word, dst.push @ id_tensor_matmul(1, mat, self.hdim, src.lift)
-
-
-def tensor_power(E: Correspondence, n: int) -> Correspondence:
-    """n-fold internal tensor power; n = 0 gives the algebra correspondence."""
-    if n < 0:
-        raise ShapeMismatch("tensor power needs n >= 0")
-    return ChainTower([E], E.tol).corr((0,) * n)
-
-
-@dataclass(frozen=True, eq=False)
-class FockTruncation:
-    """Levels E^{(x)n}, n = 0..N, of the Fock module of a correspondence.
-
-    ``nilpotent`` is true when level N+1 has quotient dimension zero, in
-    which case the truncation is the exact Fock module.
-    """
-
-    base: Correspondence
-    depth: int
-    levels: tuple[Correspondence, ...]
-    nilpotent: bool
-
-    def level_dims(self) -> tuple[int, ...]:
-        return tuple(level.dim for level in self.levels)
-
-
-def fock(E: Correspondence, depth: int) -> FockTruncation:
-    """Truncated Fock module of E with levels 0..depth."""
-    if depth < 0:
-        raise ShapeMismatch("Fock depth must be >= 0")
-    chain = ChainTower([E], E.tol)
-    levels = tuple(chain.corr((0,) * n) for n in range(depth + 1))
-    return FockTruncation(E, depth, levels, chain.corr((0,) * (depth + 1)).dim == 0)
 
 
 class FockHilbert:

@@ -80,25 +80,6 @@ class CheckResult:
 
 
 @dataclass(frozen=True, eq=False)
-class DefectOperator:
-    """D = (T~* T~ - I)^{1/2}; defined only for expansive representations."""
-
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class LeftInverseChain:
-    """L, its tensor-extended powers L^n, and the range/wandering projections."""
-
-    L: np.ndarray
-    powers: tuple[np.ndarray, ...]  # L^1 .. L^n
-    P: np.ndarray  # projection onto ker T~* = W
-    Q: np.ndarray  # projection onto ran T~
-    projection_residual: float
-    telescoping_residual: float
-
-
-@dataclass(frozen=True, eq=False)
 class UOperator:
     """U h = sum_n (I (x) P) L^n h as a matrix into the graded space (+) E^n (x) W."""
 
@@ -327,9 +308,9 @@ class CovariantRep:
 
     # -- property checks ---------------------------------------------------------
 
-    def _psd_check(self, name: str, mat: np.ndarray, vacuous_ok: bool = True) -> CheckResult:
+    def _psd_check(self, name: str, mat: np.ndarray) -> CheckResult:
         if mat.shape[0] == 0:
-            return CheckResult(name, True, 0.0, None, vacuous=vacuous_ok)
+            return CheckResult(name, True, 0.0, None, vacuous=True)
         m, drift, norm = min_eig_herm(mat)
         require_hermitian(drift, norm, self.tol)
         bound = self.tol * (1.0 + norm)
@@ -352,8 +333,7 @@ class CovariantRep:
         f1 = self.fac(1)
         t2 = self.tilde_n(2)
         mat = 2.0 * dagger(f1) @ f1 - eye_like(self.sdim(2)) - dagger(t2) @ t2
-        out = self._psd_check("concave", mat)
-        return out
+        return self._psd_check("concave", mat)
 
     def check_expansive(self) -> CheckResult:
         """T~* T~ >= I, the conclusion of the concavity lemma."""
@@ -440,7 +420,7 @@ class CovariantRep:
             )
         return self._dual
 
-    def defect_operator(self) -> DefectOperator:
+    def defect_operator(self) -> np.ndarray:
         """D = (T~* T~ - I)^{1/2}; requires an expansive representation."""
         g = self.gram_tilde
         mat = g - eye_like(g.shape[0])
@@ -451,7 +431,7 @@ class CovariantRep:
             require_hermitian(drift, max(1.0 - lo, norm - 1.0), self.tol)
             if lo - 1.0 < -self.tol * (1.0 + norm):
                 raise NotConcave("T~* T~ - I is not positive; defect operator undefined")
-        return DefectOperator(sqrt_psd(mat, self.tol))
+        return sqrt_psd(mat, self.tol)
 
     def restrict(self, basis) -> "CovariantRep":
         """Restriction to the invariant subspace spanned by the orthonormal columns."""
@@ -472,25 +452,7 @@ class CovariantRep:
             sigma_k, self.E, T_k, tol=self.tol, chain=self.chain, letter=self.letter
         )
 
-    # -- chains, energy identity, U ---------------------------------------------
-
-    def left_inverse_chain(self, n: int) -> LeftInverseChain:
-        self._require_left_invertible()
-        L = self.L
-        powers = tuple(self.L_n(j) for j in range(1, n + 1))
-        P, Q = self.P, self.Q
-        proj_res = max(
-            op_norm(P @ P - P), op_norm(P - dagger(P)), op_norm(Q @ Q - Q), op_norm(Q - dagger(Q))
-        )
-        tele = 0.0
-        for m in range(1, n + 1):
-            lhs = eye_like(self.hdim) - self.tilde_n(m) @ self.L_n(m)
-            rhs = sum(
-                self.tilde_n(j) @ self.hilb.tensor_op(self.word(j), P) @ self.L_n(j)
-                for j in range(m)
-            )
-            tele = max(tele, op_norm(lhs - rhs))
-        return LeftInverseChain(L, powers, P, Q, proj_res, tele)
+    # -- energy identity, U -----------------------------------------------------
 
     def energy_identity(self, basis, n: int) -> float:
         """Max deviation from |h|^2 = sum |(I (x) P) L^j h|^2 + |L^n h|^2
@@ -511,7 +473,7 @@ class CovariantRep:
         m = sub.hdim
         if m == 0:
             return 0.0
-        D = sub.defect_operator().matrix
+        D = sub.defect_operator()
         P = sub.P
         totals = np.zeros(m)
         for j in range(n):

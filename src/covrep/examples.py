@@ -129,8 +129,9 @@ def scalar_tuple(matrices, tol: float = DEFAULT_TOL) -> ProductRep:
 # -- induced representations ----------------------------------------------------
 
 
-def _auto_depth(chain: ChainTower, letter: int, cap: int = 16) -> int | None:
-    for n in range(cap + 1):
+def _auto_depth(chain: ChainTower, letter: int) -> int | None:
+    """Nilpotency depth of a letter, when it is at most 16."""
+    for n in range(17):
         if chain.corr((letter,) * (n + 1)).dim == 0:
             return n
     return None
@@ -342,8 +343,9 @@ PROFILES = ("isometric", "concave", "shimorin", "doubly-commuting", "generic")
 _RETRY_BOUND = 64
 
 
-def _random_acyclic_graph(rng: np.random.Generator, max_vertices: int = 4) -> DirectedGraph:
-    v = int(rng.integers(2, max_vertices + 1))
+def _random_acyclic_graph(rng: np.random.Generator) -> DirectedGraph:
+    """An acyclic graph on 2 to 4 vertices."""
+    v = int(rng.integers(2, 5))
     edges = [(s, t) for s in range(v) for t in range(s + 1, v) if rng.random() < 0.6]
     if not edges:
         edges = [(0, v - 1)]

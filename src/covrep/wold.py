@@ -158,12 +158,19 @@ def subspace_sum(*spaces: Subspace) -> Subspace:
 # -- representation-driven subspaces ------------------------------------------
 
 
-def _require_sigma_invariant(sigma: StarRepresentation, tol: float, K: Subspace):
-    """Check once, at a public entry, that K is a sigma(M)-invariant subspace of H."""
+def _sigma_residual(sigma: StarRepresentation, tol: float, K: Subspace) -> tuple[float, bool]:
+    """The sigma(M)-invariance residual of K, and whether it is within
+    tol * sigma.scale: the residual involves sigma alone."""
     if K.ambient_dim != sigma.hilbert_dim:
         raise AmbientMismatch("subspace does not live in the representation space")
     res = invariance_residual(sigma.images, K.basis)
-    if res > tol * sigma.scale:
+    return res, res <= tol * sigma.scale
+
+
+def _require_sigma_invariant(sigma: StarRepresentation, tol: float, K: Subspace):
+    """Check once, at a public entry, that K is a sigma(M)-invariant subspace of H."""
+    res, invariant = _sigma_residual(sigma, tol, K)
+    if not invariant:
         raise NotSigmaInvariant(f"subspace is not sigma(M)-invariant (residual {res:.3e})")
 
 
@@ -271,14 +278,13 @@ def check_reducing(rep: CovariantRep, K: Subspace) -> CheckResult:
 
 def check_wandering(rep: CovariantRep, K: Subspace) -> CheckResult:
     """K is sigma(M)-invariant and orthogonal to all its forward translates."""
-    sigma_res = invariance_residual(rep.sigma.images, K.basis)
-    bound = rep.tol * max(rep.scale, rep.sigma.scale)
-    if sigma_res > bound:
+    sigma_res, sigma_invariant = _sigma_residual(rep.sigma, rep.tol, K)
+    if not sigma_invariant:
         return CheckResult("wandering", False, sigma_res, reason="NotSigmaInvariant")
     worst = 0.0
     for ln in _translates(rep, K):
         worst = max(worst, op_norm(dagger(K.basis) @ ln.basis))
-    return CheckResult("wandering", worst <= bound, worst)
+    return CheckResult("wandering", worst <= rep.tol * max(rep.scale, rep.sigma.scale), worst)
 
 
 # -- Wold-type decomposition -----------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from covrep.algebra import StarRepresentation
-from covrep.correspondence import ChainTower, tensor_power
+from covrep.correspondence import ChainTower
 from covrep.errors import NotConcave, NotInvariant, NotLeftInvertible
 from covrep.examples import (
     G1,
@@ -287,7 +287,7 @@ def test_criterion_10_graph_path_oracle():
             adj = g.adjacency()
             chain = ChainTower([E])
             # n = 0: the algebra itself, matching sum(Adj^0) = #vertices
-            assert tensor_power(E, 0).dim == v == path_count(adj, 0)
+            assert chain.corr(()).dim == v == path_count(adj, 0)
             for n in range(1, v + 1):
                 dim = chain.corr((0,) * n).dim
                 assert dim == path_count(adj, n), (seed, n)

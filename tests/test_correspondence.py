@@ -14,10 +14,8 @@ from covrep.correspondence import (
     _faithful_positivity,
     _module_gram,
     algebra_correspondence,
-    fock,
     interior_tensor_with_rep,
     internal_tensor,
-    tensor_power,
     validate_correspondence,
 )
 from covrep.errors import AlgebraMismatch, PositivityFailure, ShapeMismatch
@@ -389,29 +387,30 @@ class TestBlockPositivity:
             _faithful_positivity(gm, alg, E.tol)
 
 
+def power(E, n):
+    """E^{(x)n} as the chain of n copies of E; n = 0 gives the algebra."""
+    return ChainTower([E], E.tol).corr((0,) * n)
+
+
 class TestTensorPower:
     def test_power_zero_is_algebra(self):
         E = graph_correspondence(G2)
-        M = tensor_power(E, 0)
+        M = power(E, 0)
         assert M.dim == E.algebra.dim
 
     def test_g2_cube_vanishes(self):
-        assert tensor_power(graph_correspondence(G2), 3).dim == 0
+        assert power(graph_correspondence(G2), 3).dim == 0
 
     def test_scalar_powers_stay_one_dimensional(self):
         E = scalar_correspondence()
         for n in range(5):
-            assert tensor_power(E, n).dim == 1
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ShapeMismatch):
-            tensor_power(scalar_correspondence(), -1)
+            assert power(E, n).dim == 1
 
     def test_functoriality_of_dimensions(self):
         E = graph_correspondence(G2)
         for m, n in [(1, 1), (1, 2), (2, 1)]:
-            lhs = tensor_power(E, m + n).dim
-            rhs = internal_tensor(tensor_power(E, m), tensor_power(E, n))[0].dim
+            lhs = power(E, m + n).dim
+            rhs = internal_tensor(power(E, m), power(E, n))[0].dim
             assert lhs == rhs
 
     @settings(max_examples=15, deadline=None)
@@ -426,7 +425,7 @@ class TestTensorPower:
         E = graph_correspondence(g)
         adj = g.adjacency()
         for n in range(v + 1):
-            assert tensor_power(E, n).dim == (
+            assert power(E, n).dim == (
                 path_count(adj, n) if n else E.algebra.dim
             )
 
@@ -436,13 +435,13 @@ class TestTensorPower:
         E = graph_correspondence(G2)
         chain = ChainTower([E])
         word = (0, 0)
-        push_full = chain.full_push(word)
+        push_full = chain.fold_tail(word, 0)
         _, space = internal_tensor(E, E)
         np.testing.assert_allclose(
             push_full.conj().T @ push_full, space.gram, atol=1e-12
         )
         np.testing.assert_allclose(
-            chain.full_push(word) @ chain.full_lift(word), np.eye(chain.corr(word).dim),
+            push_full @ chain.unfold_tail(word, 0), np.eye(chain.corr(word).dim),
             atol=1e-12,
         )
 
@@ -464,7 +463,7 @@ class TestInteriorTensorWithRep:
         np.testing.assert_allclose(space.gram, np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_g2_square_with_coordinate_rep(self):
-        E2 = tensor_power(graph_correspondence(G2), 2)
+        E2 = power(graph_correspondence(G2), 2)
         sigma = StarRepresentation.identity(E2.algebra)
         assert interior_tensor_with_rep(E2, sigma).quotient_dim == 1
 
@@ -554,20 +553,24 @@ class TestBlockQuotientOracle:
 
 
 class TestFock:
+    """Levels E^{(x)n} of the Fock module, and whether the depth-N Fock
+    space over a faithful sigma is exact (creation out of level N vanishes)."""
+
+    @staticmethod
+    def levels_and_exact(E, depth):
+        chain = ChainTower([E], E.tol)
+        dims = tuple(chain.corr((0,) * n).dim for n in range(depth + 1))
+        sigma = StarRepresentation.identity(E.algebra)
+        return dims, FockHilbert(chain, sigma, {0: depth}).exact
+
     def test_g1_fock(self):
-        F = fock(graph_correspondence(G1), 1)
-        assert F.level_dims() == (2, 1)
-        assert F.nilpotent
+        assert self.levels_and_exact(graph_correspondence(G1), 1) == ((2, 1), True)
 
     def test_g2_fock(self):
-        F = fock(graph_correspondence(G2), 2)
-        assert F.level_dims() == (3, 2, 1)
-        assert F.nilpotent
+        assert self.levels_and_exact(graph_correspondence(G2), 2) == ((3, 2, 1), True)
 
     def test_scalar_fock_not_nilpotent(self):
-        F = fock(scalar_correspondence(), 3)
-        assert F.level_dims() == (1, 1, 1, 1)
-        assert not F.nilpotent
+        assert self.levels_and_exact(scalar_correspondence(), 3) == ((1, 1, 1, 1), False)
 
 
 class TestCreation:
@@ -626,8 +629,8 @@ class TestChainTower:
         for k in [1, 2]:
             word = (0,) * k
             pre = chain.prepend(word, 0, xi)
-            lift_full = chain.full_lift(word)
-            push_full = chain.full_push((0,) * (k + 1))
+            lift_full = chain.unfold_tail(word, 0)
+            push_full = chain.fold_tail((0,) * (k + 1), 0)
             direct = push_full @ np.kron(xi[:, None], lift_full)
             np.testing.assert_allclose(pre, direct, atol=1e-10)
 

@@ -48,12 +48,13 @@ class TestGraphCorrespondence:
         assert graph_correspondence(G2).dim == 2
 
     def test_tensor_powers_count_paths(self):
-        from covrep.correspondence import tensor_power
+        from covrep.correspondence import ChainTower
 
         E = graph_correspondence(G2)
+        chain = ChainTower([E], E.tol)
         adj = G2.adjacency()
         for n in range(1, 4):
-            assert tensor_power(E, n).dim == path_count(adj, n)
+            assert chain.corr((0,) * n).dim == path_count(adj, n)
 
 
 class TestInducedRepresentation:

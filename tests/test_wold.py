@@ -245,6 +245,22 @@ class TestInvariantReducingWandering:
         v = (p0[:, :1] + p1[:, :1]) / np.sqrt(2)
         assert not check_invariant(rep, Subspace(3, v)).passed
 
+    def test_sigma_screen_agrees_with_script_L(self):
+        # T is 50x larger than sigma, so a bound scaled by T would pass the
+        # 1e-8 tilt that script_L_n rejects: both judge sigma alone
+        rep = weighted_graph_rep(G2, [100.0, 100.0])
+        assert rep.scale > 50 * rep.sigma.scale
+        basis = wandering_subspace(rep).basis.copy()
+        basis[3, 0] += 1e-8  # vertex 0's vector leans into vertex 1
+        K = Subspace(rep.hdim, np.linalg.qr(basis)[0])
+        res = check_wandering(rep, K)
+        assert not res.passed and res.reason == "NotSigmaInvariant"
+        assert rep.tol * rep.sigma.scale < res.residual < rep.tol * rep.scale
+        with pytest.raises(NotSigmaInvariant):
+            script_L_n(rep, K, 1)
+        with pytest.raises(NotSigmaInvariant):
+            invariant_closure(rep, K)
+
 
 class TestWoldDecompose:
     def test_g1_dims(self):
