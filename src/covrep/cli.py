@@ -10,6 +10,7 @@ embedded instance at the same tolerance reproduces it byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -319,7 +320,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="recorded in reports for reproducibility")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; ``parse_args``
+    leaves it unchanged and returns a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="covrep",
         description="Validate, check, decompose, and verify covariant-representation instances.",

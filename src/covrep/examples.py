@@ -130,8 +130,15 @@ def scalar_tuple(matrices, tol: float = DEFAULT_TOL) -> ProductRep:
 
 
 def _auto_depth(chain: ChainTower, letter: int) -> int | None:
-    """Nilpotency depth of a letter, when it is at most 16."""
-    for n in range(17):
+    """Nilpotency depth of a letter: the largest n with E^{(x)n} != 0, or
+    None when E = ``chain.family[letter]`` is not nilpotent.
+
+    Over an algebra with b central blocks, E^{(x)n} has multiplicity matrix
+    M^n for the b x b multiplicity matrix M of E, and a nilpotent b x b
+    matrix has M^b = 0.  So the depth of a nilpotent E is below b, and
+    E^{(x)b} != 0 means E is not nilpotent.
+    """
+    for n in range(len(chain.algebra.block_dims)):
         if chain.corr((letter,) * (n + 1)).dim == 0:
             return n
     return None

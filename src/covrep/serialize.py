@@ -259,7 +259,102 @@ def load_instance(path, tol: float = DEFAULT_TOL):
 
 
 def dump_json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=1) + "\n"
+    """``json.dumps(data, sort_keys=True, indent=1) + "\\n"``, byte for byte.
+
+    With ``indent`` set, ``json`` runs its pure-Python encoder, one
+    generator per container; this writer joins each container once and
+    formats a row of ``[re, im]`` pairs (what ``matrix_to_json`` gives) in
+    one comprehension.  Unsupported types and circular references raise
+    the TypeError and ValueError that ``json.dumps`` raises.
+    """
+    return _value(data, "\n", set()) + "\n"
+
+
+_FLOAT_REPR = float.__repr__
+_INT_REPR = int.__repr__
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _scalar(o) -> str | None:
+    """The JSON text of None, a bool, an int or a float, else None."""
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return _INT_REPR(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INF:
+            return "Infinity"
+        if o == -_INF:
+            return "-Infinity"
+        return _FLOAT_REPR(o)
+    return None
+
+
+def _value(o, nl: str, markers: set) -> str:
+    """``o`` as JSON text whose closing bracket sits at the indent of ``nl``;
+    ``markers`` holds the ids of the containers that enclose ``o``."""
+    if isinstance(o, str):
+        return _ENCODE_STR(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + " "
+        body = _pair_row(o, inner)
+        if body is None:
+            _enter(o, markers)
+            body = ("," + inner).join([_value(v, inner, markers) for v in o])
+            markers.discard(id(o))
+        return "[" + inner + body + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = nl + " "
+        _enter(o, markers)
+        body = ("," + inner).join(
+            [_ENCODE_STR(_key(k)) + ": " + _value(v, inner, markers) for k, v in sorted(o.items())]
+        )
+        markers.discard(id(o))
+        return "{" + inner + body + nl + "}"
+    text = _scalar(o)
+    if text is None:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    return text
+
+
+def _enter(o, markers: set) -> None:
+    if id(o) in markers:
+        raise ValueError("Circular reference detected")
+    markers.add(id(o))
+
+
+def _key(k) -> str:
+    text = k if isinstance(k, str) else _scalar(k)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    return text
+
+
+def _pair_row(row, inner: str) -> str | None:
+    """The items of a list of ``[float, float]`` lists at the indent of
+    ``inner``, or None for any other list.  A row with ``nan`` or ``inf``
+    is None too: no finite float's repr has the letter n, and the generic
+    path spells them as ``json`` does."""
+    if set(map(type, row)) != {list}:
+        return None
+    pair = inner + " "
+    r = _FLOAT_REPR
+    try:
+        body = ("," + inner).join([f"[{pair}{r(a)},{pair}{r(b)}{inner}]" for a, b in row])
+    except (TypeError, ValueError):
+        return None
+    return None if "n" in body else body
 
 
 def _plain(meta: dict) -> dict:

@@ -5,6 +5,8 @@ matrices, the representation images, adjacency matrices) with plain
 numpy, deliberately avoiding the package's quotient machinery.
 """
 
+import json
+
 import numpy as np
 
 from covrep._linalg import gram_quotient, op_norm, scale_of
@@ -450,3 +452,9 @@ def assert_reports_agree(report, expected, rtol=1e-12):
     for got, want in zip(report.items, expected.items):
         assert got.passed == want.passed, (got, want)
         assert abs(got.residual - want.residual) <= rtol * max(1.0, want.residual), (got, want)
+
+
+def dump_json(data) -> str:
+    """The JSON layout of reports and instance files: the stock encoder with
+    sorted keys and a one-space indent, plus a closing newline."""
+    return json.dumps(data, sort_keys=True, indent=1) + "\n"

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from covrep.cli import main
+import oracles
+from covrep.cli import build_parser, main
 from covrep.examples import write_corpus
-from covrep.serialize import covrep_to_json, dump_json
+from covrep.serialize import covrep_to_json, dump_json, instance_to_json
 from covrep.examples import scalar_covrep
 from covrep.product import ProductRep
 
@@ -416,3 +417,55 @@ class TestCorpusCommand:
             "scalar-unitary-3.json",
             "two-color-path.json",
         ]
+
+
+class TestJsonLayout:
+    """Corpus files and every JSON report on them are the stock encoder's
+    bytes (``oracles.dump_json``)."""
+
+    def test_corpus_files(self, corpus_dir, corpus):
+        for name, inst in corpus.items():
+            text = (corpus_dir / f"{name}.json").read_text()
+            assert text == oracles.dump_json(instance_to_json(inst)), name
+            assert text == oracles.dump_json(json.loads(text)), name
+
+    def test_reports_on_the_corpus(self, corpus_dir, corpus, capsys):
+        covariant = ("richter", "muhly-solel", "mt1", "cd")
+        product = ("p21", "t22", "t24")
+        for name, inst in corpus.items():
+            path = corpus_dir / f"{name}.json"
+            if isinstance(inst, ProductRep):
+                argvs = [["check", path, "rep-relation", "doubly-commuting", "isometric"]]
+                argvs += [["verify", path, "--theorem", t] for t in product]
+            else:
+                argvs = [["check", path, "isometric", "concave", "shimorin", "analytic"], ["decompose", path]]
+                argvs += [["verify", path, "--theorem", t] for t in covariant]
+            for argv in [["validate", path], *argvs]:
+                code, out, _ = run(capsys, *argv, "--format", "json")
+                # only a verifier whose hypothesis fails up front writes no report
+                assert out or code == 3, argv
+                assert out == (oracles.dump_json(json.loads(out)) if out else ""), argv
+
+
+class TestParserReuse:
+    def test_no_state_carries_between_calls(self, corpus_dir, capsys, monkeypatch):
+        monkeypatch.delenv("COVREP_TOLERANCE", raising=False)
+        g1 = corpus_dir / "g1-induced.json"
+        argvs = [
+            ["verify", g1, "--theorem", "mt1", "--format", "json", "--seed", "42", "--tolerance", "1e-7"],
+            ["verify", g1, "--theorem", "cd", "--format", "json"],
+            ["check", g1, "isometric", "--format", "json"],
+        ]
+        reports = []
+        for argv in argvs:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, argv
+            reports.append(json.loads(out))
+        assert (reports[0]["seed"], reports[0]["tolerance"]) == (42, 1e-7)
+        assert (reports[1]["seed"], reports[1]["tolerance"], reports[1]["theorem"]) == (None, 1e-9, "cd")
+        assert reports[2]["seed"] is None and "theorem" not in reports[2]
+        assert build_parser() is build_parser()
+        # each namespace is the one a freshly built parser gives
+        for argv in argvs:
+            argv = [str(a) for a in argv]
+            assert vars(build_parser().parse_args(argv)) == vars(build_parser.__wrapped__().parse_args(argv))

@@ -97,6 +97,14 @@ class TestInducedRepresentation:
         for E in system.correspondences:
             assert induced_representation(E, pi, 0).meta["exact"] is True
 
+    def test_auto_depth_past_sixteen(self):
+        # the directed path on 18 vertices has depth 17 over 18 central blocks
+        from covrep.correspondence import ChainTower
+        from covrep.examples import _auto_depth
+
+        E = graph_correspondence(DirectedGraph(18, tuple((i, i + 1) for i in range(17))))
+        assert _auto_depth(ChainTower([E], E.tol), 0) == 17
+
     def test_depth_required_for_cycles(self):
         g = DirectedGraph(1, ((0, 0),))
         from covrep.algebra import StarRepresentation
