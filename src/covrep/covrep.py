@@ -12,10 +12,11 @@ All instances are immutable after construction; derived operators are
 cached write-once, so representations can be shared across threads and
 independent checks evaluated in parallel.  Besides T~, the Gram T~* T~, the
 left-invertibility check, L, P and Q, the cached constants are the
-tolerance scale ``scale``, the Cauchy dual ``cauchy_dual()`` and the
-factors I (x) T~ of ``factor(word)``; ``wold`` keeps the subspaces that
-depend only on the representation (ranges of T~_n, W, H_inf, [W]_T) in
-``_lattice``.
+tolerance scale ``scale``, the read-only stack of sigma(M)'s images and
+the T(xi) that invariance checks read, the Cauchy dual ``cauchy_dual()``
+and the factors I (x) T~ of ``factor(word)``; ``wold`` keeps the subspaces
+that depend only on the representation and the certificates measured on
+them in ``_lattice``.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ class CovariantRep:
         # algebraic map theta : C^{e n} -> C^n, column (i*n + p) = T_i e_p
         self.theta = T.transpose(1, 0, 2).reshape(n, E.dim * n)
         self._factor: dict[tuple[int, ...], np.ndarray] = {}
-        # the subspaces of wold._lattice: ranges of T~_n, W, H_inf and [W]_T
+        # the lattice constants of wold._lattice, under fixed keys
         self._lattice: dict = {}
         self._lfac: dict[int, np.ndarray] = {}
         self._tilde_n: dict[int, np.ndarray] = {0: eye_like(n)}
@@ -199,6 +200,14 @@ class CovariantRep:
     def scale(self) -> float:
         """scale_of(theta), the relative-tolerance scale of T."""
         return scale_of(self.theta)
+
+    @cached_property
+    def _generators(self) -> np.ndarray:
+        """sigma(M)'s images and the T(xi) in one read-only stack, whose
+        common invariant subspaces ``restrict`` and ``wold.check_invariant`` test."""
+        stack = np.concatenate((self.sigma.images, self.T))
+        stack.flags.writeable = False
+        return stack
 
     def word(self, k: int) -> tuple[int, ...]:
         return (self.letter,) * k
@@ -442,7 +451,7 @@ class CovariantRep:
         if drift > ORTHONORMAL_TOL:
             raise ShapeMismatch(f"restriction basis columns are not orthonormal (drift {drift:.3e})")
         bound = self.tol * max(scale_of(basis), self.scale, self.sigma.scale)
-        worst = invariance_residual(np.concatenate((self.sigma.images, self.T)), basis)
+        worst = invariance_residual(self._generators, basis)
         if worst > bound:
             raise NotInvariant(f"subspace is not (sigma, T)-invariant (residual {worst:.3e})")
         images = np.stack([dagger(basis) @ img @ basis for img in self.sigma.images])

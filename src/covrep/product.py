@@ -27,6 +27,7 @@ from .wold import (
     _lattice,
     _range,
     _require_sigma_invariant,
+    _sigma_check,
     _translate,
     _wandering_closure,
     check_reducing,
@@ -136,7 +137,8 @@ class ProductRep:
         self.tol = tol if tol is not None else min(system.tol, sigma.tol)
         self.meta = dict(meta or {})
         self.hilb = HilbertTower(system.chain, sigma)
-        # the W_alpha of wold._lattice, keyed ("W", alpha)
+        # the alpha-indexed constants of wold._lattice, keyed ("W", alpha),
+        # ("translates", alpha), ("reducing", alpha, j) and ("step", alpha, i)
         self._lattice: dict = {}
         self.reps = tuple(
             CovariantRep(
@@ -288,7 +290,7 @@ def script_L_alpha(pr: ProductRep, alpha, m, K: Subspace) -> Subspace:
     word = multi_word(alpha, m)
     if word == ():
         return K
-    _require_sigma_invariant(pr.sigma, pr.tol, K)
+    _require_sigma_invariant(_sigma_check(pr.sigma, pr.tol, K))
     return _translate(pr.hilb, word, K, partial(pr.tilde_word, word))
 
 
@@ -315,7 +317,7 @@ def _coordinate_depth(pr: ProductRep, i: int) -> int:
 def alpha_translates(pr: ProductRep, alpha, K: Subspace) -> Subspace:
     """Span of L^alpha_m(K) over all multi-indices m != 0 (bounded sweep)."""
     alpha = validate_alpha(alpha, pr.k)
-    _require_sigma_invariant(pr.sigma, pr.tol, K)
+    _require_sigma_invariant(_sigma_check(pr.sigma, pr.tol, K))
     caps = [_coordinate_depth(pr, i) for i in alpha]
     total = Subspace.zero(pr.hdim)
     for m in iter_product(*(range(c + 1) for c in caps)):
@@ -355,7 +357,7 @@ def _p21_conclusions(pr: ProductRep, alpha) -> tuple[tuple[CheckItem, ...], int]
     if not outside:
         conclusions.append(CheckItem("no_outside_coordinates", True, 0.0, vacuous=True))
     for j in outside:
-        red = check_reducing(pr.rep(j), W)
+        red = _lattice(pr, ("reducing", alpha, j), partial(check_reducing, pr.rep(j), W))
         conclusions.append(CheckItem(f"W_alpha_reducing_for_{j+1}", red.passed, red.residual))
     return tuple(conclusions), W.dim
 
@@ -387,7 +389,7 @@ def _gws_items(pr: ProductRep, alpha) -> tuple[list[CheckItem], dict]:
     alpha = validate_alpha(alpha, pr.k)
     n = pr.hdim
     W = wandering_alpha(pr, alpha)
-    translates = alpha_translates(pr, alpha, W)
+    translates = _lattice(pr, ("translates", alpha), partial(alpha_translates, pr, alpha, W))
     tag = _tag(alpha)
     wander_res = (
         op_norm(dagger(W.basis) @ translates.basis) if W.dim and translates.dim else 0.0
@@ -401,7 +403,7 @@ def _gws_items(pr: ProductRep, alpha) -> tuple[list[CheckItem], dict]:
     if len(alpha) >= 2:
         for i in alpha:
             rest = tuple(a for a in alpha if a != i)
-            lhs = invariant_closure(pr.rep(i), W)
+            lhs = _lattice(pr, ("step", alpha, i), partial(invariant_closure, pr.rep(i), W))
             items.append(_angle_item(f"step_{tag}_drop_{i+1}", lhs, wandering_alpha(pr, rest)))
     return items, {f"W_{tag}": W.dim}
 

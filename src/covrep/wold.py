@@ -7,9 +7,15 @@ angle, measured through the well-conditioned sine residual
 the conclusions even when hypotheses fail, flagging them as not asserted,
 so failing instances act as counterexample explorers rather than raising.
 
-The subspaces that depend only on the representation (the ranges of
-T~_n, W, H_inf, [W]_T and, on a product, each W_alpha) are computed once
-per instance and shared with read-only bases (``_lattice``).
+The lattice constants, which depend only on the representation, are
+computed once per instance (``_lattice``): the subspaces (the ranges of
+T~_n, W, H_inf, [W]_T, the span of W under the Cauchy dual and, on a
+product, each W_alpha, its alpha-translates and its closures under the
+coordinates in alpha), shared with read-only bases, and the certificates
+measured on them (the reducing checks of H_u and H_inf, the restriction
+to H_inf, the sigma-invariance of W and, on a product, the reducing
+checks of W_alpha).  A subspace a caller passes is never cached, and
+neither is a whole report or the Muhly-Solel model.
 """
 
 from __future__ import annotations
@@ -158,20 +164,21 @@ def subspace_sum(*spaces: Subspace) -> Subspace:
 # -- representation-driven subspaces ------------------------------------------
 
 
-def _sigma_residual(sigma: StarRepresentation, tol: float, K: Subspace) -> tuple[float, bool]:
-    """The sigma(M)-invariance residual of K, and whether it is within
+def _sigma_check(sigma: StarRepresentation, tol: float, K: Subspace) -> CheckResult:
+    """The sigma(M)-invariance residual of K, passed when within
     tol * sigma.scale: the residual involves sigma alone."""
     if K.ambient_dim != sigma.hilbert_dim:
         raise AmbientMismatch("subspace does not live in the representation space")
     res = invariance_residual(sigma.images, K.basis)
-    return res, res <= tol * sigma.scale
+    return CheckResult("sigma_invariant", res <= tol * sigma.scale, res)
 
 
-def _require_sigma_invariant(sigma: StarRepresentation, tol: float, K: Subspace):
-    """Check once, at a public entry, that K is a sigma(M)-invariant subspace of H."""
-    res, invariant = _sigma_residual(sigma, tol, K)
-    if not invariant:
-        raise NotSigmaInvariant(f"subspace is not sigma(M)-invariant (residual {res:.3e})")
+def _require_sigma_invariant(check: CheckResult):
+    """Raise unless a ``_sigma_check`` passed; checked once, at a public entry."""
+    if not check.passed:
+        raise NotSigmaInvariant(
+            f"subspace is not sigma(M)-invariant (residual {check.residual:.3e})"
+        )
 
 
 def _translate(hilb: HilbertTower, word, K: Subspace, tilde) -> Subspace:
@@ -195,21 +202,23 @@ def _translates(rep: CovariantRep, K: Subspace):
         yield ln
 
 
-def _lattice(owner, key, build) -> Subspace:
+def _lattice(owner, key, build):
     """``owner._lattice[key]``, built by ``build()`` on first use.
 
-    The keys are the representation's own subspaces (ranges of T~_n, W,
-    H_inf, [W]_T, W_alpha), never a subspace a caller passed in, so the
-    cache stays bounded.  Cached bases are shared, hence read-only.  Threads
-    that miss together each build the subspace; ``setdefault`` keeps the
-    first, so every caller gets the same object.
+    Each call site passes a fixed key naming one of the representation's
+    own subspaces or a certificate measured on one (a frozen CheckResult or
+    a tuple of them), never a subspace a caller passed in, so the cache
+    stays bounded.  Cached bases are shared, hence read-only.  Threads that
+    miss together each build the value; ``setdefault`` keeps the first, so
+    every caller gets the same object.
     """
-    space = owner._lattice.get(key)
-    if space is None:
-        space = build()
-        space.basis.flags.writeable = False
-        space = owner._lattice.setdefault(key, space)
-    return space
+    value = owner._lattice.get(key)
+    if value is None:
+        value = build()
+        if isinstance(value, Subspace):
+            value.basis.flags.writeable = False
+        value = owner._lattice.setdefault(key, value)
+    return value
 
 
 def _range(rep: CovariantRep, n: int) -> Subspace:
@@ -229,7 +238,7 @@ def _wandering_closure(rep: CovariantRep) -> Subspace:
 
 def script_L_n(rep: CovariantRep, K: Subspace, n: int) -> Subspace:
     """L_n(K): closure of T~_n (E^{(x)n} (x) K) inside H."""
-    _require_sigma_invariant(rep.sigma, rep.tol, K)
+    _require_sigma_invariant(_sigma_check(rep.sigma, rep.tol, K))
     if n == 0:
         return K
     return _translate(rep.hilb, rep.word(n), K, partial(rep.tilde_n, n))
@@ -237,7 +246,7 @@ def script_L_n(rep: CovariantRep, K: Subspace, n: int) -> Subspace:
 
 def invariant_closure(rep: CovariantRep, K: Subspace) -> Subspace:
     """Smallest (sigma, T)-invariant subspace containing K: sum of L_n(K)."""
-    _require_sigma_invariant(rep.sigma, rep.tol, K)
+    _require_sigma_invariant(_sigma_check(rep.sigma, rep.tol, K))
     total = K
     for ln in _translates(rep, K):
         step = total + ln
@@ -264,7 +273,7 @@ def h_infinity(rep: CovariantRep) -> Subspace:
 
 def check_invariant(rep: CovariantRep, K: Subspace) -> CheckResult:
     """P_K commutes with sigma(M) and every T(xi) leaves K invariant."""
-    res = invariance_residual(np.concatenate((rep.sigma.images, rep.T)), K.basis)
+    res = invariance_residual(rep._generators, K.basis)
     bound = rep.tol * max(rep.scale, rep.sigma.scale)
     return CheckResult("invariant", res <= bound, res)
 
@@ -278,9 +287,9 @@ def check_reducing(rep: CovariantRep, K: Subspace) -> CheckResult:
 
 def check_wandering(rep: CovariantRep, K: Subspace) -> CheckResult:
     """K is sigma(M)-invariant and orthogonal to all its forward translates."""
-    sigma_res, sigma_invariant = _sigma_residual(rep.sigma, rep.tol, K)
-    if not sigma_invariant:
-        return CheckResult("wandering", False, sigma_res, reason="NotSigmaInvariant")
+    sigma = _sigma_check(rep.sigma, rep.tol, K)
+    if not sigma.passed:
+        return CheckResult("wandering", False, sigma.residual, reason="NotSigmaInvariant")
     worst = 0.0
     for ln in _translates(rep, K):
         worst = max(worst, op_norm(dagger(K.basis) @ ln.basis))
@@ -339,12 +348,15 @@ def wold_decompose(rep: CovariantRep) -> WoldDecomposition:
     orth = op_norm(dagger(H_u.basis) @ H_inf.basis)
     complete_dim = H_u.dim + H_inf.dim == n
     complete = op_norm(H_u.projector() + H_inf.projector() - eye_like(n))
-    red_u = check_reducing(rep, H_u)
-    red_inf = check_reducing(rep, H_inf)
+    red_u = _lattice(rep, ("reducing", "H_u"), lambda: check_reducing(rep, H_u))
+    red_inf = _lattice(rep, ("reducing", "H_inf"), lambda: check_reducing(rep, H_inf))
     if H_inf.dim:
-        sub = rep.restrict(H_inf.basis)
-        iso = sub.check_isometric()
-        coiso = sub.check_fully_coisometric()
+
+        def restriction():
+            sub = rep.restrict(H_inf.basis)
+            return sub.check_isometric(), sub.check_fully_coisometric()
+
+        iso, coiso = _lattice(rep, ("restriction", "H_inf"), restriction)
         iso_item = CheckItem("restriction_isometric", iso.passed, iso.residual)
         coiso_item = CheckItem("restriction_fully_coisometric", coiso.passed, coiso.residual)
     else:
@@ -383,7 +395,7 @@ def verify_muhly_solel(rep: CovariantRep) -> TheoremReport:
         raise NotIsometric(f"representation is not isometric (residual {iso.residual:.3e})")
     n = rep.hdim
     W = image(eye_like(n) - rep.tilde @ dagger(rep.tilde))
-    _require_sigma_invariant(rep.sigma, rep.tol, W)
+    _require_sigma_invariant(_sigma_check(rep.sigma, rep.tol, W))
     pieces = [W, *_translates(rep, W)]
     depth = len(pieces) - 1
     H1 = subspace_sum(*pieces)
@@ -485,7 +497,7 @@ def verify_cauchy_dual_props(rep: CovariantRep) -> TheoremReport:
     hinf = h_infinity(rep)
     hinf_dual = h_infinity(dual)
     span = _wandering_closure(rep)
-    span_dual = invariant_closure(dual, W)
+    span_dual = _lattice(rep, "span_dual", lambda: invariant_closure(dual, W))
 
     analytic = hinf.dim == 0
     analytic_dual = hinf_dual.dim == 0
@@ -520,7 +532,7 @@ def check_dual_reducing_implication(rep: CovariantRep) -> TheoremReport:
     rep._require_left_invertible()
     dual = rep.cauchy_dual()
     hinf_dual = h_infinity(dual)
-    red = check_reducing(dual, hinf_dual)
+    red = _lattice(dual, ("reducing", "H_inf"), lambda: check_reducing(dual, hinf_dual))
     if red.passed:
         gap = h_infinity(rep).containment_gap(hinf_dual)
         concl = CheckItem("dual_Hinf_contained_in_Hinf", gap <= ANGLE_TOL, gap)
@@ -541,7 +553,8 @@ def verify_ker_Ln(rep: CovariantRep, n: int) -> TheoremReport:
     rep._require_left_invertible()
     W = wandering_subspace(rep)
     kerL = kernel(rep.L_n(n))
-    _require_sigma_invariant(rep.sigma, rep.tol, W)
+    sigma_w = _lattice(rep, ("sigma", "W"), lambda: _sigma_check(rep.sigma, rep.tol, W))
+    _require_sigma_invariant(sigma_w)
     rhs = subspace_sum(W, *islice(_translates(rep, W), n - 1)) if n else Subspace.zero(rep.hdim)
     return TheoremReport(
         "ker_Ln",

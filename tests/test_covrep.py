@@ -576,8 +576,11 @@ class TestCachingAndThreads:
 
     def test_derived_operators_computed_once(self):
         rep = weighted_graph_rep(G2, [1.25, 1.1])
-        for name in ("gram_tilde", "L", "P", "Q"):
+        for name in ("gram_tilde", "L", "P", "Q", "_generators"):
             assert getattr(rep, name) is getattr(rep, name)
+        # the invariance checks' generators, stacked once and shared read-only
+        assert not rep._generators.flags.writeable
+        np.testing.assert_array_equal(rep._generators, np.concatenate((rep.sigma.images, rep.T)))
         np.testing.assert_allclose(rep.P + rep.Q, np.eye(rep.hdim), atol=1e-15)
 
     def test_not_left_invertible_is_not_cached_as_L(self):
@@ -636,9 +639,18 @@ class TestCachingAndThreads:
 
     @staticmethod
     def lattice_tasks(rep, pr):
-        """First touches of the lattice caches of ``rep`` and of the coordinates of ``pr``."""
-        from covrep.product import wandering_alpha
-        from covrep.wold import h_infinity, wandering_subspace, wold_decompose
+        """First touches of the lattice caches of ``rep``, of the coordinates of
+        ``pr`` and of ``pr`` itself; a multiple of four tasks, so that every
+        generation of the barrier releases four of them together."""
+        from covrep.product import verify_P21_all, verify_T22, verify_T24_equivalence, wandering_alpha
+        from covrep.wold import (
+            check_dual_reducing_implication,
+            h_infinity,
+            verify_cauchy_dual_props,
+            verify_ker_Ln,
+            wandering_subspace,
+            wold_decompose,
+        )
 
         reps = (rep, *pr.reps)
 
@@ -652,6 +664,16 @@ class TestCachingAndThreads:
             "wold": lambda: [
                 (bases((d.W, d.H_u, d.H_inf)), d.to_json()) for d in map(wold_decompose, reps)
             ],
+            # the translates, closures and reducing checks of every W_alpha
+            "T22": lambda: verify_T22(pr).to_json(),
+            "T24": lambda: verify_T24_equivalence(pr).to_json(),
+            "P21": lambda: verify_P21_all(pr).to_json(),
+            # the dual span of W, the sigma-invariance of W and the dual's reducing H_inf
+            "dual": lambda: [
+                verify_cauchy_dual_props(rep).to_json(),
+                verify_ker_Ln(rep, 3).to_json(),
+                check_dual_reducing_implication(rep).to_json(),
+            ],
         }
 
     def test_first_touch_of_lattice_from_threads(self):
@@ -661,7 +683,7 @@ class TestCachingAndThreads:
             return self.lattice_tasks(weighted_graph_rep(G2, [1.25, 1.1]), self.grid3())
 
         serial = {name: task() for name, task in fresh().items()}
-        # the four tasks start together, on caches no thread has filled yet
+        # four tasks at a time start together, on caches no thread has filled yet
         start = threading.Barrier(4, timeout=60)
 
         def at_barrier(task):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from covrep.examples import (
 from covrep.product import (
     ProductRep,
     ProductSystem,
+    alpha_translates,
     check_T24_condition_b,
     doubly_flag,
     invariant_closure_alpha,
@@ -27,7 +30,8 @@ from covrep.product import (
     verify_T24_equivalence,
     wandering_alpha,
 )
-from covrep.wold import Subspace, wandering_subspace
+from covrep.serialize import dump_json
+from covrep.wold import Subspace, check_reducing, invariant_closure, wandering_subspace
 
 from oracles import doubly_commuting_oracle
 
@@ -234,8 +238,48 @@ class TestDoublyHypothesisOnce:
         assert not doubly_flag(scalar_tuple([S3, S3 @ S3]).check_doubly_commuting())
 
 
+def _alpha_keys(pr):
+    """The fixed key set of a product representation's lattice once T22, T24
+    and P21 have run: W_alpha, its translates and its reducing checks for
+    every alpha, and its closures under each coordinate of a larger alpha."""
+    keys = set()
+    for size in range(1, pr.k + 1):
+        for alpha in combinations(range(pr.k), size):
+            keys |= {("W", alpha), ("translates", alpha)}
+            keys |= {("reducing", alpha, j) for j in range(pr.k) if j not in alpha}
+            if size >= 2:
+                keys |= {("step", alpha, i) for i in alpha}
+    return keys
+
+
+#: The verifiers that read the alpha-indexed lattice constants.
+ALPHA_VERIFIERS = (
+    verify_T22,
+    verify_T24_equivalence,
+    lambda pr: verify_P21(pr, (0,)),
+    lambda pr: verify_P21(pr, (1,)),
+    lambda pr: verify_P21(pr, (1, 0)),
+    verify_P21_all,
+)
+
+
+def _certify(pr):
+    """One warm-path pass over ``ALPHA_VERIFIERS``, as report bytes."""
+    return [dump_json(verify(pr).to_json()) for verify in ALPHA_VERIFIERS]
+
+
+def _fresh(pr):
+    return ProductRep(pr.system, pr.sigma, [r.T for r in pr.reps], tol=pr.tol)
+
+
 class TestAlphaLatticeCache:
-    """W_alpha is computed once per alpha and product representation."""
+    """W_alpha, its translates, its closures and its reducing checks are
+    computed once per alpha and product representation, under a fixed key
+    set of at most (2^k - 1)(k + 2) keys."""
+
+    @staticmethod
+    def instances():
+        return [two_color_path_rep(), jordan_pair()]
 
     def test_computed_once_and_read_only(self):
         pr = two_color_path_rep()
@@ -250,16 +294,59 @@ class TestAlphaLatticeCache:
         for i in range(2):
             assert first[(i,)] is wandering_subspace(pr.rep(i))
         assert set(pr._lattice) == {("W", alpha) for alpha in alphas}
+        _certify(pr)
+        cached = dict(pr._lattice)
+        _certify(pr)
+        assert set(pr._lattice) == _alpha_keys(pr)
+        assert all(pr._lattice[key] is value for key, value in cached.items())
+        assert len(pr._lattice) <= (2**pr.k - 1) * (pr.k + 2)
+        for key, value in pr._lattice.items():
+            if isinstance(value, Subspace):
+                with pytest.raises(ValueError):
+                    value.basis[...] = 0.0
+
+    def test_sweeps_run_once(self, count_calls):
+        import covrep.product as product
+
+        calls = count_calls(product, "alpha_translates", "invariant_closure", "check_reducing")
+        for pr in self.instances():
+            calls.clear()
+            _certify(pr)
+            once = dict(calls)
+            _certify(pr)
+            _certify(pr)
+            assert calls == once
+            assert once == {"alpha_translates": 3, "invariant_closure": 2, "check_reducing": 2}
 
     def test_bit_equal_to_a_fresh_instance(self):
         pr = two_color_path_rep()
         verify_T22(pr)
         verify_P21_all(pr)
-        fresh = ProductRep(pr.system, pr.sigma, [r.T for r in pr.reps], tol=pr.tol)
+        fresh = _fresh(pr)
         for alpha in [(0, 1), (1,), (0,)]:
             assert wandering_alpha(pr, alpha).basis.tobytes() == wandering_alpha(fresh, alpha).basis.tobytes()
         W0, W1 = (wandering_subspace(fresh.rep(i)) for i in range(2))
         assert wandering_alpha(pr, (0, 1)).basis.tobytes() == W0.intersect(W1).basis.tobytes()
+        # every cached value, from the uncached function on a fresh instance
+        for key, value in pr._lattice.items():
+            kind, alpha, *index = key
+            W = wandering_alpha(fresh, alpha)
+            if kind == "W":
+                assert value.basis.tobytes() == W.basis.tobytes(), key
+            elif kind == "translates":
+                assert value.basis.tobytes() == alpha_translates(fresh, alpha, W).basis.tobytes(), key
+            elif kind == "step":
+                closure = invariant_closure(fresh.rep(index[0]), W)
+                assert value.basis.tobytes() == closure.basis.tobytes(), key
+            else:
+                assert repr(value) == repr(check_reducing(fresh.rep(index[0]), W)), key
+
+    def test_warm_reports_equal_cold_reports(self):
+        for pr in self.instances():
+            warm = [_certify(pr) for _ in range(3)]
+            # each verifier's first call, on an instance of its own
+            cold = [dump_json(verify(_fresh(pr)).to_json()) for verify in ALPHA_VERIFIERS]
+            assert warm == [cold] * 3
 
     def test_coordinates_keep_their_own_caches(self):
         pr = two_color_path_rep()

@@ -24,9 +24,11 @@ from covrep.examples import (
     two_color_path_rep,
     weighted_graph_rep,
 )
+from covrep.serialize import dump_json
 from covrep.wold import (
     Subspace,
     _range,
+    _sigma_check,
     _translates,
     check_dual_reducing_implication,
     check_invariant,
@@ -478,52 +480,136 @@ class TestTrustedBases:
 
 
 def _lattice_reads(rep):
-    """Every lattice subspace of ``rep``, read through the public functions."""
-    return {
+    """Every lattice constant of ``rep``: the subspaces read through the public
+    functions, the certificates as the verifiers that measure them leave them."""
+    decomposition = wold_decompose(rep)
+    reads = {
         "W": wandering_subspace(rep),
         "H_inf": h_infinity(rep),
-        "H_u": wold_decompose(rep).H_u,
+        "H_u": decomposition.H_u,
         **{("range", n): _range(rep, n) for n in range(1, rep.hdim + 2)},
     }
+    keys = [("reducing", "H_u"), ("reducing", "H_inf")]
+    if decomposition.H_inf.dim:
+        keys.append(("restriction", "H_inf"))
+    if rep.left_invertible():
+        verify_cauchy_dual_props(rep)
+        verify_ker_Ln(rep, 2)
+        keys += ["span_dual", ("sigma", "W")]
+    reads.update((key, rep._lattice[key]) for key in keys)
+    return reads
+
+
+def _bits(value):
+    """A lattice constant as exact data: a basis by its bytes, a certificate
+    by its repr, which spells every float exactly."""
+    if isinstance(value, Subspace):
+        return value.basis.shape, value.basis.tobytes()
+    return repr(value)
+
+
+#: The verifiers that read the lattice constants of a covariant representation.
+WARM_VERIFIERS = (
+    wold_decompose,
+    verify_cauchy_dual_props,
+    lambda rep: verify_ker_Ln(rep, 3),
+    check_dual_reducing_implication,
+)
+
+
+def _certify(rep):
+    """One warm-path pass over ``WARM_VERIFIERS``, as report bytes."""
+    return [dump_json(verify(rep).to_json()) for verify in WARM_VERIFIERS]
 
 
 class TestLatticeCache:
-    """W, H_inf, [W]_T and the ranges of T~_n are computed once per representation."""
+    """The lattice constants (W, H_inf, [W]_T, the ranges of T~_n, the dual
+    span of W, and the certificates measured on them) are computed once per
+    representation, under a fixed key set of at most dim H + 9 keys."""
 
     @staticmethod
     def rep():
         return weighted_graph_rep(G2, [1.25, 1.1])
 
+    @classmethod
+    def reps(cls):
+        """An analytic instance and one with a unitary part (H_inf != 0)."""
+        return [cls.rep(), loop_plus_g1()[0]]
+
     def test_computed_once(self):
-        rep = self.rep()
-        first = _lattice_reads(rep)
-        again = _lattice_reads(rep)
-        assert all(again[key] is space for key, space in first.items())
-        assert wandering_subspace(rep) is rep._lattice["W"]
-        assert verify_cauchy_dual_props(rep).dims["span"] == first["H_u"].dim
-        assert rep._lattice["H_u"] is first["H_u"]
-        assert set(rep._lattice) == set(first)
+        for rep in self.reps():
+            first = _lattice_reads(rep)
+            again = _lattice_reads(rep)
+            assert all(again[key] is value for key, value in first.items())
+            assert wandering_subspace(rep) is rep._lattice["W"]
+            assert verify_cauchy_dual_props(rep).dims["span"] == first["H_u"].dim
+            assert rep._lattice["H_u"] is first["H_u"]
+            keys = {
+                "W", "H_inf", "H_u", "span_dual",
+                ("reducing", "H_u"), ("reducing", "H_inf"), ("sigma", "W"),
+                *(("range", n) for n in range(1, rep.hdim + 2)),
+            }
+            if first["H_inf"].dim:
+                keys.add(("restriction", "H_inf"))
+            assert set(rep._lattice) == set(first) == keys
+            assert len(rep._lattice) <= rep.hdim + 9
+
+    def test_certificates_measured_once(self, count_calls):
+        import covrep.wold as wold
+
+        count_calls(wold, "check_reducing", "_sigma_check", "invariant_closure")
+        calls = count_calls(CovariantRep, "restrict")
+        for rep in self.reps():
+            calls.clear()
+            _certify(rep)
+            once = dict(calls)
+            _certify(rep)
+            _certify(rep)
+            assert calls == once
+            # H_u and H_inf, and the dual's H_inf
+            assert once["check_reducing"] == 3
 
     def test_cached_bases_are_read_only(self):
-        rep = self.rep()
-        for space in _lattice_reads(rep).values():
-            with pytest.raises(ValueError):
-                space.basis[...] = 0.0
+        for rep in self.reps():
+            for value in _lattice_reads(rep).values():
+                if isinstance(value, Subspace):
+                    with pytest.raises(ValueError):
+                        value.basis[...] = 0.0
 
     def test_bit_equal_to_a_fresh_instance(self):
-        rep = self.rep()
-        verify_cauchy_dual_props(rep)
-        verify_ker_Ln(rep, 2)
-        warm = _lattice_reads(rep)
-        fresh = CovariantRep(rep.sigma, rep.E, rep.T, tol=rep.tol)
-        # the fresh instance fills its cache in another order: ranges from the top, then H_inf
-        cold = {("range", n): _range(fresh, n) for n in range(fresh.hdim + 1, 0, -1)}
-        cold.update(H_inf=h_infinity(fresh), W=wandering_subspace(fresh), H_u=wold_decompose(fresh).H_u)
-        for key, space in warm.items():
-            assert space.basis.tobytes() == cold[key].basis.tobytes(), key
-        # the formulas the cache replaced
-        assert warm["W"].basis.tobytes() == image(rep.tilde).orthocomplement().basis.tobytes()
-        assert warm["H_u"].basis.tobytes() == invariant_closure(fresh, cold["W"]).basis.tobytes()
+        for rep in self.reps():
+            verify_cauchy_dual_props(rep)
+            verify_ker_Ln(rep, 2)
+            warm = _lattice_reads(rep)
+            fresh = CovariantRep(rep.sigma, rep.E, rep.T, tol=rep.tol)
+            # the fresh instance fills its cache in another order: ranges from the top, then H_inf
+            cold = {("range", n): _range(fresh, n) for n in range(fresh.hdim + 1, 0, -1)}
+            cold.update(H_inf=h_infinity(fresh), W=wandering_subspace(fresh), H_u=wold_decompose(fresh).H_u)
+            # the certificates, from the uncached functions
+            H_u, H_inf, W = cold["H_u"], cold["H_inf"], cold["W"]
+            cold[("reducing", "H_u")] = check_reducing(fresh, H_u)
+            cold[("reducing", "H_inf")] = check_reducing(fresh, H_inf)
+            if H_inf.dim:
+                sub = fresh.restrict(H_inf.basis)
+                cold[("restriction", "H_inf")] = (sub.check_isometric(), sub.check_fully_coisometric())
+            cold[("sigma", "W")] = _sigma_check(fresh.sigma, fresh.tol, W)
+            cold["span_dual"] = invariant_closure(fresh.cauchy_dual(), W)
+            assert set(warm) == set(cold)
+            for key, value in warm.items():
+                assert _bits(value) == _bits(cold[key]), key
+            # the formulas the cache replaced
+            assert warm["W"].basis.tobytes() == image(rep.tilde).orthocomplement().basis.tobytes()
+            assert warm["H_u"].basis.tobytes() == invariant_closure(fresh, W).basis.tobytes()
+
+    def test_warm_reports_equal_cold_reports(self):
+        for rep in self.reps():
+            warm = [_certify(rep) for _ in range(3)]
+            # each verifier's first call, on an instance of its own
+            cold = [
+                dump_json(verify(CovariantRep(rep.sigma, rep.E, rep.T, tol=rep.tol)).to_json())
+                for verify in WARM_VERIFIERS
+            ]
+            assert warm == [cold] * 3
 
     def test_caller_subspaces_are_not_cached(self):
         rep = scalar_covrep(np.diag([2.0, 1.0, 0.5, 0.0]) + np.eye(4, k=1))
@@ -532,7 +618,7 @@ class TestLatticeCache:
         rng = np.random.default_rng(5)
         for _ in range(50):
             K = image(rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1)))
-            invariant_closure(rep, K)
+            verify_richter(rep, invariant_closure(rep, K))
         assert len(rep._lattice) == size
 
     def test_dual_and_restriction_have_their_own(self):
