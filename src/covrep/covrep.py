@@ -8,21 +8,19 @@ wandering-sum operator U, and the operator-inequality checks (isometric,
 fully co-isometric, concave, expansive, growth, and the three equivalent
 forms of the Shimorin condition).
 
-All instances are immutable after construction; derived operators are
-cached write-once, so representations can be shared across threads and
-independent checks evaluated in parallel.  Besides T~, the Gram T~* T~, the
-left-invertibility check, L, P and Q, the cached constants are the
-tolerance scale ``scale``, the read-only stack of sigma(M)'s images and
-the T(xi) that invariance checks read, the Cauchy dual ``cauchy_dual()``
-and the factors I (x) T~ of ``factor(word)``; ``wold`` keeps the subspaces
-that depend only on the representation and the certificates measured on
-them in ``_lattice``.
+All instances are immutable after construction, so representations can be
+shared across threads.  Every derived constant is built once, by ``_memo``,
+into one of two stores: ``_ops`` for this module's (the scale, the stack of
+sigma(M)'s images and the T(xi), the factors I (x) T~ with T~ the first,
+T~_n, T~* T~, the left-invertibility check, the factors of L^n with L the
+first, L^n, P, Q and the Cauchy dual), ``_lattice`` for the subspaces and
+certificates of ``wold``.  Racing threads get one object, and cached
+arrays are read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,6 +78,25 @@ class CheckResult:
         return CheckItem(self.name, self.passed, self.residual, self.vacuous, detail)
 
 
+def _memo(store: dict, key, build):
+    """``store[key]``, built by ``build()`` on first use.
+
+    Threads that miss together each build the value; ``setdefault`` keeps
+    the first, so every caller gets the same object.  The value is shared,
+    so its arrays are made read-only: an ndarray, a subspace's basis, and
+    the same among the members of a tuple.
+    """
+    value = store.get(key)
+    if value is None:
+        value = build()
+        for part in value if isinstance(value, tuple) else (value,):
+            array = part if isinstance(part, np.ndarray) else getattr(part, "basis", None)
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+        value = store.setdefault(key, value)
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class UOperator:
     """U h = sum_n (I (x) P) L^n h as a matrix into the graded space (+) E^n (x) W."""
@@ -133,18 +150,10 @@ class CovariantRep:
             raise AlgebraMismatch("tower letter does not carry this correspondence")
         # algebraic map theta : C^{e n} -> C^n, column (i*n + p) = T_i e_p
         self.theta = T.transpose(1, 0, 2).reshape(n, E.dim * n)
-        self._factor: dict[tuple[int, ...], np.ndarray] = {}
-        # the lattice constants of wold._lattice, under fixed keys
+        # the derived operators and checks of this class, and the lattice
+        # constants of wold._lattice, each under a fixed key (see _memo)
+        self._ops: dict = {}
         self._lattice: dict = {}
-        self._lfac: dict[int, np.ndarray] = {}
-        self._tilde_n: dict[int, np.ndarray] = {0: eye_like(n)}
-        self._L_n: dict[int, np.ndarray] = {0: eye_like(n)}
-        self._gram_tilde: np.ndarray | None = None
-        self._left_invertible: CheckResult | None = None
-        self._L: np.ndarray | None = None
-        self._P: np.ndarray | None = None
-        self._Q: np.ndarray | None = None
-        self._dual: CovariantRep | None = None
         if validate:
             self._validate_construction()
 
@@ -196,18 +205,16 @@ class CovariantRep:
     def hdim(self) -> int:
         return self.sigma.hilbert_dim
 
-    @cached_property
+    @property
     def scale(self) -> float:
         """scale_of(theta), the relative-tolerance scale of T."""
-        return scale_of(self.theta)
+        return _memo(self._ops, "scale", lambda: scale_of(self.theta))
 
-    @cached_property
+    @property
     def _generators(self) -> np.ndarray:
         """sigma(M)'s images and the T(xi) in one read-only stack, whose
         common invariant subspaces ``restrict`` and ``wold.check_invariant`` test."""
-        stack = np.concatenate((self.sigma.images, self.T))
-        stack.flags.writeable = False
-        return stack
+        return _memo(self._ops, "generators", lambda: np.concatenate((self.sigma.images, self.T)))
 
     def word(self, k: int) -> tuple[int, ...]:
         return (self.letter,) * k
@@ -220,10 +227,11 @@ class CovariantRep:
 
     # -- canonical operators ----------------------------------------------------
 
-    @cached_property
+    @property
     def tilde(self) -> np.ndarray:
-        """T~ as a matrix from the E (x)_sigma H quotient to H."""
-        return self.theta @ self.space(1).lift
+        """T~ as a matrix from the E (x)_sigma H quotient to H: the factor of
+        the one-letter word."""
+        return self.factor(self.word(1))
 
     def factor(self, word) -> np.ndarray:
         """I (x) T~ : space(word) -> space(word[:-1]) in the shared tower,
@@ -231,11 +239,7 @@ class CovariantRep:
         word = tuple(word)
         if not word or word[-1] != self.letter:
             raise ShapeMismatch(f"factor needs a word ending in letter {self.letter}, got {word}")
-        if word not in self._factor:
-            self._factor[word] = (
-                self.tilde if len(word) == 1 else self.hilb.factor(word, self.theta)
-            )
-        return self._factor[word]
+        return _memo(self._ops, ("factor", word), lambda: self.hilb.factor(word, self.theta))
 
     def fac(self, k: int) -> np.ndarray:
         """I_{E^{(x)k}} (x) T~ : space(k+1) -> space(k)."""
@@ -245,30 +249,26 @@ class CovariantRep:
         """T~_n = T~ (I (x) T~) ... (I (x)^{n-1} T~) : space(n) -> H."""
         if n < 0:
             raise ShapeMismatch("tilde_n needs n >= 0")
-        if n not in self._tilde_n:
-            self._tilde_n[n] = self.tilde_n(n - 1) @ self.fac(n - 1)
-        return self._tilde_n[n]
+        return _memo(self._ops, ("tilde_n", n),
+                     lambda: self.tilde_n(n - 1) @ self.fac(n - 1) if n else eye_like(self.hdim))
 
     @property
     def gram_tilde(self) -> np.ndarray:
-        if self._gram_tilde is None:
-            self._gram_tilde = dagger(self.tilde) @ self.tilde
-        return self._gram_tilde
+        return _memo(self._ops, "gram_tilde", lambda: dagger(self.tilde) @ self.tilde)
 
     def check_left_invertible(self) -> CheckResult:
         """T~ is bounded below: the smallest eigenvalue of T~* T~ is above
         ``rank_cutoff`` of the largest; the residual is how far it falls short."""
-        if self._left_invertible is None:
+
+        def build():
             g = self.gram_tilde
             if g.shape[0] == 0:
-                self._left_invertible = CheckResult("left_invertible", True, 0.0, None, vacuous=True)
-            else:
-                w = np.linalg.eigvalsh((g + dagger(g)) / 2.0)
-                lo, cutoff = float(w[0]), rank_cutoff(float(w[-1]))
-                self._left_invertible = CheckResult(
-                    "left_invertible", lo > cutoff, max(0.0, cutoff - lo), lo
-                )
-        return self._left_invertible
+                return CheckResult("left_invertible", True, 0.0, None, vacuous=True)
+            w = np.linalg.eigvalsh((g + dagger(g)) / 2.0)
+            lo, cutoff = float(w[0]), rank_cutoff(float(w[-1]))
+            return CheckResult("left_invertible", lo > cutoff, max(0.0, cutoff - lo), lo)
+
+        return _memo(self._ops, "left_invertible", build)
 
     def left_invertible(self) -> bool:
         return self.check_left_invertible().passed
@@ -279,41 +279,35 @@ class CovariantRep:
 
     @property
     def L(self) -> np.ndarray:
-        """The left inverse (T~* T~)^{-1} T~*."""
-        if self._L is None:
-            self._require_left_invertible()
-            self._L = solve_hermitian(self.gram_tilde, dagger(self.tilde))
-        return self._L
+        """The left inverse (T~* T~)^{-1} T~*: the factor of L^n at k = 0."""
+        return self.lfac(0)
 
     def lfac(self, k: int) -> np.ndarray:
         """I_{E^{(x)k}} (x) L : space(k) -> space(k+1)."""
-        if k not in self._lfac:
+
+        def build():
             self._require_left_invertible()
             fk = self.fac(k)
-            self._lfac[k] = solve_hermitian(dagger(fk) @ fk, dagger(fk))
-        return self._lfac[k]
+            return solve_hermitian(dagger(fk) @ fk, dagger(fk))
+
+        return _memo(self._ops, ("lfac", k), build)
 
     def L_n(self, n: int) -> np.ndarray:
         """L^n = (I (x)^{n-1} L) ... (I (x) L) L : H -> space(n)."""
         if n < 0:
             raise ShapeMismatch("L_n needs n >= 0")
-        if n not in self._L_n:
-            self._L_n[n] = self.lfac(n - 1) @ self.L_n(n - 1)
-        return self._L_n[n]
+        return _memo(self._ops, ("L_n", n),
+                     lambda: self.lfac(n - 1) @ self.L_n(n - 1) if n else eye_like(self.hdim))
 
     @property
     def P(self) -> np.ndarray:
         """Orthogonal projection onto the wandering subspace ker T~*."""
-        if self._P is None:
-            self._P = eye_like(self.hdim) - self.Q
-        return self._P
+        return _memo(self._ops, "P", lambda: eye_like(self.hdim) - self.Q)
 
     @property
     def Q(self) -> np.ndarray:
         """Projection T~ L onto the range of T~."""
-        if self._Q is None:
-            self._Q = self.tilde @ self.L
-        return self._Q
+        return _memo(self._ops, "Q", lambda: self.tilde @ self.L)
 
     # -- property checks ---------------------------------------------------------
 
@@ -336,13 +330,9 @@ class CovariantRep:
         return CheckResult("fully_coisometric", res <= self.tol * scale_of(c), res)
 
     def check_concave(self) -> CheckResult:
-        """Operator form: T~_2* T~_2 - I <= 2 (I_E (x) T~* T~ - I)."""
-        if self.sdim(2) == 0:
-            return CheckResult("concave", True, 0.0, None, vacuous=True)
-        f1 = self.fac(1)
-        t2 = self.tilde_n(2)
-        mat = 2.0 * dagger(f1) @ f1 - eye_like(self.sdim(2)) - dagger(t2) @ t2
-        return self._psd_check("concave", mat)
+        """Operator form: T~_2* T~_2 - I <= 2 (I_E (x) T~* T~ - I), the growth
+        bound at n = 2."""
+        return replace(self.check_growth_bound(2), name="concave")
 
     def check_expansive(self) -> CheckResult:
         """T~* T~ >= I, the conclusion of the concavity lemma."""
@@ -354,12 +344,13 @@ class CovariantRep:
         """T~_n* T~_n - I <= n (I (x) T~* T~ - I) on the n-th tensor level."""
         if n < 1:
             raise ShapeMismatch("growth bound needs n >= 1")
+        name = f"growth_bound_{n}"
         if self.sdim(n) == 0:
-            return CheckResult(f"growth_bound_{n}", True, 0.0, None, vacuous=True)
+            return CheckResult(name, True, 0.0, None, vacuous=True)
         fn = self.fac(n - 1)
         tn = self.tilde_n(n)
         mat = float(n) * dagger(fn) @ fn - float(n - 1) * eye_like(self.sdim(n)) - dagger(tn) @ tn
-        return self._psd_check(f"growth_bound_{n}", mat)
+        return self._psd_check(name, mat)
 
     def _not_left_invertible(self, name: str) -> CheckResult:
         return CheckResult(name, False, 1.0, None, reason="NotLeftInvertible")
@@ -411,13 +402,13 @@ class CovariantRep:
 
     def cauchy_dual(self) -> "CovariantRep":
         """The representation with T~' = T~ (T~* T~)^{-1}, built once."""
-        if self._dual is None:
+
+        def build():
             self._require_left_invertible()
-            tilde_dual = dagger(self.L)
-            theta_dual = tilde_dual @ self.space(1).push
+            theta_dual = dagger(self.L) @ self.space(1).push
             n = self.hdim
             T_dual = theta_dual.reshape(n, self.E.dim, n).transpose(1, 0, 2)
-            self._dual = CovariantRep(
+            return CovariantRep(
                 self.sigma,
                 self.E,
                 T_dual,
@@ -427,7 +418,8 @@ class CovariantRep:
                 letter=self.letter,
                 meta={"cauchy_dual": True, **self.meta},
             )
-        return self._dual
+
+        return _memo(self._ops, "dual", build)
 
     def defect_operator(self) -> np.ndarray:
         """D = (T~* T~ - I)^{1/2}; requires an expansive representation."""

@@ -500,9 +500,8 @@ def check_T24_condition_b(pr: ProductRep) -> ValidationReport:
         fij = pr._factor((i, j))
         fji = pr._factor((j, i))
         flip = pr.flip_op(i, j)
-        gj = dagger(pr.rep(j).tilde) @ pr.rep(j).tilde
         lhs = fji @ flip @ (dagger(fij) @ fij)
-        rhs = gj @ fji @ flip
+        rhs = pr.rep(j).gram_tilde @ fji @ flip
         res = op_norm(lhs - rhs)
         items.append(CheckItem(f"condition_b_{i+1},{j+1}", res <= bound, res))
     return ValidationReport("T24_condition_b", tuple(items))

@@ -8,21 +8,21 @@ the conclusions even when hypotheses fail, flagging them as not asserted,
 so failing instances act as counterexample explorers rather than raising.
 
 The lattice constants, which depend only on the representation, are
-computed once per instance (``_lattice``): the subspaces (the ranges of
-T~_n, W, H_inf, [W]_T, the span of W under the Cauchy dual and, on a
-product, each W_alpha, its alpha-translates and its closures under the
-coordinates in alpha), shared with read-only bases, and the certificates
-measured on them (the reducing checks of H_u and H_inf, the restriction
-to H_inf, the sigma-invariance of W and, on a product, the reducing
-checks of W_alpha).  A subspace a caller passes is never cached, and
-neither is a whole report or the Muhly-Solel model.
+computed once per instance into its ``_lattice`` by ``covrep._memo``: the
+subspaces (the ranges of T~_n, W, H_inf, [W]_T, the translates of W that
+grew [W]_T, the span of W under the Cauchy dual and, on a product, each
+W_alpha, its alpha-translates and its closures under the coordinates in
+alpha), with read-only bases, and the certificates measured on them (the
+reducing checks of H_u and H_inf, the restriction to H_inf and, on a
+product, the reducing checks of W_alpha).  ``wold_decompose``,
+``verify_muhly_solel`` and ``verify_ker_Ln`` read the same constants.  A
+subspace a caller passes is never cached, nor a report or Muhly-Solel's model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from ._linalg import (
 )
 from .algebra import StarRepresentation
 from .correspondence import FockHilbert, HilbertTower
-from .covrep import CheckResult, CovariantRep
+from .covrep import CheckResult, CovariantRep, _memo
 from .errors import (
     AmbientMismatch,
     NotInvariant,
@@ -154,13 +154,6 @@ def kernel(mat) -> Subspace:
     return Subspace._trusted(null_cols(mat))
 
 
-def subspace_sum(*spaces: Subspace) -> Subspace:
-    out = spaces[0]
-    for s in spaces[1:]:
-        out = out + s
-    return out
-
-
 # -- representation-driven subspaces ------------------------------------------
 
 
@@ -203,22 +196,11 @@ def _translates(rep: CovariantRep, K: Subspace):
 
 
 def _lattice(owner, key, build):
-    """``owner._lattice[key]``, built by ``build()`` on first use.
-
-    Each call site passes a fixed key naming one of the representation's
-    own subspaces or a certificate measured on one (a frozen CheckResult or
-    a tuple of them), never a subspace a caller passed in, so the cache
-    stays bounded.  Cached bases are shared, hence read-only.  Threads that
-    miss together each build the value; ``setdefault`` keeps the first, so
-    every caller gets the same object.
-    """
-    value = owner._lattice.get(key)
-    if value is None:
-        value = build()
-        if isinstance(value, Subspace):
-            value.basis.flags.writeable = False
-        value = owner._lattice.setdefault(key, value)
-    return value
+    """``owner._lattice[key]`` through ``_memo``.  Each call site passes a
+    fixed key naming one of the representation's own subspaces or a
+    certificate measured on one, never a subspace a caller passed in, so the
+    cache stays bounded."""
+    return _memo(owner._lattice, key, build)
 
 
 def _range(rep: CovariantRep, n: int) -> Subspace:
@@ -232,8 +214,22 @@ def wandering_subspace(rep: CovariantRep) -> Subspace:
 
 
 def _wandering_closure(rep: CovariantRep) -> Subspace:
-    """[W]_T, the invariant closure of the wandering subspace, once per representation."""
-    return _lattice(rep, "H_u", lambda: invariant_closure(rep, wandering_subspace(rep)))
+    """[W]_T, the invariant closure of the wandering subspace, once per
+    representation; the same sweep stores the translates of W that grew it
+    under ``("translates", "W")``."""
+
+    def build():
+        total, grew = _sweep(rep, wandering_subspace(rep))
+        _lattice(rep, ("translates", "W"), lambda: grew)
+        return total
+
+    return _lattice(rep, "H_u", build)
+
+
+def _wandering_translates(rep: CovariantRep) -> tuple[Subspace, ...]:
+    """L_1(W), L_2(W), ... as far as each grows [W]_T, once per representation."""
+    _wandering_closure(rep)
+    return rep._lattice[("translates", "W")]
 
 
 def script_L_n(rep: CovariantRep, K: Subspace, n: int) -> Subspace:
@@ -244,16 +240,24 @@ def script_L_n(rep: CovariantRep, K: Subspace, n: int) -> Subspace:
     return _translate(rep.hilb, rep.word(n), K, partial(rep.tilde_n, n))
 
 
-def invariant_closure(rep: CovariantRep, K: Subspace) -> Subspace:
-    """Smallest (sigma, T)-invariant subspace containing K: sum of L_n(K)."""
+def _sweep(rep: CovariantRep, K: Subspace) -> tuple[Subspace, tuple[Subspace, ...]]:
+    """The running sum K + L_1(K) + L_2(K) + ... for a sigma-invariant K, and
+    the translates that grew it.  A translate that adds nothing makes the sum
+    invariant, so the sweep stops there."""
     _require_sigma_invariant(_sigma_check(rep.sigma, rep.tol, K))
-    total = K
+    total, grew = K, []
     for ln in _translates(rep, K):
         step = total + ln
         if step.dim == total.dim:
-            return total
+            break
         total = step
-    return total
+        grew.append(ln)
+    return total, tuple(grew)
+
+
+def invariant_closure(rep: CovariantRep, K: Subspace) -> Subspace:
+    """Smallest (sigma, T)-invariant subspace containing K: sum of L_n(K)."""
+    return _sweep(rep, K)[0]
 
 
 def h_infinity(rep: CovariantRep) -> Subspace:
@@ -330,6 +334,34 @@ class WoldDecomposition:
         }
 
 
+def _split_items(rep: CovariantRep, H_u: Subspace, H_inf: Subspace) -> tuple[CheckItem, CheckItem]:
+    """H = H_u (+) H_inf: the orthogonality and completeness items, each
+    within tol * scale."""
+    n = rep.hdim
+    bound = rep.tol * rep.scale
+    orth = op_norm(dagger(H_u.basis) @ H_inf.basis)
+    complete = op_norm(H_u.projector() + H_inf.projector() - eye_like(n))
+    return (
+        CheckItem("orthogonality", orth <= bound, orth),
+        CheckItem("completeness", H_u.dim + H_inf.dim == n and complete <= bound, complete),
+    )
+
+
+def _restriction_item(rep: CovariantRep, which: int, name: str) -> CheckItem:
+    """The isometric (``which`` 0) or fully co-isometric (1) check of the
+    restriction to H_inf, once per representation; vacuous when H_inf = 0."""
+    H_inf = h_infinity(rep)
+    if not H_inf.dim:
+        return CheckItem(name, True, 0.0, vacuous=True)
+
+    def restriction():
+        sub = rep.restrict(H_inf.basis)
+        return sub.check_isometric(), sub.check_fully_coisometric()
+
+    check = _lattice(rep, ("restriction", "H_inf"), restriction)[which]
+    return CheckItem(name, check.passed, check.residual)
+
+
 def wold_decompose(rep: CovariantRep) -> WoldDecomposition:
     """Compute H = (sum of L_n(W)) (+) H_inf with all certificates.
 
@@ -337,40 +369,21 @@ def wold_decompose(rep: CovariantRep) -> WoldDecomposition:
     the Shimorin hypothesis holds, the certificates simply report whether
     the conclusion happens to survive, without asserting the theorem.
     """
-    n = rep.hdim
     concave = rep.check_concave()
     shimorin = rep.check_shimorin()
     W = wandering_subspace(rep)
     H_u = _wandering_closure(rep)
     H_inf = h_infinity(rep)
-    bound = rep.tol * rep.scale
-
-    orth = op_norm(dagger(H_u.basis) @ H_inf.basis)
-    complete_dim = H_u.dim + H_inf.dim == n
-    complete = op_norm(H_u.projector() + H_inf.projector() - eye_like(n))
     red_u = _lattice(rep, ("reducing", "H_u"), lambda: check_reducing(rep, H_u))
     red_inf = _lattice(rep, ("reducing", "H_inf"), lambda: check_reducing(rep, H_inf))
-    if H_inf.dim:
-
-        def restriction():
-            sub = rep.restrict(H_inf.basis)
-            return sub.check_isometric(), sub.check_fully_coisometric()
-
-        iso, coiso = _lattice(rep, ("restriction", "H_inf"), restriction)
-        iso_item = CheckItem("restriction_isometric", iso.passed, iso.residual)
-        coiso_item = CheckItem("restriction_fully_coisometric", coiso.passed, coiso.residual)
-    else:
-        iso_item = CheckItem("restriction_isometric", True, 0.0, vacuous=True)
-        coiso_item = CheckItem("restriction_fully_coisometric", True, 0.0, vacuous=True)
 
     hypotheses = (concave.as_item(), shimorin.as_item())
     certificates = (
-        CheckItem("orthogonality", orth <= bound, orth),
-        CheckItem("completeness", complete_dim and complete <= bound, complete),
+        *_split_items(rep, H_u, H_inf),
         CheckItem("H_u_reducing", red_u.passed, red_u.residual),
         CheckItem("H_inf_reducing", red_inf.passed, red_inf.residual),
-        iso_item,
-        coiso_item,
+        _restriction_item(rep, 0, "restriction_isometric"),
+        _restriction_item(rep, 1, "restriction_fully_coisometric"),
     )
     return WoldDecomposition(W, H_u, H_inf, hypotheses, certificates)
 
@@ -394,21 +407,13 @@ def verify_muhly_solel(rep: CovariantRep) -> TheoremReport:
     if not iso.passed:
         raise NotIsometric(f"representation is not isometric (residual {iso.residual:.3e})")
     n = rep.hdim
-    W = image(eye_like(n) - rep.tilde @ dagger(rep.tilde))
-    _require_sigma_invariant(_sigma_check(rep.sigma, rep.tol, W))
-    pieces = [W, *_translates(rep, W)]
-    depth = len(pieces) - 1
-    H1 = subspace_sum(*pieces)
+    W = wandering_subspace(rep)
+    H1 = _wandering_closure(rep)
     H2 = h_infinity(rep)
-
-    orth = op_norm(dagger(H1.basis) @ H2.basis)
-    complete = op_norm(H1.projector() + H2.projector() - eye_like(n))
+    # the translates of W under an isometric T are orthogonal, so each
+    # nonzero one grows H1 and the sweep reaches every nonzero Fock level
+    depth = len(_wandering_translates(rep))
     bound = rep.tol * rep.scale
-    if H2.dim:
-        coiso = rep.restrict(H2.basis).check_fully_coisometric()
-        coiso_item = CheckItem("H2_fully_coisometric", coiso.passed, coiso.residual)
-    else:
-        coiso_item = CheckItem("H2_fully_coisometric", True, 0.0, vacuous=True)
 
     # intertwining unitary from F(E) (x)_sigma|W W onto H1, level by level
     if W.dim:
@@ -448,9 +453,8 @@ def verify_muhly_solel(rep: CovariantRep) -> TheoremReport:
         "muhly_solel",
         hypotheses=(iso.as_item(),),
         conclusions=(
-            CheckItem("orthogonality", orth <= bound, orth),
-            CheckItem("completeness", (H1.dim + H2.dim == n) and complete <= bound, complete),
-            coiso_item,
+            *_split_items(rep, H1, H2),
+            _restriction_item(rep, 1, "H2_fully_coisometric"),
             model_item,
         ),
         dims={"H1": H1.dim, "H2": H2.dim, "W": W.dim},
@@ -551,11 +555,11 @@ def verify_ker_Ln(rep: CovariantRep, n: int) -> TheoremReport:
     """ker L^n equals the span of the first n translates of the wandering subspace."""
     left_inv = rep.check_left_invertible()
     rep._require_left_invertible()
-    W = wandering_subspace(rep)
     kerL = kernel(rep.L_n(n))
-    sigma_w = _lattice(rep, ("sigma", "W"), lambda: _sigma_check(rep.sigma, rep.tol, W))
-    _require_sigma_invariant(sigma_w)
-    rhs = subspace_sum(W, *islice(_translates(rep, W), n - 1)) if n else Subspace.zero(rep.hdim)
+    rhs = wandering_subspace(rep) if n else Subspace.zero(rep.hdim)
+    # the sweep stops once [W]_T is reached; later translates lie in it
+    for ln in _wandering_translates(rep)[: max(n - 1, 0)]:
+        rhs = rhs + ln
     return TheoremReport(
         "ker_Ln",
         hypotheses=(left_inv.as_item(),),

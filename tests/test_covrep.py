@@ -220,6 +220,14 @@ class TestPropertyChecks:
         assert conc.passed and not conc.vacuous
         assert not rep.check_expansive().passed
 
+    def test_concave_is_the_growth_bound_at_2(self, corpus):
+        for inst in corpus.values():
+            for rep in TestCachedConstants.coordinates(inst):
+                conc, growth = rep.check_concave(), rep.check_growth_bound(2)
+                assert conc.name == "concave"
+                assert conc.residual == growth.residual and conc.min_eig == growth.min_eig
+                assert (conc.passed, conc.vacuous) == (growth.passed, growth.vacuous)
+
     def test_growth_bound_n1_is_equality(self, rng):
         rep = random_scalar(rng)
         res = rep.check_growth_bound(1)
@@ -695,6 +703,40 @@ class TestCachingAndThreads:
 
         threaded = self.run_in_pool({name: at_barrier(task) for name, task in fresh().items()})
         assert threaded == serial
+
+    def test_racing_threads_get_one_object(self):
+        import threading
+
+        from covrep.wold import wandering_subspace
+
+        reads = [
+            ("cauchy_dual", lambda rep: rep.cauchy_dual()),
+            ("L", lambda rep: rep.L),
+            ("P", lambda rep: rep.P),
+            ("Q", lambda rep: rep.Q),
+            ("tilde", lambda rep: rep.tilde),
+            ("tilde_n_3", lambda rep: rep.tilde_n(3)),
+            ("L_n_2", lambda rep: rep.L_n(2)),
+            ("left_invertible", lambda rep: rep.check_left_invertible()),
+            ("W", wandering_subspace),
+        ]
+
+        def reader(rep, start, offset):
+            # each thread starts at its own constant, so that each is raced for
+            def run():
+                start.wait()
+                order = reads[offset:] + reads[:offset]
+                return {name: read(rep) for name, read in order}
+
+            return run
+
+        for trial in range(20):
+            rep = weighted_graph_rep(G2, [1.25, 1.1])
+            start = threading.Barrier(4, timeout=60)
+            seen = self.run_in_pool({i: reader(rep, start, 2 * i) for i in range(4)})
+            for name, _ in reads:
+                first = seen[0][name]
+                assert all(got[name] is first for got in seen.values()), (trial, name)
 
     def test_shared_verifiers_from_thread_pool(self):
         def fresh():

@@ -28,7 +28,6 @@ from covrep.serialize import dump_json
 from covrep.wold import (
     Subspace,
     _range,
-    _sigma_check,
     _translates,
     check_dual_reducing_implication,
     check_invariant,
@@ -328,6 +327,50 @@ class TestMuhlySolel:
         assert rep.passed
         assert rep.dims == {"H1": 9, "H2": 0, "W": 6}
 
+    @staticmethod
+    def isometric_reps():
+        return [graph_induced(G2), loop_plus_g1()[0], two_color_path_rep().rep(1)]
+
+    def test_split_items_are_wold_decompose_items(self):
+        for rep in self.isometric_reps():
+            report = verify_muhly_solel(rep)
+            wd = wold_decompose(rep)
+            items = {item.name: item for item in report.conclusions}
+            certificates = {item.name: item for item in wd.certificates}
+            for name in ("orthogonality", "completeness"):
+                assert repr(items[name]) == repr(certificates[name]), name
+            coiso = certificates["restriction_fully_coisometric"]
+            h2 = items["H2_fully_coisometric"]
+            assert (h2.passed, h2.residual, h2.vacuous) == (coiso.passed, coiso.residual, coiso.vacuous)
+
+    def test_H1_is_the_cached_wandering_closure(self, monkeypatch):
+        import covrep.wold as wold
+
+        seen = []
+
+        def split_items(rep, H1, H2, _fn=wold._split_items):
+            seen.append((H1, H2))
+            return _fn(rep, H1, H2)
+
+        monkeypatch.setattr(wold, "_split_items", split_items)
+        for rep in self.isometric_reps():
+            seen.clear()
+            verify_muhly_solel(rep)
+            (H1, H2), = seen
+            assert H1 is wold_decompose(rep).H_u
+            assert H2 is h_infinity(rep)
+
+    def test_no_sum_or_restriction_after_wold_decompose(self, count_calls):
+        import covrep.wold as wold
+
+        calls = count_calls(wold, "image")
+        count_calls(CovariantRep, "restrict")
+        for rep in self.isometric_reps():
+            wold_decompose(rep)
+            calls.clear()
+            assert verify_muhly_solel(rep).passed
+            assert calls == {}
+
 
 class TestRichter:
     def test_fock_grading_subspaces(self):
@@ -489,22 +532,24 @@ def _lattice_reads(rep):
         "H_u": decomposition.H_u,
         **{("range", n): _range(rep, n) for n in range(1, rep.hdim + 2)},
     }
-    keys = [("reducing", "H_u"), ("reducing", "H_inf")]
+    keys = [("reducing", "H_u"), ("reducing", "H_inf"), ("translates", "W")]
     if decomposition.H_inf.dim:
         keys.append(("restriction", "H_inf"))
     if rep.left_invertible():
         verify_cauchy_dual_props(rep)
         verify_ker_Ln(rep, 2)
-        keys += ["span_dual", ("sigma", "W")]
+        keys.append("span_dual")
     reads.update((key, rep._lattice[key]) for key in keys)
     return reads
 
 
 def _bits(value):
     """A lattice constant as exact data: a basis by its bytes, a certificate
-    by its repr, which spells every float exactly."""
+    by its repr, which spells every float exactly, and a tuple member by member."""
     if isinstance(value, Subspace):
         return value.basis.shape, value.basis.tobytes()
+    if isinstance(value, tuple):
+        return tuple(_bits(part) for part in value)
     return repr(value)
 
 
@@ -546,7 +591,7 @@ class TestLatticeCache:
             assert rep._lattice["H_u"] is first["H_u"]
             keys = {
                 "W", "H_inf", "H_u", "span_dual",
-                ("reducing", "H_u"), ("reducing", "H_inf"), ("sigma", "W"),
+                ("reducing", "H_u"), ("reducing", "H_inf"), ("translates", "W"),
                 *(("range", n) for n in range(1, rep.hdim + 2)),
             }
             if first["H_inf"].dim:
@@ -571,10 +616,16 @@ class TestLatticeCache:
 
     def test_cached_bases_are_read_only(self):
         for rep in self.reps():
-            for value in _lattice_reads(rep).values():
-                if isinstance(value, Subspace):
-                    with pytest.raises(ValueError):
-                        value.basis[...] = 0.0
+            values = _lattice_reads(rep).values()
+            translates = rep._lattice[("translates", "W")]
+            assert translates
+            arrays = [value.basis for value in values if isinstance(value, Subspace)]
+            arrays += [ln.basis for ln in translates]
+            # the cached operators of the representation itself
+            arrays += [rep.L, rep.P, rep.tilde, rep.tilde_n(2), rep.factor(rep.word(2))]
+            for array in arrays:
+                with pytest.raises(ValueError):
+                    array[...] = 0.0
 
     def test_bit_equal_to_a_fresh_instance(self):
         for rep in self.reps():
@@ -592,7 +643,15 @@ class TestLatticeCache:
             if H_inf.dim:
                 sub = fresh.restrict(H_inf.basis)
                 cold[("restriction", "H_inf")] = (sub.check_isometric(), sub.check_fully_coisometric())
-            cold[("sigma", "W")] = _sigma_check(fresh.sigma, fresh.tol, W)
+            # the translates of W as far as each grows the running sum
+            grew, total = [], W
+            for k in range(1, fresh.hdim + 1):
+                ln = script_L_n(fresh, W, k)
+                if (total + ln).dim == total.dim:
+                    break
+                grew.append(ln)
+                total = total + ln
+            cold[("translates", "W")] = tuple(grew)
             cold["span_dual"] = invariant_closure(fresh.cauchy_dual(), W)
             assert set(warm) == set(cold)
             for key, value in warm.items():
