@@ -138,7 +138,8 @@ class ProductRep:
         self.meta = dict(meta or {})
         self.hilb = HilbertTower(system.chain, sigma)
         # the alpha-indexed constants of wold._lattice, keyed ("W", alpha),
-        # ("translates", alpha), ("reducing", alpha, j) and ("step", alpha, i)
+        # ("translates", alpha), ("reducing", alpha, j), ("step", alpha, i)
+        # and ("gws", alpha)
         self._lattice: dict = {}
         self.reps = tuple(
             CovariantRep(
@@ -384,9 +385,15 @@ def verify_P21_all(pr: ProductRep) -> TheoremReport:
     return TheoremReport("p21", hypotheses=hyp, conclusions=concl, dims=dims)
 
 
-def _gws_items(pr: ProductRep, alpha) -> tuple[list[CheckItem], dict]:
-    """Wandering + generating checks for W_alpha, plus the stepwise identity."""
+def _gws_items(pr: ProductRep, alpha) -> tuple[tuple[CheckItem, ...], tuple]:
+    """Wandering + generating checks for W_alpha, plus the stepwise identity,
+    and the ``(name, dim)`` pair of W_alpha, measured once per alpha."""
     alpha = validate_alpha(alpha, pr.k)
+    return _lattice(pr, ("gws", alpha), partial(_measure_gws, pr, alpha))
+
+
+def _measure_gws(pr: ProductRep, alpha: tuple[int, ...]):
+    """The uncached measurement behind ``_gws_items``, for a validated alpha."""
     n = pr.hdim
     W = wandering_alpha(pr, alpha)
     translates = _lattice(pr, ("translates", alpha), partial(alpha_translates, pr, alpha, W))
@@ -405,7 +412,7 @@ def _gws_items(pr: ProductRep, alpha) -> tuple[list[CheckItem], dict]:
             rest = tuple(a for a in alpha if a != i)
             lhs = _lattice(pr, ("step", alpha, i), partial(invariant_closure, pr.rep(i), W))
             items.append(_angle_item(f"step_{tag}_drop_{i+1}", lhs, wandering_alpha(pr, rest)))
-    return items, {f"W_{tag}": W.dim}
+    return tuple(items), ((f"W_{tag}", W.dim),)
 
 
 def _concave_or_shimorin(pr: ProductRep, i: int) -> CheckItem:

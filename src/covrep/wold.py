@@ -13,10 +13,12 @@ subspaces (the ranges of T~_n, W, H_inf, [W]_T, the translates of W that
 grew [W]_T, the span of W under the Cauchy dual and, on a product, each
 W_alpha, its alpha-translates and its closures under the coordinates in
 alpha), with read-only bases, and the certificates measured on them (the
-reducing checks of H_u and H_inf, the restriction to H_inf and, on a
-product, the reducing checks of W_alpha).  ``wold_decompose``,
+reducing checks of H_u and H_inf, the restriction to H_inf, Muhly-Solel's
+model item, Richter's conclusions on K = H and, on a product, the reducing
+checks and GWS items of W_alpha).  ``wold_decompose``,
 ``verify_muhly_solel`` and ``verify_ker_Ln`` read the same constants.  A
-subspace a caller passes is never cached, nor a report or Muhly-Solel's model.
+subspace a caller passes is never cached (K = H is one fixed key, whatever
+its basis), nor a report or Muhly-Solel's Fock model, only its item.
 """
 
 from __future__ import annotations
@@ -400,77 +402,76 @@ def _angle_item(name: str, left: Subspace, right: Subspace) -> CheckItem:
     return CheckItem(name, gap <= ANGLE_TOL, gap)
 
 
+def _induced_model_item(rep: CovariantRep) -> CheckItem:
+    """The intertwining unitary from F(E) (x)_sigma|W W onto [W]_T, built
+    level by level on the ``FockHilbert`` model of sigma restricted to W, as
+    one check item within tol * scale; vacuous when W = 0."""
+    W = wandering_subspace(rep)
+    if not W.dim:
+        return CheckItem("H1_induced_intertwiner", True, 0.0, vacuous=True)
+    n = rep.hdim
+    H1 = _wandering_closure(rep)
+    # the translates of W under an isometric T are orthogonal, so each
+    # nonzero one grows H1 and the sweep reaches every nonzero Fock level
+    depth = len(_wandering_translates(rep))
+    sigma_w_images = np.stack([dagger(W.basis) @ img @ W.basis for img in rep.sigma.images])
+    sigma_w = StarRepresentation(rep.sigma.algebra, W.dim, sigma_w_images, rep.sigma.tol)
+    model = FockHilbert(rep.chain, sigma_w, {rep.letter: depth})
+    gammas = []
+    for k in range(depth + 1):
+        msp = model.spaces[(k,)]
+        if k == 0:
+            # M (x) W -> H through sigma: a (x) w -> sigma(a) w
+            amap = np.einsum(
+                "kpq,qw->pkw", rep.sigma.images, W.basis
+            ).reshape(n, rep.sigma.algebra.dim * W.dim)
+            gammas.append(amap @ msp.lift)
+        else:
+            rsp = rep.space(k)
+            r_k = rep.chain.corr(rep.word(k)).dim
+            embed = rsp.push @ id_tensor_matmul(r_k, W.basis, 1, msp.lift)
+            gammas.append(rep.tilde_n(k) @ embed)
+    gamma = np.hstack(gammas)
+    unit = max(
+        op_norm(dagger(gamma) @ gamma - eye_like(gamma.shape[1])),
+        op_norm(gamma @ dagger(gamma) - H1.projector()),
+    )
+    rho = model.representation()
+    inter = max_op_norm(gamma @ rho.images - rep.sigma.images @ gamma)
+    for i in range(rep.E.dim):
+        xi = np.zeros(rep.E.dim, complex)
+        xi[i] = 1.0
+        inter = max(inter, op_norm(gamma @ model.creation(rep.letter, xi) - rep.T[i] @ gamma))
+    worst = max(unit, inter)
+    return CheckItem("H1_induced_intertwiner", worst <= rep.tol * rep.scale, worst)
+
+
 def verify_muhly_solel(rep: CovariantRep) -> TheoremReport:
     """Wold decomposition of an isometric representation into an induced
     part on F(E) (x) W and a fully co-isometric part."""
     iso = rep.check_isometric()
     if not iso.passed:
         raise NotIsometric(f"representation is not isometric (residual {iso.residual:.3e})")
-    n = rep.hdim
     W = wandering_subspace(rep)
     H1 = _wandering_closure(rep)
     H2 = h_infinity(rep)
-    # the translates of W under an isometric T are orthogonal, so each
-    # nonzero one grows H1 and the sweep reaches every nonzero Fock level
-    depth = len(_wandering_translates(rep))
-    bound = rep.tol * rep.scale
-
-    # intertwining unitary from F(E) (x)_sigma|W W onto H1, level by level
-    if W.dim:
-        sigma_w_images = np.stack([dagger(W.basis) @ img @ W.basis for img in rep.sigma.images])
-        sigma_w = StarRepresentation(rep.sigma.algebra, W.dim, sigma_w_images, rep.sigma.tol)
-        model = FockHilbert(rep.chain, sigma_w, {rep.letter: depth})
-        gammas = []
-        for k in range(depth + 1):
-            msp = model.spaces[(k,)]
-            if k == 0:
-                # M (x) W -> H through sigma: a (x) w -> sigma(a) w
-                amap = np.einsum(
-                    "kpq,qw->pkw", rep.sigma.images, W.basis
-                ).reshape(n, rep.sigma.algebra.dim * W.dim)
-                gammas.append(amap @ msp.lift)
-            else:
-                rsp = rep.space(k)
-                r_k = rep.chain.corr(rep.word(k)).dim
-                embed = rsp.push @ id_tensor_matmul(r_k, W.basis, 1, msp.lift)
-                gammas.append(rep.tilde_n(k) @ embed)
-        gamma = np.hstack(gammas)
-        unit = max(
-            op_norm(dagger(gamma) @ gamma - eye_like(gamma.shape[1])),
-            op_norm(gamma @ dagger(gamma) - H1.projector()),
-        )
-        rho = model.representation()
-        inter = max_op_norm(gamma @ rho.images - rep.sigma.images @ gamma)
-        for i in range(rep.E.dim):
-            xi = np.zeros(rep.E.dim, complex)
-            xi[i] = 1.0
-            inter = max(inter, op_norm(gamma @ model.creation(rep.letter, xi) - rep.T[i] @ gamma))
-        model_item = CheckItem("H1_induced_intertwiner", max(unit, inter) <= bound, max(unit, inter))
-    else:
-        model_item = CheckItem("H1_induced_intertwiner", True, 0.0, vacuous=True)
-
-    report = TheoremReport(
+    return TheoremReport(
         "muhly_solel",
         hypotheses=(iso.as_item(),),
         conclusions=(
             *_split_items(rep, H1, H2),
             _restriction_item(rep, 1, "H2_fully_coisometric"),
-            model_item,
+            # the model is dropped once measured; only its item is kept
+            _lattice(rep, ("muhly_solel", "model"), partial(_induced_model_item, rep)),
         ),
         dims={"H1": H1.dim, "H2": H2.dim, "W": W.dim},
     )
-    return report
 
 
-def verify_richter(rep: CovariantRep, K: Subspace) -> TheoremReport:
-    """Wandering subspace theorem for an invariant subspace of an analytic
-    concave representation: K = closure of the translates of K (-) T~(E (x) K)."""
-    inv = check_invariant(rep, K)
-    if not inv.passed:
-        raise NotInvariant(f"subspace is not (sigma, T)-invariant (residual {inv.residual:.3e})")
-    concave = rep.check_concave()
-    analytic = rep.check_analytic()
-
+def _richter_conclusions(rep: CovariantRep, K: Subspace):
+    """Richter's conclusions on an invariant K, and the dims they speak of:
+    W_K = K (-) T~(E (x) K) is wandering, generates K, and is recovered from
+    its closure."""
     forward = script_L_n(rep, K, 1)
     W_K = K.intersect(forward.orthocomplement())
     closure = invariant_closure(rep, W_K)
@@ -482,12 +483,33 @@ def verify_richter(rep: CovariantRep, K: Subspace) -> TheoremReport:
     else:
         w_back = Subspace.zero(rep.hdim)
     uniqueness = _angle_item("wandering_uniqueness", w_back, W_K)
+    dims = (("K", K.dim), ("W_K", W_K.dim), ("closure", closure.dim))
+    return (wander.as_item(), regen, uniqueness), dims
 
+
+def verify_richter(rep: CovariantRep, K: Subspace) -> TheoremReport:
+    """Wandering subspace theorem for an invariant subspace of an analytic
+    concave representation: K = closure of the translates of K (-) T~(E (x) K).
+
+    K = H (an orthonormal basis of dim H columns, which spans H) is measured
+    once per representation, on ``Subspace.full``; any smaller K is measured
+    on each call and never cached."""
+    inv = check_invariant(rep, K)
+    if not inv.passed:
+        raise NotInvariant(f"subspace is not (sigma, T)-invariant (residual {inv.residual:.3e})")
+    concave = rep.check_concave()
+    analytic = rep.check_analytic()
+    if K.dim == rep.hdim:
+        conclusions, dims = _lattice(
+            rep, ("richter", "H"), lambda: _richter_conclusions(rep, Subspace.full(rep.hdim))
+        )
+    else:
+        conclusions, dims = _richter_conclusions(rep, K)
     return TheoremReport(
         "richter",
         hypotheses=(analytic.as_item(), concave.as_item()),
-        conclusions=(wander.as_item(), regen, uniqueness),
-        dims={"K": K.dim, "W_K": W_K.dim, "closure": closure.dim},
+        conclusions=conclusions,
+        dims=dict(dims),
     )
 
 

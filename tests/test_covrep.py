@@ -738,6 +738,42 @@ class TestCachingAndThreads:
                 first = seen[0][name]
                 assert all(got[name] is first for got in seen.values()), (trial, name)
 
+    def test_racing_threads_get_one_certificate(self):
+        import threading
+
+        from covrep.examples import two_color_path_rep
+        from covrep.product import _gws_items
+        from covrep.wold import verify_muhly_solel, verify_richter
+
+        def reads(rep, pr):
+            """The three certificates kept per representation, as the verifiers return them."""
+            return [
+                ("muhly_solel", lambda: verify_muhly_solel(rep).conclusions[-1]),
+                ("richter", lambda: verify_richter(rep, Subspace.full(rep.hdim)).conclusions),
+                *((f"gws_{alpha}", lambda alpha=alpha: _gws_items(pr, alpha))
+                  for alpha in ((0,), (1,), (0, 1))),
+            ]
+
+        def reader(order, start):
+            def run():
+                start.wait()
+                return {name: read() for name, read in order}
+
+            return run
+
+        for trial in range(10):
+            rep, pr = graph_induced(G2), two_color_path_rep()
+            order = reads(rep, pr)
+            start = threading.Barrier(4, timeout=60)
+            # each thread starts at its own certificate, so that each is raced for
+            seen = self.run_in_pool({i: reader(order[i:] + order[:i], start) for i in range(4)})
+            for name, _ in order:
+                first = seen[0][name]
+                assert all(got[name] is first for got in seen.values()), (trial, name)
+            assert seen[0]["muhly_solel"] is rep._lattice[("muhly_solel", "model")]
+            assert seen[0]["richter"] is rep._lattice[("richter", "H")][0]
+            assert seen[0]["gws_(0, 1)"] is pr._lattice[("gws", (0, 1))]
+
     def test_shared_verifiers_from_thread_pool(self):
         def fresh():
             return self.verifier_tasks(weighted_graph_rep(G2, [1.25, 1.1]), self.grid3())

@@ -16,6 +16,7 @@ from covrep.examples import (
 from covrep.product import (
     ProductRep,
     ProductSystem,
+    _measure_gws,
     alpha_translates,
     check_T24_condition_b,
     doubly_flag,
@@ -240,12 +241,13 @@ class TestDoublyHypothesisOnce:
 
 def _alpha_keys(pr):
     """The fixed key set of a product representation's lattice once T22, T24
-    and P21 have run: W_alpha, its translates and its reducing checks for
-    every alpha, and its closures under each coordinate of a larger alpha."""
+    and P21 have run: W_alpha, its translates, its reducing checks and its
+    GWS items for every alpha, and its closures under each coordinate of a
+    larger alpha."""
     keys = set()
     for size in range(1, pr.k + 1):
         for alpha in combinations(range(pr.k), size):
-            keys |= {("W", alpha), ("translates", alpha)}
+            keys |= {("W", alpha), ("translates", alpha), ("gws", alpha)}
             keys |= {("reducing", alpha, j) for j in range(pr.k) if j not in alpha}
             if size >= 2:
                 keys |= {("step", alpha, i) for i in alpha}
@@ -273,9 +275,9 @@ def _fresh(pr):
 
 
 class TestAlphaLatticeCache:
-    """W_alpha, its translates, its closures and its reducing checks are
-    computed once per alpha and product representation, under a fixed key
-    set of at most (2^k - 1)(k + 2) keys."""
+    """W_alpha, its translates, its closures, its reducing checks and its GWS
+    items are computed once per alpha and product representation, under a
+    fixed key set of at most (2^k - 1)(k + 3) keys."""
 
     @staticmethod
     def instances():
@@ -299,7 +301,7 @@ class TestAlphaLatticeCache:
         _certify(pr)
         assert set(pr._lattice) == _alpha_keys(pr)
         assert all(pr._lattice[key] is value for key, value in cached.items())
-        assert len(pr._lattice) <= (2**pr.k - 1) * (pr.k + 2)
+        assert len(pr._lattice) <= (2**pr.k - 1) * (pr.k + 3)
         for key, value in pr._lattice.items():
             if isinstance(value, Subspace):
                 with pytest.raises(ValueError):
@@ -338,6 +340,8 @@ class TestAlphaLatticeCache:
             elif kind == "step":
                 closure = invariant_closure(fresh.rep(index[0]), W)
                 assert value.basis.tobytes() == closure.basis.tobytes(), key
+            elif kind == "gws":
+                assert repr(value) == repr(_measure_gws(fresh, alpha)), key
             else:
                 assert repr(value) == repr(check_reducing(fresh.rep(index[0]), W)), key
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covrep._linalg import ORTHONORMAL_TOL, op_norm
+from covrep._linalg import ANGLE_TOL, ORTHONORMAL_TOL, op_norm
 from covrep.covrep import CovariantRep
 from covrep.errors import (
     AmbientMismatch,
@@ -27,7 +27,9 @@ from covrep.examples import (
 from covrep.serialize import dump_json
 from covrep.wold import (
     Subspace,
+    _induced_model_item,
     _range,
+    _richter_conclusions,
     _translates,
     check_dual_reducing_implication,
     check_invariant,
@@ -400,6 +402,26 @@ class TestRichter:
         assert not report.hypotheses_met
         assert not report.passed
 
+    def test_rotated_basis_of_H(self, rng):
+        met = []
+        for rep in (graph_induced(G2), weighted_graph_rep(G2, [1.25, 1.1]), loop_plus_g1()[0]):
+            n = rep.hdim
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            K = Subspace(n, Q)
+            full = verify_richter(rep, Subspace.full(n))
+            # the report on any basis of H is the one measured on the identity
+            assert dump_json(verify_richter(rep, K).to_json()) == dump_json(full.to_json())
+            # and measuring on the rotated basis itself gives the same answers
+            conclusions, dims = _richter_conclusions(rep, K)
+            assert dict(dims) == full.dims
+            assert [c.passed for c in conclusions] == [c.passed for c in full.conclusions]
+            wander, *angles = conclusions
+            assert wander.residual <= rep.tol * max(rep.scale, rep.sigma.scale)
+            if full.hypotheses_met:
+                assert all(item.residual <= ANGLE_TOL for item in angles)
+            met.append(full.hypotheses_met)
+        assert met == [True, True, False]
+
 
 class TestCauchyDualProps:
     def test_isometric_analytic_self_dual(self):
@@ -532,9 +554,13 @@ def _lattice_reads(rep):
         "H_u": decomposition.H_u,
         **{("range", n): _range(rep, n) for n in range(1, rep.hdim + 2)},
     }
-    keys = [("reducing", "H_u"), ("reducing", "H_inf"), ("translates", "W")]
+    verify_richter(rep, Subspace.full(rep.hdim))
+    keys = [("reducing", "H_u"), ("reducing", "H_inf"), ("translates", "W"), ("richter", "H")]
     if decomposition.H_inf.dim:
         keys.append(("restriction", "H_inf"))
+    if rep.check_isometric().passed:
+        verify_muhly_solel(rep)
+        keys.append(("muhly_solel", "model"))
     if rep.left_invertible():
         verify_cauchy_dual_props(rep)
         verify_ker_Ln(rep, 2)
@@ -569,8 +595,9 @@ def _certify(rep):
 
 class TestLatticeCache:
     """The lattice constants (W, H_inf, [W]_T, the ranges of T~_n, the dual
-    span of W, and the certificates measured on them) are computed once per
-    representation, under a fixed key set of at most dim H + 9 keys."""
+    span of W, and the certificates measured on them, Muhly-Solel's model
+    item and Richter's conclusions on K = H among them) are computed once per
+    representation, under a fixed key set of at most dim H + 11 keys."""
 
     @staticmethod
     def rep():
@@ -591,13 +618,15 @@ class TestLatticeCache:
             assert rep._lattice["H_u"] is first["H_u"]
             keys = {
                 "W", "H_inf", "H_u", "span_dual",
-                ("reducing", "H_u"), ("reducing", "H_inf"), ("translates", "W"),
+                ("reducing", "H_u"), ("reducing", "H_inf"), ("translates", "W"), ("richter", "H"),
                 *(("range", n) for n in range(1, rep.hdim + 2)),
             }
             if first["H_inf"].dim:
                 keys.add(("restriction", "H_inf"))
+            if rep.check_isometric().passed:
+                keys.add(("muhly_solel", "model"))
             assert set(rep._lattice) == set(first) == keys
-            assert len(rep._lattice) <= rep.hdim + 9
+            assert len(rep._lattice) <= rep.hdim + 11
 
     def test_certificates_measured_once(self, count_calls):
         import covrep.wold as wold
@@ -653,6 +682,9 @@ class TestLatticeCache:
                 total = total + ln
             cold[("translates", "W")] = tuple(grew)
             cold["span_dual"] = invariant_closure(fresh.cauchy_dual(), W)
+            cold[("richter", "H")] = _richter_conclusions(fresh, Subspace.full(fresh.hdim))
+            if fresh.check_isometric().passed:
+                cold[("muhly_solel", "model")] = _induced_model_item(fresh)
             assert set(warm) == set(cold)
             for key, value in warm.items():
                 assert _bits(value) == _bits(cold[key]), key
@@ -671,14 +703,40 @@ class TestLatticeCache:
             assert warm == [cold] * 3
 
     def test_caller_subspaces_are_not_cached(self):
+        # T is upper triangular, so the span of e_1, ..., e_m is invariant
         rep = scalar_covrep(np.diag([2.0, 1.0, 0.5, 0.0]) + np.eye(4, k=1))
-        _lattice_reads(rep)
-        size = len(rep._lattice)
+        wold_decompose(rep)
+        before = set(rep._lattice)
         rng = np.random.default_rng(5)
+        dims = set()
         for _ in range(50):
-            K = image(rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1)))
-            verify_richter(rep, invariant_closure(rep, K))
-        assert len(rep._lattice) == size
+            m = rng.integers(1, 5)
+            v = np.zeros((4, 1), dtype=complex)
+            v[:m] = rng.standard_normal((m, 1)) + 1j * rng.standard_normal((m, 1))
+            K = invariant_closure(rep, image(v))
+            size = len(rep._lattice)
+            verify_richter(rep, K)
+            dims.add(K.dim)
+            # all of H is the one fixed key; a proper subspace adds nothing
+            assert set(rep._lattice) - before <= {("richter", "H")}
+            if K.dim < rep.hdim:
+                assert len(rep._lattice) == size
+        assert dims == {1, 2, 3, 4}
+        assert ("richter", "H") in rep._lattice
+
+    def test_theorem_reports_warm_equal_cold(self, count_calls):
+        import covrep.wold as wold
+
+        verifiers = (verify_muhly_solel, lambda rep: verify_richter(rep, Subspace.full(rep.hdim)))
+        calls = count_calls(wold, "FockHilbert", "check_wandering")
+        # H_inf = 0, and an isometric instance with H_inf != 0
+        for make in (lambda: graph_induced(G2), lambda: loop_plus_g1()[0]):
+            cold = [dump_json(verify(make()).to_json()) for verify in verifiers]
+            rep = make()
+            calls.clear()
+            warm = [[dump_json(verify(rep).to_json()) for verify in verifiers] for _ in range(3)]
+            assert warm == [cold] * 3
+            assert calls == {"FockHilbert": 1, "check_wandering": 1}
 
     def test_dual_and_restriction_have_their_own(self):
         rep = self.rep()
