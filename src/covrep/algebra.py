@@ -253,7 +253,7 @@ class StarRepresentation:
             LiveBlocks(d, units, cols[:, seen, :d, :top].transpose(2, 0, 1, 3), present)
             for d, units, seen, top, present in lay.groups
         )
-        return Multiplicity(basis, lay.mults, lay.moves, groups, basis[:, lay.span:])
+        return Multiplicity(basis, lay.mults, lay.moves, groups)
 
 
 class _Layout(NamedTuple):
@@ -344,15 +344,13 @@ class Multiplicity:
     ``moves[k]`` applies U* sigma(b_k) U = e_k (x) I (+) 0 as a gather:
     row r of (U* sigma(b_k) U) X is row ``moves[k, r]`` of X, and zero
     where ``moves[k, r]`` is n.
-    ``groups`` holds the blocks with m_b > 0, by size (``LiveBlocks``), and
-    ``complement`` the columns after the last block.
+    ``groups`` holds the blocks with m_b > 0, by size (``LiveBlocks``).
     """
 
     basis: np.ndarray
     mults: tuple[int, ...]
     moves: np.ndarray
     groups: tuple[LiveBlocks, ...]
-    complement: np.ndarray
 
 
 def validate_representation(sigma: StarRepresentation) -> ValidationReport:

@@ -22,10 +22,8 @@ of E (x) H, where every operator of this module acts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Callable
 
 import numpy as np
 
@@ -179,26 +177,14 @@ class InteriorTensorSpace:
 
     ``push`` maps the algebraic space onto the quotient C^r and has
     orthonormal rows for the semi-inner product; ``lift`` is the isometric
-    section with ``push @ lift = I``; ``kernel`` spans the Gram kernel.
-    ``gram`` and ``kernel`` are built when first read.
+    section with ``push @ lift = I``, so ``I - lift @ push`` is the
+    orthogonal projector onto the Gram kernel.
     """
 
     source_dims: tuple[int, ...]
     quotient_dim: int
     push: np.ndarray
     lift: np.ndarray
-    gram_of: Callable[[], np.ndarray] = field(repr=False)
-    kernel_of: Callable[[], np.ndarray] = field(repr=False)
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """The semi-Gram of the algebraic space."""
-        return self.gram_of()
-
-    @cached_property
-    def kernel(self) -> np.ndarray:
-        """An orthonormal basis of the Gram kernel."""
-        return self.kernel_of()
 
     @property
     def gram_kernel_dim(self) -> int:
@@ -210,8 +196,7 @@ class InteriorTensorSpace:
 
 
 def _identity_space(n: int) -> InteriorTensorSpace:
-    eye = eye_like(n)
-    return InteriorTensorSpace((n,), n, eye.copy(), eye.copy(), eye.copy, lambda: np.zeros((n, 0), dtype=complex))
+    return InteriorTensorSpace((n,), n, eye_like(n), eye_like(n))
 
 
 def algebra_correspondence(alg: MatrixBlocksAlgebra, tol: float = DEFAULT_TOL) -> Correspondence:
@@ -261,7 +246,6 @@ def internal_tensor(
     scalar = np.tensordot(gm, alg.one, axes=(2, 0))
     [(w, v, keep)] = gram_quotient([scalar[None]], tol)
     push, lift = _push_lift(w[0, keep[0]], v[0][:, keep[0]])
-    kernel = v[0][:, ~keep[0]]
     r = push.shape[0]
 
     left = push @ id_tensor_matmul(1, E.left_action, F.dim, lift)
@@ -269,7 +253,7 @@ def internal_tensor(
     gram_q = (dagger(lift) @ gm.transpose(2, 0, 1) @ lift).transpose(1, 2, 0)
 
     quotient = Correspondence(alg, r, right, left, gram_q, tol)
-    space = InteriorTensorSpace((E.dim, F.dim), r, push, lift, lambda: scalar, lambda: kernel)
+    space = InteriorTensorSpace((E.dim, F.dim), r, push, lift)
     return quotient, space
 
 
@@ -282,8 +266,8 @@ def interior_tensor_with_rep(E: Correspondence, sigma: StarRepresentation) -> In
     faithful representation (``_faithful_blocks``).  The blocks with
     m_b > 0, stacked by size, are quotiented by one ``gram_quotient`` call,
     which judges drift, positivity and the rank cutoff on their direct
-    sum, and push, lift and kernel are carried back to the canonical basis
-    by one gathered contraction with the columns of U per block size.
+    sum, and push and lift are carried back to the canonical basis by one
+    gathered contraction with the columns of U per block size.
     Quotient coordinates run by block size, then block by block, each
     block by kept eigenvector (largest first), then by the multiplicity
     index j < m_b.
@@ -291,34 +275,21 @@ def interior_tensor_with_rep(E: Correspondence, sigma: StarRepresentation) -> In
     if E.algebra != sigma.algebra:
         raise AlgebraMismatch("correspondence and representation algebras differ")
     e, n = E.dim, sigma.hilbert_dim
-
-    def gram():
-        return np.einsum("ijk,kpq->ipjq", E.gram, sigma.images).reshape(e * n, e * n)
-
     mult = sigma.multiplicity if e * n else None
     if mult is None or not mult.groups:
         z = np.zeros((0, e * n), dtype=complex)
-        return InteriorTensorSpace((e, n), 0, z, z.T, gram, lambda: eye_like(e * n))
+        return InteriorTensorSpace((e, n), 0, z, z.T)
     groups = mult.groups
     decomps = gram_quotient([_faithful_blocks(E.gram, g.d, g.units) for g in groups], min(E.tol, sigma.tol))
-
-    def carried(kept):
-        """The eigenvectors of every block that are kept (or not), carried to
-        E (x) H as columns, and their eigenvalues."""
-        parts = [_carry(w, v, keep if kept else ~keep, g) for g, (w, v, keep) in zip(groups, decomps)]
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts], axis=1)
-
-    def kernel_basis():
-        # E (x) ker sigma(1) is Gram kernel too
-        comp = mult.complement
-        outside = np.zeros((e, n, e, comp.shape[1]), dtype=complex)
-        outside[np.arange(e), :, np.arange(e), :] = comp
-        return np.concatenate((carried(False)[1], outside.reshape(e * n, e * comp.shape[1])), axis=1)
-
-    push, lift = _push_lift(*carried(True))
-    return InteriorTensorSpace((e, n), lift.shape[1], push, lift, gram, kernel_basis)
+    # the kept eigenvectors of every block, carried to E (x) H as columns,
+    # and their eigenvalues
+    parts = [_carry(w, v, keep, g) for g, (w, v, keep) in zip(groups, decomps)]
+    if len(parts) == 1:
+        vals, vecs = parts[0]
+    else:
+        vals, vecs = np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts], axis=1)
+    push, lift = _push_lift(vals, vecs)
+    return InteriorTensorSpace((e, n), lift.shape[1], push, lift)
 
 
 def _push_lift(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,8 +14,8 @@ into one of two stores: ``_ops`` for this module's (the scale, the stack of
 sigma(M)'s images and the T(xi), the factors I (x) T~ with T~ the first,
 T~_n, T~* T~, the left-invertibility check, the factors of L^n with L the
 first, L^n, P, Q and the Cauchy dual), ``_lattice`` for the subspaces and
-certificates of ``wold``.  Racing threads get one object, and cached
-arrays are read-only.
+certificates of ``wold``, at most 10 keys whatever dim H is.  Racing
+threads get one object, and cached arrays are read-only.
 """
 
 from __future__ import annotations
@@ -488,7 +488,10 @@ class CovariantRep:
         return float(np.max(np.abs(totals - 1.0)))
 
     def build_U(self) -> UOperator:
-        """U h = sum_n (I (x) P) L^n h into (+)_{n<=dim H} E^{(x)n} (x) W."""
+        """U h = sum_n (I (x) P) L^n h into (+)_{n<=dim H} E^{(x)n} (x) W.
+
+        ``level_dims`` has dim H + 1 entries; a level whose tensor space is
+        zero contributes no rows and is not built."""
         self._require_left_invertible()
         conc = self.check_concave()
         if not conc.passed:
@@ -498,6 +501,9 @@ class CovariantRep:
         blocks = []
         dims = []
         for k in range(n + 1):
+            if not self.sdim(k):
+                dims.append(0)
+                continue
             pk = self.hilb.tensor_op(self.word(k), P)
             bk = orth_cols(pk, 0.5)
             dims.append(bk.shape[1])

@@ -11,7 +11,7 @@ which keeps every mixed tensor word in literally identical bases.
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations, product as iter_product
+from itertools import combinations
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .wold import (
     Subspace,
     _angle_item,
     _lattice,
-    _range,
     _require_sigma_invariant,
     _sigma_check,
     _translate,
@@ -138,8 +137,7 @@ class ProductRep:
         self.meta = dict(meta or {})
         self.hilb = HilbertTower(system.chain, sigma)
         # the alpha-indexed constants of wold._lattice, keyed ("W", alpha),
-        # ("translates", alpha), ("reducing", alpha, j), ("step", alpha, i)
-        # and ("gws", alpha)
+        # ("reducing", alpha, j) and ("gws", alpha)
         self._lattice: dict = {}
         self.reps = tuple(
             CovariantRep(
@@ -286,13 +284,20 @@ def wandering_alpha(pr: ProductRep, alpha) -> Subspace:
 
 
 def script_L_alpha(pr: ProductRep, alpha, m, K: Subspace) -> Subspace:
-    """L^alpha_m(K): closure of T~^alpha_m (E(m) (x) K)."""
+    """L^alpha_m(K): closure of T~^alpha_m (E(m) (x) K).
+
+    T~ along the word of m is the composite of its coordinate factors, so
+    this is L^(alpha_1)_(m_1) ... L^(alpha_last)_(m_last)(K), innermost
+    (last) coordinate first."""
     alpha = validate_alpha(alpha, pr.k)
-    word = multi_word(alpha, m)
-    if word == ():
+    if multi_word(alpha, m) == ():
         return K
     _require_sigma_invariant(_sigma_check(pr.sigma, pr.tol, K))
-    return _translate(pr.hilb, word, K, partial(pr.tilde_word, word))
+    out = K
+    for i, mi in reversed(tuple(zip(alpha, m))):
+        if mi:
+            out = _translate(pr.rep(i), mi, out)
+    return out
 
 
 def invariant_closure_alpha(pr: ProductRep, alpha, K: Subspace) -> Subspace:
@@ -306,26 +311,21 @@ def invariant_closure_alpha(pr: ProductRep, alpha, K: Subspace) -> Subspace:
     return out
 
 
-def _coordinate_depth(pr: ProductRep, i: int) -> int:
-    """Smallest m with L^(i)_m(H) = 0, capped at dim H."""
-    n = pr.hdim
-    for m in range(1, n + 1):
-        if _range(pr.rep(i), m).dim == 0:
-            return m
-    return n
-
-
 def alpha_translates(pr: ProductRep, alpha, K: Subspace) -> Subspace:
-    """Span of L^alpha_m(K) over all multi-indices m != 0 (bounded sweep)."""
+    """Span of L^alpha_m(K) over all multi-indices m != 0: the sum over i
+    in alpha of L^(i)_1([K]_{T_alpha}).
+
+    Every m != 0 has some m_i >= 1, and for such an i the commutation
+    relation (unitary flips) gives L^alpha_m(K) = L^(i)_1(L^alpha_{m - e_i}(K));
+    conversely L^(i)_1(L^alpha_m(K)) = L^alpha_{m + e_i}(K).  So the span is
+    the sum over i of L^(i)_1 applied to the sum of all L^alpha_m(K), which
+    is [K]_{T_alpha}.  The identity is not guaranteed on a tuple built with
+    ``validate=False``, whose commutation relation is never checked."""
     alpha = validate_alpha(alpha, pr.k)
-    _require_sigma_invariant(_sigma_check(pr.sigma, pr.tol, K))
-    caps = [_coordinate_depth(pr, i) for i in alpha]
+    closure = invariant_closure_alpha(pr, alpha, K)
     total = Subspace.zero(pr.hdim)
-    for m in iter_product(*(range(c + 1) for c in caps)):
-        if all(v == 0 for v in m):
-            continue
-        word = multi_word(alpha, m)
-        total = total + _translate(pr.hilb, word, K, partial(pr.tilde_word, word))
+    for i in alpha:
+        total = total + _translate(pr.rep(i), 1, closure)
     return total
 
 
@@ -396,7 +396,7 @@ def _measure_gws(pr: ProductRep, alpha: tuple[int, ...]):
     """The uncached measurement behind ``_gws_items``, for a validated alpha."""
     n = pr.hdim
     W = wandering_alpha(pr, alpha)
-    translates = _lattice(pr, ("translates", alpha), partial(alpha_translates, pr, alpha, W))
+    translates = alpha_translates(pr, alpha, W)
     tag = _tag(alpha)
     wander_res = (
         op_norm(dagger(W.basis) @ translates.basis) if W.dim and translates.dim else 0.0
@@ -410,7 +410,7 @@ def _measure_gws(pr: ProductRep, alpha: tuple[int, ...]):
     if len(alpha) >= 2:
         for i in alpha:
             rest = tuple(a for a in alpha if a != i)
-            lhs = _lattice(pr, ("step", alpha, i), partial(invariant_closure, pr.rep(i), W))
+            lhs = invariant_closure(pr.rep(i), W)
             items.append(_angle_item(f"step_{tag}_drop_{i+1}", lhs, wandering_alpha(pr, rest)))
     return tuple(items), ((f"W_{tag}", W.dim),)
 

@@ -9,16 +9,17 @@ so failing instances act as counterexample explorers rather than raising.
 
 The lattice constants, which depend only on the representation, are
 computed once per instance into its ``_lattice`` by ``covrep._memo``: the
-subspaces (the ranges of T~_n, W, H_inf, [W]_T, the translates of W that
-grew [W]_T, the span of W under the Cauchy dual and, on a product, each
-W_alpha, its alpha-translates and its closures under the coordinates in
-alpha), with read-only bases, and the certificates measured on them (the
-reducing checks of H_u and H_inf, the restriction to H_inf, Muhly-Solel's
-model item, Richter's conclusions on K = H and, on a product, the reducing
-checks and GWS items of W_alpha).  ``wold_decompose``,
-``verify_muhly_solel`` and ``verify_ker_Ln`` read the same constants.  A
-subspace a caller passes is never cached (K = H is one fixed key, whatever
-its basis), nor a report or Muhly-Solel's Fock model, only its item.
+subspaces (W, H_inf, [W]_T, the translates of W that grew [W]_T, the span
+of W under the Cauchy dual and, on a product, each W_alpha), with
+read-only bases, and the certificates measured on them (the reducing
+checks of H_u and H_inf, the restriction to H_inf, Muhly-Solel's model
+item, Richter's conclusions on K = H and, on a product, the reducing
+checks and GWS items of W_alpha).  That is at most 10 keys per
+representation and (2^k - 1)(k + 1) per product of rank k, whatever
+dim H is.  ``wold_decompose``, ``verify_muhly_solel`` and
+``verify_ker_Ln`` read the same constants.  A subspace a caller passes is
+never cached (K = H is one fixed key, whatever its basis), nor a report
+or Muhly-Solel's Fock model, only its item.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from ._linalg import (
     orthonormal_drift,
 )
 from .algebra import StarRepresentation
-from .correspondence import FockHilbert, HilbertTower
+from .correspondence import FockHilbert
 from .covrep import CheckResult, CovariantRep, _memo
 from .errors import (
     AmbientMismatch,
@@ -176,22 +177,20 @@ def _require_sigma_invariant(check: CheckResult):
         )
 
 
-def _translate(hilb: HilbertTower, word, K: Subspace, tilde) -> Subspace:
-    """Closure of T~_word (E(word) (x) K) inside H, for a sigma-invariant K.
-
-    ``tilde()`` returns T~_word : space(word) -> H; it is called only when
-    that space is nonzero.
-    """
-    if hilb.dim(word) == 0:
+def _translate(rep: CovariantRep, n: int, K: Subspace) -> Subspace:
+    """L_n(K), the closure of T~_n (E^{(x)n} (x) K) inside H, for a
+    sigma-invariant K and n >= 1."""
+    word = rep.word(n)
+    if rep.hilb.dim(word) == 0:
         return Subspace.zero(K.ambient_dim)
-    carrier = orth_cols(hilb.tensor_op(word, K.projector()), 0.5)
-    return image(tilde() @ carrier)
+    carrier = orth_cols(rep.hilb.tensor_op(word, K.projector()), 0.5)
+    return image(rep.tilde_n(n) @ carrier)
 
 
 def _translates(rep: CovariantRep, K: Subspace):
     """L_1(K), L_2(K), ... up to L_{dim H}(K), stopping before the first zero translate."""
     for n in range(1, rep.hdim + 1):
-        ln = _translate(rep.hilb, rep.word(n), K, partial(rep.tilde_n, n))
+        ln = _translate(rep, n, K)
         if ln.dim == 0:
             return
         yield ln
@@ -205,14 +204,9 @@ def _lattice(owner, key, build):
     return _memo(owner._lattice, key, build)
 
 
-def _range(rep: CovariantRep, n: int) -> Subspace:
-    """ran T~_n, once per representation."""
-    return _lattice(rep, ("range", n), lambda: image(rep.tilde_n(n)))
-
-
 def wandering_subspace(rep: CovariantRep) -> Subspace:
     """W = ker T~* = H (-) T~(E (x) H)."""
-    return _lattice(rep, "W", lambda: _range(rep, 1).orthocomplement())
+    return _lattice(rep, "W", lambda: image(rep.tilde).orthocomplement())
 
 
 def _wandering_closure(rep: CovariantRep) -> Subspace:
@@ -239,7 +233,7 @@ def script_L_n(rep: CovariantRep, K: Subspace, n: int) -> Subspace:
     _require_sigma_invariant(_sigma_check(rep.sigma, rep.tol, K))
     if n == 0:
         return K
-    return _translate(rep.hilb, rep.word(n), K, partial(rep.tilde_n, n))
+    return _translate(rep, n, K)
 
 
 def _sweep(rep: CovariantRep, K: Subspace) -> tuple[Subspace, tuple[Subspace, ...]]:
@@ -268,7 +262,7 @@ def h_infinity(rep: CovariantRep) -> Subspace:
     def build():
         prev = Subspace.full(rep.hdim)
         for n in range(1, rep.hdim + 2):
-            cur = _range(rep, n)
+            cur = image(rep.tilde_n(n))
             if cur.dim == prev.dim and prev.contains(cur):
                 return cur
             prev = cur

@@ -6,11 +6,14 @@ numpy, deliberately avoiding the package's quotient machinery.
 """
 
 import json
+from itertools import product as iter_product
 
 import numpy as np
 
-from covrep._linalg import gram_quotient, op_norm, scale_of
+from covrep._linalg import gram_quotient, op_norm, orth_cols, scale_of
+from covrep.product import multi_word, validate_alpha
 from covrep.reporting import CheckItem, ValidationReport
+from covrep.wold import Subspace, image
 
 
 def orth(cols, tol=1e-10):
@@ -225,9 +228,66 @@ def dense_creation(fh, letter, xi):
     return out
 
 
+# -- the word sweep of the rank-k lattice ----------------------------------------------
+#
+# L^alpha_m(K) through T~ of the whole tensor word of m, and the span of the
+# L^alpha_m(K) over the box of multi-indices m != 0 up to each coordinate's
+# depth, so the library's coordinatewise translates can be compared against them.
+
+
+def word_translate(pr, word, K):
+    """Closure of T~_word (E(word) (x) K) inside H, for a sigma-invariant K."""
+    if pr.hilb.dim(word) == 0:
+        return Subspace.zero(K.ambient_dim)
+    carrier = orth_cols(dense_tensor_op(pr.hilb, word, K.projector()), 0.5)
+    return image(pr.tilde_word(word) @ carrier)
+
+
+def script_L_alpha_word(pr, alpha, m, K):
+    """L^alpha_m(K) along the word of m, alpha_1 outermost."""
+    word = multi_word(validate_alpha(alpha, pr.k), m)
+    return K if word == () else word_translate(pr, word, K)
+
+
+def coordinate_depth(pr, i):
+    """Smallest m with L^(i)_m(H) = 0, capped at dim H."""
+    n = pr.hdim
+    for m in range(1, n + 1):
+        if image(pr.rep(i).tilde_n(m)).dim == 0:
+            return m
+    return n
+
+
+def alpha_translates_sweep(pr, alpha, K):
+    """Span of L^alpha_m(K) over the multi-indices m != 0 with m_i at most
+    the depth of coordinate i."""
+    alpha = validate_alpha(alpha, pr.k)
+    caps = [coordinate_depth(pr, i) for i in alpha]
+    total = Subspace.zero(pr.hdim)
+    for m in iter_product(*(range(c + 1) for c in caps)):
+        if any(m):
+            total = total + word_translate(pr, multi_word(alpha, m), K)
+    return total
+
+
 def dense_phi_on_tensor(rep, k):
     sp = rep.space(1)
     return sp.push @ np.kron(rep.E.left_action[k], _eye(rep.hdim)) @ sp.lift
+
+
+def dense_scalar_gram(E, F):
+    """The scalar semi-Gram of the algebraic tensor E (x) F, index (i, p) at
+    i * dim F + p: the trace of <g_p, phi_F(<f_i, f_j>) g_q>, whose algebra
+    coordinates are summed over the diagonal units."""
+    f = F.dim
+    out = np.zeros((E.dim * f, E.dim * f), dtype=complex)
+    for i in range(E.dim):
+        for j in range(E.dim):
+            phi = F.phi(E.gram[i, j])
+            # <g_p, phi g_q> = sum_m phi[m, q] <g_p, g_m>
+            block = np.einsum("mq,pmk,k->pq", phi, F.gram, E.algebra.one)
+            out[i * f : (i + 1) * f, j * f : (j + 1) * f] = block
+    return out
 
 
 def dense_interior_tensor_with_rep(E, sigma):

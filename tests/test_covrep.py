@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covrep.algebra import MatrixBlocksAlgebra, StarRepresentation
-from covrep.correspondence import Correspondence, algebra_correspondence
+from covrep.correspondence import Correspondence, HilbertTower, algebra_correspondence
 from covrep.covrep import CovariantRep
-from covrep._linalg import RANK_TOL, scale_of
+from covrep._linalg import RANK_TOL, dagger, eye_like, null_cols, op_norm, orth_cols, scale_of
 from covrep.errors import (
     BimoduleViolation,
     IllDefinedTilde,
@@ -20,6 +20,7 @@ from covrep.errors import (
 from covrep.examples import (
     G1,
     G2,
+    DirectedGraph,
     graph_correspondence,
     graph_induced,
     scalar_covrep,
@@ -457,6 +458,30 @@ class TestUOperator:
         # non-expansive instances are excluded from the paper's claim
         assert weighted_graph_rep(G2, [1.25, 1.1]).build_U().norm <= 1.0 + 1e-9
         assert graph_induced(G2).build_U().norm <= 1.0 + 1e-9
+
+    def test_zero_levels_are_not_built(self, count_calls):
+        # the induced 9-vertex path: dim H = 45, and only levels 0..8 are nonzero
+        rep = graph_induced(DirectedGraph(9, tuple((i, i + 1) for i in range(8))))
+        n = rep.hdim
+        calls = count_calls(HilbertTower, "tensor_op")
+        u = rep.build_U()
+        nonzero = [k for k in range(n + 1) if rep.sdim(k)]
+        assert (n, len(nonzero)) == (45, 9)
+        assert calls == {"tensor_op": len(nonzero)}
+        assert len(u.level_dims) == n + 1
+        # the loop over all dim H + 1 levels, which it replaced
+        blocks, dims = [], []
+        for k in range(n + 1):
+            pk = rep.hilb.tensor_op(rep.word(k), rep.P)
+            bk = orth_cols(pk, 0.5)
+            dims.append(bk.shape[1])
+            blocks.append(dagger(bk) @ pk @ rep.L_n(k))
+        U = np.vstack(blocks)
+        assert u.level_dims == tuple(dims)
+        assert np.array_equal(u.matrix, U)
+        assert np.array_equal(u.kernel, null_cols(U))
+        assert u.isometry_residual == op_norm(dagger(U) @ U - eye_like(n))
+        assert u.coisometry_residual == op_norm(U @ dagger(U) - eye_like(U.shape[0]))
 
     def test_preconditions(self):
         S = np.array([[0.0, 1.0], [0.0, 0.0]])

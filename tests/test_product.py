@@ -1,12 +1,15 @@
-from itertools import combinations
+from functools import partial
+from itertools import combinations, product as iter_product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covrep._linalg import ANGLE_TOL
 from covrep.errors import CommutationViolation, ShapeMismatch
 from covrep.examples import (
+    induced_product_representation,
     jordan_pair,
     random_instance,
     scalar_tuple,
@@ -32,8 +35,9 @@ from covrep.product import (
     wandering_alpha,
 )
 from covrep.serialize import dump_json
-from covrep.wold import Subspace, check_reducing, invariant_closure, wandering_subspace
+from covrep.wold import Subspace, check_reducing, wandering_subspace
 
+import oracles
 from oracles import doubly_commuting_oracle
 
 S2 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -241,16 +245,13 @@ class TestDoublyHypothesisOnce:
 
 def _alpha_keys(pr):
     """The fixed key set of a product representation's lattice once T22, T24
-    and P21 have run: W_alpha, its translates, its reducing checks and its
-    GWS items for every alpha, and its closures under each coordinate of a
-    larger alpha."""
+    and P21 have run: W_alpha, its reducing checks and its GWS items for
+    every alpha."""
     keys = set()
     for size in range(1, pr.k + 1):
         for alpha in combinations(range(pr.k), size):
-            keys |= {("W", alpha), ("translates", alpha), ("gws", alpha)}
+            keys |= {("W", alpha), ("gws", alpha)}
             keys |= {("reducing", alpha, j) for j in range(pr.k) if j not in alpha}
-            if size >= 2:
-                keys |= {("step", alpha, i) for i in alpha}
     return keys
 
 
@@ -275,9 +276,9 @@ def _fresh(pr):
 
 
 class TestAlphaLatticeCache:
-    """W_alpha, its translates, its closures, its reducing checks and its GWS
-    items are computed once per alpha and product representation, under a
-    fixed key set of at most (2^k - 1)(k + 3) keys."""
+    """W_alpha, its reducing checks and its GWS items are computed once per
+    alpha and product representation, under a fixed key set of at most
+    (2^k - 1)(k + 1) keys."""
 
     @staticmethod
     def instances():
@@ -301,7 +302,7 @@ class TestAlphaLatticeCache:
         _certify(pr)
         assert set(pr._lattice) == _alpha_keys(pr)
         assert all(pr._lattice[key] is value for key, value in cached.items())
-        assert len(pr._lattice) <= (2**pr.k - 1) * (pr.k + 3)
+        assert len(pr._lattice) <= (2**pr.k - 1) * (pr.k + 1)
         for key, value in pr._lattice.items():
             if isinstance(value, Subspace):
                 with pytest.raises(ValueError):
@@ -318,7 +319,9 @@ class TestAlphaLatticeCache:
             _certify(pr)
             _certify(pr)
             assert calls == once
-            assert once == {"alpha_translates": 3, "invariant_closure": 2, "check_reducing": 2}
+            # one closure per coordinate of each alpha inside alpha_translates,
+            # and the two stepwise closures of W_{1,2}
+            assert once == {"alpha_translates": 3, "invariant_closure": 6, "check_reducing": 2}
 
     def test_bit_equal_to_a_fresh_instance(self):
         pr = two_color_path_rep()
@@ -335,11 +338,6 @@ class TestAlphaLatticeCache:
             W = wandering_alpha(fresh, alpha)
             if kind == "W":
                 assert value.basis.tobytes() == W.basis.tobytes(), key
-            elif kind == "translates":
-                assert value.basis.tobytes() == alpha_translates(fresh, alpha, W).basis.tobytes(), key
-            elif kind == "step":
-                closure = invariant_closure(fresh.rep(index[0]), W)
-                assert value.basis.tobytes() == closure.basis.tobytes(), key
             elif kind == "gws":
                 assert repr(value) == repr(_measure_gws(fresh, alpha)), key
             else:
@@ -399,6 +397,21 @@ class TestAlphaSubspaces:
         bad = Subspace(pr.hdim, (p0[:, :1] + p1[:, :1]) / np.sqrt(2))
         with pytest.raises(NotSigmaInvariant):
             script_L_alpha(pr, (0,), (1,), bad)
+        with pytest.raises(NotSigmaInvariant):
+            alpha_translates(pr, (0, 1), bad)
+        # an all-zero multi-index returns K unchecked
+        assert script_L_alpha(pr, (0, 1), (0, 0), bad) is bad
+
+    def test_script_L_alpha_checks_sigma_once(self, count_calls):
+        import covrep.product as product
+        import covrep.wold as wold
+
+        pr = jordan_pair()
+        W = wandering_alpha(pr, (0, 1))
+        calls = count_calls(product, "_sigma_check")
+        count_calls(wold, "_sigma_check")
+        script_L_alpha(pr, (0, 1), (2, 1), W)
+        assert calls == {"_sigma_check": 1}
 
     def test_closure_generates(self):
         pr = jordan_pair()
@@ -426,10 +439,55 @@ class TestAlphaSubspaces:
         assert step2.equals(Subspace.full(4))
 
 
+def grid_product(m):
+    """The commuting-square m x m grid with seed-permuted vertex labels, as the
+    benchmark's grid workload draws it: color 1 steps right, color 2 steps down."""
+    perm = np.random.default_rng(m).permutation(m * m)
+    at = lambda i, j: int(perm[i * m + j])  # noqa: E731
+    right = [(at(i, j), at(i, j + 1)) for i in range(m) for j in range(m - 1)]
+    down = [(at(i, j), at(i + 1, j)) for i in range(m - 1) for j in range(m)]
+    return induced_product_representation(two_colored_system(m * m, right, down))
+
+
+U3 = np.roll(np.eye(3, dtype=complex), 1, axis=0)
+
+#: Product instances whose rank-k translates are compared against the word sweep:
+#: doubly commuting, commuting only (S3, S3^2), unitary (U3, U3^2), and grids.
+TRANSLATE_INSTANCES = {
+    "two-color-path": two_color_path_rep,
+    "jordan-pair": jordan_pair,
+    "grid-3": partial(grid_product, 3),
+    "grid-4": partial(grid_product, 4),
+    "S3-S3^2": lambda: scalar_tuple([S3, S3 @ S3]),
+    "U3-U3^2": lambda: scalar_tuple([U3, U3 @ U3]),
+    **{f"doubly-commuting-{s}": partial(random_instance, s, "doubly-commuting") for s in range(12)},
+}
+
+
+class TestTranslatesAgainstTheWordSweep:
+    """``script_L_alpha`` (iterated coordinate translates) and
+    ``alpha_translates`` (the coordinates' first translates of [K]_{T_alpha})
+    against the word-based definitions they replaced (``oracles``), for every
+    alpha, K in {W_alpha, H} and m in {0, 1, 2}^|alpha|."""
+
+    @pytest.mark.parametrize("name", list(TRANSLATE_INSTANCES))
+    def test_same_subspaces(self, name):
+        pr = TRANSLATE_INSTANCES[name]()
+        for size in range(1, pr.k + 1):
+            for alpha in combinations(range(pr.k), size):
+                for K in (wandering_alpha(pr, alpha), Subspace.full(pr.hdim)):
+                    pairs = [(alpha_translates(pr, alpha, K), oracles.alpha_translates_sweep(pr, alpha, K))]
+                    for m in iter_product(range(3), repeat=size):
+                        pairs.append(
+                            (script_L_alpha(pr, alpha, m, K), oracles.script_L_alpha_word(pr, alpha, m, K))
+                        )
+                    for got, want in pairs:
+                        assert got.dim == want.dim, (alpha, K.dim)
+                        assert got.angle_gap(want) <= ANGLE_TOL, (alpha, K.dim)
+
+
 @pytest.fixture(scope="module")
 def grid():
-    from covrep.examples import induced_product_representation, two_colored_system
-
     def v(i, j):
         return 2 * i + j
 

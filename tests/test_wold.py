@@ -28,7 +28,6 @@ from covrep.serialize import dump_json
 from covrep.wold import (
     Subspace,
     _induced_model_item,
-    _range,
     _richter_conclusions,
     _translates,
     check_dual_reducing_implication,
@@ -552,7 +551,6 @@ def _lattice_reads(rep):
         "W": wandering_subspace(rep),
         "H_inf": h_infinity(rep),
         "H_u": decomposition.H_u,
-        **{("range", n): _range(rep, n) for n in range(1, rep.hdim + 2)},
     }
     verify_richter(rep, Subspace.full(rep.hdim))
     keys = [("reducing", "H_u"), ("reducing", "H_inf"), ("translates", "W"), ("richter", "H")]
@@ -594,10 +592,10 @@ def _certify(rep):
 
 
 class TestLatticeCache:
-    """The lattice constants (W, H_inf, [W]_T, the ranges of T~_n, the dual
-    span of W, and the certificates measured on them, Muhly-Solel's model
-    item and Richter's conclusions on K = H among them) are computed once per
-    representation, under a fixed key set of at most dim H + 11 keys."""
+    """The lattice constants (W, H_inf, [W]_T, the dual span of W, and the
+    certificates measured on them, Muhly-Solel's model item and Richter's
+    conclusions on K = H among them) are computed once per representation,
+    under a fixed key set of at most 10 keys, whatever dim H is."""
 
     @staticmethod
     def rep():
@@ -619,14 +617,13 @@ class TestLatticeCache:
             keys = {
                 "W", "H_inf", "H_u", "span_dual",
                 ("reducing", "H_u"), ("reducing", "H_inf"), ("translates", "W"), ("richter", "H"),
-                *(("range", n) for n in range(1, rep.hdim + 2)),
             }
             if first["H_inf"].dim:
                 keys.add(("restriction", "H_inf"))
             if rep.check_isometric().passed:
                 keys.add(("muhly_solel", "model"))
             assert set(rep._lattice) == set(first) == keys
-            assert len(rep._lattice) <= rep.hdim + 11
+            assert len(rep._lattice) <= 10
 
     def test_certificates_measured_once(self, count_calls):
         import covrep.wold as wold
@@ -662,9 +659,8 @@ class TestLatticeCache:
             verify_ker_Ln(rep, 2)
             warm = _lattice_reads(rep)
             fresh = CovariantRep(rep.sigma, rep.E, rep.T, tol=rep.tol)
-            # the fresh instance fills its cache in another order: ranges from the top, then H_inf
-            cold = {("range", n): _range(fresh, n) for n in range(fresh.hdim + 1, 0, -1)}
-            cold.update(H_inf=h_infinity(fresh), W=wandering_subspace(fresh), H_u=wold_decompose(fresh).H_u)
+            # the fresh instance fills its cache in another order: H_inf first
+            cold = dict(H_inf=h_infinity(fresh), W=wandering_subspace(fresh), H_u=wold_decompose(fresh).H_u)
             # the certificates, from the uncached functions
             H_u, H_inf, W = cold["H_u"], cold["H_inf"], cold["W"]
             cold[("reducing", "H_u")] = check_reducing(fresh, H_u)
