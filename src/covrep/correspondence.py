@@ -399,7 +399,8 @@ class ChainTower:
     # -- structural maps -----------------------------------------------------
 
     def prepend(self, word: Word, letter: int, xi) -> np.ndarray:
-        """Matrix of eta -> xi (x) eta from corr(word) to corr((letter,) + word).
+        """Matrix of eta -> xi (x) eta from corr(word) to corr((letter,) + word),
+        or the stack of them for a stack (..., e) of vectors.
 
         For the empty word this is the creation map out of the algebra,
         a (x) -> xi . a through the right action.
@@ -407,14 +408,14 @@ class ChainTower:
         word = tuple(word)
         xi = as_complex(xi)
         E = self.family[letter]
-        if xi.shape != (E.dim,):
+        if xi.ndim == 0 or xi.shape[-1] != E.dim:
             raise ShapeMismatch(f"vector of shape {xi.shape} is not in a {E.dim}-dim fiber")
         if word == ():
-            return (E.right_action @ xi).T
+            return np.swapaxes(np.tensordot(xi, E.right_action, axes=(-1, 2)), -1, -2)
         target = (letter,) + word
         push = self.step(target).push
         if len(word) == 1:
-            return matmul_id_tensor(push, 1, xi[:, None], self.edim(word[0]))
+            return matmul_id_tensor(push, 1, xi[..., None], self.edim(word[0]))
         inner = self.prepend(word[:-1], letter, xi)
         return matmul_id_tensor(push, 1, inner, self.edim(word[-1])) @ self.step(word).lift
 
@@ -609,9 +610,11 @@ class FockHilbert:
 
     def creation(self, letter: int, xi) -> np.ndarray:
         """Creation by xi in E_letter: prepend, then bubble past the lower
-        letters; the top levels of the letter go to zero."""
+        letters; the top levels of the letter go to zero.  A stack (..., e)
+        of vectors gives the stack of their creation operators."""
         c = self.letters.index(letter)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+        xi = as_complex(xi)
+        out = np.zeros(xi.shape[:-1] + (self.dim, self.dim), dtype=complex)
         n_h = self.sigma.hilbert_dim
         for n in self.indices:
             if n[c] == self.depths[c]:
@@ -623,5 +626,5 @@ class FockHilbert:
             src, dst = self.spaces[n], self.spaces[target]
             block = dst.push @ id_tensor_matmul(1, mat, n_h, src.lift)
             o_s, o_d = self.offsets[n], self.offsets[target]
-            out[o_d : o_d + dst.quotient_dim, o_s : o_s + src.quotient_dim] = block
+            out[..., o_d : o_d + dst.quotient_dim, o_s : o_s + src.quotient_dim] = block
         return out

@@ -131,7 +131,6 @@ class CovariantRep:
         chain: ChainTower | None = None,
         hilb: HilbertTower | None = None,
         letter: int = 0,
-        validate: bool = True,
         meta: dict | None = None,
     ):
         if sigma.algebra != E.algebra:
@@ -154,8 +153,7 @@ class CovariantRep:
         # constants of wold._lattice, each under a fixed key (see _memo)
         self._ops: dict = {}
         self._lattice: dict = {}
-        if validate:
-            self._validate_construction()
+        self._validate_construction()
 
     # -- construction checks -------------------------------------------------
 

@@ -169,9 +169,7 @@ def induced_representation(
     sigma_hat = fh.representation()
     if weights is None:
         weights = [1.0] * E.dim
-    T = np.stack(
-        [weights[i] * fh.creation(0, np.eye(E.dim, dtype=complex)[:, i]) for i in range(E.dim)]
-    )
+    T = np.asarray(weights, float)[:, None, None] * fh.creation(0, eye_like(E.dim))
     return CovariantRep(
         sigma_hat,
         E,
@@ -316,12 +314,7 @@ def induced_product_representation(
             depths.append(d)
     fh = FockHilbert(system.chain, pi, dict(enumerate(depths)), system.flip)
     sigma_hat = fh.representation()
-    T_list = []
-    for c in range(system.k):
-        e_c = system.correspondences[c].dim
-        T_list.append(
-            np.stack([fh.creation(c, np.eye(e_c, dtype=complex)[:, i]) for i in range(e_c)])
-        )
+    T_list = [fh.creation(c, eye_like(E_c.dim)) for c, E_c in enumerate(system.correspondences)]
     return ProductRep(
         system, sigma_hat, T_list, tol=system.tol,
         meta={"construction": "induced_product", "exact": fh.exact, "depths": tuple(depths)},

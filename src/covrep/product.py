@@ -19,16 +19,17 @@ from ._linalg import DEFAULT_TOL, as_complex, dagger, eye_like, max_op_norm, op_
 from .algebra import StarRepresentation
 from .correspondence import ChainTower, HilbertTower
 from .covrep import CovariantRep
-from .errors import CommutationViolation, NotInvariant, ShapeMismatch
+from .errors import CommutationViolation, ShapeMismatch
 from .reporting import CheckItem, TheoremReport, ValidationReport
 from .wold import (
     Subspace,
     _angle_item,
+    _generates,
     _lattice,
     _require_sigma_invariant,
     _sigma_check,
     _translate,
-    _wandering_closure,
+    check_invariant,
     check_reducing,
     invariant_closure,
     wandering_subspace,
@@ -128,7 +129,7 @@ class ProductRep:
     """
 
     def __init__(self, system: ProductSystem, sigma: StarRepresentation, T_list, *,
-                 tol: float | None = None, validate: bool = True, meta: dict | None = None):
+                 tol: float | None = None, meta: dict | None = None):
         if len(T_list) != system.k:
             raise ShapeMismatch(f"expected {system.k} coordinate maps, got {len(T_list)}")
         self.system = system
@@ -148,17 +149,15 @@ class ProductRep:
                 chain=system.chain,
                 hilb=self.hilb,
                 letter=i,
-                validate=validate,
             )
             for i in range(system.k)
         )
-        if validate:
-            rep_check = self.validate_commutation()
-            if not rep_check.passed:
-                worst = rep_check.max_violation
-                raise CommutationViolation(
-                    f"tuple violates the product-system commutation relation ({worst:.3e})"
-                )
+        rep_check = self.validate_commutation()
+        if not rep_check.passed:
+            worst = rep_check.max_violation
+            raise CommutationViolation(
+                f"tuple violates the product-system commutation relation ({worst:.3e})"
+            )
 
     @property
     def k(self) -> int:
@@ -199,22 +198,6 @@ class ProductRep:
                 res = self.commutation_residual(i, j)
                 items.append(CheckItem(f"commutation_{i+1},{j+1}", res <= bound, res))
         return ValidationReport("product_rep", tuple(items))
-
-    # -- multi-index operators ------------------------------------------------
-
-    def tilde_word(self, word) -> np.ndarray:
-        """T~ along a tensor word, outermost letter first."""
-        word = tuple(word)
-        out = eye_like(self.hdim)
-        for q in range(1, len(word) + 1):
-            out = out @ self._factor(word[:q])
-        return out
-
-    def tilde_multi(self, n) -> np.ndarray:
-        """T~_n for a full multi-index n in N_0^k, coordinate 1 outermost."""
-        if len(n) != self.k:
-            raise ShapeMismatch(f"multi-index must have length {self.k}")
-        return self.tilde_word(multi_word(range(self.k), n))
 
     # -- doubly commuting ---------------------------------------------------------
 
@@ -319,10 +302,13 @@ def alpha_translates(pr: ProductRep, alpha, K: Subspace) -> Subspace:
     relation (unitary flips) gives L^alpha_m(K) = L^(i)_1(L^alpha_{m - e_i}(K));
     conversely L^(i)_1(L^alpha_m(K)) = L^alpha_{m + e_i}(K).  So the span is
     the sum over i of L^(i)_1 applied to the sum of all L^alpha_m(K), which
-    is [K]_{T_alpha}.  The identity is not guaranteed on a tuple built with
-    ``validate=False``, whose commutation relation is never checked."""
+    is [K]_{T_alpha}."""
     alpha = validate_alpha(alpha, pr.k)
-    closure = invariant_closure_alpha(pr, alpha, K)
+    return _first_translates(pr, alpha, invariant_closure_alpha(pr, alpha, K))
+
+
+def _first_translates(pr: ProductRep, alpha, closure: Subspace) -> Subspace:
+    """The sum over i in alpha of L^(i)_1(closure), for a sigma-invariant closure."""
     total = Subspace.zero(pr.hdim)
     for i in alpha:
         total = total + _translate(pr.rep(i), 1, closure)
@@ -393,26 +379,42 @@ def _gws_items(pr: ProductRep, alpha) -> tuple[tuple[CheckItem, ...], tuple]:
 
 
 def _measure_gws(pr: ProductRep, alpha: tuple[int, ...]):
-    """The uncached measurement behind ``_gws_items``, for a validated alpha."""
-    n = pr.hdim
+    """The uncached measurement behind ``_gws_items``, for a validated alpha.
+
+    [W_alpha]_{T_alpha} is built once.  Its first step, the closure of
+    W_alpha under the last coordinate of alpha, is also the stepwise
+    closure that drops that coordinate, and is reused for that item."""
     W = wandering_alpha(pr, alpha)
-    translates = alpha_translates(pr, alpha, W)
+    *outer, last = alpha
+    first = invariant_closure(pr.rep(last), W)
+    closure = invariant_closure_alpha(pr, outer, first) if outer else first
+    translates = _first_translates(pr, alpha, closure)
     tag = _tag(alpha)
     wander_res = (
         op_norm(dagger(W.basis) @ translates.basis) if W.dim and translates.dim else 0.0
     )
     bound = pr.tol * pr.scale
-    closure = W + translates
     items = [
         CheckItem(f"wandering_{tag}", wander_res <= bound, wander_res),
-        _angle_item(f"generating_{tag}", closure, Subspace.full(n)),
+        _angle_item(f"generating_{tag}", closure, Subspace.full(pr.hdim)),
     ]
-    if len(alpha) >= 2:
+    if outer:
         for i in alpha:
             rest = tuple(a for a in alpha if a != i)
-            lhs = invariant_closure(pr.rep(i), W)
+            lhs = first if i == last else invariant_closure(pr.rep(i), W)
             items.append(_angle_item(f"step_{tag}_drop_{i+1}", lhs, wandering_alpha(pr, rest)))
     return tuple(items), ((f"W_{tag}", W.dim),)
+
+
+def _gws_all_alpha(pr: ProductRep) -> tuple[list[CheckItem], dict]:
+    """The GWS items of every nonempty alpha, in order, and the dims of the W_alpha."""
+    items: list[CheckItem] = []
+    dims: dict = {}
+    for alpha in _nonempty_subsets(pr.k):
+        a_items, d = _gws_items(pr, alpha)
+        items.extend(a_items)
+        dims.update(d)
+    return items, dims
 
 
 def _concave_or_shimorin(pr: ProductRep, i: int) -> CheckItem:
@@ -439,30 +441,26 @@ def _c23_hypothesis(pr: ProductRep) -> list[CheckItem]:
 
 
 def _direct_hypothesis(pr: ProductRep) -> list[CheckItem]:
-    """Check the generating-wandering hypothesis on the reducing subspaces
-    that actually occur in the recursion: H itself and every W_beta with
-    beta not containing the coordinate."""
+    """T22's direct surrogate on the reducing subspaces K that actually occur
+    in the recursion, H itself and every W_beta with beta not containing the
+    coordinate: K is invariant and Richter's W_K generates it."""
     items = []
     subsets = _nonempty_subsets(pr.k)
     for i in range(pr.k):
-        candidates: list[tuple[str, Subspace]] = [("H", Subspace.full(pr.hdim))]
-        for beta in subsets:
-            if i in beta:
-                continue
-            candidates.append((f"W_{_tag(beta)}", wandering_alpha(pr, beta)))
+        rep = pr.rep(i)
+        candidates = [("H", Subspace.full(pr.hdim))]
+        candidates += [
+            (f"W_{_tag(beta)}", wandering_alpha(pr, beta)) for beta in subsets if i not in beta
+        ]
         for name, K in candidates:
+            label = f"gws_{i+1}_on_{name}"
             if K.dim == 0:
-                items.append(CheckItem(f"gws_{i+1}_on_{name}", True, 0.0, vacuous=True))
-                continue
-            try:
-                sub = pr.rep(i).restrict(K.basis)
-            except NotInvariant:
-                items.append(CheckItem(f"gws_{i+1}_on_{name}", False, 1.0,
-                                       detail="subspace not invariant"))
-                continue
-            closure = _wandering_closure(sub)
-            ok = closure.equals(Subspace.full(K.dim))
-            items.append(CheckItem(f"gws_{i+1}_on_{name}", ok, 0.0 if ok else 1.0))
+                items.append(CheckItem(label, True, 0.0, vacuous=True))
+            elif not check_invariant(rep, K).passed:
+                items.append(CheckItem(label, False, 1.0, detail="subspace not invariant"))
+            else:
+                ok = _generates(rep, K)
+                items.append(CheckItem(label, ok, 0.0 if ok else 1.0))
     return items
 
 
@@ -473,7 +471,8 @@ def verify_T22(pr: ProductRep) -> TheoremReport:
     is not computable, so a decidable surrogate stands in for it: first the
     per-coordinate concave-or-Shimorin + analytic sufficient conditions
     ("c23"); when those fail, the hypothesis checked on the finitely many
-    reducing subspaces the recursion actually visits ("direct").  The
+    reducing subspaces K the recursion actually visits ("direct"): whether
+    Richter's W_K = K (-) T~(E (x) K), measured inside H, generates K.  The
     surrogate used is the evaluated item ``hypothesis_strategy_*``.
     """
     doubly_item = _doubly_item(pr)
@@ -483,13 +482,7 @@ def verify_T22(pr: ProductRep) -> TheoremReport:
         gate = _direct_hypothesis(pr)
         used = "direct"
     hypotheses = (doubly_item, *gate)
-
-    conclusions: list[CheckItem] = []
-    dims: dict = {}
-    for alpha in _nonempty_subsets(pr.k):
-        items, d = _gws_items(pr, alpha)
-        conclusions.extend(items)
-        dims.update(d)
+    conclusions, dims = _gws_all_alpha(pr)
     return TheoremReport(
         "T22",
         hypotheses=hypotheses,
@@ -525,12 +518,7 @@ def verify_T24_equivalence(pr: ProductRep) -> TheoremReport:
     hyp_items = tuple(_concave_or_shimorin(pr, i) for i in range(pr.k))
     one = pr.is_doubly_commuting()
     two = all(pr.rep(i).check_analytic().passed for i in range(pr.k))
-    a_items: list[CheckItem] = []
-    dims: dict = {}
-    for alpha in _nonempty_subsets(pr.k):
-        items, d = _gws_items(pr, alpha)
-        a_items.extend(items)
-        dims.update(d)
+    a_items, dims = _gws_all_alpha(pr)
     a_ok = all(item.passed for item in a_items)
     b_report = check_T24_condition_b(pr)
     b_ok = b_report.passed

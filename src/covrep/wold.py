@@ -431,11 +431,10 @@ def _induced_model_item(rep: CovariantRep) -> CheckItem:
         op_norm(gamma @ dagger(gamma) - H1.projector()),
     )
     rho = model.representation()
-    inter = max_op_norm(gamma @ rho.images - rep.sigma.images @ gamma)
-    for i in range(rep.E.dim):
-        xi = np.zeros(rep.E.dim, complex)
-        xi[i] = 1.0
-        inter = max(inter, op_norm(gamma @ model.creation(rep.letter, xi) - rep.T[i] @ gamma))
+    inter = max(
+        max_op_norm(gamma @ rho.images - rep.sigma.images @ gamma),
+        max_op_norm(gamma @ model.creation(rep.letter, eye_like(rep.E.dim)) - rep.T @ gamma),
+    )
     worst = max(unit, inter)
     return CheckItem("H1_induced_intertwiner", worst <= rep.tol * rep.scale, worst)
 
@@ -462,21 +461,26 @@ def verify_muhly_solel(rep: CovariantRep) -> TheoremReport:
     )
 
 
+def _wandering_part(rep: CovariantRep, K: Subspace) -> Subspace:
+    """Richter's W_K = K (-) T~(E (x) K), measured inside H, for a
+    sigma-invariant K; zero when K is."""
+    return K.intersect(script_L_n(rep, K, 1).orthocomplement())
+
+
+def _generates(rep: CovariantRep, K: Subspace) -> bool:
+    """Whether Richter's W_K generates an invariant K: [W_K]_T = K."""
+    return invariant_closure(rep, _wandering_part(rep, K)).equals(K)
+
+
 def _richter_conclusions(rep: CovariantRep, K: Subspace):
     """Richter's conclusions on an invariant K, and the dims they speak of:
-    W_K = K (-) T~(E (x) K) is wandering, generates K, and is recovered from
-    its closure."""
-    forward = script_L_n(rep, K, 1)
-    W_K = K.intersect(forward.orthocomplement())
+    W_K is wandering, generates K, and is recovered from its closure."""
+    W_K = _wandering_part(rep, K)
     closure = invariant_closure(rep, W_K)
     wander = check_wandering(rep, W_K)
     regen = _angle_item("closure_recovers_K", closure, K)
-    # the closure determines its wandering subspace: closure (-) T~(E (x) closure)
-    if closure.dim:
-        w_back = closure.intersect(script_L_n(rep, closure, 1).orthocomplement())
-    else:
-        w_back = Subspace.zero(rep.hdim)
-    uniqueness = _angle_item("wandering_uniqueness", w_back, W_K)
+    # the closure determines its wandering subspace
+    uniqueness = _angle_item("wandering_uniqueness", _wandering_part(rep, closure), W_K)
     dims = (("K", K.dim), ("W_K", W_K.dim), ("closure", closure.dim))
     return (wander.as_item(), regen, uniqueness), dims
 

@@ -6,14 +6,15 @@ numpy, deliberately avoiding the package's quotient machinery.
 """
 
 import json
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 
 import numpy as np
 
 from covrep._linalg import gram_quotient, op_norm, orth_cols, scale_of
-from covrep.product import multi_word, validate_alpha
+from covrep.errors import NotInvariant
+from covrep.product import multi_word, validate_alpha, wandering_alpha
 from covrep.reporting import CheckItem, ValidationReport
-from covrep.wold import Subspace, image
+from covrep.wold import Subspace, _wandering_closure, image
 
 
 def orth(cols, tol=1e-10):
@@ -235,12 +236,22 @@ def dense_creation(fh, letter, xi):
 # depth, so the library's coordinatewise translates can be compared against them.
 
 
+def tilde_word(pr, word):
+    """T~ along a tensor word, outermost letter first: the composite of the
+    coordinate factors I (x) T~ of its prefixes."""
+    word = tuple(word)
+    out = np.eye(pr.hdim, dtype=complex)
+    for q in range(1, len(word) + 1):
+        out = out @ pr.rep(word[q - 1]).factor(word[:q])
+    return out
+
+
 def word_translate(pr, word, K):
     """Closure of T~_word (E(word) (x) K) inside H, for a sigma-invariant K."""
     if pr.hilb.dim(word) == 0:
         return Subspace.zero(K.ambient_dim)
     carrier = orth_cols(dense_tensor_op(pr.hilb, word, K.projector()), 0.5)
-    return image(pr.tilde_word(word) @ carrier)
+    return image(tilde_word(pr, word) @ carrier)
 
 
 def script_L_alpha_word(pr, alpha, m, K):
@@ -268,6 +279,35 @@ def alpha_translates_sweep(pr, alpha, K):
         if any(m):
             total = total + word_translate(pr, multi_word(alpha, m), K)
     return total
+
+
+# -- the direct hypothesis of T22 on restricted representations ------------------
+
+
+def direct_hypothesis_restricted(pr):
+    """The gws_{i}_on_{K} items of T22's direct hypothesis, each measured on
+    the restriction of coordinate i to K: W of the restriction generates it."""
+    items = []
+    subsets = [beta for size in range(1, pr.k + 1) for beta in combinations(range(pr.k), size)]
+    for i in range(pr.k):
+        candidates = [("H", Subspace.full(pr.hdim))]
+        for beta in subsets:
+            if i not in beta:
+                tag = "{" + ",".join(str(b + 1) for b in beta) + "}"
+                candidates.append((f"W_{tag}", wandering_alpha(pr, beta)))
+        for name, K in candidates:
+            label = f"gws_{i+1}_on_{name}"
+            if K.dim == 0:
+                items.append(CheckItem(label, True, 0.0, vacuous=True))
+                continue
+            try:
+                sub = pr.rep(i).restrict(K.basis)
+            except NotInvariant:
+                items.append(CheckItem(label, False, 1.0, detail="subspace not invariant"))
+                continue
+            ok = _wandering_closure(sub).equals(Subspace.full(K.dim))
+            items.append(CheckItem(label, ok, 0.0 if ok else 1.0))
+    return items
 
 
 def dense_phi_on_tensor(rep, k):

@@ -19,6 +19,7 @@ from covrep.examples import (
 from covrep.product import (
     ProductRep,
     ProductSystem,
+    _direct_hypothesis,
     _measure_gws,
     alpha_translates,
     check_T24_condition_b,
@@ -114,15 +115,18 @@ class TestProductRep:
         with pytest.raises(CommutationViolation):
             scalar_tuple([A, B])
 
+    # T~ at a full multi-index, through the word composite of ``oracles``
+    # that TestTranslatesAgainstTheWordSweep compares the library against
+
     def test_tilde_multi_zero_is_identity(self):
         pr = jordan_pair()
-        np.testing.assert_allclose(pr.tilde_multi((0, 0)), np.eye(4))
+        np.testing.assert_allclose(oracles.tilde_word(pr, multi_word((0, 1), (0, 0))), np.eye(4))
 
     def test_tilde_multi_scalar_collapse(self, rng):
         A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         B = A @ A + 0.5 * np.eye(3)  # commutes with A
         pr = scalar_tuple([A, B])
-        t = pr.tilde_multi((2, 1))
+        t = oracles.tilde_word(pr, multi_word((0, 1), (2, 1)))
         np.testing.assert_allclose(
             np.linalg.svd(t, compute_uv=False),
             np.linalg.svd(A @ A @ B, compute_uv=False),
@@ -131,7 +135,7 @@ class TestProductRep:
 
     def test_two_color_composite_partial_isometry(self):
         pr = two_color_path_rep()
-        t = pr.tilde_multi((1, 1))
+        t = oracles.tilde_word(pr, multi_word((0, 1), (1, 1)))
         # one two-colored length-2 path: rank-one partial isometry
         assert np.linalg.matrix_rank(t, tol=1e-9) == 1
         np.testing.assert_allclose(np.linalg.svd(t, compute_uv=False)[0], 1.0, atol=1e-10)
@@ -319,9 +323,11 @@ class TestAlphaLatticeCache:
             _certify(pr)
             _certify(pr)
             assert calls == once
-            # one closure per coordinate of each alpha inside alpha_translates,
-            # and the two stepwise closures of W_{1,2}
-            assert once == {"alpha_translates": 3, "invariant_closure": 6, "check_reducing": 2}
+            # [W_alpha]_{T_alpha} once per alpha, one closure per coordinate
+            # of alpha; its first step is also the stepwise closure of W_{1,2}
+            # that drops coordinate 2, so only the one that drops coordinate 1
+            # is added
+            assert once == {"invariant_closure": 5, "check_reducing": 2}
 
     def test_bit_equal_to_a_fresh_instance(self):
         pr = two_color_path_rep()
@@ -486,6 +492,49 @@ class TestTranslatesAgainstTheWordSweep:
                         assert got.angle_gap(want) <= ANGLE_TOL, (alpha, K.dim)
 
 
+F2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+DIRECT_INSTANCES = {
+    "jordan-pair": jordan_pair,
+    "two-color-path": two_color_path_rep,
+    # (S3, S3^2): W_{2} is not invariant for coordinate 1, nor W_{1} for 2
+    "S3-S3^2": lambda: scalar_tuple([S3, S3 @ S3]),
+    # (U3, U3^2): unitary coordinates, W = 0, so neither generates H
+    "U3-U3^2": lambda: scalar_tuple([U3, U3 @ U3]),
+    # (S3 (x) I, I (x) F): the flip coordinate is unitary on every K
+    "S3xI-IxF": lambda: scalar_tuple([np.kron(S3, np.eye(2)), np.kron(np.eye(3), F2)]),
+    **{f"doubly-commuting-{s}": partial(random_instance, s, "doubly-commuting") for s in range(60)},
+}
+
+
+class TestDirectHypothesisAgainstRestriction:
+    """T22's direct hypothesis, which measures Richter's W_K inside H,
+    against the reference that restricts each coordinate to K (``oracles``):
+    the same item names, flags, vacuous marks and details."""
+
+    @staticmethod
+    def flags(items):
+        return [(i.name, i.passed, i.vacuous, i.detail) for i in items]
+
+    @pytest.mark.parametrize("name", list(DIRECT_INSTANCES))
+    def test_same_items(self, name):
+        pr = DIRECT_INSTANCES[name]()
+        got = self.flags(_direct_hypothesis(pr))
+        assert got == self.flags(oracles.direct_hypothesis_restricted(pr))
+
+    def test_branches_reached(self):
+        def failed(name):
+            return {i.name: i.detail for i in _direct_hypothesis(DIRECT_INSTANCES[name]()) if not i.passed}
+
+        assert failed("S3-S3^2") == {
+            "gws_1_on_W_{2}": "subspace not invariant",
+            "gws_2_on_W_{1}": "subspace not invariant",
+        }
+        assert failed("U3-U3^2") == {"gws_1_on_H": "", "gws_2_on_H": ""}
+        assert set(failed("S3xI-IxF")) == {"gws_2_on_H", "gws_2_on_W_{1}"}
+        assert failed("jordan-pair") == failed("two-color-path") == {}
+
+
 @pytest.fixture(scope="module")
 def grid():
     def v(i, j):
@@ -586,19 +635,10 @@ class TestT24:
         assert report.max_violation < 1e-10
 
     def test_condition_b_non_commuting_pair_fails(self):
-        A = np.array([[0.0, 1.0], [0.0, 0.0]])
-        B = np.array([[1.0, 0.0], [1.0, 1.0]])
-        # build without validation: condition (b) is still evaluable
-        from covrep.examples import scalar_correspondence, scalar_representation
-        from covrep.correspondence import ChainTower
-
-        corrs = [scalar_correspondence() for _ in range(2)]
-        chain = ChainTower(corrs)
-        system = ProductSystem(corrs, {(1, 0): np.eye(1)}, chain=chain)
-        pr = ProductRep(
-            system, scalar_representation(2), [A[None], B[None]], validate=False
-        )
-        assert not check_T24_condition_b(pr).passed
+        # (S3, S3^2) commutes but is not doubly commuting
+        report = check_T24_condition_b(scalar_tuple([S3, S3 @ S3]))
+        assert not report.passed
+        assert report.max_violation == pytest.approx(1.0, abs=1e-12)
 
     def test_jordan_all_four_true(self):
         report = verify_T24_equivalence(jordan_pair())
