@@ -76,16 +76,20 @@ def max_op_norm(stack) -> float:
     return float(np.linalg.norm(mats, 2, axis=(1, 2)).max())
 
 
-def invariance_residual(stack, basis) -> float:
-    """Largest |(I - P_K) M B_K| over a stack of n x n matrices M.
+def invariance_residual(basis, *stacks) -> float:
+    """Largest |(I - P_K) M B_K| over the n x n matrices M of every stack.
 
     ``basis`` holds orthonormal columns B_K spanning K and P_K = B_K B_K*;
-    the residual is 0 exactly when every M leaves K invariant.
+    the residual is 0 exactly when every M leaves K invariant.  When
+    I - P_K is exactly zero, as for the identity basis of all of C^n, the
+    residual is 0.0 without the products.
     """
     basis = as_complex(basis)
     comp = eye_like(basis.shape[0]) - basis @ dagger(basis)
+    if not comp.any():
+        return 0.0
     # M B_K first: d n^2 dim K flops instead of d n^3 for (I - P_K) M
-    return max_op_norm(comp @ (as_complex(stack) @ basis))
+    return max(max_op_norm(comp @ (as_complex(stack) @ basis)) for stack in stacks)
 
 
 def screened_op_norm(stack, bound: float) -> float:

@@ -10,17 +10,22 @@ forms of the Shimorin condition).
 
 All instances are immutable after construction, so representations can be
 shared across threads.  Every derived constant is built once, by ``_memo``,
-into one of two stores: ``_ops`` for this module's (the scale, the stack of
-sigma(M)'s images and the T(xi), the factors I (x) T~ with T~ the first,
-T~_n, T~* T~, the left-invertibility check, the factors of L^n with L the
-first, L^n, P, Q and the Cauchy dual), ``_lattice`` for the subspaces and
-certificates of ``wold``, at most 10 keys whatever dim H is.  Racing
-threads get one object, and cached arrays are read-only.
+into one of two stores: ``_ops`` for this module's (the scale, the factors
+I (x) T~ with T~ the first, T~_n, T~* T~, the factors of L^n with L the
+first, L^n, P, Q, the Cauchy dual, and, under ``(method name, *args)``,
+the checks ``check_left_invertible``, ``check_isometric``,
+``check_fully_coisometric``, ``check_expansive``, ``check_growth_bound(n)``,
+``check_concave``, ``check_shimorin``, ``check_eq13``, ``check_eq12``,
+``check_analytic`` and the operator ``build_U``), ``_lattice`` for the
+subspaces and certificates of ``wold``, at most 11 keys whatever dim H
+is.  Racing threads get one object, and cached arrays are read-only.  An
+exception is never stored: a failed build raises again on the next call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial, wraps
 
 import numpy as np
 
@@ -97,9 +102,23 @@ def _memo(store: dict, key, build):
     return value
 
 
+def _cached(method):
+    """``method(self, *args)``, measured once per representation into
+    ``self._ops`` under ``(method name, *args)`` by ``_memo``."""
+    name = method.__name__
+
+    @wraps(method)
+    def read(self, *args):
+        return _memo(self._ops, (name, *args), partial(method, self, *args))
+
+    return read
+
+
 @dataclass(frozen=True, eq=False)
 class UOperator:
-    """U h = sum_n (I (x) P) L^n h as a matrix into the graded space (+) E^n (x) W."""
+    """U h = sum_n (I (x) P) L^n h as a matrix into the graded space (+) E^n (x) W.
+
+    ``build_U`` caches it, so ``matrix`` and ``kernel`` are read-only."""
 
     matrix: np.ndarray
     level_dims: tuple[int, ...]
@@ -108,6 +127,10 @@ class UOperator:
     coisometry_residual: float
     norm: float
     concave_vacuous: bool
+
+    def __post_init__(self):
+        self.matrix.flags.writeable = False
+        self.kernel.flags.writeable = False
 
 
 class CovariantRep:
@@ -139,7 +162,6 @@ class CovariantRep:
         T = as_complex(T).reshape(E.dim, n, n) if E.dim else np.zeros((0, n, n), complex)
         self.sigma = sigma
         self.E = E
-        self.T = T
         self.tol = tol if tol is not None else min(E.tol, sigma.tol)
         self.meta = dict(meta or {})
         self.chain = chain if chain is not None else ChainTower([E], self.tol)
@@ -147,8 +169,10 @@ class CovariantRep:
         self.letter = letter
         if self.chain.family[letter] is not E:
             raise AlgebraMismatch("tower letter does not carry this correspondence")
-        # algebraic map theta : C^{e n} -> C^n, column (i*n + p) = T_i e_p
+        # algebraic map theta : C^{e n} -> C^n, column (i*n + p) = T_i e_p;
+        # T is a view of it, so the two share one array
         self.theta = T.transpose(1, 0, 2).reshape(n, E.dim * n)
+        self.T = self.theta.reshape(n, E.dim, n).transpose(1, 0, 2)
         # the derived operators and checks of this class, and the lattice
         # constants of wold._lattice, each under a fixed key (see _memo)
         self._ops: dict = {}
@@ -208,12 +232,6 @@ class CovariantRep:
         """scale_of(theta), the relative-tolerance scale of T."""
         return _memo(self._ops, "scale", lambda: scale_of(self.theta))
 
-    @property
-    def _generators(self) -> np.ndarray:
-        """sigma(M)'s images and the T(xi) in one read-only stack, whose
-        common invariant subspaces ``restrict`` and ``wold.check_invariant`` test."""
-        return _memo(self._ops, "generators", lambda: np.concatenate((self.sigma.images, self.T)))
-
     def word(self, k: int) -> tuple[int, ...]:
         return (self.letter,) * k
 
@@ -254,19 +272,16 @@ class CovariantRep:
     def gram_tilde(self) -> np.ndarray:
         return _memo(self._ops, "gram_tilde", lambda: dagger(self.tilde) @ self.tilde)
 
+    @_cached
     def check_left_invertible(self) -> CheckResult:
         """T~ is bounded below: the smallest eigenvalue of T~* T~ is above
         ``rank_cutoff`` of the largest; the residual is how far it falls short."""
-
-        def build():
-            g = self.gram_tilde
-            if g.shape[0] == 0:
-                return CheckResult("left_invertible", True, 0.0, None, vacuous=True)
-            w = np.linalg.eigvalsh((g + dagger(g)) / 2.0)
-            lo, cutoff = float(w[0]), rank_cutoff(float(w[-1]))
-            return CheckResult("left_invertible", lo > cutoff, max(0.0, cutoff - lo), lo)
-
-        return _memo(self._ops, "left_invertible", build)
+        g = self.gram_tilde
+        if g.shape[0] == 0:
+            return CheckResult("left_invertible", True, 0.0, None, vacuous=True)
+        w = np.linalg.eigvalsh((g + dagger(g)) / 2.0)
+        lo, cutoff = float(w[0]), rank_cutoff(float(w[-1]))
+        return CheckResult("left_invertible", lo > cutoff, max(0.0, cutoff - lo), lo)
 
     def left_invertible(self) -> bool:
         return self.check_left_invertible().passed
@@ -317,27 +332,32 @@ class CovariantRep:
         bound = self.tol * (1.0 + norm)
         return CheckResult(name, m >= -bound, max(0.0, -m), m)
 
+    @_cached
     def check_isometric(self) -> CheckResult:
         g = self.gram_tilde
         res = op_norm(g - eye_like(g.shape[0]))
         return CheckResult("isometric", res <= self.tol * scale_of(g), res)
 
+    @_cached
     def check_fully_coisometric(self) -> CheckResult:
         c = self.tilde @ dagger(self.tilde)
         res = op_norm(c - eye_like(self.hdim))
         return CheckResult("fully_coisometric", res <= self.tol * scale_of(c), res)
 
+    @_cached
     def check_concave(self) -> CheckResult:
         """Operator form: T~_2* T~_2 - I <= 2 (I_E (x) T~* T~ - I), the growth
         bound at n = 2."""
         return replace(self.check_growth_bound(2), name="concave")
 
+    @_cached
     def check_expansive(self) -> CheckResult:
         """T~* T~ >= I, the conclusion of the concavity lemma."""
         g = self.gram_tilde
         mat = g - eye_like(g.shape[0])
         return self._psd_check("expansive", mat)
 
+    @_cached
     def check_growth_bound(self, n: int) -> CheckResult:
         """T~_n* T~_n - I <= n (I (x) T~* T~ - I) on the n-th tensor level."""
         if n < 1:
@@ -353,6 +373,7 @@ class CovariantRep:
     def _not_left_invertible(self, name: str) -> CheckResult:
         return CheckResult(name, False, 1.0, None, reason="NotLeftInvertible")
 
+    @_cached
     def check_shimorin(self) -> CheckResult:
         """Operator form (14): I_E (x) T~ T~* + (T~* T~)^{-1} <= 2 I."""
         if self.sdim(1) == 0:
@@ -365,6 +386,7 @@ class CovariantRep:
         mat = 2.0 * eye_like(s1) - f1 @ dagger(f1) - inv
         return self._psd_check("shimorin", mat)
 
+    @_cached
     def check_eq13(self) -> CheckResult:
         """Vector form: |T~ xi|^2 + |T~_2* T~ xi|^2 <= 2 |T~* T~ xi|^2."""
         if self.sdim(1) == 0:
@@ -376,6 +398,7 @@ class CovariantRep:
         mat = 2.0 * g @ g - g - dagger(b) @ b
         return self._psd_check("eq13", mat)
 
+    @_cached
     def check_eq12(self) -> CheckResult:
         """X-operator form: X = [I (x) T~, (T~* T~)^{-1/2}] with X X* <= 2 I."""
         if self.sdim(1) == 0:
@@ -389,6 +412,7 @@ class CovariantRep:
         mat = 2.0 * eye_like(s1) - xxs
         return self._psd_check("eq12", mat)
 
+    @_cached
     def check_analytic(self) -> CheckResult:
         # deferred import: subspace machinery lives in wold
         from .wold import h_infinity
@@ -441,7 +465,7 @@ class CovariantRep:
         if drift > ORTHONORMAL_TOL:
             raise ShapeMismatch(f"restriction basis columns are not orthonormal (drift {drift:.3e})")
         bound = self.tol * max(scale_of(basis), self.scale, self.sigma.scale)
-        worst = invariance_residual(self._generators, basis)
+        worst = invariance_residual(basis, self.sigma.images, self.T)
         if worst > bound:
             raise NotInvariant(f"subspace is not (sigma, T)-invariant (residual {worst:.3e})")
         images = np.stack([dagger(basis) @ img @ basis for img in self.sigma.images])
@@ -485,6 +509,7 @@ class CovariantRep:
             totals += np.sum(np.abs(mat) ** 2, axis=0)
         return float(np.max(np.abs(totals - 1.0)))
 
+    @_cached
     def build_U(self) -> UOperator:
         """U h = sum_n (I (x) P) L^n h into (+)_{n<=dim H} E^{(x)n} (x) W.
 

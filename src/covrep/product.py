@@ -6,6 +6,12 @@ E_j (x) E_i on the internal-tensor quotients; flips for i < j are derived
 as inverses, so the stored family is the single source of truth.  All
 coordinates of a representation tuple share one ChainTower/HilbertTower,
 which keeps every mixed tensor word in literally identical bases.
+
+The checks that depend on the tuple alone are measured once, into its
+``_lattice`` by ``covrep._memo``: the doubly-commuting report, the
+condition-(b) report and T22's direct hypothesis, beside the alpha-indexed
+constants (W_alpha, its reducing checks and its GWS items).  That is at
+most (2^k - 1)(k + 1) + 3 keys for a tuple of rank k, whatever dim H is.
 """
 
 from __future__ import annotations
@@ -137,8 +143,9 @@ class ProductRep:
         self.tol = tol if tol is not None else min(system.tol, sigma.tol)
         self.meta = dict(meta or {})
         self.hilb = HilbertTower(system.chain, sigma)
-        # the alpha-indexed constants of wold._lattice, keyed ("W", alpha),
-        # ("reducing", alpha, j) and ("gws", alpha)
+        # the constants of wold._lattice, keyed ("W", alpha),
+        # ("reducing", alpha, j), ("gws", alpha), "doubly_commuting",
+        # "condition_b" and ("t22", "direct")
         self._lattice: dict = {}
         self.reps = tuple(
             CovariantRep(
@@ -216,29 +223,33 @@ class ProductRep:
     def check_doubly_commuting(self) -> ValidationReport:
         """Pair residuals for the adjoint-commutation identity, together with
         the derived commuting-defect identity; doubly commuting instances
-        must pass the derived identity as well."""
-        items = []
-        bound = self.tol * self.scale
-        doubly_all = True
-        for i in range(self.k):
-            for j in range(self.k):
-                if i == j:
-                    continue
-                res = self.doubly_residual(i, j)
+        must pass the derived identity as well.  Measured once per tuple."""
+
+        def build():
+            items = []
+            bound = self.tol * self.scale
+            doubly_all = True
+            for i in range(self.k):
+                for j in range(self.k):
+                    if i == j:
+                        continue
+                    res = self.doubly_residual(i, j)
+                    ok = res <= bound
+                    doubly_all = doubly_all and ok
+                    items.append(CheckItem(f"doubly_{i+1},{j+1}", ok, res))
+            eqn_ok = True
+            for i, j in combinations(range(self.k), 2):
+                res = self.defect_commutator_residual(i, j)
                 ok = res <= bound
-                doubly_all = doubly_all and ok
-                items.append(CheckItem(f"doubly_{i+1},{j+1}", ok, res))
-        eqn_ok = True
-        for i, j in combinations(range(self.k), 2):
-            res = self.defect_commutator_residual(i, j)
-            ok = res <= bound
-            eqn_ok = eqn_ok and ok
-            items.append(CheckItem(f"defects_commute_{i+1},{j+1}", ok, res))
-        implication = (not doubly_all) or eqn_ok
-        items.append(
-            CheckItem("doubly_implies_defects_commute", implication, 0.0 if implication else 1.0)
-        )
-        return ValidationReport("doubly_commuting", tuple(items))
+                eqn_ok = eqn_ok and ok
+                items.append(CheckItem(f"defects_commute_{i+1},{j+1}", ok, res))
+            implication = (not doubly_all) or eqn_ok
+            items.append(
+                CheckItem("doubly_implies_defects_commute", implication, 0.0 if implication else 1.0)
+            )
+            return ValidationReport("doubly_commuting", tuple(items))
+
+        return _lattice(self, "doubly_commuting", build)
 
     def is_doubly_commuting(self) -> bool:
         return doubly_flag(self.check_doubly_commuting())
@@ -440,10 +451,11 @@ def _c23_hypothesis(pr: ProductRep) -> list[CheckItem]:
     return items
 
 
-def _direct_hypothesis(pr: ProductRep) -> list[CheckItem]:
+def _direct_hypothesis(pr: ProductRep) -> tuple[CheckItem, ...]:
     """T22's direct surrogate on the reducing subspaces K that actually occur
     in the recursion, H itself and every W_beta with beta not containing the
-    coordinate: K is invariant and Richter's W_K generates it."""
+    coordinate: K is invariant and Richter's W_K generates it.  Uncached;
+    ``verify_T22`` keeps it under ``("t22", "direct")``."""
     items = []
     subsets = _nonempty_subsets(pr.k)
     for i in range(pr.k):
@@ -461,7 +473,7 @@ def _direct_hypothesis(pr: ProductRep) -> list[CheckItem]:
             else:
                 ok = _generates(rep, K)
                 items.append(CheckItem(label, ok, 0.0 if ok else 1.0))
-    return items
+    return tuple(items)
 
 
 def verify_T22(pr: ProductRep) -> TheoremReport:
@@ -479,7 +491,7 @@ def verify_T22(pr: ProductRep) -> TheoremReport:
     gate = _c23_hypothesis(pr)
     used = "c23"
     if not all(item.passed for item in gate):
-        gate = _direct_hypothesis(pr)
+        gate = _lattice(pr, ("t22", "direct"), partial(_direct_hypothesis, pr))
         used = "direct"
     hypotheses = (doubly_item, *gate)
     conclusions, dims = _gws_all_alpha(pr)
@@ -493,18 +505,23 @@ def verify_T22(pr: ProductRep) -> TheoremReport:
 
 
 def check_T24_condition_b(pr: ProductRep) -> ValidationReport:
-    """Residuals of the flip-intertwining identity (b), one per pair i < j."""
-    items = []
-    bound = pr.tol * pr.scale
-    for i, j in combinations(range(pr.k), 2):
-        fij = pr._factor((i, j))
-        fji = pr._factor((j, i))
-        flip = pr.flip_op(i, j)
-        lhs = fji @ flip @ (dagger(fij) @ fij)
-        rhs = pr.rep(j).gram_tilde @ fji @ flip
-        res = op_norm(lhs - rhs)
-        items.append(CheckItem(f"condition_b_{i+1},{j+1}", res <= bound, res))
-    return ValidationReport("T24_condition_b", tuple(items))
+    """Residuals of the flip-intertwining identity (b), one per pair i < j,
+    measured once per tuple."""
+
+    def build():
+        items = []
+        bound = pr.tol * pr.scale
+        for i, j in combinations(range(pr.k), 2):
+            fij = pr._factor((i, j))
+            fji = pr._factor((j, i))
+            flip = pr.flip_op(i, j)
+            lhs = fji @ flip @ (dagger(fij) @ fij)
+            rhs = pr.rep(j).gram_tilde @ fji @ flip
+            res = op_norm(lhs - rhs)
+            items.append(CheckItem(f"condition_b_{i+1},{j+1}", res <= bound, res))
+        return ValidationReport("T24_condition_b", tuple(items))
+
+    return _lattice(pr, "condition_b", build)
 
 
 def verify_T24_equivalence(pr: ProductRep) -> TheoremReport:

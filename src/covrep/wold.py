@@ -13,13 +13,15 @@ subspaces (W, H_inf, [W]_T, the translates of W that grew [W]_T, the span
 of W under the Cauchy dual and, on a product, each W_alpha), with
 read-only bases, and the certificates measured on them (the reducing
 checks of H_u and H_inf, the restriction to H_inf, Muhly-Solel's model
-item, Richter's conclusions on K = H and, on a product, the reducing
-checks and GWS items of W_alpha).  That is at most 10 keys per
-representation and (2^k - 1)(k + 1) per product of rank k, whatever
-dim H is.  ``wold_decompose``, ``verify_muhly_solel`` and
-``verify_ker_Ln`` read the same constants.  A subspace a caller passes is
-never cached (K = H is one fixed key, whatever its basis), nor a report
-or Muhly-Solel's Fock model, only its item.
+item, Richter's conclusions on K = H, the Cauchy-dual conclusions and, on
+a product, the reducing checks and GWS items of W_alpha, the
+doubly-commuting and condition-(b) reports and T22's direct hypothesis).
+That is at most 11 keys per representation and (2^k - 1)(k + 1) + 3 per
+product of rank k, whatever dim H is.  ``wold_decompose``,
+``verify_muhly_solel`` and ``verify_ker_Ln`` read the same constants.  A
+subspace a caller passes is never cached (K = H is one fixed key,
+whatever its basis), nor a report or Muhly-Solel's Fock model, only its
+item.
 """
 
 from __future__ import annotations
@@ -165,7 +167,7 @@ def _sigma_check(sigma: StarRepresentation, tol: float, K: Subspace) -> CheckRes
     tol * sigma.scale: the residual involves sigma alone."""
     if K.ambient_dim != sigma.hilbert_dim:
         raise AmbientMismatch("subspace does not live in the representation space")
-    res = invariance_residual(sigma.images, K.basis)
+    res = invariance_residual(K.basis, sigma.images)
     return CheckResult("sigma_invariant", res <= tol * sigma.scale, res)
 
 
@@ -273,7 +275,7 @@ def h_infinity(rep: CovariantRep) -> Subspace:
 
 def check_invariant(rep: CovariantRep, K: Subspace) -> CheckResult:
     """P_K commutes with sigma(M) and every T(xi) leaves K invariant."""
-    res = invariance_residual(rep._generators, K.basis)
+    res = invariance_residual(K.basis, rep.sigma.images, rep.T)
     bound = rep.tol * max(rep.scale, rep.sigma.scale)
     return CheckResult("invariant", res <= bound, res)
 
@@ -512,8 +514,20 @@ def verify_richter(rep: CovariantRep, K: Subspace) -> TheoremReport:
 
 
 def verify_cauchy_dual_props(rep: CovariantRep) -> TheoremReport:
-    """The Cauchy-dual subspace identities and the analytic/GWS biconditionals."""
+    """The Cauchy-dual subspace identities and the analytic/GWS biconditionals,
+    measured once per representation."""
     left_inv = rep.check_left_invertible()
+    conclusions, dims = _lattice(rep, ("cauchy_dual", "props"), partial(_cauchy_dual_conclusions, rep))
+    return TheoremReport(
+        "cauchy_dual",
+        hypotheses=(left_inv.as_item(),),
+        conclusions=conclusions,
+        dims=dict(dims),
+    )
+
+
+def _cauchy_dual_conclusions(rep: CovariantRep):
+    """The conclusions of ``verify_cauchy_dual_props`` and the dims they speak of."""
     dual = rep.cauchy_dual()
     n = rep.hdim
     W = wandering_subspace(rep)
@@ -537,18 +551,14 @@ def verify_cauchy_dual_props(rep: CovariantRep) -> TheoremReport:
         CheckItem("analytic_iff_dual_gws", analytic == gws_dual, float(analytic != gws_dual)),
         CheckItem("gws_iff_dual_analytic", gws == analytic_dual, float(gws != analytic_dual)),
     )
-    return TheoremReport(
-        "cauchy_dual",
-        hypotheses=(left_inv.as_item(),),
-        conclusions=conclusions,
-        dims={
-            "W": W.dim,
-            "H_inf": hinf.dim,
-            "H_inf_dual": hinf_dual.dim,
-            "span": span.dim,
-            "span_dual": span_dual.dim,
-        },
+    dims = (
+        ("W", W.dim),
+        ("H_inf", hinf.dim),
+        ("H_inf_dual", hinf_dual.dim),
+        ("span", span.dim),
+        ("span_dual", span_dual.dim),
     )
+    return conclusions, dims
 
 
 def check_dual_reducing_implication(rep: CovariantRep) -> TheoremReport:

@@ -609,11 +609,11 @@ class TestCachingAndThreads:
 
     def test_derived_operators_computed_once(self):
         rep = weighted_graph_rep(G2, [1.25, 1.1])
-        for name in ("gram_tilde", "L", "P", "Q", "_generators"):
+        for name in ("gram_tilde", "L", "P", "Q"):
             assert getattr(rep, name) is getattr(rep, name)
-        # the invariance checks' generators, stacked once and shared read-only
-        assert not rep._generators.flags.writeable
-        np.testing.assert_array_equal(rep._generators, np.concatenate((rep.sigma.images, rep.T)))
+        # T and theta hold the same numbers in one array
+        assert np.shares_memory(rep.T, rep.theta)
+        np.testing.assert_array_equal(rep.theta, rep.T.transpose(1, 0, 2).reshape(rep.hdim, -1))
         np.testing.assert_allclose(rep.P + rep.Q, np.eye(rep.hdim), atol=1e-15)
 
     def test_not_left_invertible_is_not_cached_as_L(self):
@@ -623,6 +623,62 @@ class TestCachingAndThreads:
             assert not rep.left_invertible()
             with pytest.raises(NotLeftInvertible):
                 rep.L
+            with pytest.raises(NotLeftInvertible):
+                rep.build_U()
+        assert ("build_U",) not in rep._ops
+
+    #: The checks and the operator that ``_ops`` keeps under (method name, *args).
+    CACHED_READS = {
+        "isometric": lambda rep: rep.check_isometric(),
+        "fully_coisometric": lambda rep: rep.check_fully_coisometric(),
+        "expansive": lambda rep: rep.check_expansive(),
+        "growth_2": lambda rep: rep.check_growth_bound(2),
+        "growth_3": lambda rep: rep.check_growth_bound(3),
+        "concave": lambda rep: rep.check_concave(),
+        "shimorin": lambda rep: rep.check_shimorin(),
+        "eq13": lambda rep: rep.check_eq13(),
+        "eq12": lambda rep: rep.check_eq12(),
+        "analytic": lambda rep: rep.check_analytic(),
+        "build_U": lambda rep: rep.build_U(),
+    }
+
+    def test_checks_computed_once(self):
+        rep = weighted_graph_rep(G2, [1.25, 1.1])
+        first = {name: read(rep) for name, read in self.CACHED_READS.items()}
+        for name, read in self.CACHED_READS.items():
+            assert read(rep) is first[name], name
+        # concavity is one object, named for itself, beside the growth bound at n = 2
+        assert rep._ops[("check_concave",)] is first["concave"]
+        assert rep._ops[("check_growth_bound", 2)] is first["growth_2"]
+        assert (first["concave"].name, first["growth_2"].name) == ("concave", "growth_bound_2")
+        u = first["build_U"]
+        for array in (u.matrix, u.kernel):
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+
+    def test_cache_never_hides_a_failure(self):
+        # left invertible and not concave: U is undefined on every call
+        rep = scalar_covrep(np.diag([2.0, 0.5]))
+        assert rep.left_invertible()
+        for _ in range(2):
+            with pytest.raises(NotConcave):
+                rep.build_U()
+            assert ("build_U",) not in rep._ops
+            assert not rep.check_concave().passed
+        rep = weighted_graph_rep(G2, [1.25, 1.1])
+        for _ in range(2):
+            iso = rep.check_isometric()
+            assert not iso.passed and iso.residual == 0.5625
+
+    def test_dual_has_its_own_checks(self):
+        rep = weighted_graph_rep(G2, [1.25, 1.1])
+        dual = rep.cauchy_dual()
+        assert dual.chain is rep.chain and dual.hilb is rep.hilb
+        assert dual._ops is not rep._ops
+        for _ in range(2):
+            assert rep.check_concave().passed and not dual.check_concave().passed
+            assert rep.check_isometric().residual == 0.5625
+            assert dual.check_isometric().residual == pytest.approx(0.36, abs=1e-12)
 
     @staticmethod
     def verifier_tasks(rep, pr):
@@ -744,6 +800,7 @@ class TestCachingAndThreads:
             ("L_n_2", lambda rep: rep.L_n(2)),
             ("left_invertible", lambda rep: rep.check_left_invertible()),
             ("W", wandering_subspace),
+            *self.CACHED_READS.items(),
         ]
 
         def reader(rep, start, offset):
@@ -758,7 +815,8 @@ class TestCachingAndThreads:
         for trial in range(20):
             rep = weighted_graph_rep(G2, [1.25, 1.1])
             start = threading.Barrier(4, timeout=60)
-            seen = self.run_in_pool({i: reader(rep, start, 2 * i) for i in range(4)})
+            step = len(reads) // 4
+            seen = self.run_in_pool({i: reader(rep, start, step * i) for i in range(4)})
             for name, _ in reads:
                 first = seen[0][name]
                 assert all(got[name] is first for got in seen.values()), (trial, name)
@@ -766,17 +824,22 @@ class TestCachingAndThreads:
     def test_racing_threads_get_one_certificate(self):
         import threading
 
-        from covrep.examples import two_color_path_rep
-        from covrep.product import _gws_items
-        from covrep.wold import verify_muhly_solel, verify_richter
+        from covrep.examples import jordan_pair, two_color_path_rep
+        from covrep.product import _gws_items, check_T24_condition_b, verify_T22
+        from covrep.wold import verify_cauchy_dual_props, verify_muhly_solel, verify_richter
 
-        def reads(rep, pr):
-            """The three certificates kept per representation, as the verifiers return them."""
+        def reads(rep, pr, jp):
+            """The certificates kept per representation and per tuple, as the
+            verifiers return them; the Jordan pair takes T22's direct hypothesis."""
             return [
                 ("muhly_solel", lambda: verify_muhly_solel(rep).conclusions[-1]),
                 ("richter", lambda: verify_richter(rep, Subspace.full(rep.hdim)).conclusions),
+                ("cauchy_dual", lambda: verify_cauchy_dual_props(rep).conclusions),
                 *((f"gws_{alpha}", lambda alpha=alpha: _gws_items(pr, alpha))
                   for alpha in ((0,), (1,), (0, 1))),
+                ("doubly_commuting", pr.check_doubly_commuting),
+                ("condition_b", lambda: check_T24_condition_b(pr)),
+                ("direct", lambda: verify_T22(jp).hypotheses[1]),
             ]
 
         def reader(order, start):
@@ -787,8 +850,8 @@ class TestCachingAndThreads:
             return run
 
         for trial in range(10):
-            rep, pr = graph_induced(G2), two_color_path_rep()
-            order = reads(rep, pr)
+            rep, pr, jp = graph_induced(G2), two_color_path_rep(), jordan_pair()
+            order = reads(rep, pr, jp)
             start = threading.Barrier(4, timeout=60)
             # each thread starts at its own certificate, so that each is raced for
             seen = self.run_in_pool({i: reader(order[i:] + order[:i], start) for i in range(4)})
@@ -798,6 +861,10 @@ class TestCachingAndThreads:
             assert seen[0]["muhly_solel"] is rep._lattice[("muhly_solel", "model")]
             assert seen[0]["richter"] is rep._lattice[("richter", "H")][0]
             assert seen[0]["gws_(0, 1)"] is pr._lattice[("gws", (0, 1))]
+            assert seen[0]["cauchy_dual"] is rep._lattice[("cauchy_dual", "props")][0]
+            assert seen[0]["doubly_commuting"] is pr._lattice["doubly_commuting"]
+            assert seen[0]["condition_b"] is pr._lattice["condition_b"]
+            assert seen[0]["direct"] is jp._lattice[("t22", "direct")][0]
 
     def test_shared_verifiers_from_thread_pool(self):
         def fresh():

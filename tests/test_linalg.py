@@ -198,7 +198,23 @@ class TestInvarianceResidual:
             stack = random_complex(rng, (3, n, n))
             comp = np.eye(n) - basis @ basis.conj().T
             dense = max((np.linalg.norm(comp @ m @ basis, 2) if d else 0.0) for m in stack)
-            assert invariance_residual(stack, basis) == pytest.approx(dense, rel=1e-10, abs=1e-12)
+            assert invariance_residual(basis, stack) == pytest.approx(dense, rel=1e-10, abs=1e-12)
+
+    def test_all_of_the_space_skips_the_products(self, rng, monkeypatch):
+        import covrep._linalg as linalg
+
+        stack = random_complex(rng, (3, 5, 5))
+        # a unitary basis spans the space too, but I - B B* is only near zero
+        drifted = random_unitary(rng, 5)
+        assert np.any(np.eye(5) - drifted @ drifted.conj().T)
+        full_path = invariance_residual(drifted, stack)
+        assert 0.0 < full_path < 1e-12
+        calls = []
+        monkeypatch.setattr(linalg, "max_op_norm", lambda m: calls.append(m) or max_op_norm(m))
+        assert invariance_residual(np.eye(5), stack) == 0.0
+        assert calls == []
+        assert invariance_residual(drifted, stack) == full_path
+        assert len(calls) == 1
 
 
 class TestRankCutoff:

@@ -250,8 +250,11 @@ class TestDoublyHypothesisOnce:
 def _alpha_keys(pr):
     """The fixed key set of a product representation's lattice once T22, T24
     and P21 have run: W_alpha, its reducing checks and its GWS items for
-    every alpha."""
-    keys = set()
+    every alpha, the doubly-commuting and condition-(b) reports, and T22's
+    direct hypothesis when T22 takes it."""
+    keys = {"doubly_commuting", "condition_b"}
+    if verify_T22(pr).evaluated[0].name == "hypothesis_strategy_direct":
+        keys.add(("t22", "direct"))
     for size in range(1, pr.k + 1):
         for alpha in combinations(range(pr.k), size):
             keys |= {("W", alpha), ("gws", alpha)}
@@ -280,37 +283,40 @@ def _fresh(pr):
 
 
 class TestAlphaLatticeCache:
-    """W_alpha, its reducing checks and its GWS items are computed once per
-    alpha and product representation, under a fixed key set of at most
-    (2^k - 1)(k + 1) keys."""
+    """W_alpha, its reducing checks and its GWS items, the doubly-commuting
+    and condition-(b) reports and T22's direct hypothesis are computed once
+    per product representation, under a fixed key set of at most
+    (2^k - 1)(k + 1) + 3 keys."""
 
     @staticmethod
     def instances():
         return [two_color_path_rep(), jordan_pair()]
 
     def test_computed_once_and_read_only(self):
-        pr = two_color_path_rep()
-        alphas = [(0,), (1,), (0, 1)]
-        first = {alpha: wandering_alpha(pr, alpha) for alpha in alphas}
-        for alpha in alphas:
-            assert wandering_alpha(pr, alpha) is first[alpha]
-            assert wandering_alpha(pr, reversed(alpha)) is first[alpha]
-            with pytest.raises(ValueError):
-                first[alpha].basis[...] = 0.0
-        # a single coordinate's W_alpha is that coordinate's own W
-        for i in range(2):
-            assert first[(i,)] is wandering_subspace(pr.rep(i))
-        assert set(pr._lattice) == {("W", alpha) for alpha in alphas}
-        _certify(pr)
-        cached = dict(pr._lattice)
-        _certify(pr)
-        assert set(pr._lattice) == _alpha_keys(pr)
-        assert all(pr._lattice[key] is value for key, value in cached.items())
-        assert len(pr._lattice) <= (2**pr.k - 1) * (pr.k + 1)
-        for key, value in pr._lattice.items():
-            if isinstance(value, Subspace):
+        for pr in self.instances():
+            alphas = [(0,), (1,), (0, 1)]
+            first = {alpha: wandering_alpha(pr, alpha) for alpha in alphas}
+            for alpha in alphas:
+                assert wandering_alpha(pr, alpha) is first[alpha]
+                assert wandering_alpha(pr, reversed(alpha)) is first[alpha]
                 with pytest.raises(ValueError):
-                    value.basis[...] = 0.0
+                    first[alpha].basis[...] = 0.0
+            # a single coordinate's W_alpha is that coordinate's own W
+            for i in range(2):
+                assert first[(i,)] is wandering_subspace(pr.rep(i))
+            assert set(pr._lattice) == {("W", alpha) for alpha in alphas}
+            _certify(pr)
+            cached = dict(pr._lattice)
+            _certify(pr)
+            assert set(pr._lattice) == _alpha_keys(pr)
+            assert all(pr._lattice[key] is value for key, value in cached.items())
+            assert len(pr._lattice) <= (2**pr.k - 1) * (pr.k + 1) + 3
+            for key, value in pr._lattice.items():
+                if isinstance(value, Subspace):
+                    with pytest.raises(ValueError):
+                        value.basis[...] = 0.0
+        # the Jordan pair takes T22's direct hypothesis, the path pair does not
+        assert ("t22", "direct") in pr._lattice
 
     def test_sweeps_run_once(self, count_calls):
         import covrep.product as product
@@ -330,24 +336,35 @@ class TestAlphaLatticeCache:
             assert once == {"invariant_closure": 5, "check_reducing": 2}
 
     def test_bit_equal_to_a_fresh_instance(self):
-        pr = two_color_path_rep()
-        verify_T22(pr)
-        verify_P21_all(pr)
-        fresh = _fresh(pr)
-        for alpha in [(0, 1), (1,), (0,)]:
-            assert wandering_alpha(pr, alpha).basis.tobytes() == wandering_alpha(fresh, alpha).basis.tobytes()
-        W0, W1 = (wandering_subspace(fresh.rep(i)) for i in range(2))
-        assert wandering_alpha(pr, (0, 1)).basis.tobytes() == W0.intersect(W1).basis.tobytes()
-        # every cached value, from the uncached function on a fresh instance
-        for key, value in pr._lattice.items():
-            kind, alpha, *index = key
-            W = wandering_alpha(fresh, alpha)
-            if kind == "W":
-                assert value.basis.tobytes() == W.basis.tobytes(), key
-            elif kind == "gws":
-                assert repr(value) == repr(_measure_gws(fresh, alpha)), key
-            else:
-                assert repr(value) == repr(check_reducing(fresh.rep(index[0]), W)), key
+        for pr in self.instances():
+            verify_T22(pr)
+            verify_T24_equivalence(pr)
+            verify_P21_all(pr)
+            assert set(pr._lattice) == _alpha_keys(pr)
+            fresh = _fresh(pr)
+            for alpha in [(0, 1), (1,), (0,)]:
+                assert wandering_alpha(pr, alpha).basis.tobytes() == wandering_alpha(fresh, alpha).basis.tobytes()
+            W0, W1 = (wandering_subspace(fresh.rep(i)) for i in range(2))
+            assert wandering_alpha(pr, (0, 1)).basis.tobytes() == W0.intersect(W1).basis.tobytes()
+            # the reports of the tuple alone, each measured on an instance of its own
+            uncached = {
+                "doubly_commuting": lambda: _fresh(pr).check_doubly_commuting(),
+                "condition_b": lambda: check_T24_condition_b(_fresh(pr)),
+                ("t22", "direct"): lambda: _direct_hypothesis(_fresh(pr)),
+            }
+            # every cached value, from the uncached function on a fresh instance
+            for key, value in pr._lattice.items():
+                if key in uncached:
+                    assert repr(value) == repr(uncached[key]()), key
+                    continue
+                kind, alpha, *index = key
+                W = wandering_alpha(fresh, alpha)
+                if kind == "W":
+                    assert value.basis.tobytes() == W.basis.tobytes(), key
+                elif kind == "gws":
+                    assert repr(value) == repr(_measure_gws(fresh, alpha)), key
+                else:
+                    assert repr(value) == repr(check_reducing(fresh.rep(index[0]), W)), key
 
     def test_warm_reports_equal_cold_reports(self):
         for pr in self.instances():

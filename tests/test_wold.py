@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from covrep.examples import (
 from covrep.serialize import dump_json
 from covrep.wold import (
     Subspace,
+    _cauchy_dual_conclusions,
     _induced_model_item,
     _richter_conclusions,
     _translates,
@@ -562,7 +565,7 @@ def _lattice_reads(rep):
     if rep.left_invertible():
         verify_cauchy_dual_props(rep)
         verify_ker_Ln(rep, 2)
-        keys.append("span_dual")
+        keys += ["span_dual", ("cauchy_dual", "props")]
     reads.update((key, rep._lattice[key]) for key in keys)
     return reads
 
@@ -575,6 +578,26 @@ def _bits(value):
     if isinstance(value, tuple):
         return tuple(_bits(part) for part in value)
     return repr(value)
+
+
+def _check_suite(rep):
+    """The nine checks of the ``check_*`` family, as check items."""
+    names = ("isometric", "fully_coisometric", "concave", "expansive", "shimorin", "eq13", "eq12", "analytic")
+    checks = [getattr(rep, f"check_{name}")() for name in names] + [rep.check_growth_bound(2)]
+    return [check.as_item().to_json() for check in checks]
+
+
+def _u_bits(rep):
+    """``build_U`` as exact data: its arrays by their hashes, its residuals
+    as floats, which JSON spells exactly."""
+    u = rep.build_U()
+    return {
+        "matrix": [list(u.matrix.shape), hashlib.sha256(u.matrix.tobytes()).hexdigest()],
+        "kernel": [list(u.kernel.shape), hashlib.sha256(u.kernel.tobytes()).hexdigest()],
+        "level_dims": list(u.level_dims),
+        "residuals": [u.isometry_residual, u.coisometry_residual, u.norm],
+        "concave_vacuous": u.concave_vacuous,
+    }
 
 
 #: The verifiers that read the lattice constants of a covariant representation.
@@ -593,9 +616,10 @@ def _certify(rep):
 
 class TestLatticeCache:
     """The lattice constants (W, H_inf, [W]_T, the dual span of W, and the
-    certificates measured on them, Muhly-Solel's model item and Richter's
-    conclusions on K = H among them) are computed once per representation,
-    under a fixed key set of at most 10 keys, whatever dim H is."""
+    certificates measured on them, Muhly-Solel's model item, Richter's
+    conclusions on K = H and the Cauchy-dual items among them) are computed
+    once per representation, under a fixed key set of at most 11 keys,
+    whatever dim H is."""
 
     @staticmethod
     def rep():
@@ -615,7 +639,7 @@ class TestLatticeCache:
             assert verify_cauchy_dual_props(rep).dims["span"] == first["H_u"].dim
             assert rep._lattice["H_u"] is first["H_u"]
             keys = {
-                "W", "H_inf", "H_u", "span_dual",
+                "W", "H_inf", "H_u", "span_dual", ("cauchy_dual", "props"),
                 ("reducing", "H_u"), ("reducing", "H_inf"), ("translates", "W"), ("richter", "H"),
             }
             if first["H_inf"].dim:
@@ -623,7 +647,7 @@ class TestLatticeCache:
             if rep.check_isometric().passed:
                 keys.add(("muhly_solel", "model"))
             assert set(rep._lattice) == set(first) == keys
-            assert len(rep._lattice) <= 10
+            assert len(rep._lattice) <= 11
 
     def test_certificates_measured_once(self, count_calls):
         import covrep.wold as wold
@@ -678,6 +702,7 @@ class TestLatticeCache:
                 total = total + ln
             cold[("translates", "W")] = tuple(grew)
             cold["span_dual"] = invariant_closure(fresh.cauchy_dual(), W)
+            cold[("cauchy_dual", "props")] = _cauchy_dual_conclusions(fresh)
             cold[("richter", "H")] = _richter_conclusions(fresh, Subspace.full(fresh.hdim))
             if fresh.check_isometric().passed:
                 cold[("muhly_solel", "model")] = _induced_model_item(fresh)
@@ -721,18 +746,45 @@ class TestLatticeCache:
         assert ("richter", "H") in rep._lattice
 
     def test_theorem_reports_warm_equal_cold(self, count_calls):
+        import covrep.product as product
         import covrep.wold as wold
+        from covrep.examples import induced_product_representation, jordan_pair, two_colored_system
+        from covrep.product import ProductRep, verify_T22, verify_T24_equivalence
 
-        verifiers = (verify_muhly_solel, lambda rep: verify_richter(rep, Subspace.full(rep.hdim)))
+        verifiers = (
+            lambda rep: verify_muhly_solel(rep).to_json(),
+            lambda rep: verify_richter(rep, Subspace.full(rep.hdim)).to_json(),
+            lambda rep: verify_cauchy_dual_props(rep).to_json(),
+            _check_suite,
+            _u_bits,
+        )
         calls = count_calls(wold, "FockHilbert", "check_wandering")
         # H_inf = 0, and an isometric instance with H_inf != 0
         for make in (lambda: graph_induced(G2), lambda: loop_plus_g1()[0]):
-            cold = [dump_json(verify(make()).to_json()) for verify in verifiers]
+            cold = [dump_json(verify(make())) for verify in verifiers]
             rep = make()
             calls.clear()
-            warm = [[dump_json(verify(rep).to_json()) for verify in verifiers] for _ in range(3)]
+            warm = [[dump_json(verify(rep)) for verify in verifiers] for _ in range(3)]
             assert warm == [cold] * 3
             assert calls == {"FockHilbert": 1, "check_wandering": 1}
+
+        # T24 on the 2 x 2 commuting-square grid, and T22 on the Jordan pair,
+        # whose coordinates take the direct hypothesis
+        grid = lambda: induced_product_representation(  # noqa: E731
+            two_colored_system(4, [(0, 1), (2, 3)], [(0, 2), (1, 3)])
+        )
+        calls = count_calls(product, "_direct_hypothesis")
+        count_calls(ProductRep, "doubly_residual")
+        for make, verify in ((grid, verify_T24_equivalence), (jordan_pair, verify_T22)):
+            cold = dump_json(verify(make()).to_json())
+            pr = make()
+            calls.clear()
+            warm = [dump_json(verify(pr).to_json()) for _ in range(3)]
+            assert warm == [cold] * 3
+            # the two ordered pairs of coordinates, once
+            assert calls.pop("doubly_residual") == 2
+            assert calls == ({"_direct_hypothesis": 1} if verify is verify_T22 else {})
+        assert "hypothesis_strategy_direct" in cold
 
     def test_dual_and_restriction_have_their_own(self):
         rep = self.rep()
