@@ -13,9 +13,10 @@ Conventions used throughout the package:
   the largest |eigenvalue| of the Hermitian matrix i(a - a*);
 * positivity through the faithful representation of a block algebra is
   checked one algebra block at a time (``min_eig_herm`` on the stack of
-  the blocks of each size); the minimum eigenvalue, drift and norm of the
-  whole are the extremes over the blocks, so the decision is that of the
-  dense matrix.  A block-diagonal Gram is quotiented the same way:
+  the blocks of each size, compressed to the right module's blocks for an
+  internal tensor); the minimum eigenvalue, drift and norm of the whole
+  are the extremes over the blocks, so the decision is that of the dense
+  matrix.  A block-diagonal Gram is quotiented the same way:
   ``gram_quotient`` takes its diagonal blocks, stacked by size, and judges
   drift, positivity and the rank cutoff on the whole;
 * every rank decision goes through ``rank_cutoff``: a value counts as

@@ -17,13 +17,21 @@ I_{m_b}, so the twisted Gram is (+)_b G_b (x) I_{m_b}, and only the
 (dim E * d_b)-square blocks G_b are decomposed, never the (dim E * dim H)-
 square Gram.  The quotient basis is carried back to the canonical basis
 of E (x) H, where every operator of this module acts.
+
+The positivity of an internal tensor E (x) F is read the same way on F's
+right blocks (``Correspondence.right_blocks``): block b of its faithful
+matrix is d_b S_b (+) 0 with S_b of width dim E * m_b, where m_b =
+dim F.e^b_11, so the (dim E * dim F * d_b)-square blocks are never
+decomposed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iter_product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,6 +85,81 @@ class Correspondence:
     def phi(self, a_coords) -> np.ndarray:
         """Matrix of the left action of the element with the given coords."""
         return np.tensordot(as_complex(a_coords), self.left_action, axes=(0, 0))
+
+    @cached_property
+    def one_sided(self) -> np.ndarray:
+        """The one-sided actions, read-only: ``one_sided[0]`` is xi ->
+        b_k xi 1 for each unit b_k and ``one_sided[1]`` is xi -> 1 xi b_k;
+        row k * dim + i of each holds the coordinates of the k-th action
+        applied to f_i."""
+        d, e, one = self.algebra.dim, self.dim, self.algebra.one
+        out = np.empty((2, d, e, e), dtype=complex)
+        np.matmul(self.left_action, (one @ self.right_action.reshape(d, e * e)).reshape(e, e), out=out[0])
+        np.matmul((one @ self.left_action.reshape(d, e * e)).reshape(e, e), self.right_action, out=out[1])
+        out = out.transpose(0, 1, 3, 2).reshape(2, d * e, e)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def right_blocks(self) -> tuple[RightBlocks, ...] | None:
+        """The ranges of the right action's blocks, built once, for the
+        positivity of internal tensors E' (x) E (``_tensor_positivity``).
+
+        For block b, Q_b = (1/d_b) sum_q R(e^b_q1) R(e^b_q1)* is R(e^b_11)
+        when the right action is a *-anti-representation on C^dim; one
+        batched ``eigh`` per block size gives each Q_b's eigenvectors, and
+        those with eigenvalue above 0.5 (the cut of every projector range)
+        are an orthonormal basis V_b of E.e^b_11, m_b of them.  Also
+        measured are the identities the positivity compression rests on,
+
+            (I1) G_pq = R(e^b_p1)* G_11 R(e^b_q1), G_pq the matrix of the
+                 coordinates e^b_pq of the Gram (right linearity with star
+                 symmetry),
+            (I2) phi(b_c) R(e^b_q1) = R(e^b_q1) phi(b_c) (commuting actions),
+
+        and where either, or |Q_b - V_b V_b*| (the largest distance of an
+        eigenvalue of Q_b from 0 or 1), exceeds tol the result is None and
+        positivity is checked on the dense blocks.  Over C (one unit) the
+        dense block is already the smallest, and nothing is built.
+        """
+        alg, f, tol = self.algebra, self.dim, self.tol
+        if alg.dim == 1 or not f:
+            return None
+        R, L = self.right_action, self.left_action[:, None]
+        G = self.gram.transpose(2, 0, 1)
+        worst, out = 0.0, []
+        for d, _, units in alg.size_groups:
+            grid = units.reshape(-1, d, d)
+            # cols[b, p] = R(e^b_p1) and heads[b] = G_11, block by block
+            cols, heads = R[grid[:, :, 0]], G[grid[:, 0, 0]]
+            adj = np.conj(cols.swapaxes(-1, -2))
+            split = adj[:, :, None] @ heads[:, None, None] @ cols[:, None]
+            flat = cols.reshape(-1, f, f)
+            w, v = np.linalg.eigh((cols @ adj).sum(axis=1) / d)
+            keep = w > 0.5
+            # Frobenius norms bound the spectral ones: within tol, the
+            # identities hold
+            gaps = G[units].reshape(split.shape) - split, L @ flat - flat @ L
+            worst = max(worst, *(np.vdot(x, x).real ** 0.5 for x in gaps), np.abs(w - keep).max())
+            # eigenvalues ascend: the kept ones are the last m_b of each block,
+            # and V_b is padded with zero columns to the largest m_b
+            live = keep[:, -1]
+            top = int(keep.sum(axis=1).max())
+            if top:
+                ranges = v[live, :, f - top :] * keep[live, None, f - top :]
+                forms = np.conj(ranges.swapaxes(1, 2)) @ heads[live] @ L @ ranges
+                forms.flags.writeable = False
+                out.append(RightBlocks(d, forms))
+        return None if worst > tol else tuple(out)
+
+
+class RightBlocks(NamedTuple):
+    """The right-action blocks of one size d with m_b > 0: ``forms[k, i]``
+    is V_b* G_11 phi(b_k) V_b for the i-th of them (``right_blocks``), the
+    form <u, phi(b_k) v>_{e^b_11} on E.e^b_11, zero where V_b is padded."""
+
+    d: int
+    forms: np.ndarray
 
 
 def _faithful_positivity(
@@ -213,12 +296,58 @@ def _module_gram(E: Correspondence, F: Correspondence) -> np.ndarray:
     """Algebra-valued semi-Gram of the algebraic tensor E (x) F.
 
     Index (i, p) is flattened as i * dim(F) + p; the value at
-    ((i,p),(j,q)) is <g_p, phi_F(<f_i, f_j>_E) g_q>_F.
+    ((i,p),(j,q)) is <g_p, phi_F(<f_i, f_j>_E) g_q>_F, formed by two
+    matrix products.  The (n, n, dim A) result is a view of a units-first
+    array, so ``gm.transpose(2, 0, 1)`` is contiguous.
     """
-    phi_g = np.einsum("ijk,kmq->ijmq", E.gram, F.left_action)
-    gm = np.einsum("ijmq,pmk->ipjqk", phi_g, F.gram)
-    n = E.dim * F.dim
-    return gm.reshape(n, n, E.algebra.dim)
+    e, f, d = E.dim, F.dim, E.algebra.dim
+    # phi_g[m, (i, j), q] = phi_F(<f_i, f_j>_E)[m, q], and <g_p, phi_g g_q>
+    # at unit k sums <g_p, g_m>_k phi_g[m, (i, j), q] over m
+    phi_g = E.gram.reshape(e * e, d) @ F.left_action.transpose(1, 0, 2)
+    gm = F.gram.transpose(2, 0, 1).reshape(d * f, f) @ phi_g.reshape(f, e * e * f)
+    return gm.reshape(d, f, e, e, f).transpose(0, 2, 1, 3, 4).reshape(d, e * f, e * f).transpose(1, 2, 0)
+
+
+def _tensor_positivity(gm: np.ndarray, E: Correspondence, F: Correspondence, tol: float) -> tuple[float, float, float]:
+    """``_faithful_positivity`` of the module semi-Gram ``gm`` of E (x) F,
+    on F's right blocks (``Correspondence.right_blocks``).
+
+    Block b of the faithful matrix, M_b[(p, x), (q, y)] = gm[x, y, e^b_pq],
+    sees only E (x) F.e^b_11.  By (I1) and (I2) of ``right_blocks``,
+    gm[:, :, e^b_pq] = (I (x) R(e^b_p1))* K (I (x) R(e^b_q1)) with
+    K = gm[:, :, e^b_11], so M_b = C* K C, where the columns (q, y) of C
+    are (I (x) R(e^b_q1)) e_y.  Then C C* = d_b (I (x) Q_b) =
+    d_b (I (x) V V*), V = V_b, so C = (I (x) V) Z with Z Z* = d_b I, and
+
+        M_b = d_b J S_b J*,   S_b = (I (x) V)* K (I (x) V),   J* J = I,
+
+    where S_b, (dim E m_b)-square, is sum_k <f_i, f_j>_k (x) V* G_11
+    phi(b_k) V: E's Gram against F's ``forms``, never the dense block.
+    M_b is unitarily d_b S_b (+) 0, of width d_b dim E dim F; the zero
+    summand is never empty (dim E m_b < d_b dim E dim F unless the
+    algebra is C, which ``right_blocks`` leaves to the dense blocks), and a
+    block with m_b = 0 is zero.  The minimum eigenvalue, drift and norm of
+    the whole are therefore the extremes of d_b S_b over the live blocks
+    and 0: the dense numbers, and the dense decision, in exact arithmetic.
+    In floating point the identities hold to within tol, so d_b J S_b J*
+    is within tol times the norms of E's Gram and F's actions of M_b, and
+    by Weyl's inequality a decision can differ from the dense one only
+    within that band of the cutoff.  Without right blocks, the dense
+    blocks are decomposed.
+    """
+    blocks = F.right_blocks
+    if blocks is None:
+        return _faithful_positivity(gm, F.algebra, tol)
+    e, dim = E.dim, E.algebra.dim
+    lo, drift, norm = 0.0, 0.0, 0.0
+    for d, forms in blocks:
+        _, count, top, _ = forms.shape
+        s = E.gram.reshape(e * e, dim) @ forms.reshape(dim, count * top * top)
+        s = s.reshape(e, e, count, top, top).transpose(2, 0, 3, 1, 4).reshape(count, e * top, e * top)
+        b_lo, b_drift, b_norm = min_eig_herm(s)
+        lo, drift, norm = min(lo, d * b_lo), max(drift, d * b_drift), max(norm, d * b_norm)
+    require_hermitian(drift, norm, tol)
+    return lo, drift, norm
 
 
 def internal_tensor(
@@ -238,19 +367,21 @@ def internal_tensor(
     # positivity of the algebra-valued form, through the faithful rep; the
     # trace form below has the same kernel only when this holds
     if E.dim * F.dim:
-        eig, _, norm = _faithful_positivity(gm, alg, tol)
+        eig, _, norm = _tensor_positivity(gm, E, F, tol)
         if eig < -tol * (1.0 + norm):
             raise PositivityFailure(f"module semi-Gram has eigenvalue {eig:.3e}")
 
     # tr pi(b_k) is 1 on the diagonal units and 0 elsewhere: the coords of 1
-    scalar = np.tensordot(gm, alg.one, axes=(2, 0))
+    units = gm.transpose(2, 0, 1)
+    n = units.shape[1]
+    scalar = (alg.one @ units.reshape(alg.dim, n * n)).reshape(n, n)
     [(w, v, keep)] = gram_quotient([scalar[None]], tol)
     push, lift = _push_lift(w[0, keep[0]], v[0][:, keep[0]])
     r = push.shape[0]
 
     left = push @ id_tensor_matmul(1, E.left_action, F.dim, lift)
     right = push @ id_tensor_matmul(E.dim, F.right_action, 1, lift)
-    gram_q = (dagger(lift) @ gm.transpose(2, 0, 1) @ lift).transpose(1, 2, 0)
+    gram_q = (dagger(lift) @ units @ lift).transpose(1, 2, 0)
 
     quotient = Correspondence(alg, r, right, left, gram_q, tol)
     space = InteriorTensorSpace((E.dim, F.dim), r, push, lift)

@@ -114,6 +114,59 @@ def _cached(method):
     return read
 
 
+def _bimodule_residual(sigma: StarRepresentation, E: Correspondence, T: np.ndarray, tol: float) -> float:
+    """How far the stack T (one n x n matrix per basis vector f_i of E) is
+    from T(a xi b) = sigma(a) T(xi) sigma(b), or an upper bound on it that
+    is at most ``tol`` (``screened_op_norm``).
+
+    The relation is measured in two one-sided halves,
+    (L) T(a xi 1) = sigma(a) T(xi) sigma(1) for every unit a and
+    (R) T(1 xi b) = sigma(1) T(xi) sigma(b) for every unit b, on the basis
+    vectors: 2d batches of n x n products instead of the d^2 of all unit
+    pairs.  With D(a, xi, b) = T(a xi b) - sigma(a) T(xi) sigma(b),
+    bilinear in (a, b) and linear in xi, the relation is D = 0, (L) is
+    D(a, xi, 1) = 0 and (R) is D(1, xi, b) = 0.  They are equivalent: 1 is
+    the sum of the N = alg.faithful_dim diagonal units, which gives (L) and
+    (R) from the relation; conversely, for a right module (xi b 1 = xi b)
+    and a representation (sigma(a) sigma(1) = sigma(a)), expanding each
+    term shows
+
+        D(a, xi, b) = D(a, xi b, 1) + sigma(a) (D(1, xi, b) - D(1, xi b, 1)).
+
+    So with r the largest |D(b_k, f_i, b_l)| (the relation over unit
+    pairs), r_L and r_R the largest (L) and (R) residuals, r' = max(r_L,
+    r_R), c the largest column sum sum_j |R(b_l)[j, i]| of the right action
+    and |sigma(b_k)| <= 1,
+
+        r' <= N r   and   r <= (1 + (N + 1) c) r',
+
+    and r' is returned: judged against the bound r was judged against,
+    both decisions agree outside that band, and both are exact at 0.  In
+    sigma's own basis U, sigma(b_k) X sigma(1) and sigma(1) X sigma(b_l)
+    are gathers of rows and columns (``Multiplicity.moves`` and ``one``),
+    and U is unitary, so the norms are those of H.  Each half is one
+    contraction, one gather and one norm over d batches, as large as one
+    left unit's batch of the unit pairs; over C (one unit) the halves are
+    the same relation and only (L) is measured.
+    """
+    mult, d = sigma.multiplicity, E.algebra.dim
+    e, n = E.dim, sigma.hilbert_dim
+    tu = dagger(mult.basis) @ T @ mult.basis
+    padded = np.zeros((e, n + 1, n + 1), dtype=complex)
+    padded[:, :n, :n] = tu
+    # sigma(b_k) X sigma(1): the columns by sigma(1), then the rows by moves[k]
+    diff = (E.one_sided[0] @ tu.reshape(e, n * n)).reshape(d, e, n, n)
+    diff -= padded[:, :, mult.one][:, mult.moves].transpose(1, 0, 2, 3)
+    worst = screened_op_norm(diff, tol)
+    if d > 1:
+        # sigma(1) X sigma(b_k): the rows by sigma(1), then the columns by
+        # the moves of b_k*
+        diff = (E.one_sided[1] @ tu.reshape(e, n * n)).reshape(d, e, n, n)
+        diff -= padded[:, mult.one][:, :, mult.moves[E.algebra.star_index]].transpose(2, 0, 1, 3)
+        worst = max(worst, screened_op_norm(diff, tol))
+    return worst
+
+
 @dataclass(frozen=True, eq=False)
 class UOperator:
     """U h = sum_n (I (x) P) L^n h as a matrix into the graded space (+) E^n (x) W.
@@ -182,31 +235,17 @@ class CovariantRep:
     # -- construction checks -------------------------------------------------
 
     def _validate_construction(self):
-        alg, tol = self.E.algebra, self.tol
+        """Raise BimoduleViolation unless T(a xi b) = sigma(a) T(xi) sigma(b)
+        (``_bimodule_residual``), and IllDefinedTilde unless
+        xi (x) h -> T(xi) h vanishes on the Gram kernel."""
+        tol = self.tol
 
         def fails(residual):
             # the bound is tol * scale with scale >= 1: a residual within tol
             # passes without the scales' SVDs
             return residual > tol and residual > tol * max(self.scale, self.sigma.scale)
 
-        # in sigma's own basis U, sigma(b_k) T sigma(b_l) is M_k (U* T U) M_l
-        # with M_k = e_k (x) I (+) 0, which gathers rows by moves[k] and
-        # columns by moves[l*]; U is unitary, so the norms are those of H
-        mult = self.sigma.multiplicity
-        e, n = self.E.dim, self.sigma.hilbert_dim
-        tu = dagger(mult.basis) @ self.T @ mult.basis
-        padded = np.zeros((e, n + 1, n + 1), dtype=complex)
-        padded[:, :n, :n] = tu
-        col_moves = mult.moves[alg.star_index][None]
-        worst = 0.0
-        # one batch per left unit b_k, all (b_l, xi_i) at once, to keep the
-        # working set at d * e matrices of size n x n
-        for k in range(alg.dim):
-            # move[l][:, i] holds the coordinates of b_k . f_i . b_l
-            move = self.E.left_action[k] @ self.E.right_action
-            diff = (move.transpose(0, 2, 1) @ tu.reshape(e, n * n)).reshape(alg.dim, e, n, n)
-            diff -= padded[:, mult.moves[k][:, None, None], col_moves].transpose(2, 0, 1, 3)
-            worst = max(worst, screened_op_norm(diff, tol))
+        worst = _bimodule_residual(self.sigma, self.E, self.T, tol)
         if fails(worst):
             raise BimoduleViolation(
                 f"T(a xi b) deviates from sigma(a) T(xi) sigma(b) by {worst:.3e}"

@@ -362,6 +362,23 @@ def multiplicity_representation(alg, mults, rng, extra=0):
     return StarRepresentation(alg, n, w.conj().T @ images @ w)
 
 
+def bimodule_residual_pairs(sigma, E, T):
+    """The largest |T(b_k f_i b_l) - sigma(b_k) T(f_i) sigma(b_l)|_2 over
+    every pair of algebra units and every basis vector: the bimodule
+    relation as the loop over left units that ``CovariantRep`` ran before
+    it measured the two one-sided halves, with dense images of sigma."""
+    d = E.algebra.dim
+    worst = 0.0
+    for k in range(d):
+        # move[l][:, i] holds the coordinates of b_k f_i b_l
+        move = E.left_action[k] @ E.right_action
+        for l in range(d):
+            lhs = np.tensordot(move[l].T, T, axes=(1, 0))
+            rhs = sigma.images[k] @ T @ sigma.images[l]
+            worst = max(worst, max((op_norm(x) for x in lhs - rhs), default=0.0))
+    return worst
+
+
 def dense_internal_tensor(E, F, space, gm):
     """Left action, right action and Gram of the quotient E (x) F, from the
     quotient maps of ``space`` and the algebra-valued semi-Gram ``gm``."""
@@ -399,11 +416,10 @@ def dense_faithful_stats(gm, alg):
     size = gm.shape[0] * alg.faithful_dim
     big = np.einsum("xyk,kab->xayb", gm, fb).reshape(size, size)
     herm = (big + big.conj().T) / 2.0
-    return (
-        np.linalg.eigvalsh(herm)[0],
-        np.linalg.norm(big - big.conj().T, 2),
-        np.linalg.norm(herm, 2),
-    )
+    # both matrices are Hermitian: their spectral norms are their largest
+    # |eigenvalues|
+    w = np.linalg.eigvalsh(herm)
+    return w[0], np.abs(np.linalg.eigvalsh(1j * (big - big.conj().T))).max(), np.abs(w).max()
 
 
 def algebra_correspondence_arrays(alg):

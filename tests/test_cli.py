@@ -37,6 +37,18 @@ class TestValidate:
         assert code == 0
         assert "PASS" in out
 
+    def test_bimodule_violation_exit_1_names_its_residual(self, corpus_dir, tmp_path, capsys):
+        # T(f_0) gains an entry off sigma's blocks: the one-sided halves
+        # measure the same residual, 1, as the relation over unit pairs
+        data = json.loads((corpus_dir / "g1-induced.json").read_text())
+        data["T"][0][0][2] = [1.0, 0.0]
+        path = tmp_path / "bimodule.json"
+        path.write_text(dump_json(data))
+        code, out, _ = run(capsys, "validate", path, "--format", "json")
+        assert code == 1
+        [result] = json.loads(out)["results"]
+        assert result["error"].startswith("BimoduleViolation") and "1.000e+00" in result["error"]
+
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covrep._linalg import random_complex, scale_of
+from covrep._linalg import random_complex, random_unitary, scale_of
 from covrep.algebra import MatrixBlocksAlgebra, StarRepresentation, validate_representation
 from covrep.correspondence import (
     ChainTower,
@@ -13,6 +13,7 @@ from covrep.correspondence import (
     FockHilbert,
     _faithful_positivity,
     _module_gram,
+    _tensor_positivity,
     algebra_correspondence,
     interior_tensor_with_rep,
     internal_tensor,
@@ -387,6 +388,177 @@ class TestBlockPositivity:
         gm[0, 1, alg.unit_index(1, 0, 0)] += 1e-6
         with pytest.raises(ShapeMismatch):
             _faithful_positivity(gm, alg, E.tol)
+
+
+def sub_bimodule(E, blocks):
+    """E.z for the central projection z onto ``blocks``, as the coordinates of
+    E = A over itself that lie in those blocks: its right action kills the
+    other blocks (m_b = 0 there)."""
+    alg = E.algebra
+    keep = np.concatenate([alg.unit_index(b, 0, 0) + np.arange(d * d)
+                           for b, d in enumerate(alg.block_dims) if b in blocks])
+    pick = np.ix_(range(alg.dim), keep, keep)
+    return Correspondence(alg, len(keep), E.right_action[pick], E.left_action[pick],
+                          E.gram[np.ix_(keep, keep, range(alg.dim))], E.tol)
+
+
+def direct_sum(E, F):
+    """E (+) F, the two summands orthogonal."""
+    e, f, d = E.dim, F.dim, E.algebra.dim
+
+    def stack(a, b):
+        out = np.zeros((d, e + f, e + f), dtype=complex)
+        out[:, :e, :e], out[:, e:, e:] = a, b
+        return out
+
+    gram = np.zeros((e + f, e + f, d), dtype=complex)
+    gram[:e, :e], gram[e:, e:] = E.gram, F.gram
+    return Correspondence(E.algebra, e + f, stack(E.right_action, F.right_action),
+                          stack(E.left_action, F.left_action), gram, E.tol)
+
+
+def unitary_fibre(E, rng):
+    """E in a random orthonormal basis, so its right blocks are complex."""
+    u = random_unitary(rng, E.dim)
+    ud = u.conj().T
+    return Correspondence(E.algebra, E.dim, ud @ E.right_action @ u, ud @ E.left_action @ u,
+                          np.einsum("ai,bj,abk->ijk", u.conj(), u, E.gram), E.tol)
+
+
+def split_weight(alg):
+    """diag(1, -1) on the first block of size >= 2, the identity elsewhere:
+    an indefinite, non-central weight."""
+    b = next(b for b, d in enumerate(alg.block_dims) if d >= 2)
+    return alg.coords_from_blocks([np.diag([1.0] + [-1.0] * (d - 1)) if i == b else np.eye(d)
+                                   for i, d in enumerate(alg.block_dims)])
+
+
+def negative_block(alg, b):
+    """-1 on block b, 1 elsewhere: a central weight, so twisting the algebra
+    by it keeps every axiom of a correspondence except positivity."""
+    return alg.coords_from_blocks([-np.eye(d) if i == b else np.eye(d) for i, d in enumerate(alg.block_dims)])
+
+
+class TestRightBlockPositivity:
+    """Internal-tensor positivity on F's right blocks (``_tensor_positivity``)
+    against the dense faithful matrix (``oracles.dense_faithful_stats``)."""
+
+    ALGEBRAS = [MatrixBlocksAlgebra((1, 2, 2)), MatrixBlocksAlgebra((2, 1))]
+
+    @staticmethod
+    def lefts(alg, rng):
+        # only E's Gram enters E (x) F, so E need not have an adjointable
+        # left action
+        return {
+            "algebra": algebra_correspondence(alg),
+            "positive-unitary": unitary_fibre(positive_algebra_correspondence(alg, rng), rng),
+            "indefinite": twisted_algebra_correspondence(alg, split_weight(alg)),
+        }
+
+    @staticmethod
+    def rights(alg, rng):
+        A = algebra_correspondence(alg)
+        last = len(alg.block_dims) - 1
+        return {
+            "algebra": A,
+            "dead-block": sub_bimodule(A, range(last)),
+            "dead-block-unitary": unitary_fibre(sub_bimodule(A, range(1, last + 1)), rng),
+            "multiplicity-2": direct_sum(sub_bimodule(A, range(last)), unitary_fibre(sub_bimodule(A, range(last)), rng)),
+            "indefinite": twisted_algebra_correspondence(alg, negative_block(alg, last)),
+            "indefinite-unitary": unitary_fibre(twisted_algebra_correspondence(alg, negative_block(alg, 0)), rng),
+        }
+
+    def assert_dense(self, E, F):
+        alg, tol = E.algebra, min(E.tol, F.tol)
+        gm = _module_gram(E, F)
+        got, dense = _tensor_positivity(gm, E, F, tol), dense_faithful_stats(gm, alg)
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-10)
+        raises = dense[0] < -tol * (1.0 + dense[2])
+        if raises:
+            with pytest.raises(PositivityFailure):
+                internal_tensor(E, F)
+        else:
+            internal_tensor(E, F)
+        return raises
+
+    @pytest.mark.parametrize("alg", ALGEBRAS, ids=str)
+    def test_stats_equal_dense(self, alg, rng):
+        failures = set()
+        for (e_name, E), (f_name, F) in iter_product(self.lefts(alg, rng).items(), self.rights(alg, rng).items()):
+            assert F.right_blocks is not None, f_name
+            if self.assert_dense(E, F):
+                failures.add((e_name, f_name))
+        # positive factors pass; an indefinite E or an indefinite F fails
+        # against the algebra
+        positive = [(e, f) for e in ("algebra", "positive-unitary") for f in self.rights(alg, rng)
+                    if not f.startswith("indefinite")]
+        assert not failures & set(positive)
+        assert {("indefinite", "algebra"), ("algebra", "indefinite"), ("algebra", "indefinite-unitary")} <= failures
+
+    @pytest.mark.parametrize("alg", ALGEBRAS, ids=str)
+    def test_dead_blocks_and_multiplicities(self, alg, rng):
+        A = algebra_correspondence(alg)
+        last = len(alg.block_dims) - 1
+        # per block size, the widest live block and the blocks it carries
+        mults = {
+            name: [(d, f.shape[1], f.shape[2]) for d, f in F.right_blocks]
+            for name, F in self.rights(alg, rng).items()
+        }
+        sizes = sorted(set(alg.block_dims))
+        assert mults["algebra"] == [(d, alg.block_dims.count(d), d) for d in sizes]
+        live = [d for b, d in enumerate(alg.block_dims) if b < last]
+        assert mults["dead-block"] == [(d, live.count(d), d) for d in sorted(set(live))]
+        assert mults["multiplicity-2"] == [(d, live.count(d), 2 * d) for d in sorted(set(live))]
+        # a right action that kills every block: no live block, and the
+        # faithful matrix is zero
+        zero = Correspondence(alg, 2, np.zeros((alg.dim, 2, 2)), np.zeros((alg.dim, 2, 2)), np.zeros((2, 2, alg.dim)))
+        assert zero.right_blocks == ()
+        assert not self.assert_dense(A, zero)
+
+    def test_malformed_right_module_uses_dense_blocks(self, rng):
+        # the compression rests on (I1), (I2) and Q_b being a projection; an F
+        # that breaks one of them is checked on the dense blocks and decided
+        # as they decide
+        alg = MatrixBlocksAlgebra((1, 2, 2))
+        A = algebra_correspondence(alg)
+        live = sub_bimodule(A, (0, 1))
+        gram = live.gram.copy()
+        # (I1): a negative form in the killed block
+        gram[:, :, alg.unit_index(2, 0, 0)] = -np.eye(live.dim)
+        bad_gram = Correspondence(alg, live.dim, live.right_action, live.left_action, gram)
+        # (I2): a left action that does not commute with the right one
+        bad_left = Correspondence(alg, A.dim, A.right_action, A.left_action + random_complex(rng, A.left_action.shape), A.gram)
+        # Q_b = 4 R(e^b_11)
+        bad_right = Correspondence(alg, A.dim, 2.0 * A.right_action, A.left_action, A.gram)
+        for F in (bad_gram, bad_left, bad_right):
+            assert F.right_blocks is None
+        # the dense blocks see the negative form, and a non-adjointable left
+        # action drifts off Hermitian on them
+        assert self.assert_dense(A, bad_gram)
+        assert not self.assert_dense(A, bad_right)
+        with pytest.raises(ShapeMismatch):
+            internal_tensor(A, bad_left)
+
+    def test_one_unit_builds_nothing(self):
+        E = scalar_correspondence()
+        assert E.right_blocks is None
+        Q, space = internal_tensor(E, E)
+        assert Q.dim == 1 and space.gram_kernel_dim == 0
+
+    def test_graph_towers_use_right_blocks(self):
+        # every level of a graph tower is checked on the right blocks, and the
+        # blocks are as wide as E^k (x) F.e_v: dim E^k times the out-degree
+        g = DirectedGraph(5, tuple((s, t) for s in range(5) for t in range(s + 1, 5)))
+        E = graph_correspondence(g)
+        [(d, forms)] = E.right_blocks
+        assert d == 1 and forms.shape == (E.algebra.dim, 4, 4, 4)
+        tower = ChainTower([E], E.tol)
+        for k in range(1, 4):
+            Ek = tower.corr((0,) * k)
+            gm = _module_gram(Ek, E)
+            np.testing.assert_allclose(
+                _tensor_positivity(gm, Ek, E, E.tol), dense_faithful_stats(gm, E.algebra), rtol=0, atol=1e-12
+            )
 
 
 def power(E, n):

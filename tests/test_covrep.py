@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from covrep.algebra import MatrixBlocksAlgebra, StarRepresentation
 from covrep.correspondence import Correspondence, HilbertTower, algebra_correspondence
-from covrep.covrep import CovariantRep
-from covrep._linalg import RANK_TOL, dagger, eye_like, null_cols, op_norm, orth_cols, scale_of
+from covrep.covrep import CovariantRep, _bimodule_residual
+from covrep._linalg import RANK_TOL, dagger, eye_like, null_cols, op_norm, orth_cols, random_complex, scale_of
 from covrep.errors import (
     BimoduleViolation,
     IllDefinedTilde,
@@ -23,6 +23,7 @@ from covrep.examples import (
     DirectedGraph,
     graph_correspondence,
     graph_induced,
+    random_instance,
     scalar_covrep,
     scalar_representation,
     weighted_graph_rep,
@@ -133,6 +134,121 @@ class TestConstruction:
         rep = graph_induced(G2)
         theta_back = rep.tilde @ rep.space(1).push
         np.testing.assert_allclose(theta_back, rep.theta, atol=1e-10)
+
+
+def degenerate_left_action(alg, sigma, z):
+    """The algebra over itself with left action a -> a z for a central
+    projection z, so phi(1) = z != 1, and the covariant T(xi) = sigma(z xi) / 2."""
+    A = algebra_correspondence(alg)
+    left = np.stack([A.phi(alg.mul(alg.unit_coords(k), z)) for k in range(alg.dim)])
+    E = Correspondence(alg, A.dim, A.right_action, left, A.gram, A.tol)
+    T = np.stack([sigma.apply_coords(alg.mul(z, alg.unit_coords(i))) for i in range(alg.dim)]) / 2.0
+    return E, T
+
+
+def bimodule_instances(corpus):
+    """(label, sigma, E, T) of every corpus coordinate, of the random_instance
+    profiles, and of algebras with several blocks where sigma(1) != I,
+    phi(1) != I, or both."""
+    out = []
+    named = dict(corpus)
+    named.update({f"{p}-{s}": random_instance(s, p) for s in range(3)
+                  for p in ("isometric", "concave", "shimorin", "generic", "doubly-commuting")})
+    for name, inst in named.items():
+        for rep in inst.reps if hasattr(inst, "reps") else (inst,):
+            out.append((name, rep.sigma, rep.E, rep.T))
+    rng = np.random.default_rng(11)
+    for blocks, mults, extra in (((2, 1), (1, 2), 1), ((1, 2, 2), (2, 1, 1), 2)):
+        alg = MatrixBlocksAlgebra(blocks)
+        sigma = oracles.multiplicity_representation(alg, mults, rng, extra)
+        out.append((f"sigma-degenerate-{blocks}", sigma, algebra_correspondence(alg), sigma.images / 2.0))
+    for blocks, mults, extra, keep in (((2, 1), (2, 1), 0, (1,)), ((1, 2, 2), (1, 1, 1), 1, (0, 2))):
+        alg = MatrixBlocksAlgebra(blocks)
+        sigma = oracles.multiplicity_representation(alg, mults, rng, extra)
+        z = alg.coords_from_blocks([np.eye(d) * (b in keep) for b, d in enumerate(blocks)])
+        E, T = degenerate_left_action(alg, sigma, z)
+        label = "phi-degenerate" if not extra else "phi-and-sigma-degenerate"
+        out.append((f"{label}-{blocks}", sigma, E, T))
+    return out
+
+
+def passes_bimodule(sigma, E, T):
+    """Whether construction gets past the bimodule check (IllDefinedTilde
+    comes after it)."""
+    try:
+        CovariantRep(sigma, E, T)
+    except BimoduleViolation:
+        return False
+    except IllDefinedTilde:
+        pass
+    return True
+
+
+class TestOneSidedBimodule:
+    """The bimodule relation measured as its two one-sided halves against the
+    relation over all unit pairs (``oracles.bimodule_residual_pairs``)."""
+
+    def test_instances_are_covariant_both_ways(self, corpus):
+        for label, sigma, E, T in bimodule_instances(corpus):
+            assert oracles.bimodule_residual_pairs(sigma, E, T) < 1e-12, label
+            assert _bimodule_residual(sigma, E, T, 1e-9) < 1e-12, label
+            assert passes_bimodule(sigma, E, T), label
+
+    def test_degenerate_instances_are_degenerate(self, corpus):
+        kinds = {label.rsplit("-(", 1)[0]: (sigma, E) for label, sigma, E, _ in bimodule_instances(corpus)}
+        for kind, (sigma, E) in kinds.items():
+            alg = E.algebra
+            sigma_one = np.linalg.norm(sigma.apply_coords(alg.one) - np.eye(sigma.hilbert_dim))
+            phi_one = np.linalg.norm(E.phi(alg.one) - np.eye(E.dim))
+            assert (sigma_one > 0.5) == ("sigma" in kind), kind
+            assert (phi_one > 0.5) == ("phi" in kind), kind
+
+    def test_two_sided_bound_and_decisions_agree(self, corpus):
+        # r' <= N r and r <= (1 + (N + 1) c) r'; a perturbation whose two
+        # residuals sit at 0.5x or 2x the bound is decided alike
+        rng = np.random.default_rng(5)
+        for label, sigma, E, T in bimodule_instances(corpus):
+            alg, tol = E.algebra, min(E.tol, sigma.tol)
+            N, c = alg.faithful_dim, np.abs(E.right_action).sum(axis=1).max()
+            n = sigma.hilbert_dim
+            # Y commutes with sigma(1): T Y breaks only (R), Y T only (L)
+            one = sigma.apply_coords(alg.one)
+            rest = np.eye(n) - one
+            Y = one @ random_complex(rng, (n, n)) @ one + rest @ random_complex(rng, (n, n)) @ rest
+            for X in (random_complex(rng, T.shape), T @ Y, Y @ T):
+                pairs = oracles.bimodule_residual_pairs(sigma, E, T + 1e-3 * X) / 1e-3
+                halves = _bimodule_residual(sigma, E, T + 1e-3 * X, tol) / 1e-3
+                if pairs < 1e-9:
+                    # still covariant (over C with sigma(1) = I and phi(1) = I
+                    # every T is), so both ways
+                    assert halves < 1e-9, label
+                    continue
+                assert halves <= N * pairs * (1 + 1e-9), label
+                assert pairs <= (1 + (N + 1) * c) * halves * (1 + 1e-9), label
+                bound = tol * max(scale_of(T.transpose(1, 0, 2).reshape(n, -1)), sigma.scale)
+                for eps, passes in ((0.5 * bound / max(pairs, halves), True), (2.0 * bound / min(pairs, halves), False)):
+                    Te = T + eps * X
+                    scaled = tol * max(scale_of(Te.transpose(1, 0, 2).reshape(n, -1)), sigma.scale)
+                    assert (oracles.bimodule_residual_pairs(sigma, E, Te) <= scaled) == passes, label
+                    assert passes_bimodule(sigma, E, Te) == passes, label
+
+    def test_terms_off_sigma_one_over_the_kernel_of_phi_one(self, corpus):
+        # for xi in (1 - phi(1))E the relation asks only sigma(1) T(xi)
+        # sigma(1) = 0, so T(xi) may map sigma(1)H off itself and back; the
+        # sigma(1) and phi(1) factors of the halves let such a T pass
+        rng = np.random.default_rng(3)
+        for label, sigma, E, T in bimodule_instances(corpus):
+            if not label.startswith("phi-and-sigma"):
+                continue
+            n, one = sigma.hilbert_dim, sigma.apply_coords(E.algebra.one)
+            rest = np.eye(n) - one
+            off = np.abs(np.diag(E.phi(E.algebra.one))) < 0.5
+            assert off.any() and rest.any()
+            X = np.zeros_like(T)
+            X[off] = rest @ random_complex(rng, (n, n)) @ one + one @ random_complex(rng, (n, n)) @ rest
+            assert oracles.bimodule_residual_pairs(sigma, E, T + X) < 1e-12, label
+            assert _bimodule_residual(sigma, E, T + X, 1e-9) < 1e-12, label
+            assert passes_bimodule(sigma, E, T + X), label
 
 
 class TestTildeN:

@@ -105,6 +105,16 @@ class TestInducedRepresentation:
         E = graph_correspondence(DirectedGraph(18, tuple((i, i + 1) for i in range(17))))
         assert _auto_depth(ChainTower([E], E.tol), 0) == 17
 
+    def test_complete_dag_on_seven_vertices(self):
+        # 21 edges, 127 paths; positivity of each level runs on the right
+        # blocks of E, at most 35 * 6 wide instead of 35 * 21
+        from covrep.wold import wold_decompose
+
+        rep = graph_induced(DirectedGraph(7, tuple((s, t) for s in range(7) for t in range(s + 1, 7))))
+        decomposition = wold_decompose(rep)
+        assert decomposition.dims() == (7, 127, 0)
+        assert decomposition.certified
+
     def test_depth_required_for_cycles(self):
         g = DirectedGraph(1, ((0, 0),))
         from covrep.algebra import StarRepresentation
