@@ -24,7 +24,8 @@ Conventions used throughout the package:
   and ``null_cols`` cut singular values; ``gram_quotient``,
   ``inv_sqrt_psd`` and left invertibility (``CovariantRep``) cut
   eigenvalues, that is squared singular values.  A projector's range is
-  cut at 0.5 instead (``orth_cols(p, 0.5)``);
+  cut at 0.5 instead (``orth_cols(p, 0.5)``), in ``build_U`` and sigma's
+  multiplicity basis only: the lattice of ``wold`` cuts no projector;
 * an identity tensor factor is never materialised: (I (x) X (x) I) M and
   M (I (x) X (x) I) are one reshape and one matmul (``id_tensor_matmul``,
   ``matmul_id_tensor``);

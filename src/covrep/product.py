@@ -34,6 +34,7 @@ from .wold import (
     _lattice,
     _require_sigma_invariant,
     _sigma_check,
+    _step,
     _translate,
     check_invariant,
     check_reducing,
@@ -322,7 +323,7 @@ def _first_translates(pr: ProductRep, alpha, closure: Subspace) -> Subspace:
     """The sum over i in alpha of L^(i)_1(closure), for a sigma-invariant closure."""
     total = Subspace.zero(pr.hdim)
     for i in alpha:
-        total = total + _translate(pr.rep(i), 1, closure)
+        total = total + _step(pr.rep(i), closure)
     return total
 
 

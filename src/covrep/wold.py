@@ -7,6 +7,9 @@ angle, measured through the well-conditioned sine residual
 the conclusions even when hypotheses fail, flagging them as not asserted,
 so failing instances act as counterexample explorers rather than raising.
 
+Every lattice subspace is built by steps L_1(K) = span T(xi_i) K (``_step``),
+so each rank decision is that of one L_1, never of a composite T~_n.
+
 The lattice constants, which depend only on the representation, are
 computed once per instance into its ``_lattice`` by ``covrep._memo``: the
 subspaces (W, H_inf, [W]_T, the translates of W that grew [W]_T, the span
@@ -179,20 +182,28 @@ def _require_sigma_invariant(check: CheckResult):
         )
 
 
+def _step(rep: CovariantRep, K: Subspace) -> Subspace:
+    """L_1(K) = T~(E (x) K) = span T(xi_i) K for a sigma-invariant K; exactly
+    zero columns are dropped, which moves no nonzero singular value."""
+    n, e = rep.hdim, rep.E.dim
+    # row (p, i) of theta read as (n e) x n is row p of T(xi_i): one product, no copy
+    span = (rep.theta.reshape(n * e, n) @ K.basis).reshape(n, e * K.dim)
+    return image(span[:, span.any(axis=0)])
+
+
 def _translate(rep: CovariantRep, n: int, K: Subspace) -> Subspace:
-    """L_n(K), the closure of T~_n (E^{(x)n} (x) K) inside H, for a
-    sigma-invariant K and n >= 1."""
-    word = rep.word(n)
-    if rep.hilb.dim(word) == 0:
-        return Subspace.zero(K.ambient_dim)
-    carrier = orth_cols(rep.hilb.tensor_op(word, K.projector()), 0.5)
-    return image(rep.tilde_n(n) @ carrier)
+    """L_n(K) = L_1(L_{n-1}(K)), the closure of T~_n (E^{(x)n} (x) K) inside
+    H, for a sigma-invariant K: n steps, never the composite T~_n."""
+    for _ in range(n):
+        K = _step(rep, K)
+    return K
 
 
 def _translates(rep: CovariantRep, K: Subspace):
-    """L_1(K), L_2(K), ... up to L_{dim H}(K), stopping before the first zero translate."""
-    for n in range(1, rep.hdim + 1):
-        ln = _translate(rep, n, K)
+    """L_1(K), L_2(K), ... up to L_{dim H}(K), each a step from the last, until one is zero."""
+    ln = K
+    for _ in range(rep.hdim):
+        ln = _step(rep, ln)
         if ln.dim == 0:
             return
         yield ln
@@ -207,8 +218,9 @@ def _lattice(owner, key, build):
 
 
 def wandering_subspace(rep: CovariantRep) -> Subspace:
-    """W = ker T~* = H (-) T~(E (x) H)."""
-    return _lattice(rep, "W", lambda: image(rep.tilde).orthocomplement())
+    """W = ker T~* = H (-) L_1(H), stored by the build of ``h_infinity``."""
+    h_infinity(rep)
+    return rep._lattice["W"]
 
 
 def _wandering_closure(rep: CovariantRep) -> Subspace:
@@ -233,8 +245,6 @@ def _wandering_translates(rep: CovariantRep) -> tuple[Subspace, ...]:
 def script_L_n(rep: CovariantRep, K: Subspace, n: int) -> Subspace:
     """L_n(K): closure of T~_n (E^{(x)n} (x) K) inside H."""
     _require_sigma_invariant(_sigma_check(rep.sigma, rep.tol, K))
-    if n == 0:
-        return K
     return _translate(rep, n, K)
 
 
@@ -259,15 +269,18 @@ def invariant_closure(rep: CovariantRep, K: Subspace) -> Subspace:
 
 
 def h_infinity(rep: CovariantRep) -> Subspace:
-    """H_infty = intersection of the decreasing ranges of T~_n, once per representation."""
+    """H_infty = intersection of the ranges ran T~_n = L_n(H), each one L_1
+    step from the last, never a composite T~_n, once per representation; the
+    same build stores W, the orthocomplement of the first, ran T~ = L_1(H)."""
 
     def build():
         prev = Subspace.full(rep.hdim)
-        for n in range(1, rep.hdim + 2):
-            cur = image(rep.tilde_n(n))
+        cur = _step(rep, prev)
+        _lattice(rep, "W", cur.orthocomplement)
+        for _ in range(rep.hdim + 1):
             if cur.dim == prev.dim and prev.contains(cur):
                 return cur
-            prev = cur
+            prev, cur = cur, _step(rep, cur)
         return prev
 
     return _lattice(rep, "H_inf", build)

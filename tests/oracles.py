@@ -229,6 +229,36 @@ def dense_creation(fh, letter, xi):
     return out
 
 
+# -- the tower construction of the rank-1 lattice ----------------------------------------
+#
+# L_n(K) through the n-th level of the HilbertTower, and H_inf through the
+# ranges of the composites T~_n: the constructions the library's one-step
+# recursion L_n(K) = L_1(L_{n-1}(K)), L_1(K) = span T(xi_i) K, replaced.
+
+
+def tower_translate(rep, n, K):
+    """L_n(K) = T~_n (E^{(x)n} (x) K): the range of I (x) P_K on the n-th
+    tower level, cut at 0.5, mapped by the composite T~_n."""
+    if n == 0:
+        return K
+    word = rep.word(n)
+    if rep.hilb.dim(word) == 0:
+        return Subspace.zero(K.ambient_dim)
+    carrier = orth_cols(rep.hilb.tensor_op(word, K.projector()), 0.5)
+    return image(rep.tilde_n(n) @ carrier)
+
+
+def tower_h_infinity(rep):
+    """The intersection of the decreasing ranges of the composites T~_n."""
+    prev = Subspace.full(rep.hdim)
+    for n in range(1, rep.hdim + 2):
+        cur = image(rep.tilde_n(n))
+        if cur.dim == prev.dim and prev.contains(cur):
+            return cur
+        prev = cur
+    return prev
+
+
 # -- the word sweep of the rank-k lattice ----------------------------------------------
 #
 # L^alpha_m(K) through T~ of the whole tensor word of m, and the span of the

@@ -683,3 +683,49 @@ class TestT24:
         assert not booleans["(1)_doubly_commuting"]
         assert not booleans["(b)_flip_intertwining"]
         assert report.passed
+
+
+def cube3(a, b, c):
+    return np.kron(np.kron(a, b), c)
+
+
+class TestRankThree:
+    """Scalar tuples of rank 3, so every alpha-loop runs with |alpha| = 3."""
+
+    @staticmethod
+    def shifts():
+        # one 2 x 2 shift per tensor factor: doubly commuting, coordinatewise analytic
+        I2 = np.eye(2)
+        return scalar_tuple([cube3(S2, I2, I2), cube3(I2, S2, I2), cube3(I2, I2, S2)])
+
+    def test_shifts_pass_every_alpha(self):
+        pr = self.shifts()
+        assert pr.is_doubly_commuting()
+        t22 = verify_T22(pr)
+        assert t22.passed and t22.hypotheses_met
+        assert verify_T24_equivalence(pr).passed
+        assert check_T24_condition_b(pr).passed
+        alphas = [a for size in range(1, 4) for a in combinations(range(3), size)]
+        for alpha in alphas:
+            assert verify_P21(pr, alpha).passed, alpha
+        # W_alpha is the span of e_0 in each tensor factor of alpha
+        assert t22.dims == {f"W_{{{','.join(str(i + 1) for i in a)}}}": 2 ** (3 - len(a)) for a in alphas}
+
+    def test_commuting_not_doubly_fails_condition_b(self):
+        # a coordinate repeated commutes with itself, but S* S != S S*
+        I2 = np.eye(2)
+        pr = scalar_tuple([cube3(S2, I2, I2), cube3(S2, I2, I2), cube3(I2, I2, S2)])
+        assert not pr.is_doubly_commuting()
+        report = check_T24_condition_b(pr)
+        assert [i.passed for i in report.items] == [False, True, True]
+        t24 = verify_T24_equivalence(pr)
+        booleans = {i.name: i.passed for i in t24.evaluated}
+        assert not booleans["(1)_doubly_commuting"] and not booleans["(b)_flip_intertwining"]
+        assert t24.passed
+
+    def test_t24_builds_no_tower_level(self, count_calls):
+        from covrep.correspondence import HilbertTower
+
+        calls = count_calls(HilbertTower, "tensor_op")
+        assert verify_T24_equivalence(grid_product(3)).passed
+        assert calls == {}

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covrep._linalg import ANGLE_TOL, ORTHONORMAL_TOL, op_norm
+from covrep.correspondence import HilbertTower
 from covrep.covrep import CovariantRep
 from covrep.errors import (
     AmbientMismatch,
@@ -17,7 +18,9 @@ from covrep.errors import (
 from covrep.examples import (
     G1,
     G2,
+    PROFILES,
     DirectedGraph,
+    corpus_instances,
     cycle_unitary_rep,
     direct_sum,
     graph_induced,
@@ -32,6 +35,7 @@ from covrep.wold import (
     _cauchy_dual_conclusions,
     _induced_model_item,
     _richter_conclusions,
+    _step,
     _translates,
     check_dual_reducing_implication,
     check_invariant,
@@ -50,6 +54,7 @@ from covrep.wold import (
     wold_decompose,
 )
 
+import oracles
 from oracles import (
     h_infinity_oracle,
     orth,
@@ -498,6 +503,85 @@ class TestKerLn:
         assert report.dims["ker"] == 6
 
 
+def _lattice_reps(source):
+    """The covariant representations of the corpus, or of one random_instance
+    profile at seeds 0-19; a product tuple gives its coordinates."""
+    if source == "corpus":
+        instances = list(corpus_instances().values())
+    else:
+        instances = [random_instance(seed, source) for seed in range(20)]
+    return [rep for inst in instances for rep in getattr(inst, "reps", [inst])]
+
+
+class TestStepAgainstTheTower:
+    """The one-step lattice (L_1(K) = span T(xi_i) K, stepped n times)
+    against the tower construction it replaced (``oracles``): L_n(K) through
+    the n-th tower level and the composite T~_n, and H_inf through the ranges
+    of the T~_n.  The same dims and subspaces for K in {W, H, L_1(W) + L_2(H)}
+    at every depth up to dim H, on the corpus and each random profile at
+    seeds 0-19."""
+
+    @pytest.mark.parametrize("source", ["corpus", *PROFILES])
+    def test_same_subspaces(self, source):
+        for index, rep in enumerate(_lattice_reps(source)):
+            H, W = Subspace.full(rep.hdim), wandering_subspace(rep)
+            pairs = [(h_infinity(rep), oracles.tower_h_infinity(rep))]
+            mixed = oracles.tower_translate(rep, 1, W) + oracles.tower_translate(rep, 2, H)
+            for K in (W, H, mixed):
+                want = [oracles.tower_translate(rep, n, K) for n in range(rep.hdim + 1)]
+                pairs += [(script_L_n(rep, K, n), want[n]) for n in range(rep.hdim + 1)]
+                # the sweep's translates, each carried from the last, up to
+                # the first zero translate
+                swept = list(_translates(rep, K))
+                assert all(w.dim == 0 for w in want[len(swept) + 1:]), index
+                pairs += list(zip(swept, want[1:]))
+            for got, ref in pairs:
+                assert got.dim == ref.dim, index
+                assert got.angle_gap(ref) <= ANGLE_TOL, index
+
+
+class TestNearTheCutoff:
+    """Rank decisions next to ``RANK_TOL``: each is that of one L_1 step."""
+
+    @pytest.mark.parametrize("w", [1e-3, 1e-5, 1e-7])
+    def test_weight_powers_below_the_cutoff(self, w):
+        # diag(1, w) (+) the nilpotent 3-shift: H_inf = span(e_0, e_1), and
+        # W = span(e_2) generates span(e_2, e_3, e_4).  Each step keeps w, but
+        # w^n falls below the cutoff from n = 2 or 3 on, so a rank decision
+        # on the composite T^n dropped e_1 from H_inf
+        T = np.zeros((5, 5))
+        T[0, 0], T[1, 1], T[3, 2], T[4, 3] = 1.0, w, 1.0, 1.0
+        rep = scalar_covrep(T)
+        decomposition = wold_decompose(rep)
+        assert decomposition.dims() == (1, 3, 2)
+        items = {item.name: item for item in decomposition.certificates}
+        assert items["orthogonality"].passed and items["completeness"].passed
+        assert h_infinity(rep).equals(Subspace(5, np.eye(5)[:, :2]))
+
+    @pytest.mark.parametrize("w,dims", [(1e-2, (0, 0, 3)), (1e-4, (0, 0, 3)), (1e-6, (0, 0, 3)), (1e-8, (1, 3, 0))])
+    def test_weighted_cyclic_shift(self, w, dims):
+        # the cyclic 3-shift with one weight w, whose smallest singular value
+        # is w: T~ is invertible above the cutoff and drops a rank at it
+        T = np.roll(np.eye(3), 1, axis=0)
+        T[0, 2] = w
+        assert wold_decompose(scalar_covrep(T)).dims() == dims
+
+    def test_lattice_builds_no_tower_level(self, count_calls):
+        # the cyclic 24-shift (+) the nilpotent 24-shift, the bench's shift-24
+        T = np.zeros((48, 48))
+        T[:24, :24] = np.roll(np.eye(24), 1, axis=0)
+        T[24:, 24:] = np.eye(24, k=-1)
+        rep = scalar_covrep(T)
+        # the concavity hypothesis is the growth bound of T~_2 and reads
+        # tilde_n(2) by definition; it is measured before the count
+        rep.check_concave()
+        rep.check_shimorin()
+        calls = count_calls(HilbertTower, "tensor_op")
+        count_calls(CovariantRep, "tilde_n")
+        assert wold_decompose(rep).dims() == (1, 24, 24)
+        assert calls == {}
+
+
 def _drift(space: Subspace) -> float:
     """|B*B - I|_2 of a subspace's basis, by SVD (no screen)."""
     return op_norm(space.basis.conj().T @ space.basis - np.eye(space.dim))
@@ -710,7 +794,8 @@ class TestLatticeCache:
             for key, value in warm.items():
                 assert _bits(value) == _bits(cold[key]), key
             # the formulas the cache replaced
-            assert warm["W"].basis.tobytes() == image(rep.tilde).orthocomplement().basis.tobytes()
+            full = Subspace.full(fresh.hdim)
+            assert warm["W"].basis.tobytes() == _step(fresh, full).orthocomplement().basis.tobytes()
             assert warm["H_u"].basis.tobytes() == invariant_closure(fresh, W).basis.tobytes()
 
     def test_warm_reports_equal_cold_reports(self):
