@@ -55,6 +55,14 @@ def as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
+def frozen(array: np.ndarray, given) -> np.ndarray:
+    """``array``, read-only, copied first if it shares memory with the caller's ``given``."""
+    if isinstance(given, np.ndarray) and np.may_share_memory(array, given):
+        array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
 def op_norm(a) -> float:
     """Spectral norm; zero for matrices with an empty axis."""
     a = as_complex(a)

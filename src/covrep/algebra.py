@@ -24,6 +24,7 @@ from ._linalg import (
     as_complex,
     dagger,
     eye_like,
+    frozen,
     max_op_norm,
     op_norm,
     orth_cols,
@@ -169,6 +170,7 @@ class StarRepresentation:
 
     ``images[k]`` is the n x n image of the k-th matrix unit; applying the
     representation to an element is the corresponding linear combination.
+    ``images`` is read-only, copied from the caller's array when it is one.
     """
 
     algebra: MatrixBlocksAlgebra
@@ -183,7 +185,7 @@ class StarRepresentation:
             raise ShapeMismatch(
                 f"images must have shape {(self.algebra.dim, n, n)}, got {images.shape}"
             )
-        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "images", frozen(images, self.images))
         object.__setattr__(self, "hilbert_dim", n)
 
     @classmethod

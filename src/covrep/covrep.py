@@ -8,24 +8,20 @@ wandering-sum operator U, and the operator-inequality checks (isometric,
 fully co-isometric, concave, expansive, growth, and the three equivalent
 forms of the Shimorin condition).
 
-All instances are immutable after construction, so representations can be
-shared across threads.  Every derived constant is built once, by ``_memo``,
-into one of two stores: ``_ops`` for this module's (the scale, the factors
-I (x) T~ with T~ the first, T~_n, T~* T~, the factors of L^n with L the
-first, L^n, P, Q, the Cauchy dual, and, under ``(method name, *args)``,
-the checks ``check_left_invertible``, ``check_isometric``,
-``check_fully_coisometric``, ``check_expansive``, ``check_growth_bound(n)``,
-``check_concave``, ``check_shimorin``, ``check_eq13``, ``check_eq12``,
-``check_analytic`` and the operator ``build_U``), ``_lattice`` for the
-subspaces and certificates of ``wold``, at most 11 keys whatever dim H
-is.  Racing threads get one object, and cached arrays are read-only.  An
-exception is never stored: a failed build raises again on the next call.
+All instances are immutable after construction: ``theta``, ``T`` and the
+images of sigma are read-only, so representations can be shared across
+threads.  Every derived value of an instance, an operator, a check, a
+subspace or a certificate, is cached by ``_cached`` in the instance's one
+store: one entry per (cached function, hashable arguments), never under a
+subspace a caller passes, and never an exception, so a failed build raises
+again on the next call.  Racing threads get one object, and cached arrays
+are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial, wraps
+from functools import wraps
 
 import numpy as np
 
@@ -34,6 +30,7 @@ from ._linalg import (
     as_complex,
     dagger,
     eye_like,
+    frozen,
     inv_sqrt_psd,
     invariance_residual,
     min_eig_herm,
@@ -83,33 +80,44 @@ class CheckResult:
         return CheckItem(self.name, self.passed, self.residual, self.vacuous, detail)
 
 
-def _memo(store: dict, key, build):
-    """``store[key]``, built by ``build()`` on first use.
+def _freeze(value):
+    """Make the arrays of a cached value read-only: an ndarray, a subspace's
+    basis, and the same inside tuples at any depth."""
+    for part in value if isinstance(value, tuple) else ():
+        _freeze(part)
+    array = getattr(value, "basis", value)
+    if isinstance(array, np.ndarray):
+        array.flags.writeable = False
+
+
+def _memo(store: dict, key, build, *args):
+    """``store[key]``, built by ``build(*args)`` on first use.
 
     Threads that miss together each build the value; ``setdefault`` keeps
     the first, so every caller gets the same object.  The value is shared,
-    so its arrays are made read-only: an ndarray, a subspace's basis, and
-    the same among the members of a tuple.
-    """
+    so its arrays are made read-only (``_freeze``)."""
     value = store.get(key)
     if value is None:
-        value = build()
-        for part in value if isinstance(value, tuple) else (value,):
-            array = part if isinstance(part, np.ndarray) else getattr(part, "basis", None)
-            if isinstance(array, np.ndarray):
-                array.flags.writeable = False
+        value = build(*args)
+        _freeze(value)
         value = store.setdefault(key, value)
     return value
 
 
-def _cached(method):
-    """``method(self, *args)``, measured once per representation into
-    ``self._ops`` under ``(method name, *args)`` by ``_memo``."""
-    name = method.__name__
+#: Every function ``_cached`` wraps; their names, the first part of each key, differ.
+_CACHED: list = []
 
-    @wraps(method)
-    def read(self, *args):
-        return _memo(self._ops, (name, *args), partial(method, self, *args))
+
+def _cached(f):
+    """``f(owner, *args)``, measured once per instance into ``owner._cache``
+    under ``(f.__name__, *args)`` by ``_memo``.  The arguments are hashable
+    constants (a word, an index, a coordinate subset), never a subspace."""
+    name = f.__name__
+    _CACHED.append(f)
+
+    @wraps(f)
+    def read(owner, *args):
+        return _memo(owner._cache, (name, *args), f, owner, *args)
 
     return read
 
@@ -212,6 +220,7 @@ class CovariantRep:
         if sigma.algebra != E.algebra:
             raise AlgebraMismatch("representation and correspondence algebras differ")
         n = sigma.hilbert_dim
+        given = T
         T = as_complex(T).reshape(E.dim, n, n) if E.dim else np.zeros((0, n, n), complex)
         self.sigma = sigma
         self.E = E
@@ -223,13 +232,11 @@ class CovariantRep:
         if self.chain.family[letter] is not E:
             raise AlgebraMismatch("tower letter does not carry this correspondence")
         # algebraic map theta : C^{e n} -> C^n, column (i*n + p) = T_i e_p;
-        # T is a view of it, so the two share one array
-        self.theta = T.transpose(1, 0, 2).reshape(n, E.dim * n)
+        # T is a view of it, so the two share one array, read-only in both
+        self.theta = frozen(T.transpose(1, 0, 2).reshape(n, E.dim * n), given)
         self.T = self.theta.reshape(n, E.dim, n).transpose(1, 0, 2)
-        # the derived operators and checks of this class, and the lattice
-        # constants of wold._lattice, each under a fixed key (see _memo)
-        self._ops: dict = {}
-        self._lattice: dict = {}
+        # every derived value, under (function name, *args) (see _cached)
+        self._cache: dict = {}
         self._validate_construction()
 
     # -- construction checks -------------------------------------------------
@@ -267,9 +274,10 @@ class CovariantRep:
         return self.sigma.hilbert_dim
 
     @property
+    @_cached
     def scale(self) -> float:
         """scale_of(theta), the relative-tolerance scale of T."""
-        return _memo(self._ops, "scale", lambda: scale_of(self.theta))
+        return scale_of(self.theta)
 
     def word(self, k: int) -> tuple[int, ...]:
         return (self.letter,) * k
@@ -288,28 +296,29 @@ class CovariantRep:
         the one-letter word."""
         return self.factor(self.word(1))
 
-    def factor(self, word) -> np.ndarray:
+    @_cached
+    def factor(self, word: tuple[int, ...]) -> np.ndarray:
         """I (x) T~ : space(word) -> space(word[:-1]) in the shared tower,
-        for a word whose last letter is this representation's."""
-        word = tuple(word)
+        for a word (a tuple) whose last letter is this representation's."""
         if not word or word[-1] != self.letter:
             raise ShapeMismatch(f"factor needs a word ending in letter {self.letter}, got {word}")
-        return _memo(self._ops, ("factor", word), lambda: self.hilb.factor(word, self.theta))
+        return self.hilb.factor(word, self.theta)
 
     def fac(self, k: int) -> np.ndarray:
         """I_{E^{(x)k}} (x) T~ : space(k+1) -> space(k)."""
         return self.factor(self.word(k + 1))
 
+    @_cached
     def tilde_n(self, n: int) -> np.ndarray:
         """T~_n = T~ (I (x) T~) ... (I (x)^{n-1} T~) : space(n) -> H."""
         if n < 0:
             raise ShapeMismatch("tilde_n needs n >= 0")
-        return _memo(self._ops, ("tilde_n", n),
-                     lambda: self.tilde_n(n - 1) @ self.fac(n - 1) if n else eye_like(self.hdim))
+        return self.tilde_n(n - 1) @ self.fac(n - 1) if n else eye_like(self.hdim)
 
     @property
+    @_cached
     def gram_tilde(self) -> np.ndarray:
-        return _memo(self._ops, "gram_tilde", lambda: dagger(self.tilde) @ self.tilde)
+        return dagger(self.tilde) @ self.tilde
 
     @_cached
     def check_left_invertible(self) -> CheckResult:
@@ -334,32 +343,31 @@ class CovariantRep:
         """The left inverse (T~* T~)^{-1} T~*: the factor of L^n at k = 0."""
         return self.lfac(0)
 
+    @_cached
     def lfac(self, k: int) -> np.ndarray:
         """I_{E^{(x)k}} (x) L : space(k) -> space(k+1)."""
+        self._require_left_invertible()
+        fk = self.fac(k)
+        return solve_hermitian(dagger(fk) @ fk, dagger(fk))
 
-        def build():
-            self._require_left_invertible()
-            fk = self.fac(k)
-            return solve_hermitian(dagger(fk) @ fk, dagger(fk))
-
-        return _memo(self._ops, ("lfac", k), build)
-
+    @_cached
     def L_n(self, n: int) -> np.ndarray:
         """L^n = (I (x)^{n-1} L) ... (I (x) L) L : H -> space(n)."""
         if n < 0:
             raise ShapeMismatch("L_n needs n >= 0")
-        return _memo(self._ops, ("L_n", n),
-                     lambda: self.lfac(n - 1) @ self.L_n(n - 1) if n else eye_like(self.hdim))
+        return self.lfac(n - 1) @ self.L_n(n - 1) if n else eye_like(self.hdim)
 
     @property
+    @_cached
     def P(self) -> np.ndarray:
         """Orthogonal projection onto the wandering subspace ker T~*."""
-        return _memo(self._ops, "P", lambda: eye_like(self.hdim) - self.Q)
+        return eye_like(self.hdim) - self.Q
 
     @property
+    @_cached
     def Q(self) -> np.ndarray:
         """Projection T~ L onto the range of T~."""
-        return _memo(self._ops, "Q", lambda: self.tilde @ self.L)
+        return self.tilde @ self.L
 
     # -- property checks ---------------------------------------------------------
 
@@ -461,26 +469,23 @@ class CovariantRep:
 
     # -- derived representations ----------------------------------------------
 
+    @_cached
     def cauchy_dual(self) -> "CovariantRep":
         """The representation with T~' = T~ (T~* T~)^{-1}, built once."""
-
-        def build():
-            self._require_left_invertible()
-            theta_dual = dagger(self.L) @ self.space(1).push
-            n = self.hdim
-            T_dual = theta_dual.reshape(n, self.E.dim, n).transpose(1, 0, 2)
-            return CovariantRep(
-                self.sigma,
-                self.E,
-                T_dual,
-                tol=self.tol,
-                chain=self.chain,
-                hilb=self.hilb,
-                letter=self.letter,
-                meta={"cauchy_dual": True, **self.meta},
-            )
-
-        return _memo(self._ops, "dual", build)
+        self._require_left_invertible()
+        theta_dual = dagger(self.L) @ self.space(1).push
+        n = self.hdim
+        T_dual = theta_dual.reshape(n, self.E.dim, n).transpose(1, 0, 2)
+        return CovariantRep(
+            self.sigma,
+            self.E,
+            T_dual,
+            tol=self.tol,
+            chain=self.chain,
+            hilb=self.hilb,
+            letter=self.letter,
+            meta={"cauchy_dual": True, **self.meta},
+        )
 
     def defect_operator(self) -> np.ndarray:
         """D = (T~* T~ - I)^{1/2}; requires an expansive representation."""

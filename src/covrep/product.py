@@ -7,16 +7,14 @@ as inverses, so the stored family is the single source of truth.  All
 coordinates of a representation tuple share one ChainTower/HilbertTower,
 which keeps every mixed tensor word in literally identical bases.
 
-The checks that depend on the tuple alone are measured once, into its
-``_lattice`` by ``covrep._memo``: the doubly-commuting report, the
-condition-(b) report and T22's direct hypothesis, beside the alpha-indexed
-constants (W_alpha, its reducing checks and its GWS items).  That is at
-most (2^k - 1)(k + 1) + 3 keys for a tuple of rank k, whatever dim H is.
+The checks that depend on the tuple alone (the doubly-commuting and
+condition-(b) reports, T22's direct hypothesis) and the alpha-indexed
+constants (W_alpha, its reducing checks and its GWS items) are measured
+once per tuple by ``covrep._cached``, under the validated alpha.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -24,14 +22,13 @@ import numpy as np
 from ._linalg import DEFAULT_TOL, as_complex, dagger, eye_like, max_op_norm, op_norm, scale_of
 from .algebra import StarRepresentation
 from .correspondence import ChainTower, HilbertTower
-from .covrep import CovariantRep
+from .covrep import CovariantRep, _cached
 from .errors import CommutationViolation, ShapeMismatch
 from .reporting import CheckItem, TheoremReport, ValidationReport
 from .wold import (
     Subspace,
     _angle_item,
     _generates,
-    _lattice,
     _require_sigma_invariant,
     _sigma_check,
     _step,
@@ -144,10 +141,8 @@ class ProductRep:
         self.tol = tol if tol is not None else min(system.tol, sigma.tol)
         self.meta = dict(meta or {})
         self.hilb = HilbertTower(system.chain, sigma)
-        # the constants of wold._lattice, keyed ("W", alpha),
-        # ("reducing", alpha, j), ("gws", alpha), "doubly_commuting",
-        # "condition_b" and ("t22", "direct")
-        self._lattice: dict = {}
+        # the constants of the tuple, under (function name, *args) (see _cached)
+        self._cache: dict = {}
         self.reps = tuple(
             CovariantRep(
                 sigma,
@@ -221,36 +216,33 @@ class ProductRep:
         cj = self.reps[j].tilde @ dagger(self.reps[j].tilde)
         return op_norm(ci @ cj - cj @ ci)
 
+    @_cached
     def check_doubly_commuting(self) -> ValidationReport:
         """Pair residuals for the adjoint-commutation identity, together with
         the derived commuting-defect identity; doubly commuting instances
         must pass the derived identity as well.  Measured once per tuple."""
-
-        def build():
-            items = []
-            bound = self.tol * self.scale
-            doubly_all = True
-            for i in range(self.k):
-                for j in range(self.k):
-                    if i == j:
-                        continue
-                    res = self.doubly_residual(i, j)
-                    ok = res <= bound
-                    doubly_all = doubly_all and ok
-                    items.append(CheckItem(f"doubly_{i+1},{j+1}", ok, res))
-            eqn_ok = True
-            for i, j in combinations(range(self.k), 2):
-                res = self.defect_commutator_residual(i, j)
+        items = []
+        bound = self.tol * self.scale
+        doubly_all = True
+        for i in range(self.k):
+            for j in range(self.k):
+                if i == j:
+                    continue
+                res = self.doubly_residual(i, j)
                 ok = res <= bound
-                eqn_ok = eqn_ok and ok
-                items.append(CheckItem(f"defects_commute_{i+1},{j+1}", ok, res))
-            implication = (not doubly_all) or eqn_ok
-            items.append(
-                CheckItem("doubly_implies_defects_commute", implication, 0.0 if implication else 1.0)
-            )
-            return ValidationReport("doubly_commuting", tuple(items))
-
-        return _lattice(self, "doubly_commuting", build)
+                doubly_all = doubly_all and ok
+                items.append(CheckItem(f"doubly_{i+1},{j+1}", ok, res))
+        eqn_ok = True
+        for i, j in combinations(range(self.k), 2):
+            res = self.defect_commutator_residual(i, j)
+            ok = res <= bound
+            eqn_ok = eqn_ok and ok
+            items.append(CheckItem(f"defects_commute_{i+1},{j+1}", ok, res))
+        implication = (not doubly_all) or eqn_ok
+        items.append(
+            CheckItem("doubly_implies_defects_commute", implication, 0.0 if implication else 1.0)
+        )
+        return ValidationReport("doubly_commuting", tuple(items))
 
     def is_doubly_commuting(self) -> bool:
         return doubly_flag(self.check_doubly_commuting())
@@ -266,16 +258,17 @@ def doubly_flag(report: ValidationReport) -> bool:
 
 
 def wandering_alpha(pr: ProductRep, alpha) -> Subspace:
-    """W_alpha: intersection of the coordinate wandering subspaces, once per alpha."""
-    alpha = validate_alpha(alpha, pr.k)
+    """W_alpha: intersection of the coordinate wandering subspaces."""
+    return _joint_wandering(pr, validate_alpha(alpha, pr.k))
 
-    def build():
-        out = wandering_subspace(pr.rep(alpha[0]))
-        for i in alpha[1:]:
-            out = out.intersect(wandering_subspace(pr.rep(i)))
-        return out
 
-    return _lattice(pr, ("W", alpha), build)
+@_cached
+def _joint_wandering(pr: ProductRep, alpha: tuple[int, ...]) -> Subspace:
+    """W_alpha for a validated alpha, once per alpha."""
+    out = wandering_subspace(pr.rep(alpha[0]))
+    for i in alpha[1:]:
+        out = out.intersect(wandering_subspace(pr.rep(i)))
+    return out
 
 
 def script_L_alpha(pr: ProductRep, alpha, m, K: Subspace) -> Subspace:
@@ -349,16 +342,23 @@ def _doubly_item(pr: ProductRep) -> CheckItem:
 
 
 def _p21_conclusions(pr: ProductRep, alpha) -> tuple[tuple[CheckItem, ...], int]:
-    """Reducing checks of W_alpha for the coordinates outside alpha, and dim W_alpha."""
-    W = wandering_alpha(pr, alpha)
+    """Reducing checks of W_alpha for the coordinates outside a validated
+    alpha, and dim W_alpha."""
+    W = _joint_wandering(pr, alpha)
     conclusions = []
     outside = [j for j in range(pr.k) if j not in alpha]
     if not outside:
         conclusions.append(CheckItem("no_outside_coordinates", True, 0.0, vacuous=True))
     for j in outside:
-        red = _lattice(pr, ("reducing", alpha, j), partial(check_reducing, pr.rep(j), W))
+        red = _alpha_reducing(pr, alpha, j)
         conclusions.append(CheckItem(f"W_alpha_reducing_for_{j+1}", red.passed, red.residual))
     return tuple(conclusions), W.dim
+
+
+@_cached
+def _alpha_reducing(pr: ProductRep, alpha: tuple[int, ...], j: int):
+    """Whether W_alpha reduces coordinate j, once per validated alpha and j."""
+    return check_reducing(pr.rep(j), _joint_wandering(pr, alpha))
 
 
 def verify_P21(pr: ProductRep, alpha) -> TheoremReport:
@@ -383,15 +383,10 @@ def verify_P21_all(pr: ProductRep) -> TheoremReport:
     return TheoremReport("p21", hypotheses=hyp, conclusions=concl, dims=dims)
 
 
-def _gws_items(pr: ProductRep, alpha) -> tuple[tuple[CheckItem, ...], tuple]:
+@_cached
+def _gws_items(pr: ProductRep, alpha: tuple[int, ...]) -> tuple[tuple[CheckItem, ...], tuple]:
     """Wandering + generating checks for W_alpha, plus the stepwise identity,
-    and the ``(name, dim)`` pair of W_alpha, measured once per alpha."""
-    alpha = validate_alpha(alpha, pr.k)
-    return _lattice(pr, ("gws", alpha), partial(_measure_gws, pr, alpha))
-
-
-def _measure_gws(pr: ProductRep, alpha: tuple[int, ...]):
-    """The uncached measurement behind ``_gws_items``, for a validated alpha.
+    and the ``(name, dim)`` pair of W_alpha, measured once per validated alpha.
 
     [W_alpha]_{T_alpha} is built once.  Its first step, the closure of
     W_alpha under the last coordinate of alpha, is also the stepwise
@@ -452,11 +447,12 @@ def _c23_hypothesis(pr: ProductRep) -> list[CheckItem]:
     return items
 
 
+@_cached
 def _direct_hypothesis(pr: ProductRep) -> tuple[CheckItem, ...]:
     """T22's direct surrogate on the reducing subspaces K that actually occur
     in the recursion, H itself and every W_beta with beta not containing the
-    coordinate: K is invariant and Richter's W_K generates it.  Uncached;
-    ``verify_T22`` keeps it under ``("t22", "direct")``."""
+    coordinate: K is invariant and Richter's W_K generates it.  Measured once
+    per tuple."""
     items = []
     subsets = _nonempty_subsets(pr.k)
     for i in range(pr.k):
@@ -492,7 +488,7 @@ def verify_T22(pr: ProductRep) -> TheoremReport:
     gate = _c23_hypothesis(pr)
     used = "c23"
     if not all(item.passed for item in gate):
-        gate = _lattice(pr, ("t22", "direct"), partial(_direct_hypothesis, pr))
+        gate = _direct_hypothesis(pr)
         used = "direct"
     hypotheses = (doubly_item, *gate)
     conclusions, dims = _gws_all_alpha(pr)
@@ -505,24 +501,21 @@ def verify_T22(pr: ProductRep) -> TheoremReport:
     )
 
 
+@_cached
 def check_T24_condition_b(pr: ProductRep) -> ValidationReport:
     """Residuals of the flip-intertwining identity (b), one per pair i < j,
     measured once per tuple."""
-
-    def build():
-        items = []
-        bound = pr.tol * pr.scale
-        for i, j in combinations(range(pr.k), 2):
-            fij = pr._factor((i, j))
-            fji = pr._factor((j, i))
-            flip = pr.flip_op(i, j)
-            lhs = fji @ flip @ (dagger(fij) @ fij)
-            rhs = pr.rep(j).gram_tilde @ fji @ flip
-            res = op_norm(lhs - rhs)
-            items.append(CheckItem(f"condition_b_{i+1},{j+1}", res <= bound, res))
-        return ValidationReport("T24_condition_b", tuple(items))
-
-    return _lattice(pr, "condition_b", build)
+    items = []
+    bound = pr.tol * pr.scale
+    for i, j in combinations(range(pr.k), 2):
+        fij = pr._factor((i, j))
+        fji = pr._factor((j, i))
+        flip = pr.flip_op(i, j)
+        lhs = fji @ flip @ (dagger(fij) @ fij)
+        rhs = pr.rep(j).gram_tilde @ fji @ flip
+        res = op_norm(lhs - rhs)
+        items.append(CheckItem(f"condition_b_{i+1},{j+1}", res <= bound, res))
+    return ValidationReport("T24_condition_b", tuple(items))
 
 
 def verify_T24_equivalence(pr: ProductRep) -> TheoremReport:

@@ -11,26 +11,18 @@ Every lattice subspace is built by steps L_1(K) = span T(xi_i) K (``_step``),
 so each rank decision is that of one L_1, never of a composite T~_n.
 
 The lattice constants, which depend only on the representation, are
-computed once per instance into its ``_lattice`` by ``covrep._memo``: the
-subspaces (W, H_inf, [W]_T, the translates of W that grew [W]_T, the span
-of W under the Cauchy dual and, on a product, each W_alpha), with
-read-only bases, and the certificates measured on them (the reducing
-checks of H_u and H_inf, the restriction to H_inf, Muhly-Solel's model
-item, Richter's conclusions on K = H, the Cauchy-dual conclusions and, on
-a product, the reducing checks and GWS items of W_alpha, the
-doubly-commuting and condition-(b) reports and T22's direct hypothesis).
-That is at most 11 keys per representation and (2^k - 1)(k + 1) + 3 per
-product of rank k, whatever dim H is.  ``wold_decompose``,
-``verify_muhly_solel`` and ``verify_ker_Ln`` read the same constants.  A
-subspace a caller passes is never cached (K = H is one fixed key,
-whatever its basis), nor a report or Muhly-Solel's Fock model, only its
-item.
+cached by ``covrep._cached``: the subspaces (W with H_inf, [W]_T with the
+translates of W that grew it, and on a product each W_alpha), with
+read-only bases, and the certificates measured on them.  The rule is
+``_cached``'s: one entry per (cached function, hashable arguments), never
+under a subspace a caller passes (Richter's K = H is a function of the
+representation alone), and never an exception.  No report is cached, nor
+``wold_decompose``, ``verify_ker_Ln`` or Muhly-Solel's Fock model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -50,7 +42,7 @@ from ._linalg import (
 )
 from .algebra import StarRepresentation
 from .correspondence import FockHilbert
-from .covrep import CheckResult, CovariantRep, _memo
+from .covrep import CheckResult, CovariantRep, _cached
 from .errors import (
     AmbientMismatch,
     NotInvariant,
@@ -209,37 +201,16 @@ def _translates(rep: CovariantRep, K: Subspace):
         yield ln
 
 
-def _lattice(owner, key, build):
-    """``owner._lattice[key]`` through ``_memo``.  Each call site passes a
-    fixed key naming one of the representation's own subspaces or a
-    certificate measured on one, never a subspace a caller passed in, so the
-    cache stays bounded."""
-    return _memo(owner._lattice, key, build)
-
-
 def wandering_subspace(rep: CovariantRep) -> Subspace:
-    """W = ker T~* = H (-) L_1(H), stored by the build of ``h_infinity``."""
-    h_infinity(rep)
-    return rep._lattice["W"]
+    """W = ker T~* = H (-) L_1(H), from the range chain of ``h_infinity``."""
+    return _range_chain(rep)[0]
 
 
-def _wandering_closure(rep: CovariantRep) -> Subspace:
-    """[W]_T, the invariant closure of the wandering subspace, once per
-    representation; the same sweep stores the translates of W that grew it
-    under ``("translates", "W")``."""
-
-    def build():
-        total, grew = _sweep(rep, wandering_subspace(rep))
-        _lattice(rep, ("translates", "W"), lambda: grew)
-        return total
-
-    return _lattice(rep, "H_u", build)
-
-
-def _wandering_translates(rep: CovariantRep) -> tuple[Subspace, ...]:
-    """L_1(W), L_2(W), ... as far as each grows [W]_T, once per representation."""
-    _wandering_closure(rep)
-    return rep._lattice[("translates", "W")]
+@_cached
+def _wandering_sweep(rep: CovariantRep) -> tuple[Subspace, tuple[Subspace, ...]]:
+    """[W]_T, the invariant closure of the wandering subspace, and the
+    translates L_1(W), L_2(W), ... that grew it, once per representation."""
+    return _sweep(rep, wandering_subspace(rep))
 
 
 def script_L_n(rep: CovariantRep, K: Subspace, n: int) -> Subspace:
@@ -269,21 +240,23 @@ def invariant_closure(rep: CovariantRep, K: Subspace) -> Subspace:
 
 
 def h_infinity(rep: CovariantRep) -> Subspace:
-    """H_infty = intersection of the ranges ran T~_n = L_n(H), each one L_1
-    step from the last, never a composite T~_n, once per representation; the
-    same build stores W, the orthocomplement of the first, ran T~ = L_1(H)."""
+    """H_infty = intersection of the ranges ran T~_n = L_n(H)."""
+    return _range_chain(rep)[1]
 
-    def build():
-        prev = Subspace.full(rep.hdim)
-        cur = _step(rep, prev)
-        _lattice(rep, "W", cur.orthocomplement)
-        for _ in range(rep.hdim + 1):
-            if cur.dim == prev.dim and prev.contains(cur):
-                return cur
-            prev, cur = cur, _step(rep, cur)
-        return prev
 
-    return _lattice(rep, "H_inf", build)
+@_cached
+def _range_chain(rep: CovariantRep) -> tuple[Subspace, Subspace]:
+    """(W, H_infty), once per representation: the ranges L_n(H), each one
+    L_1 step from the last, never a composite T~_n, until they stop
+    shrinking; W is the orthocomplement of the first, ran T~ = L_1(H)."""
+    prev = Subspace.full(rep.hdim)
+    cur = _step(rep, prev)
+    W = cur.orthocomplement()
+    for _ in range(rep.hdim + 1):
+        if cur.dim == prev.dim and prev.contains(cur):
+            return W, cur
+        prev, cur = cur, _step(rep, cur)
+    return W, prev
 
 
 def check_invariant(rep: CovariantRep, K: Subspace) -> CheckResult:
@@ -358,19 +331,31 @@ def _split_items(rep: CovariantRep, H_u: Subspace, H_inf: Subspace) -> tuple[Che
     )
 
 
+@_cached
+def _unitary_part(rep: CovariantRep) -> tuple[CheckResult, CheckResult]:
+    """The isometric and fully co-isometric checks of the restriction to a nonzero H_inf."""
+    sub = rep.restrict(h_infinity(rep).basis)
+    return sub.check_isometric(), sub.check_fully_coisometric()
+
+
 def _restriction_item(rep: CovariantRep, which: int, name: str) -> CheckItem:
-    """The isometric (``which`` 0) or fully co-isometric (1) check of the
-    restriction to H_inf, once per representation; vacuous when H_inf = 0."""
-    H_inf = h_infinity(rep)
-    if not H_inf.dim:
+    """Item ``which`` of ``_unitary_part`` as ``name``; vacuous when H_inf = 0."""
+    if not h_infinity(rep).dim:
         return CheckItem(name, True, 0.0, vacuous=True)
-
-    def restriction():
-        sub = rep.restrict(H_inf.basis)
-        return sub.check_isometric(), sub.check_fully_coisometric()
-
-    check = _lattice(rep, ("restriction", "H_inf"), restriction)[which]
+    check = _unitary_part(rep)[which]
     return CheckItem(name, check.passed, check.residual)
+
+
+@_cached
+def _reducing_H_u(rep: CovariantRep) -> CheckResult:
+    """Whether [W]_T reduces the representation, once per representation."""
+    return check_reducing(rep, _wandering_sweep(rep)[0])
+
+
+@_cached
+def _reducing_H_inf(rep: CovariantRep) -> CheckResult:
+    """Whether H_inf reduces the representation, once per representation."""
+    return check_reducing(rep, h_infinity(rep))
 
 
 def wold_decompose(rep: CovariantRep) -> WoldDecomposition:
@@ -382,11 +367,10 @@ def wold_decompose(rep: CovariantRep) -> WoldDecomposition:
     """
     concave = rep.check_concave()
     shimorin = rep.check_shimorin()
-    W = wandering_subspace(rep)
-    H_u = _wandering_closure(rep)
-    H_inf = h_infinity(rep)
-    red_u = _lattice(rep, ("reducing", "H_u"), lambda: check_reducing(rep, H_u))
-    red_inf = _lattice(rep, ("reducing", "H_inf"), lambda: check_reducing(rep, H_inf))
+    W, H_inf = _range_chain(rep)
+    H_u = _wandering_sweep(rep)[0]
+    red_u = _reducing_H_u(rep)
+    red_inf = _reducing_H_inf(rep)
 
     hypotheses = (concave.as_item(), shimorin.as_item())
     certificates = (
@@ -411,18 +395,20 @@ def _angle_item(name: str, left: Subspace, right: Subspace) -> CheckItem:
     return CheckItem(name, gap <= ANGLE_TOL, gap)
 
 
+@_cached
 def _induced_model_item(rep: CovariantRep) -> CheckItem:
     """The intertwining unitary from F(E) (x)_sigma|W W onto [W]_T, built
     level by level on the ``FockHilbert`` model of sigma restricted to W, as
-    one check item within tol * scale; vacuous when W = 0."""
+    one check item within tol * scale, once per representation (the model
+    is dropped once measured); vacuous when W = 0."""
     W = wandering_subspace(rep)
     if not W.dim:
         return CheckItem("H1_induced_intertwiner", True, 0.0, vacuous=True)
     n = rep.hdim
-    H1 = _wandering_closure(rep)
+    H1, translates = _wandering_sweep(rep)
     # the translates of W under an isometric T are orthogonal, so each
     # nonzero one grows H1 and the sweep reaches every nonzero Fock level
-    depth = len(_wandering_translates(rep))
+    depth = len(translates)
     sigma_w_images = np.stack([dagger(W.basis) @ img @ W.basis for img in rep.sigma.images])
     sigma_w = StarRepresentation(rep.sigma.algebra, W.dim, sigma_w_images, rep.sigma.tol)
     model = FockHilbert(rep.chain, sigma_w, {rep.letter: depth})
@@ -460,17 +446,15 @@ def verify_muhly_solel(rep: CovariantRep) -> TheoremReport:
     iso = rep.check_isometric()
     if not iso.passed:
         raise NotIsometric(f"representation is not isometric (residual {iso.residual:.3e})")
-    W = wandering_subspace(rep)
-    H1 = _wandering_closure(rep)
-    H2 = h_infinity(rep)
+    W, H2 = _range_chain(rep)
+    H1 = _wandering_sweep(rep)[0]
     return TheoremReport(
         "muhly_solel",
         hypotheses=(iso.as_item(),),
         conclusions=(
             *_split_items(rep, H1, H2),
             _restriction_item(rep, 1, "H2_fully_coisometric"),
-            # the model is dropped once measured; only its item is kept
-            _lattice(rep, ("muhly_solel", "model"), partial(_induced_model_item, rep)),
+            _induced_model_item(rep),
         ),
         dims={"H1": H1.dim, "H2": H2.dim, "W": W.dim},
     )
@@ -500,6 +484,12 @@ def _richter_conclusions(rep: CovariantRep, K: Subspace):
     return (wander.as_item(), regen, uniqueness), dims
 
 
+@_cached
+def _richter_on_H(rep: CovariantRep):
+    """``_richter_conclusions`` on K = H, once per representation."""
+    return _richter_conclusions(rep, Subspace.full(rep.hdim))
+
+
 def verify_richter(rep: CovariantRep, K: Subspace) -> TheoremReport:
     """Wandering subspace theorem for an invariant subspace of an analytic
     concave representation: K = closure of the translates of K (-) T~(E (x) K).
@@ -513,9 +503,7 @@ def verify_richter(rep: CovariantRep, K: Subspace) -> TheoremReport:
     concave = rep.check_concave()
     analytic = rep.check_analytic()
     if K.dim == rep.hdim:
-        conclusions, dims = _lattice(
-            rep, ("richter", "H"), lambda: _richter_conclusions(rep, Subspace.full(rep.hdim))
-        )
+        conclusions, dims = _richter_on_H(rep)
     else:
         conclusions, dims = _richter_conclusions(rep, K)
     return TheoremReport(
@@ -530,7 +518,7 @@ def verify_cauchy_dual_props(rep: CovariantRep) -> TheoremReport:
     """The Cauchy-dual subspace identities and the analytic/GWS biconditionals,
     measured once per representation."""
     left_inv = rep.check_left_invertible()
-    conclusions, dims = _lattice(rep, ("cauchy_dual", "props"), partial(_cauchy_dual_conclusions, rep))
+    conclusions, dims = _cauchy_dual_conclusions(rep)
     return TheoremReport(
         "cauchy_dual",
         hypotheses=(left_inv.as_item(),),
@@ -539,16 +527,16 @@ def verify_cauchy_dual_props(rep: CovariantRep) -> TheoremReport:
     )
 
 
+@_cached
 def _cauchy_dual_conclusions(rep: CovariantRep):
-    """The conclusions of ``verify_cauchy_dual_props`` and the dims they speak of."""
+    """The conclusions of ``verify_cauchy_dual_props`` and the dims they
+    speak of, once per representation."""
     dual = rep.cauchy_dual()
     n = rep.hdim
-    W = wandering_subspace(rep)
-    W_dual = wandering_subspace(dual)
-    hinf = h_infinity(rep)
-    hinf_dual = h_infinity(dual)
-    span = _wandering_closure(rep)
-    span_dual = _lattice(rep, "span_dual", lambda: invariant_closure(dual, W))
+    W, hinf = _range_chain(rep)
+    W_dual, hinf_dual = _range_chain(dual)
+    span = _wandering_sweep(rep)[0]
+    span_dual = invariant_closure(dual, W)
 
     analytic = hinf.dim == 0
     analytic_dual = hinf_dual.dim == 0
@@ -579,7 +567,7 @@ def check_dual_reducing_implication(rep: CovariantRep) -> TheoremReport:
     rep._require_left_invertible()
     dual = rep.cauchy_dual()
     hinf_dual = h_infinity(dual)
-    red = _lattice(dual, ("reducing", "H_inf"), lambda: check_reducing(dual, hinf_dual))
+    red = _reducing_H_inf(dual)
     if red.passed:
         gap = h_infinity(rep).containment_gap(hinf_dual)
         concl = CheckItem("dual_Hinf_contained_in_Hinf", gap <= ANGLE_TOL, gap)
@@ -601,7 +589,7 @@ def verify_ker_Ln(rep: CovariantRep, n: int) -> TheoremReport:
     kerL = kernel(rep.L_n(n))
     rhs = wandering_subspace(rep) if n else Subspace.zero(rep.hdim)
     # the sweep stops once [W]_T is reached; later translates lie in it
-    for ln in _wandering_translates(rep)[: max(n - 1, 0)]:
+    for ln in _wandering_sweep(rep)[1][: max(n - 1, 0)]:
         rhs = rhs + ln
     return TheoremReport(
         "ker_Ln",

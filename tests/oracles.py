@@ -14,7 +14,7 @@ from covrep._linalg import gram_quotient, op_norm, orth_cols, scale_of
 from covrep.errors import NotInvariant
 from covrep.product import multi_word, validate_alpha, wandering_alpha
 from covrep.reporting import CheckItem, ValidationReport
-from covrep.wold import Subspace, _wandering_closure, image
+from covrep.wold import Subspace, image, invariant_closure, wandering_subspace
 
 
 def orth(cols, tol=1e-10):
@@ -335,7 +335,7 @@ def direct_hypothesis_restricted(pr):
             except NotInvariant:
                 items.append(CheckItem(label, False, 1.0, detail="subspace not invariant"))
                 continue
-            ok = _wandering_closure(sub).equals(Subspace.full(K.dim))
+            ok = invariant_closure(sub, wandering_subspace(sub)).equals(Subspace.full(K.dim))
             items.append(CheckItem(label, ok, 0.0 if ok else 1.0))
     return items
 

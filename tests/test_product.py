@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covrep._linalg import ANGLE_TOL
+from covrep.covrep import _CACHED
 from covrep.errors import CommutationViolation, ShapeMismatch
 from covrep.examples import (
     induced_product_representation,
@@ -20,7 +21,6 @@ from covrep.product import (
     ProductRep,
     ProductSystem,
     _direct_hypothesis,
-    _measure_gws,
     alpha_translates,
     check_T24_condition_b,
     doubly_flag,
@@ -36,10 +36,11 @@ from covrep.product import (
     wandering_alpha,
 )
 from covrep.serialize import dump_json
-from covrep.wold import Subspace, check_reducing, wandering_subspace
+from covrep.wold import Subspace, wandering_subspace
 
 import oracles
 from oracles import doubly_commuting_oracle
+from test_cache import _bits
 
 S2 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 S3 = np.zeros((3, 3), dtype=complex)
@@ -247,21 +248,6 @@ class TestDoublyHypothesisOnce:
         assert not doubly_flag(scalar_tuple([S3, S3 @ S3]).check_doubly_commuting())
 
 
-def _alpha_keys(pr):
-    """The fixed key set of a product representation's lattice once T22, T24
-    and P21 have run: W_alpha, its reducing checks and its GWS items for
-    every alpha, the doubly-commuting and condition-(b) reports, and T22's
-    direct hypothesis when T22 takes it."""
-    keys = {"doubly_commuting", "condition_b"}
-    if verify_T22(pr).evaluated[0].name == "hypothesis_strategy_direct":
-        keys.add(("t22", "direct"))
-    for size in range(1, pr.k + 1):
-        for alpha in combinations(range(pr.k), size):
-            keys |= {("W", alpha), ("gws", alpha)}
-            keys |= {("reducing", alpha, j) for j in range(pr.k) if j not in alpha}
-    return keys
-
-
 #: The verifiers that read the alpha-indexed lattice constants.
 ALPHA_VERIFIERS = (
     verify_T22,
@@ -285,8 +271,8 @@ def _fresh(pr):
 class TestAlphaLatticeCache:
     """W_alpha, its reducing checks and its GWS items, the doubly-commuting
     and condition-(b) reports and T22's direct hypothesis are computed once
-    per product representation, under a fixed key set of at most
-    (2^k - 1)(k + 1) + 3 keys."""
+    per product representation; ``tests/test_cache.py`` checks the rule on
+    every verifier."""
 
     @staticmethod
     def instances():
@@ -304,19 +290,17 @@ class TestAlphaLatticeCache:
             # a single coordinate's W_alpha is that coordinate's own W
             for i in range(2):
                 assert first[(i,)] is wandering_subspace(pr.rep(i))
-            assert set(pr._lattice) == {("W", alpha) for alpha in alphas}
             _certify(pr)
-            cached = dict(pr._lattice)
+            cached = dict(pr._cache)
             _certify(pr)
-            assert set(pr._lattice) == _alpha_keys(pr)
-            assert all(pr._lattice[key] is value for key, value in cached.items())
-            assert len(pr._lattice) <= (2**pr.k - 1) * (pr.k + 1) + 3
-            for key, value in pr._lattice.items():
+            assert pr._cache.keys() == cached.keys()
+            assert all(pr._cache[key] is value for key, value in cached.items())
+            for value in pr._cache.values():
                 if isinstance(value, Subspace):
                     with pytest.raises(ValueError):
                         value.basis[...] = 0.0
         # the Jordan pair takes T22's direct hypothesis, the path pair does not
-        assert ("t22", "direct") in pr._lattice
+        assert verify_T22(pr).evaluated[0].name == "hypothesis_strategy_direct"
 
     def test_sweeps_run_once(self, count_calls):
         import covrep.product as product
@@ -337,34 +321,16 @@ class TestAlphaLatticeCache:
 
     def test_bit_equal_to_a_fresh_instance(self):
         for pr in self.instances():
-            verify_T22(pr)
-            verify_T24_equivalence(pr)
-            verify_P21_all(pr)
-            assert set(pr._lattice) == _alpha_keys(pr)
+            _certify(pr)
             fresh = _fresh(pr)
             for alpha in [(0, 1), (1,), (0,)]:
                 assert wandering_alpha(pr, alpha).basis.tobytes() == wandering_alpha(fresh, alpha).basis.tobytes()
             W0, W1 = (wandering_subspace(fresh.rep(i)) for i in range(2))
             assert wandering_alpha(pr, (0, 1)).basis.tobytes() == W0.intersect(W1).basis.tobytes()
-            # the reports of the tuple alone, each measured on an instance of its own
-            uncached = {
-                "doubly_commuting": lambda: _fresh(pr).check_doubly_commuting(),
-                "condition_b": lambda: check_T24_condition_b(_fresh(pr)),
-                ("t22", "direct"): lambda: _direct_hypothesis(_fresh(pr)),
-            }
-            # every cached value, from the uncached function on a fresh instance
-            for key, value in pr._lattice.items():
-                if key in uncached:
-                    assert repr(value) == repr(uncached[key]()), key
-                    continue
-                kind, alpha, *index = key
-                W = wandering_alpha(fresh, alpha)
-                if kind == "W":
-                    assert value.basis.tobytes() == W.basis.tobytes(), key
-                elif kind == "gws":
-                    assert repr(value) == repr(_measure_gws(fresh, alpha)), key
-                else:
-                    assert repr(value) == repr(check_reducing(fresh.rep(index[0]), W)), key
+            # every cached value, from its function run uncached on a fresh instance
+            build = {f.__name__: f for f in _CACHED}
+            for (name, *args), value in pr._cache.items():
+                assert _bits(value) == _bits(build[name](_fresh(pr), *args)), name
 
     def test_warm_reports_equal_cold_reports(self):
         for pr in self.instances():
@@ -375,11 +341,11 @@ class TestAlphaLatticeCache:
 
     def test_coordinates_keep_their_own_caches(self):
         pr = two_color_path_rep()
-        wandering_alpha(pr, (0, 1))
-        assert pr.rep(0)._lattice is not pr.rep(1)._lattice
-        assert pr.rep(0)._lattice["W"] is not pr.rep(1)._lattice["W"]
-        assert ("W", (0, 1)) in pr._lattice
-        assert all(("W", (0, 1)) not in r._lattice for r in pr.reps)
+        W01 = wandering_alpha(pr, (0, 1))
+        assert pr.rep(0)._cache is not pr.rep(1)._cache
+        assert wandering_subspace(pr.rep(0)) is not wandering_subspace(pr.rep(1))
+        assert any(value is W01 for value in pr._cache.values())
+        assert not any(value is W01 for r in pr.reps for value in r._cache.values())
 
 
 class TestAlphaSubspaces:

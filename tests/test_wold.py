@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from covrep._linalg import ANGLE_TOL, ORTHONORMAL_TOL, op_norm
 from covrep.correspondence import HilbertTower
-from covrep.covrep import CovariantRep
+from covrep.covrep import _CACHED, CovariantRep
 from covrep.errors import (
     AmbientMismatch,
     NotInvariant,
@@ -32,11 +32,10 @@ from covrep.examples import (
 from covrep.serialize import dump_json
 from covrep.wold import (
     Subspace,
-    _cauchy_dual_conclusions,
-    _induced_model_item,
     _richter_conclusions,
     _step,
     _translates,
+    _wandering_sweep,
     check_dual_reducing_implication,
     check_invariant,
     check_reducing,
@@ -55,6 +54,7 @@ from covrep.wold import (
 )
 
 import oracles
+from test_cache import _bits
 from oracles import (
     h_infinity_oracle,
     orth,
@@ -630,38 +630,16 @@ class TestTrustedBases:
             Subspace(basis.shape[0], basis)
 
 
-def _lattice_reads(rep):
-    """Every lattice constant of ``rep``: the subspaces read through the public
-    functions, the certificates as the verifiers that measure them leave them."""
-    decomposition = wold_decompose(rep)
-    reads = {
-        "W": wandering_subspace(rep),
-        "H_inf": h_infinity(rep),
-        "H_u": decomposition.H_u,
-    }
+def _full_pass(rep):
+    """Every verifier that reads the lattice of ``rep``."""
+    wold_decompose(rep)
     verify_richter(rep, Subspace.full(rep.hdim))
-    keys = [("reducing", "H_u"), ("reducing", "H_inf"), ("translates", "W"), ("richter", "H")]
-    if decomposition.H_inf.dim:
-        keys.append(("restriction", "H_inf"))
     if rep.check_isometric().passed:
         verify_muhly_solel(rep)
-        keys.append(("muhly_solel", "model"))
     if rep.left_invertible():
         verify_cauchy_dual_props(rep)
         verify_ker_Ln(rep, 2)
-        keys += ["span_dual", ("cauchy_dual", "props")]
-    reads.update((key, rep._lattice[key]) for key in keys)
-    return reads
-
-
-def _bits(value):
-    """A lattice constant as exact data: a basis by its bytes, a certificate
-    by its repr, which spells every float exactly, and a tuple member by member."""
-    if isinstance(value, Subspace):
-        return value.basis.shape, value.basis.tobytes()
-    if isinstance(value, tuple):
-        return tuple(_bits(part) for part in value)
-    return repr(value)
+        check_dual_reducing_implication(rep)
 
 
 def _check_suite(rep):
@@ -699,11 +677,9 @@ def _certify(rep):
 
 
 class TestLatticeCache:
-    """The lattice constants (W, H_inf, [W]_T, the dual span of W, and the
-    certificates measured on them, Muhly-Solel's model item, Richter's
-    conclusions on K = H and the Cauchy-dual items among them) are computed
-    once per representation, under a fixed key set of at most 11 keys,
-    whatever dim H is."""
+    """The lattice constants (W with H_inf, [W]_T with the translates that
+    grew it, and the certificates measured on them) are computed once per
+    representation; ``tests/test_cache.py`` checks the rule on every verifier."""
 
     @staticmethod
     def rep():
@@ -716,22 +692,16 @@ class TestLatticeCache:
 
     def test_computed_once(self):
         for rep in self.reps():
-            first = _lattice_reads(rep)
-            again = _lattice_reads(rep)
-            assert all(again[key] is value for key, value in first.items())
-            assert wandering_subspace(rep) is rep._lattice["W"]
-            assert verify_cauchy_dual_props(rep).dims["span"] == first["H_u"].dim
-            assert rep._lattice["H_u"] is first["H_u"]
-            keys = {
-                "W", "H_inf", "H_u", "span_dual", ("cauchy_dual", "props"),
-                ("reducing", "H_u"), ("reducing", "H_inf"), ("translates", "W"), ("richter", "H"),
-            }
-            if first["H_inf"].dim:
-                keys.add(("restriction", "H_inf"))
-            if rep.check_isometric().passed:
-                keys.add(("muhly_solel", "model"))
-            assert set(rep._lattice) == set(first) == keys
-            assert len(rep._lattice) <= 11
+            _full_pass(rep)
+            first = dict(rep._cache)
+            _full_pass(rep)
+            assert rep._cache.keys() == first.keys()
+            assert all(rep._cache[key] is value for key, value in first.items())
+            decomposition = wold_decompose(rep)
+            assert decomposition.W is wandering_subspace(rep)
+            assert decomposition.H_inf is h_infinity(rep)
+            assert decomposition.H_u is wold_decompose(rep).H_u
+            assert verify_cauchy_dual_props(rep).dims["span"] == decomposition.H_u.dim
 
     def test_certificates_measured_once(self, count_calls):
         import covrep.wold as wold
@@ -750,11 +720,11 @@ class TestLatticeCache:
 
     def test_cached_bases_are_read_only(self):
         for rep in self.reps():
-            values = _lattice_reads(rep).values()
-            translates = rep._lattice[("translates", "W")]
+            _full_pass(rep)
+            decomposition = wold_decompose(rep)
+            translates = _wandering_sweep(rep)[1]
             assert translates
-            arrays = [value.basis for value in values if isinstance(value, Subspace)]
-            arrays += [ln.basis for ln in translates]
+            arrays = [space.basis for space in (decomposition.W, decomposition.H_u, decomposition.H_inf, *translates)]
             # the cached operators of the representation itself
             arrays += [rep.L, rep.P, rep.tilde, rep.tilde_n(2), rep.factor(rep.word(2))]
             for array in arrays:
@@ -763,19 +733,20 @@ class TestLatticeCache:
 
     def test_bit_equal_to_a_fresh_instance(self):
         for rep in self.reps():
-            verify_cauchy_dual_props(rep)
-            verify_ker_Ln(rep, 2)
-            warm = _lattice_reads(rep)
+            _full_pass(rep)
             fresh = CovariantRep(rep.sigma, rep.E, rep.T, tol=rep.tol)
-            # the fresh instance fills its cache in another order: H_inf first
-            cold = dict(H_inf=h_infinity(fresh), W=wandering_subspace(fresh), H_u=wold_decompose(fresh).H_u)
-            # the certificates, from the uncached functions
-            H_u, H_inf, W = cold["H_u"], cold["H_inf"], cold["W"]
-            cold[("reducing", "H_u")] = check_reducing(fresh, H_u)
-            cold[("reducing", "H_inf")] = check_reducing(fresh, H_inf)
-            if H_inf.dim:
-                sub = fresh.restrict(H_inf.basis)
-                cold[("restriction", "H_inf")] = (sub.check_isometric(), sub.check_fully_coisometric())
+            # each cached value against its function run uncached on the
+            # fresh instance, which fills its cache in another order
+            build = {f.__name__: f for f in _CACHED}
+            for (name, *args), value in rep._cache.items():
+                assert _bits(value) == _bits(build[name](fresh, *args)), name
+            # the formulas the cache replaced
+            full = Subspace.full(fresh.hdim)
+            W = wandering_subspace(rep)
+            assert W.basis.tobytes() == _step(fresh, full).orthocomplement().basis.tobytes()
+            H_u, translates = _wandering_sweep(rep)
+            assert H_u is wold_decompose(rep).H_u
+            assert H_u.basis.tobytes() == invariant_closure(fresh, W).basis.tobytes()
             # the translates of W as far as each grows the running sum
             grew, total = [], W
             for k in range(1, fresh.hdim + 1):
@@ -784,19 +755,7 @@ class TestLatticeCache:
                     break
                 grew.append(ln)
                 total = total + ln
-            cold[("translates", "W")] = tuple(grew)
-            cold["span_dual"] = invariant_closure(fresh.cauchy_dual(), W)
-            cold[("cauchy_dual", "props")] = _cauchy_dual_conclusions(fresh)
-            cold[("richter", "H")] = _richter_conclusions(fresh, Subspace.full(fresh.hdim))
-            if fresh.check_isometric().passed:
-                cold[("muhly_solel", "model")] = _induced_model_item(fresh)
-            assert set(warm) == set(cold)
-            for key, value in warm.items():
-                assert _bits(value) == _bits(cold[key]), key
-            # the formulas the cache replaced
-            full = Subspace.full(fresh.hdim)
-            assert warm["W"].basis.tobytes() == _step(fresh, full).orthocomplement().basis.tobytes()
-            assert warm["H_u"].basis.tobytes() == invariant_closure(fresh, W).basis.tobytes()
+            assert _bits(translates) == _bits(tuple(grew))
 
     def test_warm_reports_equal_cold_reports(self):
         for rep in self.reps():
@@ -812,7 +771,9 @@ class TestLatticeCache:
         # T is upper triangular, so the span of e_1, ..., e_m is invariant
         rep = scalar_covrep(np.diag([2.0, 1.0, 0.5, 0.0]) + np.eye(4, k=1))
         wold_decompose(rep)
-        before = set(rep._lattice)
+        # K = H is measured once per representation, whatever its basis
+        verify_richter(rep, Subspace.full(rep.hdim))
+        before = dict(rep._cache)
         rng = np.random.default_rng(5)
         dims = set()
         for _ in range(50):
@@ -820,15 +781,10 @@ class TestLatticeCache:
             v = np.zeros((4, 1), dtype=complex)
             v[:m] = rng.standard_normal((m, 1)) + 1j * rng.standard_normal((m, 1))
             K = invariant_closure(rep, image(v))
-            size = len(rep._lattice)
             verify_richter(rep, K)
             dims.add(K.dim)
-            # all of H is the one fixed key; a proper subspace adds nothing
-            assert set(rep._lattice) - before <= {("richter", "H")}
-            if K.dim < rep.hdim:
-                assert len(rep._lattice) == size
+            assert rep._cache.keys() == before.keys()
         assert dims == {1, 2, 3, 4}
-        assert ("richter", "H") in rep._lattice
 
     def test_theorem_reports_warm_equal_cold(self, count_calls):
         import covrep.product as product
@@ -858,30 +814,34 @@ class TestLatticeCache:
         grid = lambda: induced_product_representation(  # noqa: E731
             two_colored_system(4, [(0, 1), (2, 3)], [(0, 2), (1, 3)])
         )
-        calls = count_calls(product, "_direct_hypothesis")
+        calls = count_calls(product, "_generates")
         count_calls(ProductRep, "doubly_residual")
         for make, verify in ((grid, verify_T24_equivalence), (jordan_pair, verify_T22)):
             cold = dump_json(verify(make()).to_json())
             pr = make()
             calls.clear()
-            warm = [dump_json(verify(pr).to_json()) for _ in range(3)]
+            warm = [dump_json(verify(pr).to_json())]
+            once = dict(calls)
+            warm += [dump_json(verify(pr).to_json()) for _ in range(2)]
             assert warm == [cold] * 3
+            assert calls == once
             # the two ordered pairs of coordinates, once
             assert calls.pop("doubly_residual") == 2
-            assert calls == ({"_direct_hypothesis": 1} if verify is verify_T22 else {})
+            # the direct hypothesis, measured on the first call only
+            assert bool(calls) == (verify is verify_T22)
         assert "hypothesis_strategy_direct" in cold
 
     def test_dual_and_restriction_have_their_own(self):
         rep = self.rep()
         W = wandering_subspace(rep)
         dual = rep.cauchy_dual()
-        assert dual._lattice is not rep._lattice
+        assert dual._cache is not rep._cache
         assert wandering_subspace(dual) is not W
-        assert dual._lattice["W"] is wandering_subspace(dual)
+        assert wandering_subspace(dual) is wandering_subspace(dual)
         H_u = wold_decompose(rep).H_u
-        size = len(rep._lattice)
+        size = len(rep._cache)
         sub = rep.restrict(H_u.basis)
-        assert sub._lattice == {}
+        assert sub._cache is not rep._cache
         assert wandering_subspace(sub).ambient_dim == H_u.dim
-        assert h_infinity(sub) is sub._lattice["H_inf"]
-        assert len(rep._lattice) == size
+        assert h_infinity(sub) is h_infinity(sub)
+        assert len(rep._cache) == size
