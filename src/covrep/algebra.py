@@ -255,7 +255,7 @@ class StarRepresentation:
             LiveBlocks(d, units, cols[:, seen, :d, :top].transpose(2, 0, 1, 3), present)
             for d, units, seen, top, present in lay.groups
         )
-        return Multiplicity(basis, lay.mults, lay.moves, lay.one, groups)
+        return Multiplicity(basis, lay.mults, lay.moves, lay.reads, lay.span, groups)
 
 
 class _Layout(NamedTuple):
@@ -270,7 +270,7 @@ class _Layout(NamedTuple):
     select: np.ndarray
     span: int
     moves: np.ndarray
-    one: np.ndarray
+    reads: np.ndarray
     groups: tuple
 
 
@@ -285,7 +285,7 @@ def _layout(alg: MatrixBlocksAlgebra, mults: tuple[int, ...], n: int) -> _Layout
     ``have[b, j]`` (j < m_b); ``rows[b, p]`` is p < d_b and ``units[b, p]``
     the index of e^b_p1 (of e^b_11 where p >= d_b); ``select`` picks the
     columns (b, p, j) with p < d_b, j < m_b from the (blocks, width, depth)
-    grid, ``span`` of them; ``moves`` and ``one`` are ``Multiplicity``'s; ``groups`` holds ``(d, units, blocks, top, present)``
+    grid, ``span`` of them; ``moves`` and ``reads`` are ``Multiplicity``'s; ``groups`` holds ``(d, units, blocks, top, present)``
     of each size with m_b > 0, top the largest m_b there.
     """
     dims, m = np.array(alg.block_dims), np.array(mults)
@@ -309,8 +309,9 @@ def _layout(alg: MatrixBlocksAlgebra, mults: tuple[int, ...], n: int) -> _Layout
     moves = np.full((alg.dim, max(n, span)), n)
     moves[:, :span] = np.where((block_of == unit_block) & (p_of == unit_p), index[unit_block, unit_q, j_of], n)
     moves = moves[:, :n]
-    # sigma(1) keeps the block columns and kills ker sigma(1)
-    one = np.where(np.arange(n) < span, np.arange(n), n)
+    reads = np.zeros((alg.dim, n))
+    unit, row = np.nonzero(moves < n)
+    reads[unit, moves[unit, row]] = 1.0
     groups = []
     for d, blocks, block_units in alg.size_groups:
         live = [i for i, blk in enumerate(blocks) if mults[blk]]
@@ -319,9 +320,9 @@ def _layout(alg: MatrixBlocksAlgebra, mults: tuple[int, ...], n: int) -> _Layout
             top = max(mults[blk] for blk in seen)
             groups.append((d, block_units.reshape(len(blocks), d * d)[live].ravel(), seen, top, have[seen, :top]))
     # the tables are shared by every representation of this shape
-    for x in (picks, have, rows, units, select, moves, one, *(g[1] for g in groups), *(g[4] for g in groups)):
+    for x in (picks, have, rows, units, select, moves, reads, *(g[1] for g in groups), *(g[4] for g in groups)):
         x.flags.writeable = False
-    return _Layout(mults, picks, have, rows, units, select, span, moves, one, tuple(groups))
+    return _Layout(mults, picks, have, rows, units, select, span, moves, reads, tuple(groups))
 
 
 class LiveBlocks(NamedTuple):
@@ -348,15 +349,18 @@ class Multiplicity:
     ``moves[k]`` applies U* sigma(b_k) U = e_k (x) I (+) 0 as a gather:
     row r of (U* sigma(b_k) U) X is row ``moves[k, r]`` of X, and zero
     where ``moves[k, r]`` is n.
-    ``one`` applies U* sigma(1) U, which keeps the block columns, the same
-    way: row r of (U* sigma(1) U) X is row ``one[r]`` of X.
+    ``reads[k]`` is 1.0 at the rows ``moves[k]`` reads, each once (b_k =
+    e^b_pq reads row (b, q, j) into row (b, p, j)), and 0.0 elsewhere.
+    ``span`` counts the block columns, the first ``span`` of U: U* sigma(1) U
+    keeps them and kills the rest.
     ``groups`` holds the blocks with m_b > 0, by size (``LiveBlocks``).
     """
 
     basis: np.ndarray
     mults: tuple[int, ...]
     moves: np.ndarray
-    one: np.ndarray
+    reads: np.ndarray
+    span: int
     groups: tuple[LiveBlocks, ...]
 
 

@@ -40,6 +40,7 @@ from ._linalg import (
     as_complex,
     dagger,
     eye_like,
+    frozen,
     gram_quotient,
     id_tensor_matmul,
     matmul_id_tensor,
@@ -56,13 +57,30 @@ from .reporting import CheckItem, ValidationReport
 Word = tuple[int, ...]
 
 
+class LiveRows(NamedTuple):
+    """The nonzero rows of one half of ``Correspondence.one_sided``.
+
+    ``action`` holds them; row r is the pair (``units[r]``, ``vectors[r]``)
+    of a moving unit and a basis vector f_i (``Correspondence.live_rows``).
+    ``dead[k, i]`` is 1.0 where the pair (moving unit b_k, f_i) has a zero
+    row and 0.0 elsewhere, or None when no row is zero.
+    """
+
+    action: np.ndarray
+    units: np.ndarray
+    vectors: np.ndarray
+    dead: np.ndarray | None
+
+
 @dataclass(frozen=True, eq=False)
 class Correspondence:
     """A C*-correspondence E over a MatrixBlocksAlgebra.
 
     right_action[k] and left_action[k] are the matrices of xi -> xi.b_k and
     of phi(b_k) on E-coordinates; gram[i, j] holds the algebra coordinates
-    of <f_i, f_j>, conjugate-linear in the first slot.
+    of <f_i, f_j>, conjugate-linear in the first slot.  The three arrays are
+    read-only, copied from the caller's arrays when they share memory, so
+    the cached ``one_sided``, ``live_rows`` and ``right_blocks`` stay true.
     """
 
     algebra: MatrixBlocksAlgebra
@@ -74,13 +92,10 @@ class Correspondence:
 
     def __post_init__(self):
         e, d = int(self.dim), self.algebra.dim
-        ra = as_complex(self.right_action).reshape(d, e, e)
-        la = as_complex(self.left_action).reshape(d, e, e)
-        g = as_complex(self.gram).reshape(e, e, d)
         object.__setattr__(self, "dim", e)
-        object.__setattr__(self, "right_action", ra)
-        object.__setattr__(self, "left_action", la)
-        object.__setattr__(self, "gram", g)
+        for name, shape in (("right_action", (d, e, e)), ("left_action", (d, e, e)), ("gram", (e, e, d))):
+            given = getattr(self, name)
+            object.__setattr__(self, name, frozen(as_complex(given).reshape(shape), given))
 
     def phi(self, a_coords) -> np.ndarray:
         """Matrix of the left action of the element with the given coords."""
@@ -99,6 +114,30 @@ class Correspondence:
         out = out.transpose(0, 1, 3, 2).reshape(2, d * e, e)
         out.flags.writeable = False
         return out
+
+    @cached_property
+    def live_rows(self) -> tuple[LiveRows, LiveRows]:
+        """The pairs (b_k, f_i) that each half of ``one_sided`` does not
+        kill, read-only, for ``covrep._bimodule_residual``.
+
+        Each pair is named by the unit whose sigma-image moves the gathered
+        side of sigma(a) T(xi) sigma(b): b_k in the left half, b_k* in the
+        right, as sigma(1) X sigma(b_k) is (sigma(b_k*) X^* sigma(1))^*.
+        Where no row of a half is zero (over C with phi(1) = I, for one),
+        its ``dead`` is None.
+        """
+        d, e = self.algebra.dim, self.dim
+        out = []
+        for half, kept, moving in zip(self.one_sided, self.one_sided.any(axis=2), (np.arange(d), self.algebra.star_index)):
+            rows = kept.nonzero()[0]
+            units, vectors = np.divmod(rows, e)
+            dead = 1.0 - kept.reshape(d, e)[moving] if len(rows) < d * e else None
+            live = LiveRows(half[rows], moving[units], vectors, dead)
+            for x in live:
+                if x is not None:
+                    x.flags.writeable = False
+            out.append(live)
+        return tuple(out)
 
     @cached_property
     def right_blocks(self) -> tuple[RightBlocks, ...] | None:

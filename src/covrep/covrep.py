@@ -20,6 +20,7 @@ are read-only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import wraps
 
@@ -33,6 +34,7 @@ from ._linalg import (
     frozen,
     inv_sqrt_psd,
     invariance_residual,
+    max_op_norm,
     min_eig_herm,
     null_cols,
     op_norm,
@@ -122,6 +124,14 @@ def _cached(f):
     return read
 
 
+#: The largest stack of differences (d * e * n^2 entries, 128 KiB) that
+#: ``_bimodule_residual`` forms whole.  Up to it the dense stack costs less
+#: than building ``Correspondence.live_rows`` and the dead pairs' terms
+#: (measured between dag-4, 5,400 entries, and path-6, 13,230); above it
+#: only the live pairs are stacked.
+_DENSE_ENTRIES = 8192
+
+
 def _bimodule_residual(sigma: StarRepresentation, E: Correspondence, T: np.ndarray, tol: float) -> float:
     """How far the stack T (one n x n matrix per basis vector f_i of E) is
     from T(a xi b) = sigma(a) T(xi) sigma(b), or an upper bound on it that
@@ -151,27 +161,80 @@ def _bimodule_residual(sigma: StarRepresentation, E: Correspondence, T: np.ndarr
     and r' is returned: judged against the bound r was judged against,
     both decisions agree outside that band, and both are exact at 0.  In
     sigma's own basis U, sigma(b_k) X sigma(1) and sigma(1) X sigma(b_l)
-    are gathers of rows and columns (``Multiplicity.moves`` and ``one``),
-    and U is unitary, so the norms are those of H.  Each half is one
-    contraction, one gather and one norm over d batches, as large as one
-    left unit's batch of the unit pairs; over C (one unit) the halves are
-    the same relation and only (L) is measured.
+    are gathers of rows and columns (``Multiplicity.moves``) cut to the
+    first ``span`` columns and rows (sigma(1)), and U is unitary, so the norms are those of H.  Over C (one unit) the
+    halves are the same relation and only (L) is measured.
+
+    Each half is judged as ``screened_op_norm`` judges its d x e stack of
+    differences D_ki = T(b_k f_i 1) - sigma(b_k) T(f_i) sigma(1) (for (L);
+    (R) likewise), but the stack is never formed where a pair is dead:
+    row (k, i) of ``E.one_sided`` is zero, so b_k f_i 1 = 0 and, T being
+    linear, D_ki = -sigma(b_k) X sigma(1) with X = U* T(f_i) U.  Row r of
+    that gather is row moves[k, r] of X cut to its first ``span`` columns
+    (those sigma(1) keeps), or zero; moves[k] reads each row it reads
+    once (``Multiplicity.reads``), so the nonzero rows of D_ki are exactly
+    the slice S_ki = X[reads[k], :span].  Hence
+
+        |D_ki|_F^2 = sum_s reads[k, s] |X[s, :span]|^2,
+
+    one entry of reads @ (row norms)^T, and |D_ki|_2 = |S_ki|_2, as zero
+    rows change no singular value (the code keeps the zero columns from
+    ``span`` on, which change none either).  For (R), the units are real 0/1
+    matrices in U, so (sigma(1) X sigma(b_k))^T = sigma(b_k*) X^T sigma(1):
+    the same with X^T and the moving unit b_k* (``Correspondence.live_rows``
+    names each pair by it), and transposing changes no norm.  The pairs
+    split into the live and the dead ones, so the Frobenius norm of the
+    whole stack is sqrt(|live differences|_F^2 + sum of the dead |D_ki|_F^2),
+    the dense value up to summation order; above ``tol`` the result is the
+    largest spectral norm over the live differences and the slices S_ki
+    with a nonzero share, which are the nonzero matrices of the stack, so it
+    is ``max_op_norm`` of the dense stack.  Where no pair of a half is
+    dead, the live differences are the whole stack.  A stack of at most
+    ``_DENSE_ENTRIES`` entries is formed whole, with no live-row index.
     """
-    mult, d = sigma.multiplicity, E.algebra.dim
-    e, n = E.dim, sigma.hilbert_dim
+    mult, alg = sigma.multiplicity, E.algebra
+    d, e, n = alg.dim, E.dim, sigma.hilbert_dim
     tu = dagger(mult.basis) @ T @ mult.basis
-    padded = np.zeros((e, n + 1, n + 1), dtype=complex)
-    padded[:, :n, :n] = tu
-    # sigma(b_k) X sigma(1): the columns by sigma(1), then the rows by moves[k]
-    diff = (E.one_sided[0] @ tu.reshape(e, n * n)).reshape(d, e, n, n)
-    diff -= padded[:, :, mult.one][:, mult.moves].transpose(1, 0, 2, 3)
-    worst = screened_op_norm(diff, tol)
-    if d > 1:
-        # sigma(1) X sigma(b_k): the rows by sigma(1), then the columns by
-        # the moves of b_k*
-        diff = (E.one_sided[1] @ tu.reshape(e, n * n)).reshape(d, e, n, n)
-        diff -= padded[:, mult.one][:, :, mult.moves[E.algebra.star_index]].transpose(2, 0, 1, 3)
-        worst = max(worst, screened_op_norm(diff, tol))
+    flat, worst = tu.reshape(e, n * n), 0.0
+    for h in range(2 if d > 1 else 1):
+        # (R) is (L) on the transposes, with the moving unit b_k*
+        side = tu.transpose(0, 2, 1) if h else tu
+        # X sigma(1), with a zero row n for the gathers' zeros
+        kept = np.zeros((e, n + 1, n), dtype=complex)
+        kept[:, :n, : mult.span] = side[:, :, : mult.span]
+        if d * e * n * n <= _DENSE_ENTRIES:
+            # moved[i, k] holds the gather of b_k, or of b_k* in (R)
+            moved = kept[:, mult.moves[alg.star_index] if h else mult.moves]
+            diff = (E.one_sided[h] @ flat).reshape(d, e, n, n)
+            diff -= moved.transpose(1, 0, 3, 2) if h else moved.transpose(1, 0, 2, 3)
+            worst = max(worst, screened_op_norm(diff, tol))
+            continue
+        live = E.live_rows[h]
+        moved = kept[live.vectors[:, None], mult.moves[live.units]]
+        diff = (live.action @ flat).reshape(len(live.vectors), n, n)
+        diff -= moved.transpose(0, 2, 1) if h else moved
+        worst = max(worst, _screened_half(diff, live.dead, mult.reads, kept, tol))
+    return worst
+
+
+def _screened_half(diff, dead, reads, kept, tol: float) -> float:
+    """``screened_op_norm`` of one half's stack of differences, from the
+    stack ``diff`` of its live pairs and, for its dead pairs (the 0/1 mask
+    ``dead`` by moving unit and basis vector, None when there are none),
+    the rows of each X sigma(1) in ``kept`` that ``reads`` marks (see
+    ``_bimodule_residual``)."""
+    if dead is None:
+        return screened_op_norm(diff, tol)
+    parts = kept.view(float)
+    # share[k, i] = |D_ki|_F^2 of each dead pair, 0 on the live ones
+    share = reads @ np.einsum("isc,isc->is", parts, parts)[:, :-1].T
+    share *= dead
+    fro = math.sqrt(np.vdot(diff, diff).real + share.sum())
+    if fro <= tol:
+        return fro
+    worst = max_op_norm(diff)
+    for k in np.flatnonzero(share.any(axis=1)):
+        worst = max(worst, max_op_norm(kept[share[k] > 0][:, np.flatnonzero(reads[k])]))
     return worst
 
 

@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOL, as_complex, dagger, eye_like, max_op_norm, op_norm, scale_of
+from ._linalg import DEFAULT_TOL, as_complex, dagger, eye_like, frozen, max_op_norm, op_norm, scale_of
 from .algebra import StarRepresentation
 from .correspondence import ChainTower, HilbertTower
 from .covrep import CovariantRep, _cached
@@ -64,7 +64,10 @@ def multi_word(alpha, m) -> tuple[int, ...]:
 
 
 class ProductSystem:
-    """Correspondences E_1..E_k with unitary flips t_{i,j} (stored for i > j)."""
+    """Correspondences E_1..E_k with unitary flips t_{i,j} (stored for i > j).
+
+    Every flip is read-only, copied from the caller's array when it is one,
+    so the checks cached on a representation of the system stay true."""
 
     def __init__(self, correspondences, flips, tol: float = DEFAULT_TOL, chain: ChainTower | None = None):
         self.correspondences = tuple(correspondences)
@@ -72,14 +75,14 @@ class ProductSystem:
         self.tol = tol
         self.chain = chain if chain is not None else ChainTower(self.correspondences, tol)
         self.flips = {}
-        for (i, j), mat in dict(flips).items():
+        for (i, j), given in dict(flips).items():
             if not (0 <= j < i < self.k):
                 raise ShapeMismatch(f"flips are stored for i > j only, got ({i},{j})")
-            mat = as_complex(mat)
+            mat = as_complex(given)
             want = (self.chain.corr((j, i)).dim, self.chain.corr((i, j)).dim)
             if mat.shape != want:
                 raise ShapeMismatch(f"flip ({i},{j}) must have shape {want}, got {mat.shape}")
-            self.flips[(i, j)] = mat
+            self.flips[(i, j)] = frozen(mat, given)
         missing = [(i, j) for i in range(self.k) for j in range(i) if (i, j) not in self.flips]
         if missing:
             raise ShapeMismatch(f"missing flips for pairs {missing}")

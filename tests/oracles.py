@@ -10,7 +10,7 @@ from itertools import combinations, product as iter_product
 
 import numpy as np
 
-from covrep._linalg import gram_quotient, op_norm, orth_cols, scale_of
+from covrep._linalg import dagger, gram_quotient, op_norm, orth_cols, scale_of, screened_op_norm
 from covrep.errors import NotInvariant
 from covrep.product import multi_word, validate_alpha, wandering_alpha
 from covrep.reporting import CheckItem, ValidationReport
@@ -406,6 +406,32 @@ def bimodule_residual_pairs(sigma, E, T):
             lhs = np.tensordot(move[l].T, T, axes=(1, 0))
             rhs = sigma.images[k] @ T @ sigma.images[l]
             worst = max(worst, max((op_norm(x) for x in lhs - rhs), default=0.0))
+    return worst
+
+
+def bimodule_residual_halves(sigma, E, T, tol):
+    """The two one-sided halves of the bimodule relation as
+    ``covrep._bimodule_residual`` measured them before it split the pairs
+    (b_k, f_i) on the zero rows of ``E.one_sided``: each half the dense
+    stack of d * e differences in sigma's basis, one n x n matrix per pair,
+    judged by ``screened_op_norm``."""
+    mult, d = sigma.multiplicity, E.algebra.dim
+    e, n = E.dim, sigma.hilbert_dim
+    tu = dagger(mult.basis) @ T @ mult.basis
+    padded = np.zeros((e, n + 1, n + 1), dtype=complex)
+    padded[:, :n, :n] = tu
+    # row r of U* sigma(1) U X is row one[r] of X
+    one = np.where(np.arange(n) < mult.span, np.arange(n), n)
+    # sigma(b_k) X sigma(1): the columns by sigma(1), then the rows by moves[k]
+    diff = (E.one_sided[0] @ tu.reshape(e, n * n)).reshape(d, e, n, n)
+    diff -= padded[:, :, one][:, mult.moves].transpose(1, 0, 2, 3)
+    worst = screened_op_norm(diff, tol)
+    if d > 1:
+        # sigma(1) X sigma(b_k): the rows by sigma(1), then the columns by
+        # the moves of b_k*
+        diff = (E.one_sided[1] @ tu.reshape(e, n * n)).reshape(d, e, n, n)
+        diff -= padded[:, one][:, :, mult.moves[E.algebra.star_index]].transpose(2, 0, 1, 3)
+        worst = max(worst, screened_op_norm(diff, tol))
     return worst
 
 

@@ -194,6 +194,9 @@ class TestMultiplicity:
                     k = alg.unit_index(b, p, q)
                     np.testing.assert_allclose(u.conj().T @ sigma.images[k] @ u, target, rtol=0, atol=1e-12)
                     np.testing.assert_array_equal(x[mult.moves[k]], target @ x[:n])
+                    # the rows the gather reads, each once
+                    np.testing.assert_array_equal(mult.reads[k], target.sum(axis=0))
+        assert mult.span == offsets[-1]
 
     def test_built_once(self, rng):
         sigma = oracles.multiplicity_representation(MatrixBlocksAlgebra((2, 1)), (1, 2), rng)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from covrep.algebra import MatrixBlocksAlgebra, StarRepresentation
 from covrep.correspondence import Correspondence, HilbertTower, algebra_correspondence
+import covrep.covrep as covrep_module
 from covrep.covrep import CovariantRep, _bimodule_residual
 from covrep._linalg import RANK_TOL, dagger, eye_like, null_cols, op_norm, orth_cols, random_complex, scale_of
 from covrep.errors import (
@@ -147,10 +148,23 @@ def degenerate_left_action(alg, sigma, z):
     return E, T
 
 
+def dense_rows(alg, sigma, rng):
+    """The algebra over itself in a random basis f_i = sum_a S[a, i] e_a, with
+    the covariant T(f_i) = sigma(f_i) / 2: every b_k f_i and f_i b_k is
+    nonzero, so no row of ``one_sided`` is zero."""
+    A = algebra_correspondence(alg)
+    S = random_complex(rng, (A.dim, A.dim)) + 2.0 * np.eye(A.dim)
+    inv = np.linalg.inv(S)
+    gram = np.einsum("ai,bj,abk->ijk", np.conj(S), S, A.gram)
+    E = Correspondence(alg, A.dim, inv @ A.right_action @ S, inv @ A.left_action @ S, gram, A.tol)
+    return E, np.einsum("ai,anm->inm", S, sigma.images) / 2.0
+
+
 def bimodule_instances(corpus):
     """(label, sigma, E, T) of every corpus coordinate, of the random_instance
-    profiles, and of algebras with several blocks where sigma(1) != I,
-    phi(1) != I, or both."""
+    profiles, of algebras with several blocks where sigma(1) != I,
+    phi(1) != I, or both, and of algebras with a 2 x 2 block whose
+    ``one_sided`` rows are all nonzero."""
     out = []
     named = dict(corpus)
     named.update({f"{p}-{s}": random_instance(s, p) for s in range(3)
@@ -170,6 +184,10 @@ def bimodule_instances(corpus):
         E, T = degenerate_left_action(alg, sigma, z)
         label = "phi-degenerate" if not extra else "phi-and-sigma-degenerate"
         out.append((f"{label}-{blocks}", sigma, E, T))
+    for blocks, mults in (((2,), (2,)), ((2, 1), (1, 2))):
+        alg = MatrixBlocksAlgebra(blocks)
+        sigma = oracles.multiplicity_representation(alg, mults, rng)
+        out.append((f"dense-rows-{blocks}", sigma, *dense_rows(alg, sigma, rng)))
     return out
 
 
@@ -250,6 +268,94 @@ class TestOneSidedBimodule:
             assert oracles.bimodule_residual_pairs(sigma, E, T + X) < 1e-12, label
             assert _bimodule_residual(sigma, E, T + X, 1e-9) < 1e-12, label
             assert passes_bimodule(sigma, E, T + X), label
+
+    @staticmethod
+    def directions(rng, sigma, E, T):
+        """Perturbation directions of T: random, T Y and Y T (which break
+        only (R) or only (L)), and, where phi(1) != I, one that reaches only
+        the dead pairs: T(f_i) moved inside sigma(1)H for the f_i that
+        phi(1) kills, which no nonzero row of ``one_sided`` reads."""
+        n, one = sigma.hilbert_dim, sigma.apply_coords(E.algebra.one)
+        rest = np.eye(n) - one
+        Y = one @ random_complex(rng, (n, n)) @ one + rest @ random_complex(rng, (n, n)) @ rest
+        out = [("random", random_complex(rng, T.shape)), ("TY", T @ Y), ("YT", Y @ T)]
+        off = np.abs(np.diag(E.phi(E.algebra.one))) < 0.5
+        if off.any():
+            X = np.zeros_like(T)
+            X[off] = one @ random_complex(rng, (n, n)) @ one
+            out.append(("dead-only", X))
+        return out
+
+    @pytest.mark.parametrize("dense_entries", [-1, None], ids=["split", "dense"])
+    def test_halves_equal_the_stacked_halves(self, corpus, monkeypatch, dense_entries):
+        # the halves, split on the zero rows of one_sided (every instance
+        # here is small enough to be stacked whole unless the split is
+        # forced) or stacked whole, return the stacked halves' value
+        # (screened or spectral) and decide alike at 0.5x and 2x the bound
+        if dense_entries is not None:
+            monkeypatch.setattr(covrep_module, "_DENSE_ENTRIES", dense_entries)
+        rng = np.random.default_rng(17)
+        for label, sigma, E, T in bimodule_instances(corpus):
+            tol, n = min(E.tol, sigma.tol), sigma.hilbert_dim
+            if label.startswith("dense-rows"):
+                assert max(E.algebra.block_dims) > 1, label
+                assert all(live.dead is None for live in E.live_rows), label
+            for kind, X in self.directions(rng, sigma, E, T):
+                base = oracles.bimodule_residual_halves(sigma, E, T + 1e-3 * X, tol) / 1e-3
+                if base < 1e-9:
+                    assert _bimodule_residual(sigma, E, T + 1e-3 * X, tol) < 1e-9 * 1e-3, (label, kind)
+                    continue
+                bound = tol * max(scale_of(T.transpose(1, 0, 2).reshape(n, -1)), sigma.scale)
+                for eps, passes in ((0.5 * bound / base, True), (2.0 * bound / base, False), (1e-3, False)):
+                    Te = T + eps * X
+                    want = oracles.bimodule_residual_halves(sigma, E, Te, tol)
+                    got = _bimodule_residual(sigma, E, Te, tol)
+                    assert abs(got - want) <= 1e-12 * want, (label, kind, eps, got, want)
+                    scaled = tol * max(scale_of(Te.transpose(1, 0, 2).reshape(n, -1)), sigma.scale)
+                    assert (want <= scaled) == (got <= scaled) == passes, (label, kind, eps)
+                    assert passes_bimodule(sigma, E, Te) == passes, (label, kind, eps)
+
+    def test_dead_only_perturbations_reach_no_live_row(self, corpus, monkeypatch):
+        # the dead-only direction leaves every live pair's difference at 0,
+        # so only the dead pairs' slices can see it
+        monkeypatch.setattr(covrep_module, "_DENSE_ENTRIES", -1)
+        rng = np.random.default_rng(19)
+        seen = 0
+        for label, sigma, E, T in bimodule_instances(corpus):
+            for kind, X in self.directions(rng, sigma, E, T):
+                if kind != "dead-only":
+                    continue
+                seen += 1
+                dead = (np.abs(X) > 0).any(axis=(1, 2))
+                for live in E.live_rows:
+                    assert not live.action[:, dead].any() and not dead[live.vectors].any(), label
+                assert _bimodule_residual(sigma, E, T + X, 1e-9) > 1e-3, label
+        assert seen == 2
+
+    def test_small_stacks_build_no_live_row_index(self):
+        # a corpus-sized stack is formed whole; the live-row index is built
+        # only where the stack is split
+        small = graph_induced(G2)
+        large = graph_induced(DirectedGraph(12, tuple((i, i + 1) for i in range(11))))
+        assert "live_rows" not in vars(small.E) and "live_rows" in vars(large.E)
+
+    def test_working_memory_stays_below_the_dense_stack(self):
+        # the 12-vertex path: 8 e n^2 complex entries (8.2 MB) bound the
+        # transient memory; the dense halves held d e n^2 of them each
+        import tracemalloc
+
+        rep = graph_induced(DirectedGraph(12, tuple((i, i + 1) for i in range(11))))
+        sigma, E = rep.sigma, rep.E
+        sigma.multiplicity, E.one_sided, E.live_rows
+        e, n = E.dim, rep.hdim
+        assert E.algebra.dim * e * n * n > covrep_module._DENSE_ENTRIES
+        tracemalloc.start()
+        try:
+            _bimodule_residual(sigma, E, rep.T, rep.tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * e * n * n * 16, peak
 
 
 class TestTildeN:
@@ -719,6 +825,34 @@ class TestFrozenInstances:
                 array[...] = 0
         assert wandering_subspace(rep).dim == 2
         assert rep.check_isometric().passed == isometric
+
+    def test_correspondence_arrays_are_read_only(self):
+        rep = corpus_instances()["g2-induced"]
+        E = rep.E
+        one_sided, live = E.one_sided.copy(), E.live_rows
+        for array in (E.left_action, E.right_action, E.gram):
+            with pytest.raises(ValueError):
+                array[...] = 0
+        np.testing.assert_array_equal(E.one_sided, one_sided)
+        assert E.live_rows is live
+        CovariantRep(rep.sigma, E, rep.T)
+        # the caller's arrays are copied, not frozen
+        left = np.array(E.left_action)
+        F = Correspondence(E.algebra, E.dim, E.right_action, left, E.gram)
+        left[...] = 0
+        np.testing.assert_array_equal(F.left_action, E.left_action)
+        assert left.flags.writeable
+
+    def test_writing_a_flip_after_the_checks_raises(self):
+        from covrep.product import check_T24_condition_b, validate_product_system
+
+        pr = corpus_instances()["two-color-path"]
+        assert check_T24_condition_b(pr).passed and pr.check_doubly_commuting().passed
+        for flip in pr.system.flips.values():
+            with pytest.raises(ValueError):
+                flip[...] = 0
+        assert validate_product_system(pr.system).passed
+        assert check_T24_condition_b(pr).passed and pr.check_doubly_commuting().passed
 
     def test_the_callers_arrays_are_copied(self):
         T = np.roll(np.eye(3, dtype=complex), 1, axis=0)
