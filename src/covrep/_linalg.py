@@ -32,10 +32,16 @@ Conventions used throughout the package:
 * the columns of B count as orthonormal when |B*B - I|_2 is at most
   ``ORTHONORMAL_TOL``; the Frobenius norm bounds the spectral norm from
   above, so the SVD runs only when the Frobenius norm is above the cutoff
-  (``orthonormal_drift``, ``screened_op_norm``).
+  (``orthonormal_drift``, ``screened_op_norm``);
+* every per-instance value is cached one way: ``_cached`` stores
+  ``f(owner, *args)`` in ``owner._cache`` once, first writer winning, with
+  every array in it read-only (``_freeze``).
 """
 
 from __future__ import annotations
+
+from functools import wraps
+from itertools import repeat
 
 import numpy as np
 
@@ -59,8 +65,99 @@ def frozen(array: np.ndarray, given) -> np.ndarray:
     """``array``, read-only, copied first if it shares memory with the caller's ``given``."""
     if isinstance(given, np.ndarray) and np.may_share_memory(array, given):
         array = array.copy()
-    array.flags.writeable = False
+    array.setflags(write=False)
     return array
+
+
+#: annotations of record fields that hold no array: ``_freeze`` skips them
+_SCALAR_FIELDS = frozenset(("int", "float", "bool", "str", "float | None", "tuple[int, ...]"))
+#: per type, the fields ``_freeze`` walks (``_walked``); scalars have none
+_WALKED: dict = dict.fromkeys((int, float, complex, bool, str, type(None), np.float64, np.int64, np.bool_), ())
+
+
+def _walked(value) -> tuple[str, ...]:
+    """The fields of a record (a dataclass or a named tuple) that may hold an
+    array, those not annotated as scalars; none of an owner of a store (a
+    correspondence, an algebra), which froze its arrays when it was built."""
+    kind = type(value)
+    names = getattr(kind, "_fields", None) or getattr(kind, "__dataclass_fields__", ())
+    # a named tuple keeps string annotations as forward references
+    hints = {k: getattr(v, "__forward_arg__", v) for k, v in getattr(kind, "__annotations__", {}).items()}
+    return () if hasattr(value, "_cache") else tuple(n for n in names if hints.get(n) not in _SCALAR_FIELDS)
+
+
+def _freeze(value):
+    """``value``, with every array in it read-only: an ndarray, and at any
+    depth the arrays in tuples and in the fields of records (a subspace's
+    basis, a tensor space's push and lift, ``Multiplicity``'s tables).  One
+    call per container; its arrays and scalars are handled inline."""
+    kind = type(value)
+    if kind is np.ndarray:
+        value.setflags(write=False)
+        return value
+    if kind is tuple:
+        parts = value
+    else:
+        names = _WALKED.get(kind)
+        if names is None:
+            names = _WALKED.setdefault(kind, _walked(value))
+        parts = map(getattr, repeat(value), names)
+    for part in parts:
+        kind = type(part)
+        if kind is np.ndarray:
+            part.setflags(write=False)
+        elif _WALKED.get(kind) != ():
+            _freeze(part)
+    return value
+
+
+#: what a read of a store gets for a key it does not hold, so None is a value
+_MISSING = object()
+
+
+def _memo(store: dict, key, build, *args):
+    """``build(*args)``, frozen (``_freeze``) and stored under ``key`` unless
+    a racing thread stored a value first (``setdefault``), and the stored
+    value: every caller gets one object.  A build that raises stores nothing."""
+    value = build(*args)
+    if _WALKED.get(type(value)) != ():
+        _freeze(value)
+    return store.setdefault(key, value)
+
+
+#: Every function ``_cached`` wraps; their qualified names differ.
+_CACHED: list = []
+
+
+def _cached(f):
+    """``f(owner, *args)``, stored once per instance in ``owner._cache`` under
+    ``(f.__qualname__, *args)`` by ``_memo``.  The arguments are hashable
+    constants (a word, an index, a coordinate subset), never a subspace.  A
+    read is one dict lookup, without ``*args`` for the one- and two-argument
+    functions: the properties and the tower levels read most."""
+    name = f.__qualname__
+    _CACHED.append(f)
+    arity = f.__code__.co_argcount
+    if arity == 1:
+        key = (name,)
+
+        def read(owner):
+            value = owner._cache.get(key, _MISSING)
+            return _memo(owner._cache, key, f, owner) if value is _MISSING else value
+
+    elif arity == 2:
+
+        def read(owner, arg):
+            value = owner._cache.get((name, arg), _MISSING)
+            return _memo(owner._cache, (name, arg), f, owner, arg) if value is _MISSING else value
+
+    else:
+
+        def read(owner, *args):
+            value = owner._cache.get((name, *args), _MISSING)
+            return _memo(owner._cache, (name, *args), f, owner, *args) if value is _MISSING else value
+
+    return wraps(f)(read)
 
 
 def op_norm(a) -> float:

@@ -7,20 +7,24 @@ basis; an element is its coords.  A product of two matrix units is a unit
 or zero (e^b_pq e^b_qs = e^b_ps) and the adjoint of a unit is a unit, so a
 cached 0/1 product table and a cached adjoint permutation are the whole
 algebra structure: products, adjoints and the validators are contractions
-with them.
+with them.  The tables, and sigma's multiplicity decomposition, are cached
+per instance by ``_linalg._cached``; only ``_layout``'s index tables are
+shared, by shape, across instances.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from ._linalg import (
     DEFAULT_TOL,
+    _cached,
+    _freeze,
     as_complex,
     dagger,
     eye_like,
@@ -48,6 +52,7 @@ class MatrixBlocksAlgebra:
         if any(d < 1 for d in dims):
             raise ShapeMismatch(f"block dimensions must be >= 1, got {dims}")
         object.__setattr__(self, "block_dims", dims)
+        object.__setattr__(self, "_cache", {})
 
     @property
     def dim(self) -> int:
@@ -59,16 +64,13 @@ class MatrixBlocksAlgebra:
         """Hilbert dimension of the defining block-diagonal representation."""
         return sum(self.block_dims)
 
-    @cached_property
+    @property
+    @_cached
     def _block_offsets(self) -> tuple[int, ...]:
         offs = [0]
         for d in self.block_dims:
             offs.append(offs[-1] + d * d)
         return tuple(offs)
-
-    def unit_index(self, block: int, p: int, q: int) -> int:
-        d = self.block_dims[block]
-        return self._block_offsets[block] + p * d + q
 
     # -- coordinate conversions -------------------------------------------
 
@@ -103,7 +105,8 @@ class MatrixBlocksAlgebra:
 
     # -- algebra operations on coords -------------------------------------
 
-    @cached_property
+    @property
+    @_cached
     def products(self) -> np.ndarray:
         """The product table: products[k, l] = coords(b_k b_l), a read-only
         0/1 tensor of shape (dim, dim, dim)."""
@@ -112,10 +115,10 @@ class MatrixBlocksAlgebra:
             units = o + np.arange(d * d).reshape(d, d)
             # e_pq e_qs = e_ps
             out[units[:, :, None], units[None, :, :], units[:, None, :]] = 1.0
-        out.flags.writeable = False
         return out
 
-    @cached_property
+    @property
+    @_cached
     def size_groups(self) -> tuple[tuple[int, tuple[int, ...], np.ndarray], ...]:
         """``(d, blocks, units)`` for each block size d: the blocks of that
         size and their matrix units, block by block in row-major order."""
@@ -123,34 +126,26 @@ class MatrixBlocksAlgebra:
         for d in sorted(set(self.block_dims)):
             blocks = tuple(b for b, db in enumerate(self.block_dims) if db == d)
             units = np.concatenate([self._block_offsets[b] + np.arange(d * d) for b in blocks])
-            units.flags.writeable = False
             out.append((d, blocks, units))
         return tuple(out)
 
-    @cached_property
+    @property
+    @_cached
     def star_index(self) -> np.ndarray:
         """The adjoint permutation: b_k* = b_{star_index[k]}."""
-        out = np.concatenate([
+        return np.concatenate([
             o + np.arange(d * d).reshape(d, d).T.ravel()
             for o, d in zip(self._block_offsets, self.block_dims)
         ])
-        out.flags.writeable = False
-        return out
-
-    def mul(self, x, y) -> np.ndarray:
-        return np.einsum("k,l,klm->m", self._coords(x), self._coords(y), self.products)
 
     def star(self, x) -> np.ndarray:
         return np.conj(self._coords(x)[self.star_index])
 
-    @cached_property
+    @property
+    @_cached
     def one(self) -> np.ndarray:
+        """The coords of the unit, read-only."""
         return self.coords_from_blocks([np.eye(d, dtype=complex) for d in self.block_dims])
-
-    def unit_coords(self, k: int) -> np.ndarray:
-        e = np.zeros(self.dim, dtype=complex)
-        e[k] = 1.0
-        return e
 
     def faithful(self, coords) -> np.ndarray:
         """Block-diagonal matrix of the defining representation."""
@@ -187,6 +182,7 @@ class StarRepresentation:
             )
         object.__setattr__(self, "images", frozen(images, self.images))
         object.__setattr__(self, "hilbert_dim", n)
+        object.__setattr__(self, "_cache", {})
 
     @classmethod
     def identity(cls, algebra: MatrixBlocksAlgebra, tol: float = DEFAULT_TOL) -> "StarRepresentation":
@@ -197,13 +193,15 @@ class StarRepresentation:
     def apply_coords(self, coords) -> np.ndarray:
         return np.tensordot(self.algebra._coords(coords), self.images, axes=(0, 0))
 
-    @cached_property
+    @property
+    @_cached
     def scale(self) -> float:
         """scale_of(*images), the relative-tolerance scale of this
         representation, from one batched SVD of the images."""
         return 1.0 + max_op_norm(self.images)
 
-    @cached_property
+    @property
+    @_cached
     def multiplicity(self) -> "Multiplicity":
         """sigma in its own basis, built once: U* sigma(e^b_pq) U = e_pq (x) I_{m_b}.
 
@@ -320,9 +318,7 @@ def _layout(alg: MatrixBlocksAlgebra, mults: tuple[int, ...], n: int) -> _Layout
             top = max(mults[blk] for blk in seen)
             groups.append((d, block_units.reshape(len(blocks), d * d)[live].ravel(), seen, top, have[seen, :top]))
     # the tables are shared by every representation of this shape
-    for x in (picks, have, rows, units, select, moves, reads, *(g[1] for g in groups), *(g[4] for g in groups)):
-        x.flags.writeable = False
-    return _Layout(mults, picks, have, rows, units, select, span, moves, reads, tuple(groups))
+    return _freeze(_Layout(mults, picks, have, rows, units, select, span, moves, reads, tuple(groups)))
 
 
 class LiveBlocks(NamedTuple):

@@ -22,14 +22,14 @@ The positivity of an internal tensor E (x) F is read the same way on F's
 right blocks (``Correspondence.right_blocks``): block b of its faithful
 matrix is d_b S_b (+) 0 with S_b of width dim E * m_b, where m_b =
 dim F.e^b_11, so the (dim E * dim F * d_b)-square blocks are never
-decomposed.
+decomposed.  Correspondences and towers are immutable, and what they
+derive (actions, levels, flip products) is cached by ``_linalg._cached``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product as iter_product
 from typing import NamedTuple
 
@@ -37,6 +37,8 @@ import numpy as np
 
 from ._linalg import (
     DEFAULT_TOL,
+    _cached,
+    _freeze,
     as_complex,
     dagger,
     eye_like,
@@ -96,12 +98,14 @@ class Correspondence:
         for name, shape in (("right_action", (d, e, e)), ("left_action", (d, e, e)), ("gram", (e, e, d))):
             given = getattr(self, name)
             object.__setattr__(self, name, frozen(as_complex(given).reshape(shape), given))
+        object.__setattr__(self, "_cache", {})
 
     def phi(self, a_coords) -> np.ndarray:
         """Matrix of the left action of the element with the given coords."""
         return np.tensordot(as_complex(a_coords), self.left_action, axes=(0, 0))
 
-    @cached_property
+    @property
+    @_cached
     def one_sided(self) -> np.ndarray:
         """The one-sided actions, read-only: ``one_sided[0]`` is xi ->
         b_k xi 1 for each unit b_k and ``one_sided[1]`` is xi -> 1 xi b_k;
@@ -111,11 +115,10 @@ class Correspondence:
         out = np.empty((2, d, e, e), dtype=complex)
         np.matmul(self.left_action, (one @ self.right_action.reshape(d, e * e)).reshape(e, e), out=out[0])
         np.matmul((one @ self.left_action.reshape(d, e * e)).reshape(e, e), self.right_action, out=out[1])
-        out = out.transpose(0, 1, 3, 2).reshape(2, d * e, e)
-        out.flags.writeable = False
-        return out
+        return out.transpose(0, 1, 3, 2).reshape(2, d * e, e)
 
-    @cached_property
+    @property
+    @_cached
     def live_rows(self) -> tuple[LiveRows, LiveRows]:
         """The pairs (b_k, f_i) that each half of ``one_sided`` does not
         kill, read-only, for ``covrep._bimodule_residual``.
@@ -132,14 +135,11 @@ class Correspondence:
             rows = kept.nonzero()[0]
             units, vectors = np.divmod(rows, e)
             dead = 1.0 - kept.reshape(d, e)[moving] if len(rows) < d * e else None
-            live = LiveRows(half[rows], moving[units], vectors, dead)
-            for x in live:
-                if x is not None:
-                    x.flags.writeable = False
-            out.append(live)
+            out.append(LiveRows(half[rows], moving[units], vectors, dead))
         return tuple(out)
 
-    @cached_property
+    @property
+    @_cached
     def right_blocks(self) -> tuple[RightBlocks, ...] | None:
         """The ranges of the right action's blocks, built once, for the
         positivity of internal tensors E' (x) E (``_tensor_positivity``).
@@ -186,9 +186,7 @@ class Correspondence:
             top = int(keep.sum(axis=1).max())
             if top:
                 ranges = v[live, :, f - top :] * keep[live, None, f - top :]
-                forms = np.conj(ranges.swapaxes(1, 2)) @ heads[live] @ L @ ranges
-                forms.flags.writeable = False
-                out.append(RightBlocks(d, forms))
+                out.append(RightBlocks(d, np.conj(ranges.swapaxes(1, 2)) @ heads[live] @ L @ ranges))
         return None if worst > tol else tuple(out)
 
 
@@ -315,10 +313,6 @@ class InteriorTensorSpace:
     @property
     def algebraic_dim(self) -> int:
         return math.prod(self.source_dims)
-
-
-def _identity_space(n: int) -> InteriorTensorSpace:
-    return InteriorTensorSpace((n,), n, eye_like(n), eye_like(n))
 
 
 def algebra_correspondence(alg: MatrixBlocksAlgebra, tol: float = DEFAULT_TOL) -> Correspondence:
@@ -493,10 +487,10 @@ class ChainTower:
 
     Words are tuples of family indices; ``corr(word)`` is the quotient
     correspondence E_{w0} (x) ... (x) E_{w-1} built stepwise, ``corr(())``
-    is the algebra itself.  The tower caches every chain once, so flips and
-    prepend maps produced by different callers act in identical bases.
-    Instances are immutable apart from the internal memo tables and can be
-    shared across threads.
+    is the algebra itself.  The tower caches every chain once, with the
+    quotient data of its last step (``_level``), so flips and prepend maps
+    produced by different callers act in identical bases.  Instances are
+    immutable and can be shared across threads.
     """
 
     def __init__(self, family, tol: float = DEFAULT_TOL):
@@ -509,32 +503,28 @@ class ChainTower:
         self.family = family
         self.algebra = alg
         self.tol = tol
-        self._corr: dict[Word, Correspondence] = {}
-        self._step: dict[Word, InteriorTensorSpace] = {}
+        self._cache: dict = {}
 
     def edim(self, letter: int) -> int:
         return self.family[letter].dim
 
+    @_cached
+    def _level(self, word: Word) -> tuple[Correspondence, InteriorTensorSpace | None]:
+        """corr(word) with the quotient data of its last step (None below
+        length 2), one entry, so racing threads keep one pair."""
+        if len(word) < 2:
+            return self.family[word[0]] if word else algebra_correspondence(self.algebra, self.tol), None
+        return internal_tensor(self.corr(word[:-1]), self.family[word[-1]])
+
     def corr(self, word: Word) -> Correspondence:
-        word = tuple(word)
-        if word not in self._corr:
-            if word == ():
-                self._corr[word] = algebra_correspondence(self.algebra, self.tol)
-            elif len(word) == 1:
-                self._corr[word] = self.family[word[0]]
-            else:
-                quotient, space = internal_tensor(self.corr(word[:-1]), self.family[word[-1]])
-                self._corr[word] = quotient
-                self._step[word] = space
-        return self._corr[word]
+        """The chain of a word (a tuple)."""
+        return self._level(word)[0]
 
     def step(self, word: Word) -> InteriorTensorSpace:
         """Quotient data of corr(word[:-1]) (x) family[word[-1]]; len(word) >= 2."""
-        word = tuple(word)
         if len(word) < 2:
             raise ShapeMismatch("step data exists only for words of length >= 2")
-        self.corr(word)
-        return self._step[word]
+        return self._level(word)[1]
 
     # -- canonical re-bracketing -------------------------------------------
 
@@ -621,20 +611,18 @@ class HilbertTower:
             raise AlgebraMismatch("representation algebra differs from tower algebra")
         self.chain = chain
         self.sigma = sigma
-        self._space: dict[Word, InteriorTensorSpace] = {}
+        self._cache: dict = {}
 
     @property
     def hdim(self) -> int:
         return self.sigma.hilbert_dim
 
+    @_cached
     def space(self, word: Word) -> InteriorTensorSpace:
-        word = tuple(word)
-        if word not in self._space:
-            if word == ():
-                self._space[word] = _identity_space(self.hdim)
-            else:
-                self._space[word] = interior_tensor_with_rep(self.chain.corr(word), self.sigma)
-        return self._space[word]
+        """corr(word) (x)_sigma H for a word (a tuple), built once."""
+        if not word:
+            return InteriorTensorSpace((self.hdim,), self.hdim, eye_like(self.hdim), eye_like(self.hdim))
+        return interior_tensor_with_rep(self.chain.corr(word), self.sigma)
 
     def dim(self, word: Word) -> int:
         return self.space(word).quotient_dim
@@ -728,8 +716,9 @@ class FockHilbert:
             iter_product(*(range(d + 1) for d in self.depths)), key=lambda n: (sum(n), n)
         )
         self.words = {n: self._word(n) for n in self.indices}
-        self._bubbles: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-        ground = interior_tensor_with_rep(chain.corr(()), sigma)
+        self._cache: dict = {}
+        # level 0, M (x)_sigma H, is not a tower level; frozen like them
+        ground = _freeze(interior_tensor_with_rep(chain.corr(()), sigma))
         self.spaces = {n: self.hilb.space(w) if w else ground for n, w in self.words.items()}
         dims = [self.spaces[n].quotient_dim for n in self.indices]
         self.offsets = dict(zip(self.indices, np.concatenate([[0], np.cumsum(dims)]).astype(int)))
@@ -763,20 +752,18 @@ class FockHilbert:
             )
         return StarRepresentation(alg, self.dim, images, self.sigma.tol)
 
+    @_cached
     def _bubble(self, c: int, n) -> np.ndarray:
         """Product of the flips carrying a prepended c-th letter past the lower
         letters of word n.  It does not depend on the prepended vector, so
         it is built once per (c, n)."""
-        key = (c, n)
-        if key not in self._bubbles:
-            cur = (self.letters[c],) + self.words[n]
-            mat = eye_like(self.chain.corr(cur).dim)
-            for p in range(sum(n[:c])):
-                cur, f = self.chain.flip_at(cur, p, self.flip(cur[p], cur[p + 1]))
-                mat = f @ mat
-            assert cur == self.words[self._bump(n, c)]
-            self._bubbles[key] = mat
-        return self._bubbles[key]
+        cur = (self.letters[c],) + self.words[n]
+        mat = eye_like(self.chain.corr(cur).dim)
+        for p in range(sum(n[:c])):
+            cur, f = self.chain.flip_at(cur, p, self.flip(cur[p], cur[p + 1]))
+            mat = f @ mat
+        assert cur == self.words[self._bump(n, c)]
+        return mat
 
     def creation(self, letter: int, xi) -> np.ndarray:
         """Creation by xi in E_letter: prepend, then bubble past the lower

@@ -11,23 +11,22 @@ forms of the Shimorin condition).
 All instances are immutable after construction: ``theta``, ``T`` and the
 images of sigma are read-only, so representations can be shared across
 threads.  Every derived value of an instance, an operator, a check, a
-subspace or a certificate, is cached by ``_cached`` in the instance's one
-store: one entry per (cached function, hashable arguments), never under a
-subspace a caller passes, and never an exception, so a failed build raises
-again on the next call.  Racing threads get one object, and cached arrays
-are read-only.
+subspace or a certificate, is cached by ``_linalg._cached`` as the
+algebra's and the towers' are: one entry per (cached function, hashable
+arguments), never under a subspace a caller passes, and never an
+exception.  Racing threads get one object, with read-only arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import wraps
 
 import numpy as np
 
 from ._linalg import (
     ORTHONORMAL_TOL,
+    _cached,
     as_complex,
     dagger,
     eye_like,
@@ -80,48 +79,6 @@ class CheckResult:
         if not detail and self.min_eig is not None:
             detail = f"min_eig={self.min_eig:.3e}"
         return CheckItem(self.name, self.passed, self.residual, self.vacuous, detail)
-
-
-def _freeze(value):
-    """Make the arrays of a cached value read-only: an ndarray, a subspace's
-    basis, and the same inside tuples at any depth."""
-    for part in value if isinstance(value, tuple) else ():
-        _freeze(part)
-    array = getattr(value, "basis", value)
-    if isinstance(array, np.ndarray):
-        array.flags.writeable = False
-
-
-def _memo(store: dict, key, build, *args):
-    """``store[key]``, built by ``build(*args)`` on first use.
-
-    Threads that miss together each build the value; ``setdefault`` keeps
-    the first, so every caller gets the same object.  The value is shared,
-    so its arrays are made read-only (``_freeze``)."""
-    value = store.get(key)
-    if value is None:
-        value = build(*args)
-        _freeze(value)
-        value = store.setdefault(key, value)
-    return value
-
-
-#: Every function ``_cached`` wraps; their names, the first part of each key, differ.
-_CACHED: list = []
-
-
-def _cached(f):
-    """``f(owner, *args)``, measured once per instance into ``owner._cache``
-    under ``(f.__name__, *args)`` by ``_memo``.  The arguments are hashable
-    constants (a word, an index, a coordinate subset), never a subspace."""
-    name = f.__name__
-    _CACHED.append(f)
-
-    @wraps(f)
-    def read(owner, *args):
-        return _memo(owner._cache, (name, *args), f, owner, *args)
-
-    return read
 
 
 #: The largest stack of differences (d * e * n^2 entries, 128 KiB) that
@@ -252,10 +209,6 @@ class UOperator:
     norm: float
     concave_vacuous: bool
 
-    def __post_init__(self):
-        self.matrix.flags.writeable = False
-        self.kernel.flags.writeable = False
-
 
 class CovariantRep:
     """A covariant representation of a correspondence on a Hilbert space.
@@ -290,6 +243,8 @@ class CovariantRep:
         self.tol = tol if tol is not None else min(E.tol, sigma.tol)
         self.meta = dict(meta or {})
         self.chain = chain if chain is not None else ChainTower([E], self.tol)
+        if hilb is not None and (hilb.sigma is not sigma or hilb.chain is not self.chain):
+            raise AlgebraMismatch("Hilbert tower is built on another sigma or chain")
         self.hilb = hilb if hilb is not None else HilbertTower(self.chain, sigma)
         self.letter = letter
         if self.chain.family[letter] is not E:
@@ -298,7 +253,7 @@ class CovariantRep:
         # T is a view of it, so the two share one array, read-only in both
         self.theta = frozen(T.transpose(1, 0, 2).reshape(n, E.dim * n), given)
         self.T = self.theta.reshape(n, E.dim, n).transpose(1, 0, 2)
-        # every derived value, under (function name, *args) (see _cached)
+        # every derived value, under (qualified function name, *args) (see _cached)
         self._cache: dict = {}
         self._validate_construction()
 
@@ -582,39 +537,7 @@ class CovariantRep:
             sigma_k, self.E, T_k, tol=self.tol, chain=self.chain, letter=self.letter
         )
 
-    # -- energy identity, U -----------------------------------------------------
-
-    def energy_identity(self, basis, n: int) -> float:
-        """Max deviation from |h|^2 = sum |(I (x) P) L^j h|^2 + |L^n h|^2
-        + sum |(I (x) D) L^j h|^2 over an orthonormal basis of the invariant
-        subspace spanned by ``basis``."""
-        sub = self.restrict(basis)
-        conc = sub.check_concave()
-        if not conc.passed:
-            raise NotConcave("restriction is not concave")
-        exp = sub.check_expansive()
-        if not exp.passed:
-            # vacuous concavity, or concavity on a truncated model that no
-            # longer reaches every fiber direction, does not make T~*T~ >= I
-            raise NotConcave(
-                "restriction is concave only formally and not expansive; defect undefined"
-            )
-        sub._require_left_invertible()
-        m = sub.hdim
-        if m == 0:
-            return 0.0
-        D = sub.defect_operator()
-        P = sub.P
-        totals = np.zeros(m)
-        for j in range(n):
-            mat = sub.hilb.tensor_op(sub.word(j), P) @ sub.L_n(j)
-            totals += np.sum(np.abs(mat) ** 2, axis=0)
-        totals += np.sum(np.abs(sub.L_n(n)) ** 2, axis=0)
-        for j in range(1, n + 1):
-            mid = sub.hilb.mid_op_at(sub.word(j - 1), sub.letter, D) if j > 1 else D
-            mat = mid @ sub.L_n(j)
-            totals += np.sum(np.abs(mat) ** 2, axis=0)
-        return float(np.max(np.abs(totals - 1.0)))
+    # -- the wandering-sum operator U --------------------------------------------
 
     @_cached
     def build_U(self) -> UOperator:

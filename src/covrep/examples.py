@@ -44,12 +44,6 @@ class DirectedGraph:
                 raise ValueError("edge weights must be nonzero")
             object.__setattr__(self, "weights", w)
 
-    def adjacency(self) -> np.ndarray:
-        adj = np.zeros((self.vertices, self.vertices), dtype=int)
-        for s, t in self.edges:
-            adj[s, t] += 1
-        return adj
-
 
 G1 = DirectedGraph(2, ((0, 1),))
 G2 = DirectedGraph(3, ((0, 1), (1, 2)))

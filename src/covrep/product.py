@@ -10,7 +10,7 @@ which keeps every mixed tensor word in literally identical bases.
 The checks that depend on the tuple alone (the doubly-commuting and
 condition-(b) reports, T22's direct hypothesis) and the alpha-indexed
 constants (W_alpha, its reducing checks and its GWS items) are measured
-once per tuple by ``covrep._cached``, under the validated alpha.
+once per tuple by ``_linalg._cached``, under the validated alpha.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from itertools import combinations
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOL, as_complex, dagger, eye_like, frozen, max_op_norm, op_norm, scale_of
+from ._linalg import DEFAULT_TOL, _cached, as_complex, dagger, eye_like, frozen, max_op_norm, op_norm, scale_of
 from .algebra import StarRepresentation
 from .correspondence import ChainTower, HilbertTower
-from .covrep import CovariantRep, _cached
+from .covrep import CovariantRep
 from .errors import CommutationViolation, ShapeMismatch
 from .reporting import CheckItem, TheoremReport, ValidationReport
 from .wold import (
@@ -144,7 +144,7 @@ class ProductRep:
         self.tol = tol if tol is not None else min(system.tol, sigma.tol)
         self.meta = dict(meta or {})
         self.hilb = HilbertTower(system.chain, sigma)
-        # the constants of the tuple, under (function name, *args) (see _cached)
+        # the constants of the tuple, under (qualified function name, *args) (see _cached)
         self._cache: dict = {}
         self.reps = tuple(
             CovariantRep(

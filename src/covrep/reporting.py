@@ -44,9 +44,6 @@ class ValidationReport:
     def max_violation(self) -> float:
         return max((item.residual for item in self.items), default=0.0)
 
-    def failures(self) -> tuple[CheckItem, ...]:
-        return tuple(item for item in self.items if not item.passed)
-
     def to_json(self) -> dict:
         return {
             "subject": self.subject,

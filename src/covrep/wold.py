@@ -11,7 +11,7 @@ Every lattice subspace is built by steps L_1(K) = span T(xi_i) K (``_step``),
 so each rank decision is that of one L_1, never of a composite T~_n.
 
 The lattice constants, which depend only on the representation, are
-cached by ``covrep._cached``: the subspaces (W with H_inf, [W]_T with the
+cached by ``_linalg._cached``: the subspaces (W with H_inf, [W]_T with the
 translates of W that grew it, and on a product each W_alpha), with
 read-only bases, and the certificates measured on them.  The rule is
 ``_cached``'s: one entry per (cached function, hashable arguments), never
@@ -29,6 +29,7 @@ import numpy as np
 from ._linalg import (
     ANGLE_TOL,
     ORTHONORMAL_TOL,
+    _cached,
     as_complex,
     dagger,
     eye_like,
@@ -42,7 +43,7 @@ from ._linalg import (
 )
 from .algebra import StarRepresentation
 from .correspondence import FockHilbert
-from .covrep import CheckResult, CovariantRep, _cached
+from .covrep import CheckResult, CovariantRep
 from .errors import (
     AmbientMismatch,
     NotInvariant,

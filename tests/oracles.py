@@ -11,7 +11,7 @@ from itertools import combinations, product as iter_product
 import numpy as np
 
 from covrep._linalg import dagger, gram_quotient, op_norm, orth_cols, scale_of, screened_op_norm
-from covrep.errors import NotInvariant
+from covrep.errors import NotConcave, NotInvariant
 from covrep.product import multi_word, validate_alpha, wandering_alpha
 from covrep.reporting import CheckItem, ValidationReport
 from covrep.wold import Subspace, image, invariant_closure, wandering_subspace
@@ -83,10 +83,58 @@ def wandering_oracle(T_mats, dim):
     return orth(np.eye(dim, dtype=complex) - projector(ran))
 
 
+def adjacency(graph):
+    """Edge-count matrix of a ``DirectedGraph``: entry (s, t) counts the
+    edges from s to t."""
+    adj = np.zeros((graph.vertices, graph.vertices), dtype=int)
+    for s, t in graph.edges:
+        adj[s, t] += 1
+    return adj
+
+
+def failures(report):
+    """The failing items of a ``ValidationReport``."""
+    return tuple(item for item in report.items if not item.passed)
+
+
 def path_count(adjacency, n):
     """Number of directed paths of length n, by adjacency-matrix powers."""
     power = np.linalg.matrix_power(adjacency.astype(object), n)
     return int(np.sum(power))
+
+
+def energy_identity(rep, basis, n: int) -> float:
+    """Max deviation from the energy identity |h|^2 = sum |(I (x) P) L^j h|^2
+    + |L^n h|^2 + sum |(I (x) D) L^j h|^2 over an orthonormal basis of the
+    invariant subspace spanned by ``basis``, with the library's operators on
+    the restriction: P, L^n, the defect D and the tower's tensor maps."""
+    sub = rep.restrict(basis)
+    conc = sub.check_concave()
+    if not conc.passed:
+        raise NotConcave("restriction is not concave")
+    exp = sub.check_expansive()
+    if not exp.passed:
+        # vacuous concavity, or concavity on a truncated model that no
+        # longer reaches every fiber direction, does not make T~*T~ >= I
+        raise NotConcave(
+            "restriction is concave only formally and not expansive; defect undefined"
+        )
+    sub._require_left_invertible()
+    m = sub.hdim
+    if m == 0:
+        return 0.0
+    D = sub.defect_operator()
+    P = sub.P
+    totals = np.zeros(m)
+    for j in range(n):
+        mat = sub.hilb.tensor_op(sub.word(j), P) @ sub.L_n(j)
+        totals += np.sum(np.abs(mat) ** 2, axis=0)
+    totals += np.sum(np.abs(sub.L_n(n)) ** 2, axis=0)
+    for j in range(1, n + 1):
+        mid = sub.hilb.mid_op_at(sub.word(j - 1), sub.letter, D) if j > 1 else D
+        mat = mid @ sub.L_n(j)
+        totals += np.sum(np.abs(mat) ** 2, axis=0)
+    return float(np.max(np.abs(totals - 1.0)))
 
 
 def doubly_commuting_oracle(A, B, tol=1e-9):
@@ -387,7 +435,7 @@ def multiplicity_representation(alg, mults, rng, extra=0):
             for q in range(d):
                 unit = np.zeros((d, d))
                 unit[p, q] = 1.0
-                images[alg.unit_index(b, p, q), o : o + d * m, o : o + d * m] = np.kron(unit, np.eye(m))
+                images[unit_index(alg, b, p, q), o : o + d * m, o : o + d * m] = np.kron(unit, np.eye(m))
         o += d * m
     return StarRepresentation(alg, n, w.conj().T @ images @ w)
 
@@ -456,6 +504,19 @@ def dense_internal_tensor(E, F, space, gm):
 # matrix, so the batched validators can be compared against them item by item.
 
 
+def unit_index(alg, block, p, q):
+    """Index of the matrix unit e^block_pq in the algebra's basis."""
+    d = alg.block_dims[block]
+    return sum(b * b for b in alg.block_dims[:block]) + p * d + q
+
+
+def unit_coords(alg, k):
+    """Coords of the k-th matrix unit."""
+    e = np.zeros(alg.dim, dtype=complex)
+    e[k] = 1.0
+    return e
+
+
 def alg_mul(alg, x, y):
     xs, ys = alg.blocks_from_coords(x), alg.blocks_from_coords(y)
     return alg.coords_from_blocks([a @ b for a, b in zip(xs, ys)])
@@ -468,7 +529,7 @@ def alg_star(alg, x):
 def dense_faithful_stats(gm, alg):
     """Minimum eigenvalue, drift and Hermitian-part norm of the dense
     (n * N)^2 faithful matrix sum_k gm[:, :, k] (x) pi(b_k)."""
-    fb = np.stack([alg.faithful(alg.unit_coords(k)) for k in range(alg.dim)])
+    fb = np.stack([alg.faithful(unit_coords(alg, k)) for k in range(alg.dim)])
     size = gm.shape[0] * alg.faithful_dim
     big = np.einsum("xyk,kab->xayb", gm, fb).reshape(size, size)
     herm = (big + big.conj().T) / 2.0
@@ -485,15 +546,15 @@ def algebra_correspondence_arrays(alg):
     left = np.zeros((d, d, d), dtype=complex)
     gram = np.zeros((d, d, d), dtype=complex)
     for k in range(d):
-        uk = alg.unit_coords(k)
+        uk = unit_coords(alg, k)
         for l in range(d):
-            ul = alg.unit_coords(l)
+            ul = unit_coords(alg, l)
             right[k][:, l] = alg_mul(alg, ul, uk)
             left[k][:, l] = alg_mul(alg, uk, ul)
     for i in range(d):
-        si = alg_star(alg, alg.unit_coords(i))
+        si = alg_star(alg, unit_coords(alg, i))
         for j in range(d):
-            gram[i, j] = alg_mul(alg, si, alg.unit_coords(j))
+            gram[i, j] = alg_mul(alg, si, unit_coords(alg, j))
     return right, left, gram
 
 
@@ -505,14 +566,14 @@ def validate_representation(sigma):
     mult = 0.0
     for k in range(alg.dim):
         for l in range(alg.dim):
-            prod = alg_mul(alg, alg.unit_coords(k), alg.unit_coords(l))
+            prod = alg_mul(alg, unit_coords(alg, k), unit_coords(alg, l))
             lhs = sigma.apply_coords(prod)
             rhs = sigma.images[k] @ sigma.images[l]
             mult = max(mult, op_norm(lhs - rhs))
 
     star = 0.0
     for k in range(alg.dim):
-        lhs = sigma.apply_coords(alg_star(alg, alg.unit_coords(k)))
+        lhs = sigma.apply_coords(alg_star(alg, unit_coords(alg, k)))
         star = max(star, op_norm(lhs - sigma.images[k].conj().T))
 
     eye = np.eye(sigma.hilbert_dim, dtype=complex)
@@ -541,7 +602,7 @@ def validate_correspondence(E):
     module = 0.0
     commute = 0.0
     for k in range(d):
-        uk = alg.unit_coords(k)
+        uk = unit_coords(alg, k)
         phik = E.left_action[k]
         phik_star = E.phi(alg_star(alg, uk))
         rk = E.right_action[k]
@@ -556,7 +617,7 @@ def validate_correspondence(E):
                 rhs = np.einsum("m,mc->c", phik_star[:, j], E.gram[i])
                 adj = max(adj, float(np.linalg.norm(lhs - rhs)))
         for l in range(d):
-            ul = alg.unit_coords(l)
+            ul = unit_coords(alg, l)
             hom = max(hom, op_norm(E.phi(alg_mul(alg, uk, ul)) - E.left_action[k] @ E.left_action[l]))
             # (xi . b_l) . b_k = xi . (b_l b_k)
             mixed = np.tensordot(alg_mul(alg, ul, uk), E.right_action, axes=(0, 0))

@@ -38,6 +38,7 @@ from covrep.wold import (
     wold_decompose,
 )
 
+import oracles
 from oracles import doubly_commuting_oracle, path_count, span_closure, subspaces_equal
 
 
@@ -175,7 +176,7 @@ def test_criterion_05_concavity_consequences():
                     assert rep.check_growth_bound(n).passed, (profile, seed, n)
                 eye = np.eye(rep.hdim, dtype=complex)
                 for n in range(1, 5):
-                    assert rep.energy_identity(eye, n) <= 1e-8, (profile, seed, n)
+                    assert oracles.energy_identity(rep, eye, n) <= 1e-8, (profile, seed, n)
         assert tested >= 10
 
 
@@ -216,8 +217,8 @@ def test_criterion_07_richter_on_fock_grading():
             assert report.hypotheses_met and report.passed, start
         from oracles import orth
 
-        p0 = orth(rep.sigma.apply_coords(rep.sigma.algebra.unit_coords(0)))
-        p1 = orth(rep.sigma.apply_coords(rep.sigma.algebra.unit_coords(1)))
+        p0 = orth(rep.sigma.apply_coords(oracles.unit_coords(rep.sigma.algebra, 0)))
+        p1 = orth(rep.sigma.apply_coords(oracles.unit_coords(rep.sigma.algebra, 1)))
         bad = Subspace(6, (p0[:, :1] + p1[:, :1]) / np.sqrt(2))
         with pytest.raises(NotInvariant):
             verify_richter(rep, bad)
@@ -284,7 +285,7 @@ def test_criterion_10_graph_path_oracle():
                 edges = [(0, v - 1)]
             g = DirectedGraph(v, tuple(edges))
             E = graph_correspondence(g)
-            adj = g.adjacency()
+            adj = oracles.adjacency(g)
             chain = ChainTower([E])
             # n = 0: the algebra itself, matching sum(Adj^0) = #vertices
             assert chain.corr(()).dim == v == path_count(adj, 0)

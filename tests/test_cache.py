@@ -1,13 +1,16 @@
 """The one cache rule, checked on every verifier and instance kind.
 
-``covrep._cached`` keeps each per-instance value in the instance's one
-store under (function name, *args).  These tests read the stores as they
-are, without naming a key: for each CLI theorem, ``wold_decompose``,
-``verify_ker_Ln`` and the ``check_*`` family, on the corpus and on seeds of
-every ``random_instance`` profile, a warm result equals a fresh instance's
-bit for bit, a second pass adds no key and keeps every object, stored
-arrays are read-only, racing threads get one object, a build that raises
-stores nothing, and no key holds a caller's subspace or an array.
+``_linalg._cached`` keeps each per-instance value in its owner's one store
+under (qualified function name, *args); the owners are the covariant and
+product representations and everything they reach: sigma, the
+correspondences, the algebra, the chain and Hilbert towers.  These tests
+read the stores as they are, without naming a key: for each CLI theorem,
+``wold_decompose``, ``verify_ker_Ln`` and the ``check_*`` family, on the
+corpus and on seeds of every ``random_instance`` profile, a warm result
+equals a fresh instance's bit for bit, a second pass adds no key and keeps
+every object, every array reachable from a store is read-only, racing
+threads get one object, a build that raises stores nothing, and no key
+holds a caller's subspace or an array.
 """
 
 from __future__ import annotations
@@ -21,10 +24,13 @@ import numpy as np
 import pytest
 
 from covrep import cli
-from covrep.covrep import _CACHED, CovariantRep, UOperator
+from covrep._linalg import _CACHED, _cached
+from covrep.algebra import MatrixBlocksAlgebra, StarRepresentation
+from covrep.correspondence import ChainTower, Correspondence, HilbertTower
+from covrep.covrep import CovariantRep
 from covrep.errors import CovrepError, NotIsometric, NotLeftInvertible
 from covrep.examples import PROFILES, G2, corpus_instances, random_instance, scalar_covrep, weighted_graph_rep
-from covrep.product import ProductRep, check_T24_condition_b
+from covrep.product import ProductRep, ProductSystem, check_T24_condition_b
 from covrep.wold import (
     Subspace,
     _induced_model_item,
@@ -76,11 +82,40 @@ def _run(verify, inst):
         return type(exc).__name__
 
 
+def _twin(owner, twins):
+    """A new object on the same data as ``owner``, with empty stores all the
+    way down: every algebra, representation, correspondence and tower it
+    reaches is new too, once each (``twins`` maps id to twin)."""
+    if id(owner) in twins:
+        return twins[id(owner)][1]
+    twin = lambda x: _twin(x, twins)
+    if isinstance(owner, MatrixBlocksAlgebra):
+        new = MatrixBlocksAlgebra(owner.block_dims)
+    elif isinstance(owner, StarRepresentation):
+        new = StarRepresentation(twin(owner.algebra), owner.hilbert_dim, owner.images, owner.tol)
+    elif isinstance(owner, Correspondence):
+        new = Correspondence(twin(owner.algebra), owner.dim, owner.right_action, owner.left_action, owner.gram, owner.tol)
+    elif isinstance(owner, ChainTower):
+        new = ChainTower([twin(E) for E in owner.family], owner.tol)
+    elif isinstance(owner, HilbertTower):
+        new = HilbertTower(twin(owner.chain), twin(owner.sigma))
+    elif isinstance(owner, ProductRep):
+        system = ProductSystem(twin(owner.system.chain).family, owner.system.flips, owner.system.tol, twin(owner.system.chain))
+        new = ProductRep(system, twin(owner.sigma), [r.T for r in owner.reps], tol=owner.tol, meta=owner.meta)
+        twins.update({id(r): (r, t) for r, t in zip((owner.hilb, *owner.reps), (new.hilb, *new.reps))})
+    else:
+        new = CovariantRep(
+            twin(owner.sigma), twin(owner.E), owner.T, tol=owner.tol, chain=twin(owner.chain),
+            hilb=twin(owner.hilb), letter=owner.letter, meta=owner.meta,
+        )
+    # the owner is kept beside its twin, so its id is not reused
+    twins[id(owner)] = owner, new
+    return new
+
+
 def _fresh(inst):
-    """A new instance on the same data, with empty stores."""
-    if isinstance(inst, ProductRep):
-        return ProductRep(inst.system, inst.sigma, [r.T for r in inst.reps], tol=inst.tol, meta=inst.meta)
-    return CovariantRep(inst.sigma, inst.E, inst.T, tol=inst.tol, meta=inst.meta)
+    """A new instance on the same data, with empty stores all the way down."""
+    return _twin(inst, {})
 
 
 def _instances(source):
@@ -92,17 +127,26 @@ def _instances(source):
 SOURCES = ["corpus", *PROFILES]
 
 
+#: the attributes through which one store's owner reaches another's
+_LINKS = ("sigma", "E", "algebra", "chain", "hilb")
+
+
 def _stores(inst):
-    """Every store reachable from an instance: its own, its coordinates' and,
-    recursively, those of the representations it caches (a Cauchy dual)."""
+    """Every store reachable from an instance, in a fixed order: its own,
+    its coordinates', those of its sigma, correspondences, algebra and
+    towers, and, recursively, those of the owners its stores hold (a
+    Cauchy dual, the chain's quotient correspondences)."""
     out, todo = [], [inst]
     while todo:
-        owner = todo.pop()
+        owner = todo.pop(0)
         if any(owner is seen for seen, _ in out):
             continue
         out.append((owner, owner._cache))
-        todo += getattr(owner, "reps", ())
-        todo += [v for v in list(owner._cache.values()) if isinstance(v, CovariantRep)]
+        links = [getattr(owner, name, None) for name in _LINKS]
+        links += [*getattr(owner, "reps", ()), *getattr(owner, "family", ())]
+        for value in list(owner._cache.values()):
+            links += value if isinstance(value, tuple) else (value,)
+        todo += [x for x in links if isinstance(getattr(x, "_cache", None), dict)]
     return out
 
 
@@ -141,18 +185,19 @@ def _bits(value):
 
 
 def _arrays(value):
-    """The arrays a stored value holds."""
+    """The arrays a stored value holds: itself, in tuples and named tuples,
+    in the fields of records (a subspace, an interior tensor space, sigma's
+    multiplicity, U, a correspondence) and the data of a representation."""
     if isinstance(value, np.ndarray):
         yield value
-    elif isinstance(value, Subspace):
-        yield value.basis
     elif isinstance(value, CovariantRep):
         yield from (value.theta, value.T, value.sigma.images)
-    elif isinstance(value, UOperator):
-        yield from (value.matrix, value.kernel)
     elif isinstance(value, tuple):
         for part in value:
             yield from _arrays(part)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _arrays(getattr(value, field.name))
 
 
 @pytest.mark.parametrize("source", SOURCES)
@@ -225,12 +270,12 @@ class TestOneCacheRule:
 
 class TestCacheRegistry:
     def test_no_two_cached_functions_share_a_name(self):
-        names = [f.__name__ for f in _CACHED]
+        names = [f.__qualname__ for f in _CACHED]
         assert len(names) == len(set(names))
 
     @pytest.mark.parametrize("source", SOURCES)
     def test_second_full_pass_adds_no_key(self, source):
-        names = {f.__name__ for f in _CACHED}
+        names = {f.__qualname__ for f in _CACHED}
         for inst in _instances(source):
             first = [_run(verify, inst) for verify in VERIFIERS.values()]
             before = _snapshot(inst)
@@ -245,15 +290,44 @@ class TestCacheRegistry:
     def test_every_value_equals_its_uncached_build(self, source):
         # each entry (name, *args) against its function run on a fresh
         # instance, where it fills a cache of its own in another order
-        build = {f.__name__: f for f in _CACHED}
+        build = {f.__qualname__: f for f in _CACHED}
         for inst in _instances(source):
             for verify in VERIFIERS.values():
                 _run(verify, inst)
-            fresh = _fresh(inst)
-            owners = [(inst, fresh), *zip(getattr(inst, "reps", ()), getattr(fresh, "reps", ()))]
-            for owner, twin in owners:
-                for (name, *args), value in owner._cache.items():
+            twins = {}
+            for owner, store in _stores(inst):
+                twin = _twin(owner, twins)
+                for (name, *args), value in store.items():
                     assert _bits(value) == _bits(build[name](twin, *args)), name
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_shared_values_live_in_the_stores(source):
+    # the algebra, sigma, the correspondences and both towers keep their
+    # values in the stores that the rules above read
+    owners = {MatrixBlocksAlgebra, StarRepresentation, Correspondence, ChainTower, HilbertTower}
+    for inst in _instances(source):
+        for verify in VERIFIERS.values():
+            _run(verify, inst)
+        assert owners <= {type(owner) for owner, store in _stores(inst) if store}
+
+
+def test_a_stored_none_is_read_not_built_again():
+    builds = []
+
+    class Owner:
+        def nothing(self):
+            builds.append(self)
+
+    read = _cached(Owner.nothing)
+    _CACHED.remove(Owner.nothing)
+    owner = Owner()
+    owner._cache = {}
+    assert read(owner) is None and read(owner) is None
+    assert builds == [owner] and owner._cache == {(Owner.nothing.__qualname__,): None}
+    # over C the right blocks are None, stored like any value
+    E = scalar_covrep(np.eye(2)).E
+    assert E.right_blocks is None and (Correspondence.right_blocks.fget.__qualname__,) in E._cache
 
 
 class TestFailedBuildsStoreNothing:
@@ -267,7 +341,7 @@ class TestFailedBuildsStoreNothing:
             with pytest.raises(error):
                 call()
             stored = {key[0] for _, store in _stores(inst) for key in store}
-            assert stored.isdisjoint(f.__name__ for f in builds)
+            assert stored.isdisjoint(f.__qualname__ for f in builds)
         assert _keys(inst) == before
 
     def test_muhly_solel_on_a_non_isometric_rep(self):

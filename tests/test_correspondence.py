@@ -78,7 +78,7 @@ def checked(E):
 
 
 def failed(report):
-    return {item.name for item in report.failures()}
+    return {item.name for item in oracles.failures(report)}
 
 
 def null_summand(E, left_n, right_n):
@@ -322,7 +322,7 @@ def twisted_algebra_correspondence(alg, weight):
     indefinite ``weight`` block the positivity matrix is indefinite there."""
     E = algebra_correspondence(alg)
     gram = np.stack([
-        np.stack([alg.mul(alg.star(alg.unit_coords(i)), alg.mul(weight, alg.unit_coords(j)))
+        np.stack([oracles.alg_mul(alg, alg.star(oracles.unit_coords(alg, i)), oracles.alg_mul(alg, weight, oracles.unit_coords(alg, j)))
                   for j in range(alg.dim)])
         for i in range(alg.dim)
     ])
@@ -385,7 +385,7 @@ class TestBlockPositivity:
         alg = MatrixBlocksAlgebra((2, 1))
         E = algebra_correspondence(alg)
         gm = _module_gram(E, E).copy()
-        gm[0, 1, alg.unit_index(1, 0, 0)] += 1e-6
+        gm[0, 1, oracles.unit_index(alg, 1, 0, 0)] += 1e-6
         with pytest.raises(ShapeMismatch):
             _faithful_positivity(gm, alg, E.tol)
 
@@ -395,7 +395,7 @@ def sub_bimodule(E, blocks):
     E = A over itself that lie in those blocks: its right action kills the
     other blocks (m_b = 0 there)."""
     alg = E.algebra
-    keep = np.concatenate([alg.unit_index(b, 0, 0) + np.arange(d * d)
+    keep = np.concatenate([oracles.unit_index(alg, b, 0, 0) + np.arange(d * d)
                            for b, d in enumerate(alg.block_dims) if b in blocks])
     pick = np.ix_(range(alg.dim), keep, keep)
     return Correspondence(alg, len(keep), E.right_action[pick], E.left_action[pick],
@@ -524,7 +524,7 @@ class TestRightBlockPositivity:
         live = sub_bimodule(A, (0, 1))
         gram = live.gram.copy()
         # (I1): a negative form in the killed block
-        gram[:, :, alg.unit_index(2, 0, 0)] = -np.eye(live.dim)
+        gram[:, :, oracles.unit_index(alg, 2, 0, 0)] = -np.eye(live.dim)
         bad_gram = Correspondence(alg, live.dim, live.right_action, live.left_action, gram)
         # (I2): a left action that does not commute with the right one
         bad_left = Correspondence(alg, A.dim, A.right_action, A.left_action + random_complex(rng, A.left_action.shape), A.gram)
@@ -597,7 +597,7 @@ class TestTensorPower:
             edges = [(0, v - 1)]
         g = DirectedGraph(v, tuple(edges))
         E = graph_correspondence(g)
-        adj = g.adjacency()
+        adj = oracles.adjacency(g)
         for n in range(v + 1):
             assert power(E, n).dim == (
                 path_count(adj, n) if n else E.algebra.dim
@@ -648,7 +648,7 @@ def positive_algebra_correspondence(alg, rng):
     """The algebra over itself with <x, y> = x* w y for a random positive
     definite w, so every block G_b has a generic spectrum."""
     a = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
-    return twisted_algebra_correspondence(alg, alg.mul(alg.star(a), a) + alg.one)
+    return twisted_algebra_correspondence(alg, oracles.alg_mul(alg, alg.star(a), a) + alg.one)
 
 
 def corpus_quotients(corpus):
@@ -894,7 +894,7 @@ class TestDenseKroneckerOracle:
         alg = chain.algebra
         rho = fh.representation()
         for k in range(alg.dim):
-            self._close(rho.images[k], oracles.dense_rep_image(fh, alg.unit_coords(k)))
+            self._close(rho.images[k], oracles.dense_rep_image(fh, oracles.unit_coords(alg, k)))
             for rep in reps:
                 # T~ intertwines phi(b_k) (x) I with sigma(b_k)
                 phik = oracles.dense_phi_on_tensor(rep, k)

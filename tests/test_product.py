@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covrep._linalg import ANGLE_TOL
-from covrep.covrep import _CACHED
+from covrep._linalg import _CACHED, ANGLE_TOL
 from covrep.errors import CommutationViolation, ShapeMismatch
 from covrep.examples import (
     induced_product_representation,
@@ -328,7 +327,7 @@ class TestAlphaLatticeCache:
             W0, W1 = (wandering_subspace(fresh.rep(i)) for i in range(2))
             assert wandering_alpha(pr, (0, 1)).basis.tobytes() == W0.intersect(W1).basis.tobytes()
             # every cached value, from its function run uncached on a fresh instance
-            build = {f.__name__: f for f in _CACHED}
+            build = {f.__qualname__: f for f in _CACHED}
             for (name, *args), value in pr._cache.items():
                 assert _bits(value) == _bits(build[name](_fresh(pr), *args)), name
 
@@ -381,8 +380,8 @@ class TestAlphaSubspaces:
         pr = two_color_path_rep()
         from oracles import orth
 
-        p0 = orth(pr.sigma.apply_coords(pr.sigma.algebra.unit_coords(0)))
-        p1 = orth(pr.sigma.apply_coords(pr.sigma.algebra.unit_coords(1)))
+        p0 = orth(pr.sigma.apply_coords(oracles.unit_coords(pr.sigma.algebra, 0)))
+        p1 = orth(pr.sigma.apply_coords(oracles.unit_coords(pr.sigma.algebra, 1)))
         bad = Subspace(pr.hdim, (p0[:, :1] + p1[:, :1]) / np.sqrt(2))
         with pytest.raises(NotSigmaInvariant):
             script_L_alpha(pr, (0,), (1,), bad)

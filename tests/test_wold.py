@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from covrep._linalg import ANGLE_TOL, ORTHONORMAL_TOL, op_norm
 from covrep.correspondence import HilbertTower
-from covrep.covrep import _CACHED, CovariantRep
+from covrep._linalg import _CACHED
+from covrep.covrep import CovariantRep
 from covrep.errors import (
     AmbientMismatch,
     NotInvariant,
@@ -167,8 +168,8 @@ class TestScriptL:
 
     def test_rejects_non_sigma_invariant(self):
         rep = graph_induced(G2)
-        p0 = orth(rep.sigma.apply_coords(rep.sigma.algebra.unit_coords(0)))
-        p1 = orth(rep.sigma.apply_coords(rep.sigma.algebra.unit_coords(1)))
+        p0 = orth(rep.sigma.apply_coords(oracles.unit_coords(rep.sigma.algebra, 0)))
+        p1 = orth(rep.sigma.apply_coords(oracles.unit_coords(rep.sigma.algebra, 1)))
         v = (p0[:, :1] + p1[:, :1]) / np.sqrt(2)
         with pytest.raises(NotSigmaInvariant):
             script_L_n(rep, Subspace(6, v), 1)
@@ -250,8 +251,8 @@ class TestInvariantReducingWandering:
 
     def test_non_sigma_invariant_vector(self):
         rep = graph_induced(G1)
-        p0 = orth(rep.sigma.apply_coords(rep.sigma.algebra.unit_coords(0)))
-        p1 = orth(rep.sigma.apply_coords(rep.sigma.algebra.unit_coords(1)))
+        p0 = orth(rep.sigma.apply_coords(oracles.unit_coords(rep.sigma.algebra, 0)))
+        p1 = orth(rep.sigma.apply_coords(oracles.unit_coords(rep.sigma.algebra, 1)))
         v = (p0[:, :1] + p1[:, :1]) / np.sqrt(2)
         assert not check_invariant(rep, Subspace(3, v)).passed
 
@@ -400,7 +401,7 @@ class TestRichter:
 
     def test_non_invariant_errors(self):
         rep = graph_induced(G2)
-        p0 = orth(rep.sigma.apply_coords(rep.sigma.algebra.unit_coords(0)))
+        p0 = orth(rep.sigma.apply_coords(oracles.unit_coords(rep.sigma.algebra, 0)))
         with pytest.raises(NotInvariant):
             verify_richter(rep, Subspace(6, p0[:, :1]))
 
@@ -737,7 +738,7 @@ class TestLatticeCache:
             fresh = CovariantRep(rep.sigma, rep.E, rep.T, tol=rep.tol)
             # each cached value against its function run uncached on the
             # fresh instance, which fills its cache in another order
-            build = {f.__name__: f for f in _CACHED}
+            build = {f.__qualname__: f for f in _CACHED}
             for (name, *args), value in rep._cache.items():
                 assert _bits(value) == _bits(build[name](fresh, *args)), name
             # the formulas the cache replaced
