@@ -6,6 +6,11 @@ nested list of scalars; an algebra element is one matrix per block; a
 representation lists, per block, the image of each matrix unit in row-major
 unit order.  Instance files carry a ``kind`` discriminator
 ("covariant_rep", "product_rep", or "graph").
+
+The ``*_to_json`` builders return plain lists.  Their keyword ``leaf``
+(``matrix_to_json`` by default) is for the command line and the corpus
+writer, which pass ``_Matrix``: ``dump_json`` then writes each matrix from
+its array, with the same bytes.
 """
 
 from __future__ import annotations
@@ -37,6 +42,16 @@ def matrix_to_json(mat) -> list:
     """A matrix, or a stack of matrices, as nested lists of ``[re, im]``."""
     a = as_complex(mat)
     return np.stack((a.real, a.imag), -1).tolist()
+
+
+class _Matrix:
+    """A matrix that ``dump_json`` writes as the text of
+    ``matrix_to_json(mat)`` straight from the array."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, mat):
+        self.array = as_complex(mat)
 
 
 def matrix_from_json(data, shape) -> np.ndarray:
@@ -83,10 +98,10 @@ def algebra_from_json(data) -> MatrixBlocksAlgebra:
         raise ParseError(f"malformed algebra: {exc}") from exc
 
 
-def sigma_to_json(sigma: StarRepresentation) -> dict:
-    units = iter(matrix_to_json(sigma.images))
-    images = [list(itertools.islice(units, d * d)) for d in sigma.algebra.block_dims]
-    return {"hilbert_dim": sigma.hilbert_dim, "images": images}
+def sigma_to_json(sigma: StarRepresentation, *, leaf=matrix_to_json) -> dict:
+    # per block, the images of its d^2 units
+    per_block = np.split(sigma.images, np.cumsum([d * d for d in sigma.algebra.block_dims])[:-1])
+    return {"hilbert_dim": sigma.hilbert_dim, "images": [leaf(b) for b in per_block]}
 
 
 def sigma_from_json(algebra: MatrixBlocksAlgebra, data, tol: float) -> StarRepresentation:
@@ -101,14 +116,19 @@ def sigma_from_json(algebra: MatrixBlocksAlgebra, data, tol: float) -> StarRepre
     return StarRepresentation(algebra, n, images, tol)
 
 
-def correspondence_to_json(E: Correspondence) -> dict:
-    blocks = [matrix_to_json(b) for b in E.algebra.blocks_from_coords(E.gram)]
+def correspondence_to_json(E: Correspondence, *, leaf=matrix_to_json) -> dict:
+    blocks = E.algebra.blocks_from_coords(E.gram)
+    # per basis pair, an algebra element: blocks [b][i][j] regrouped as [i][j][b]
+    if len(E.algebra.size_groups) == 1:
+        gram = leaf(np.stack(blocks, 2))
+    else:
+        lists = [matrix_to_json(b) for b in blocks]
+        gram = [[list(cell) for cell in zip(*rows)] for rows in zip(*lists)]
     return {
         "dim": E.dim,
-        "right_action": matrix_to_json(E.right_action),
-        "left_action": matrix_to_json(E.left_action),
-        # per basis pair, an algebra element: blocks [b][i][j] regrouped as [i][j][b]
-        "gram": [[list(cell) for cell in zip(*rows)] for rows in zip(*blocks)],
+        "right_action": leaf(E.right_action),
+        "left_action": leaf(E.left_action),
+        "gram": gram,
     }
 
 
@@ -130,14 +150,14 @@ def correspondence_from_json(algebra: MatrixBlocksAlgebra, data, tol: float) -> 
     return Correspondence(algebra, e, right, left, gram, tol)
 
 
-def covrep_to_json(rep: CovariantRep) -> dict:
+def covrep_to_json(rep: CovariantRep, *, leaf=matrix_to_json) -> dict:
     out = {
         "kind": "covariant_rep",
         "format": FORMAT_VERSION,
         "algebra": algebra_to_json(rep.sigma.algebra),
-        "sigma": sigma_to_json(rep.sigma),
-        "correspondence": correspondence_to_json(rep.E),
-        "T": matrix_to_json(rep.T),
+        "sigma": sigma_to_json(rep.sigma, leaf=leaf),
+        "correspondence": correspondence_to_json(rep.E, leaf=leaf),
+        "T": leaf(rep.T),
     }
     if rep.meta:
         out["meta"] = _plain(rep.meta)
@@ -152,12 +172,12 @@ def covrep_from_json(data, tol: float) -> CovariantRep:
     return CovariantRep(sigma, E, T, tol=tol, meta=_meta(data))
 
 
-def product_system_to_json(ps: ProductSystem) -> dict:
+def product_system_to_json(ps: ProductSystem, *, leaf=matrix_to_json) -> dict:
     return {
         "k": ps.k,
-        "correspondences": [correspondence_to_json(E) for E in ps.correspondences],
+        "correspondences": [correspondence_to_json(E, leaf=leaf) for E in ps.correspondences],
         "flips": {
-            f"{i+1},{j+1}": matrix_to_json(mat) for (i, j), mat in sorted(ps.flips.items())
+            f"{i+1},{j+1}": leaf(mat) for (i, j), mat in sorted(ps.flips.items())
         },
     }
 
@@ -186,14 +206,14 @@ def product_system_from_json(algebra: MatrixBlocksAlgebra, data, tol: float) -> 
     return ProductSystem(corrs, flips, tol, chain=chain)
 
 
-def product_rep_to_json(pr: ProductRep) -> dict:
+def product_rep_to_json(pr: ProductRep, *, leaf=matrix_to_json) -> dict:
     out = {
         "kind": "product_rep",
         "format": FORMAT_VERSION,
         "algebra": algebra_to_json(pr.sigma.algebra),
-        "sigma": sigma_to_json(pr.sigma),
-        "product_system": product_system_to_json(pr.system),
-        "T": [matrix_to_json(rep.T) for rep in pr.reps],
+        "sigma": sigma_to_json(pr.sigma, leaf=leaf),
+        "product_system": product_system_to_json(pr.system, leaf=leaf),
+        "T": [leaf(rep.T) for rep in pr.reps],
     }
     if pr.meta:
         out["meta"] = _plain(pr.meta)
@@ -226,11 +246,11 @@ def graph_from_json(data, tol: float) -> Correspondence:
     return graph_correspondence(graph, tol)
 
 
-def instance_to_json(obj) -> dict:
+def instance_to_json(obj, *, leaf=matrix_to_json) -> dict:
     if isinstance(obj, CovariantRep):
-        return covrep_to_json(obj)
+        return covrep_to_json(obj, leaf=leaf)
     if isinstance(obj, ProductRep):
-        return product_rep_to_json(obj)
+        return product_rep_to_json(obj, leaf=leaf)
     raise ParseError(f"cannot serialize object of type {type(obj).__name__}")
 
 
@@ -261,11 +281,16 @@ def load_instance(path, tol: float = DEFAULT_TOL):
 def dump_json(data) -> str:
     """``json.dumps(data, sort_keys=True, indent=1) + "\\n"``, byte for byte.
 
+    ``data`` may also hold ``_Matrix`` leaves, each written as its
+    ``matrix_to_json`` lists would be.
+
     With ``indent`` set, ``json`` runs its pure-Python encoder, one
-    generator per container; this writer joins each container once and
-    formats a row of ``[re, im]`` pairs (what ``matrix_to_json`` gives) in
-    one comprehension.  Unsupported types and circular references raise
-    the TypeError and ValueError that ``json.dumps`` raises.
+    generator per container; this writer joins each container once.  A
+    ``_Matrix`` is one ``%`` of a template built from its shape, filled
+    with the reprs of its nonzero entries and ``0.0`` for the rest (lists
+    of ``[re, im]`` pairs still get one comprehension per row).
+    Unsupported types, a bare ndarray among them, and circular references
+    raise the TypeError and ValueError that ``json.dumps`` raises.
     """
     return _value(data, "\n", set()) + "\n"
 
@@ -324,6 +349,8 @@ def _value(o, nl: str, markers: set) -> str:
         return "{" + inner + body + nl + "}"
     text = _scalar(o)
     if text is None:
+        if isinstance(o, _Matrix):
+            return _matrix_text(o.array, nl, markers)
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
     return text
 
@@ -339,6 +366,32 @@ def _key(k) -> str:
     if text is None:
         raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
     return text
+
+
+def _matrix_text(a: np.ndarray, nl: str, markers: set) -> str:
+    """``matrix_to_json(a)`` as JSON text at the indent of ``nl``.  An
+    empty or non-finite array takes the list writer, which spells ``[]``,
+    ``NaN`` and ``Infinity``."""
+    # complex128 is a pair of float64 bit for bit
+    parts = np.ascontiguousarray(a).view(float).reshape(a.shape + (2,))
+    if not parts.size or not np.isfinite(parts).all():
+        return _value(parts.tolist(), nl, markers)
+    flat = parts.ravel()
+    # a zero bit pattern is +0.0; -0.0 keeps its sign through repr
+    live = np.flatnonzero(flat.view(np.uint64))
+    text = ["0.0"] * flat.size
+    for i, r in zip(live.tolist(), map(_FLOAT_REPR, flat[live].tolist())):
+        text[i] = r
+    return _template(parts.shape, nl) % tuple(text)
+
+
+def _template(shape: tuple, nl: str) -> str:
+    """Nested JSON lists of ``shape`` at the indent of ``nl``, one ``%s``
+    per entry."""
+    if not shape:
+        return "%s"
+    inner = nl + " "
+    return "[" + inner + ("," + inner).join([_template(shape[1:], inner)] * shape[0]) + nl + "]"
 
 
 def _pair_row(row, inner: str) -> str | None:

@@ -440,6 +440,19 @@ def multiplicity_representation(alg, mults, rng, extra=0):
     return StarRepresentation(alg, n, w.conj().T @ images @ w)
 
 
+def algebra_over_itself(blocks, mults, rng):
+    """The covariant representation T(b_k) = sigma(b_k) of the algebra with
+    ``blocks`` over itself, sigma of multiplicities ``mults``.  Its Gram
+    <b_k, b_l> = b_k* b_l is not symmetric in k and l."""
+    from covrep.algebra import MatrixBlocksAlgebra
+    from covrep.correspondence import algebra_correspondence
+    from covrep.covrep import CovariantRep
+
+    alg = MatrixBlocksAlgebra(blocks)
+    sigma = multiplicity_representation(alg, mults, rng)
+    return CovariantRep(sigma, algebra_correspondence(alg), sigma.images)
+
+
 def bimodule_residual_pairs(sigma, E, T):
     """The largest |T(b_k f_i b_l) - sigma(b_k) T(f_i) sigma(b_l)|_2 over
     every pair of algebra units and every basis vector: the bimodule

@@ -441,22 +441,39 @@ class TestJsonLayout:
             assert text == oracles.dump_json(instance_to_json(inst)), name
             assert text == oracles.dump_json(json.loads(text)), name
 
+    @staticmethod
+    def assert_reports_like_oracle(inst, path, capsys):
+        """Every command on the file ``path`` of ``inst``: each JSON report
+        is the stock encoder's bytes, and embeds ``inst`` as its lists."""
+        if isinstance(inst, ProductRep):
+            argvs = [["check", path, "rep-relation", "doubly-commuting", "isometric"]]
+            argvs += [["verify", path, "--theorem", t] for t in ("p21", "t22", "t24")]
+        else:
+            argvs = [["check", path, "isometric", "concave", "shimorin", "analytic"], ["decompose", path]]
+            argvs += [["verify", path, "--theorem", t] for t in ("richter", "muhly-solel", "mt1", "cd")]
+        embedded = oracles.dump_json(instance_to_json(inst))
+        for argv in [["validate", path], *argvs]:
+            code, out, _ = run(capsys, *argv, "--format", "json")
+            # only a verifier whose hypothesis fails up front writes no report
+            assert out or code == 3, argv
+            report = json.loads(out) if out else None
+            assert out == (oracles.dump_json(report) if out else ""), argv
+            if report and "instance" in report:
+                assert oracles.dump_json(report["instance"]) == embedded, argv
+
     def test_reports_on_the_corpus(self, corpus_dir, corpus, capsys):
-        covariant = ("richter", "muhly-solel", "mt1", "cd")
-        product = ("p21", "t22", "t24")
         for name, inst in corpus.items():
-            path = corpus_dir / f"{name}.json"
-            if isinstance(inst, ProductRep):
-                argvs = [["check", path, "rep-relation", "doubly-commuting", "isometric"]]
-                argvs += [["verify", path, "--theorem", t] for t in product]
-            else:
-                argvs = [["check", path, "isometric", "concave", "shimorin", "analytic"], ["decompose", path]]
-                argvs += [["verify", path, "--theorem", t] for t in covariant]
-            for argv in [["validate", path], *argvs]:
-                code, out, _ = run(capsys, *argv, "--format", "json")
-                # only a verifier whose hypothesis fails up front writes no report
-                assert out or code == 3, argv
-                assert out == (oracles.dump_json(json.loads(out)) if out else ""), argv
+            self.assert_reports_like_oracle(inst, corpus_dir / f"{name}.json", capsys)
+
+    @pytest.mark.parametrize("blocks,mults", [((1, 2), (1, 2)), ((2, 2), (1, 2))], ids=str)
+    def test_reports_on_an_algebra_over_itself(self, tmp_path, capsys, blocks, mults):
+        """Blocks of two sizes write sigma per block and the Gram as lists,
+        which no corpus instance does; equal blocks write a Gram that, unlike
+        the corpus Grams, is not symmetric in its basis pair."""
+        inst = oracles.algebra_over_itself(blocks, mults, np.random.default_rng(5))
+        path = tmp_path / "instance.json"
+        path.write_text(dump_json(instance_to_json(inst)))
+        self.assert_reports_like_oracle(inst, path, capsys)
 
 
 class TestParserReuse:

@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
-from covrep.algebra import MatrixBlocksAlgebra
-from covrep.correspondence import algebra_correspondence
-from covrep.covrep import CovariantRep
 from covrep.errors import ParseError
-from covrep.serialize import dump_json, instance_from_json, instance_to_json, matrix_from_json, matrix_to_json
+from covrep.serialize import (
+    _Matrix,
+    dump_json,
+    instance_from_json,
+    instance_to_json,
+    matrix_from_json,
+    matrix_to_json,
+)
 
 
 def _bits(a):
@@ -68,11 +73,8 @@ class TestMatrixCodec:
 def test_mixed_block_instance_round_trip(rng):
     """A covariant representation over Mat(1) + Mat(2): the Gram's elements
     list blocks of two sizes, and the file reloads to the same bits."""
-    alg = MatrixBlocksAlgebra((1, 2))
-    sigma = oracles.multiplicity_representation(alg, (1, 2), rng)
-    E = algebra_correspondence(alg)
-    # T(b_k) = sigma(b_k) is covariant for the algebra over itself
-    rep = CovariantRep(sigma, E, sigma.images)
+    rep = oracles.algebra_over_itself((1, 2), (1, 2), rng)
+    sigma, E = rep.sigma, rep.E
     data = json.loads(dump_json(instance_to_json(rep)))
     assert [len(block) for block in data["correspondence"]["gram"][0][0]] == [1, 2]
     back = instance_from_json(data)
@@ -184,3 +186,35 @@ class TestDumpJson:
         shared = {"x": [pair, pair]}
         self.assert_like_oracle([shared, shared, [shared["x"]]])
 
+
+
+#: entries that each take another branch of the leaf writer: zeros of both
+#: signs, subnormals, the extremes of the exponent, and non-finite values
+_LEAF_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300, 1e-300, -1e300]),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+)
+
+
+@st.composite
+def _leaf_arrays(draw):
+    """Complex arrays of ndim 1 to 4, zero-length axes included, or a real array."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=4))
+    # one of the two strategies is mostly zeros, as the instances of graphs are
+    fill = draw(st.sampled_from([_LEAF_FLOATS, st.just(0.0)]))
+    parts = draw(hnp.arrays(np.float64, shape + (2,), elements=_LEAF_FLOATS, fill=fill))
+    if draw(st.booleans()):
+        return parts[..., 0]
+    return parts.view(complex)[..., 0]
+
+
+class TestMatrixLeaf:
+    """``dump_json`` writes a ``_Matrix`` leaf as the stock encoder writes
+    the ``matrix_to_json`` lists of its array, at any indent."""
+
+    @given(_leaf_arrays())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_on_lists(self, a):
+        want = oracles.dump_json({"m": matrix_to_json(a), "n": [[matrix_to_json(a)]]})
+        assert dump_json({"m": _Matrix(a), "n": [[_Matrix(a)]]}) == want
