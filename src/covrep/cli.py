@@ -6,8 +6,8 @@ Exit codes: 0 pass, 1 check/verify/validation failure, 2 input error,
 the library version, and the instance itself, so re-running a report's
 embedded instance at the same tolerance reproduces it byte-for-byte.
 Reports write each matrix of the instance, and the bases of ``decompose``,
-straight from its array (``serialize._Matrix``); the bytes are those of
-the ``[re, im]`` lists.
+as one record of its nonzero entries (``serialize.matrix_to_json``), the
+layout of the current instance ``format``; files of format 1 are read too.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .product import (
     verify_T24_equivalence,
 )
 from .reporting import CheckItem, TheoremReport
-from .serialize import _Matrix, dump_json, instance_to_json, load_instance
+from .serialize import dump_json, instance_to_json, load_instance, matrix_to_json
 from .wold import (
     Subspace,
     verify_cauchy_dual_props,
@@ -203,7 +203,7 @@ def cmd_check(args) -> int:
         sys.stderr.write(f"kind mismatch: {exc}\n")
         return EXIT_INPUT
     report = _base_report(args, "check", tol)
-    report["instance"] = instance_to_json(obj, leaf=_Matrix)
+    report["instance"] = instance_to_json(obj)
     report["checks"] = items
     report["pass"] = all(i["pass"] for i in items)
     _emit(report, args.format, [_item_line(i) for i in items])
@@ -221,12 +221,12 @@ def cmd_decompose(args) -> int:
         return EXIT_INPUT
     wd = wold_decompose(obj)
     report = _base_report(args, "decompose", tol)
-    report["instance"] = instance_to_json(obj, leaf=_Matrix)
+    report["instance"] = instance_to_json(obj)
     report["decomposition"] = wd.to_json()
     report["decomposition"]["bases"] = {
-        "W": _Matrix(wd.W.basis),
-        "H_u": _Matrix(wd.H_u.basis),
-        "H_inf": _Matrix(wd.H_inf.basis),
+        "W": matrix_to_json(wd.W.basis),
+        "H_u": matrix_to_json(wd.H_u.basis),
+        "H_inf": matrix_to_json(wd.H_inf.basis),
     }
     report["pass"] = wd.certified and wd.hypothesis_met
     lines = [
@@ -289,7 +289,7 @@ def cmd_verify(args) -> int:
         return EXIT_HYPOTHESIS
     report = _base_report(args, "verify", tol)
     report["theorem"] = args.theorem
-    report["instance"] = instance_to_json(obj, leaf=_Matrix)
+    report["instance"] = instance_to_json(obj)
     report["report"] = rep.to_json()
     report["pass"] = rep.passed
     lines = [f"theorem {args.theorem}: {'PASS' if rep.passed else 'FAIL'}",

@@ -429,13 +429,13 @@ def write_corpus(directory) -> list:
     """Serialize the named corpus as JSON instance files; returns the paths."""
     import pathlib
 
-    from .serialize import _Matrix, dump_json, instance_to_json
+    from .serialize import dump_json, instance_to_json
 
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for name, inst in corpus_instances().items():
         path = directory / f"{name}.json"
-        path.write_text(dump_json(instance_to_json(inst, leaf=_Matrix)))
+        path.write_text(dump_json(instance_to_json(inst)))
         paths.append(path)
     return paths

@@ -1,22 +1,26 @@
 """JSON encodings for instances: algebras, representations, correspondences,
 covariant representations, product systems and tuples.
 
-Conventions: a complex scalar is ``[re, im]``; a matrix is a row-major
-nested list of scalars; an algebra element is one matrix per block; a
-representation lists, per block, the image of each matrix unit in row-major
-unit order.  Instance files carry a ``kind`` discriminator
-("covariant_rep", "product_rep", or "graph").
+Conventions: a matrix, or a stack of matrices, is one record
+``{"shape": [...], "index": [...], "re": [...], "im": [...]}``.  ``index``
+lists, in increasing order, the row-major flat positions of the entries
+whose (re, im) bit pattern is nonzero, so ``-0.0`` keeps its sign, and
+``re`` and ``im`` hold their parts; every other entry is zero.  A
+representation is one record per algebra block, the images of its matrix
+units in row-major unit order; a Gram is one record per algebra block, of
+shape (e, e, d_b, d_b).  Instance files carry a ``kind`` discriminator
+("covariant_rep", "product_rep", or "graph") and a ``format``.
 
-The ``*_to_json`` builders return plain lists.  Their keyword ``leaf``
-(``matrix_to_json`` by default) is for the command line and the corpus
-writer, which pass ``_Matrix``: ``dump_json`` then writes each matrix from
-its array, with the same bytes.
+Files of ``format`` 1, or with no ``format``, are read in the nested-list
+layout of version 1: a complex scalar is ``[re, im]``, a matrix a row-major
+nested list of scalars, and the Gram a list per basis pair of one matrix per
+block.  Any other ``format`` is a ParseError.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 
 import numpy as np
 
@@ -27,7 +31,9 @@ from .covrep import CovariantRep
 from .errors import ParseError, ShapeMismatch
 from .product import ProductRep, ProductSystem
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+_RECORD_FIELDS = {"shape", "index", "re", "im"}
 
 
 def _field(data, key: str):
@@ -38,46 +44,101 @@ def _field(data, key: str):
         raise ParseError(f"instance has no {key!r} field") from exc
 
 
-def matrix_to_json(mat) -> list:
-    """A matrix, or a stack of matrices, as nested lists of ``[re, im]``."""
+def matrix_to_json(mat) -> dict:
+    """A matrix, or a stack of matrices, as one record of its nonzero entries."""
     a = as_complex(mat)
-    return np.stack((a.real, a.imag), -1).tolist()
+    # complex128 is a pair of float64 bit for bit
+    parts = np.ascontiguousarray(a).reshape(-1).view(float).reshape(-1, 2)
+    bits = parts.view(np.uint64)
+    live = np.flatnonzero(bits[:, 0] | bits[:, 1])
+    return {
+        "shape": list(a.shape),
+        "index": live.tolist(),
+        "re": parts[live, 0].tolist(),
+        "im": parts[live, 1].tolist(),
+    }
 
 
-class _Matrix:
-    """A matrix that ``dump_json`` writes as the text of
-    ``matrix_to_json(mat)`` straight from the array."""
-
-    __slots__ = ("array",)
-
-    def __init__(self, mat):
-        self.array = as_complex(mat)
+def _numbers(values, types: tuple, dtype, what: str) -> np.ndarray:
+    """The JSON list ``values`` as an array, or ParseError unless it lists
+    only items of ``types`` (a bool is no int here) that fit ``dtype``."""
+    if not isinstance(values, list) or not set(map(type, values)) <= set(types):
+        raise ParseError(f"matrix {what} must be a list of {' or '.join(t.__name__ for t in types)} values")
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError as exc:
+        raise ParseError(f"matrix {what}: {exc}") from exc
 
 
 def matrix_from_json(data, shape) -> np.ndarray:
+    """The complex array of exactly ``shape`` that a record encodes, bit for
+    bit, or ParseError.  Values must be JSON numbers (integers that fit a
+    float included) and finite."""
+    if not isinstance(data, dict) or data.keys() != _RECORD_FIELDS:
+        raise ParseError("a matrix is a record with exactly the fields 'shape', 'index', 're' and 'im'")
+    shape = tuple(shape)
+    if _numbers(data["shape"], (int,), np.int64, "shape").tolist() != list(shape):
+        raise ParseError(f"matrix has shape {data['shape']}, expected {list(shape)}")
+    size = math.prod(shape)
+    index = _numbers(data["index"], (int,), np.int64, "index")
+    if index.size and (index[0] < 0 or int(index[-1]) >= size or (np.diff(index) <= 0).any()):
+        raise ParseError(f"matrix index must list positions below {size} in increasing order")
+    re = _numbers(data["re"], (int, float), float, "re")
+    im = _numbers(data["im"], (int, float), float, "im")
+    if not re.size == im.size == index.size:
+        raise ParseError("matrix re and im must list one value per index")
+    # json reads NaN and Infinity, which no residual can judge
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ParseError("matrix has a non-finite entry")
+    try:
+        parts = np.zeros((size, 2))
+    except (ValueError, MemoryError) as exc:
+        raise ParseError(f"matrix of shape {list(shape)} cannot be allocated: {exc}") from exc
+    parts[index, 0] = re
+    parts[index, 1] = im
+    # pairs of float64 are complex128 bit for bit, signed zeros included
+    return parts.view(complex).reshape(shape)
+
+
+def lists_from_json(data, shape) -> np.ndarray:
     """The complex array of exactly ``shape`` that nested lists of
-    ``[re, im]`` encode, or ParseError.  Entries must be JSON numbers
-    (integers that fit a float included) and finite."""
+    ``[re, im]`` encode (the version-1 layout), or ParseError.  Entries must
+    be JSON numbers (integers that fit a float included) and finite."""
     want = (*shape, 2)
     if 0 in want:
         # an empty list shows no axis after its own
         want = want[: want.index(0) + 1]
     try:
-        raw = np.array(data)
-        # integers too long for int64 come as Python objects
-        if raw.dtype == object and all(isinstance(x, (int, float)) for x in raw.flat):
-            raw = raw.astype(float)
-    except (ValueError, OverflowError) as exc:
+        # objects keep each entry's type: numpy would read a bool among floats as 1.0
+        raw = np.array(data, dtype=object)
+    except ValueError as exc:
         raise ParseError(f"malformed matrix: {exc}") from exc
-    if raw.dtype.kind not in "biuf":
-        raise ParseError("matrix entries must be numbers")
     if raw.shape != want:
         raise ParseError(f"matrix lists have shape {raw.shape}, expected {want} ([re, im] last)")
-    # json reads NaN and Infinity, which no residual can judge
+    if not set(map(type, raw.flat)) <= {int, float}:
+        raise ParseError("matrix entries must be numbers")
+    try:
+        raw = raw.astype(float)
+    except OverflowError as exc:
+        raise ParseError(f"malformed matrix: {exc}") from exc
     if not np.isfinite(raw).all():
         raise ParseError("matrix has a non-finite entry")
-    # pairs of float64 are complex128 bit for bit, signed zeros included
-    return np.ascontiguousarray(raw, dtype=float).view(complex).reshape(shape)
+    return np.ascontiguousarray(raw).view(complex).reshape(shape)
+
+
+#: the matrix reader of each ``format`` this version reads
+_READERS = {1: lists_from_json, 2: matrix_from_json}
+
+
+def _version(data: dict) -> int:
+    """The instance's ``format``: 1 when absent, else ParseError unless read here."""
+    version = data.get("format", 1)
+    if type(version) is not int or version not in _READERS:
+        raise ParseError(
+            f"format {version!r} is not supported: this version reads formats "
+            f"{' and '.join(map(str, _READERS))}, and a file without one as format 1"
+        )
+    return version
 
 
 def _meta(data) -> dict | None:
@@ -98,95 +159,93 @@ def algebra_from_json(data) -> MatrixBlocksAlgebra:
         raise ParseError(f"malformed algebra: {exc}") from exc
 
 
-def sigma_to_json(sigma: StarRepresentation, *, leaf=matrix_to_json) -> dict:
+def _per_block(entries, algebra: MatrixBlocksAlgebra, what: str) -> list:
+    if not isinstance(entries, list) or len(entries) != len(algebra.block_dims):
+        raise ParseError(f"{what} must list one entry per algebra block ({len(algebra.block_dims)})")
+    return entries
+
+
+def sigma_to_json(sigma: StarRepresentation) -> dict:
     # per block, the images of its d^2 units
     per_block = np.split(sigma.images, np.cumsum([d * d for d in sigma.algebra.block_dims])[:-1])
-    return {"hilbert_dim": sigma.hilbert_dim, "images": [leaf(b) for b in per_block]}
+    return {"hilbert_dim": sigma.hilbert_dim, "images": [matrix_to_json(b) for b in per_block]}
 
 
-def sigma_from_json(algebra: MatrixBlocksAlgebra, data, tol: float) -> StarRepresentation:
+def sigma_from_json(algebra: MatrixBlocksAlgebra, data, tol: float, version: int) -> StarRepresentation:
+    read = _READERS[version]
     try:
         n = int(data["hilbert_dim"])
-        blocks = data["images"]
-        if [len(b) for b in blocks] != [d * d for d in algebra.block_dims]:
-            raise ParseError(f"images must list {[d * d for d in algebra.block_dims]} unit images per block")
-        images = matrix_from_json(list(itertools.chain.from_iterable(blocks)), (algebra.dim, n, n))
+        blocks = _per_block(data["images"], algebra, "images")
+        images = np.concatenate([read(b, (d * d, n, n)) for b, d in zip(blocks, algebra.block_dims)])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed representation: {exc}") from exc
     return StarRepresentation(algebra, n, images, tol)
 
 
-def correspondence_to_json(E: Correspondence, *, leaf=matrix_to_json) -> dict:
-    blocks = E.algebra.blocks_from_coords(E.gram)
-    # per basis pair, an algebra element: blocks [b][i][j] regrouped as [i][j][b]
-    if len(E.algebra.size_groups) == 1:
-        gram = leaf(np.stack(blocks, 2))
-    else:
-        lists = [matrix_to_json(b) for b in blocks]
-        gram = [[list(cell) for cell in zip(*rows)] for rows in zip(*lists)]
+def correspondence_to_json(E: Correspondence) -> dict:
     return {
         "dim": E.dim,
-        "right_action": leaf(E.right_action),
-        "left_action": leaf(E.left_action),
-        "gram": gram,
+        "right_action": matrix_to_json(E.right_action),
+        "left_action": matrix_to_json(E.left_action),
+        "gram": [matrix_to_json(b) for b in E.algebra.blocks_from_coords(E.gram)],
     }
 
 
-def correspondence_from_json(algebra: MatrixBlocksAlgebra, data, tol: float) -> Correspondence:
+def correspondence_from_json(algebra: MatrixBlocksAlgebra, data, tol: float, version: int) -> Correspondence:
+    read = _READERS[version]
     try:
         e = int(data["dim"])
-        right = matrix_from_json(data["right_action"], (algebra.dim, e, e))
-        left = matrix_from_json(data["left_action"], (algebra.dim, e, e))
-        # gram[i][j][b] regrouped as [b][i][j]; zip(strict=True) refuses ragged cells
-        rows = [list(zip(*row, strict=True)) for row in data["gram"]]
-        blocks = list(zip(*rows, strict=True)) if rows else [[]] * len(algebra.block_dims)
-        if len(blocks) != len(algebra.block_dims):
-            raise ParseError("gram entries must list one matrix per algebra block")
-        gram = algebra.coords_from_blocks(
-            matrix_from_json(b, (e, e, d, d)) for b, d in zip(blocks, algebra.block_dims)
-        )
+        right = read(data["right_action"], (algebra.dim, e, e))
+        left = read(data["left_action"], (algebra.dim, e, e))
+        gram = data["gram"]
+        if version == 1:
+            # gram[i][j][b] regrouped as [b][i][j]; zip(strict=True) refuses ragged cells
+            rows = [list(zip(*row, strict=True)) for row in gram]
+            gram = list(zip(*rows, strict=True)) if rows else [[]] * len(algebra.block_dims)
+        blocks = _per_block(gram, algebra, "gram")
+        gram = algebra.coords_from_blocks(read(b, (e, e, d, d)) for b, d in zip(blocks, algebra.block_dims))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed correspondence: {exc}") from exc
     return Correspondence(algebra, e, right, left, gram, tol)
 
 
-def covrep_to_json(rep: CovariantRep, *, leaf=matrix_to_json) -> dict:
+def covrep_to_json(rep: CovariantRep) -> dict:
     out = {
         "kind": "covariant_rep",
         "format": FORMAT_VERSION,
         "algebra": algebra_to_json(rep.sigma.algebra),
-        "sigma": sigma_to_json(rep.sigma, leaf=leaf),
-        "correspondence": correspondence_to_json(rep.E, leaf=leaf),
-        "T": leaf(rep.T),
+        "sigma": sigma_to_json(rep.sigma),
+        "correspondence": correspondence_to_json(rep.E),
+        "T": matrix_to_json(rep.T),
     }
     if rep.meta:
         out["meta"] = _plain(rep.meta)
     return out
 
 
-def covrep_from_json(data, tol: float) -> CovariantRep:
+def covrep_from_json(data, tol: float, version: int) -> CovariantRep:
     algebra = algebra_from_json(_field(data, "algebra"))
-    sigma = sigma_from_json(algebra, _field(data, "sigma"), tol)
-    E = correspondence_from_json(algebra, _field(data, "correspondence"), tol)
-    T = matrix_from_json(_field(data, "T"), (E.dim, sigma.hilbert_dim, sigma.hilbert_dim))
+    sigma = sigma_from_json(algebra, _field(data, "sigma"), tol, version)
+    E = correspondence_from_json(algebra, _field(data, "correspondence"), tol, version)
+    T = _READERS[version](_field(data, "T"), (E.dim, sigma.hilbert_dim, sigma.hilbert_dim))
     return CovariantRep(sigma, E, T, tol=tol, meta=_meta(data))
 
 
-def product_system_to_json(ps: ProductSystem, *, leaf=matrix_to_json) -> dict:
+def product_system_to_json(ps: ProductSystem) -> dict:
     return {
         "k": ps.k,
-        "correspondences": [correspondence_to_json(E, leaf=leaf) for E in ps.correspondences],
+        "correspondences": [correspondence_to_json(E) for E in ps.correspondences],
         "flips": {
-            f"{i+1},{j+1}": leaf(mat) for (i, j), mat in sorted(ps.flips.items())
+            f"{i+1},{j+1}": matrix_to_json(mat) for (i, j), mat in sorted(ps.flips.items())
         },
     }
 
 
-def product_system_from_json(algebra: MatrixBlocksAlgebra, data, tol: float) -> ProductSystem:
+def product_system_from_json(algebra: MatrixBlocksAlgebra, data, tol: float, version: int) -> ProductSystem:
     try:
         k = int(data["k"])
         corrs = [
-            correspondence_from_json(algebra, c, tol) for c in data["correspondences"]
+            correspondence_from_json(algebra, c, tol, version) for c in data["correspondences"]
         ]
         if len(corrs) != k:
             raise ParseError("correspondence count does not match k")
@@ -197,7 +256,7 @@ def product_system_from_json(algebra: MatrixBlocksAlgebra, data, tol: float) -> 
             if not 0 <= j < i < k:
                 raise ParseError(f"flip {key!r}: flips are stored under \"i,j\" with 1 <= j < i <= {k}")
             want = (chain.corr((j, i)).dim, chain.corr((i, j)).dim)
-            flips[(i, j)] = matrix_from_json(mat, want)
+            flips[(i, j)] = _READERS[version](mat, want)
         missing = [f"{i+1},{j+1}" for i in range(k) for j in range(i) if (i, j) not in flips]
         if missing:
             raise ParseError(f"product system has no flips under {missing}")
@@ -206,29 +265,30 @@ def product_system_from_json(algebra: MatrixBlocksAlgebra, data, tol: float) -> 
     return ProductSystem(corrs, flips, tol, chain=chain)
 
 
-def product_rep_to_json(pr: ProductRep, *, leaf=matrix_to_json) -> dict:
+def product_rep_to_json(pr: ProductRep) -> dict:
     out = {
         "kind": "product_rep",
         "format": FORMAT_VERSION,
         "algebra": algebra_to_json(pr.sigma.algebra),
-        "sigma": sigma_to_json(pr.sigma, leaf=leaf),
-        "product_system": product_system_to_json(pr.system, leaf=leaf),
-        "T": [leaf(rep.T) for rep in pr.reps],
+        "sigma": sigma_to_json(pr.sigma),
+        "product_system": product_system_to_json(pr.system),
+        "T": [matrix_to_json(rep.T) for rep in pr.reps],
     }
     if pr.meta:
         out["meta"] = _plain(pr.meta)
     return out
 
 
-def product_rep_from_json(data, tol: float) -> ProductRep:
+def product_rep_from_json(data, tol: float, version: int) -> ProductRep:
     algebra = algebra_from_json(_field(data, "algebra"))
-    sigma = sigma_from_json(algebra, _field(data, "sigma"), tol)
-    system = product_system_from_json(algebra, _field(data, "product_system"), tol)
+    sigma = sigma_from_json(algebra, _field(data, "sigma"), tol, version)
+    system = product_system_from_json(algebra, _field(data, "product_system"), tol, version)
     n = sigma.hilbert_dim
     T_all = _field(data, "T")
     if not isinstance(T_all, list) or len(T_all) != system.k:
         raise ParseError(f"T must list {system.k} coordinates, one per correspondence")
-    T_list = [matrix_from_json(T, (E.dim, n, n)) for T, E in zip(T_all, system.correspondences)]
+    read = _READERS[version]
+    T_list = [read(T, (E.dim, n, n)) for T, E in zip(T_all, system.correspondences)]
     return ProductRep(system, sigma, T_list, tol=tol, meta=_meta(data))
 
 
@@ -246,11 +306,11 @@ def graph_from_json(data, tol: float) -> Correspondence:
     return graph_correspondence(graph, tol)
 
 
-def instance_to_json(obj, *, leaf=matrix_to_json) -> dict:
+def instance_to_json(obj) -> dict:
     if isinstance(obj, CovariantRep):
-        return covrep_to_json(obj, leaf=leaf)
+        return covrep_to_json(obj)
     if isinstance(obj, ProductRep):
-        return product_rep_to_json(obj, leaf=leaf)
+        return product_rep_to_json(obj)
     raise ParseError(f"cannot serialize object of type {type(obj).__name__}")
 
 
@@ -258,10 +318,11 @@ def instance_from_json(data, tol: float = DEFAULT_TOL):
     if not isinstance(data, dict) or "kind" not in data:
         raise ParseError("instance files need a 'kind' field")
     kind = data["kind"]
+    version = _version(data)
     if kind == "covariant_rep":
-        return covrep_from_json(data, tol)
+        return covrep_from_json(data, tol, version)
     if kind == "product_rep":
-        return product_rep_from_json(data, tol)
+        return product_rep_from_json(data, tol, version)
     if kind == "graph":
         return graph_from_json(data, tol)
     raise ParseError(f"unknown instance kind {kind!r}")
@@ -281,16 +342,12 @@ def load_instance(path, tol: float = DEFAULT_TOL):
 def dump_json(data) -> str:
     """``json.dumps(data, sort_keys=True, indent=1) + "\\n"``, byte for byte.
 
-    ``data`` may also hold ``_Matrix`` leaves, each written as its
-    ``matrix_to_json`` lists would be.
-
     With ``indent`` set, ``json`` runs its pure-Python encoder, one
-    generator per container; this writer joins each container once.  A
-    ``_Matrix`` is one ``%`` of a template built from its shape, filled
-    with the reprs of its nonzero entries and ``0.0`` for the rest (lists
-    of ``[re, im]`` pairs still get one comprehension per row).
-    Unsupported types, a bare ndarray among them, and circular references
-    raise the TypeError and ValueError that ``json.dumps`` raises.
+    generator per container; this writer joins each container once, and a
+    flat list of ints and floats (a matrix record's fields) in one
+    ``str.join`` of their reprs.  Unsupported types, a bare ndarray among
+    them, and circular references raise the TypeError and ValueError that
+    ``json.dumps`` raises.
     """
     return _value(data, "\n", set()) + "\n"
 
@@ -299,6 +356,9 @@ _FLOAT_REPR = float.__repr__
 _INT_REPR = int.__repr__
 _ENCODE_STR = json.encoder.encode_basestring_ascii
 _INF = float("inf")
+#: the item types of a flat row of numbers; bools and subclasses of int and
+#: float take the generic path
+_NUMBER_TYPES = {int, float}
 
 
 def _scalar(o) -> str | None:
@@ -331,7 +391,7 @@ def _value(o, nl: str, markers: set) -> str:
         if not o:
             return "[]"
         inner = nl + " "
-        body = _pair_row(o, inner)
+        body = _number_row(o, inner)
         if body is None:
             _enter(o, markers)
             body = ("," + inner).join([_value(v, inner, markers) for v in o])
@@ -349,8 +409,6 @@ def _value(o, nl: str, markers: set) -> str:
         return "{" + inner + body + nl + "}"
     text = _scalar(o)
     if text is None:
-        if isinstance(o, _Matrix):
-            return _matrix_text(o.array, nl, markers)
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
     return text
 
@@ -368,45 +426,14 @@ def _key(k) -> str:
     return text
 
 
-def _matrix_text(a: np.ndarray, nl: str, markers: set) -> str:
-    """``matrix_to_json(a)`` as JSON text at the indent of ``nl``.  An
-    empty or non-finite array takes the list writer, which spells ``[]``,
-    ``NaN`` and ``Infinity``."""
-    # complex128 is a pair of float64 bit for bit
-    parts = np.ascontiguousarray(a).view(float).reshape(a.shape + (2,))
-    if not parts.size or not np.isfinite(parts).all():
-        return _value(parts.tolist(), nl, markers)
-    flat = parts.ravel()
-    # a zero bit pattern is +0.0; -0.0 keeps its sign through repr
-    live = np.flatnonzero(flat.view(np.uint64))
-    text = ["0.0"] * flat.size
-    for i, r in zip(live.tolist(), map(_FLOAT_REPR, flat[live].tolist())):
-        text[i] = r
-    return _template(parts.shape, nl) % tuple(text)
-
-
-def _template(shape: tuple, nl: str) -> str:
-    """Nested JSON lists of ``shape`` at the indent of ``nl``, one ``%s``
-    per entry."""
-    if not shape:
-        return "%s"
-    inner = nl + " "
-    return "[" + inner + ("," + inner).join([_template(shape[1:], inner)] * shape[0]) + nl + "]"
-
-
-def _pair_row(row, inner: str) -> str | None:
-    """The items of a list of ``[float, float]`` lists at the indent of
-    ``inner``, or None for any other list.  A row with ``nan`` or ``inf``
-    is None too: no finite float's repr has the letter n, and the generic
-    path spells them as ``json`` does."""
-    if set(map(type, row)) != {list}:
+def _number_row(row, inner: str) -> str | None:
+    """The items of a list of ints and floats at the indent of ``inner``, or
+    None for any other list.  A row with ``nan`` or ``inf`` is None too: no
+    int's or finite float's repr has the letter n, and the generic path
+    spells them as ``json`` does."""
+    if not set(map(type, row)) <= _NUMBER_TYPES:
         return None
-    pair = inner + " "
-    r = _FLOAT_REPR
-    try:
-        body = ("," + inner).join([f"[{pair}{r(a)},{pair}{r(b)}{inner}]" for a, b in row])
-    except (TypeError, ValueError):
-        return None
+    body = ("," + inner).join(map(repr, row))
     return None if "n" in body else body
 
 

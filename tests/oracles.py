@@ -704,3 +704,43 @@ def dump_json(data) -> str:
     """The JSON layout of reports and instance files: the stock encoder with
     sorted keys and a one-space indent, plus a closing newline."""
     return json.dumps(data, sort_keys=True, indent=1) + "\n"
+
+
+def dense_matrix_json(mat) -> list:
+    """A matrix, or a stack of matrices, as nested lists of ``[re, im]``:
+    the version-1 layout of a matrix."""
+    a = np.asarray(mat, dtype=complex)
+    return np.stack((a.real, a.imag), -1).tolist()
+
+
+def _dense_correspondence(E, out: dict) -> None:
+    out["right_action"] = dense_matrix_json(E.right_action)
+    out["left_action"] = dense_matrix_json(E.left_action)
+    # per basis pair, an algebra element: blocks [b][i][j] regrouped as [i][j][b]
+    lists = [dense_matrix_json(b) for b in E.algebra.blocks_from_coords(E.gram)]
+    out["gram"] = [[list(cell) for cell in zip(*rows)] for rows in zip(*lists)]
+
+
+def instance_to_json_v1(obj) -> dict:
+    """``obj`` as a version-1 instance file: every matrix written from the
+    object's arrays as nested ``[re, im]`` lists, the Gram as one algebra
+    element per basis pair; the other fields as ``instance_to_json`` writes
+    them."""
+    from covrep.product import ProductRep
+    from covrep.serialize import instance_to_json
+
+    out = instance_to_json(obj)
+    out["format"] = 1
+    sigma = obj.sigma
+    units = np.cumsum([d * d for d in sigma.algebra.block_dims])[:-1]
+    out["sigma"]["images"] = [dense_matrix_json(b) for b in np.split(sigma.images, units)]
+    if isinstance(obj, ProductRep):
+        ps = out["product_system"]
+        for E, data in zip(obj.system.correspondences, ps["correspondences"]):
+            _dense_correspondence(E, data)
+        ps["flips"] = {f"{i+1},{j+1}": dense_matrix_json(m) for (i, j), m in obj.system.flips.items()}
+        out["T"] = [dense_matrix_json(rep.T) for rep in obj.reps]
+    else:
+        _dense_correspondence(obj.E, out["correspondence"])
+        out["T"] = dense_matrix_json(obj.T)
+    return out

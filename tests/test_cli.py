@@ -1,4 +1,7 @@
+import bisect
+import functools
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import pytest
 import oracles
 from covrep.cli import build_parser, main
 from covrep.examples import write_corpus
-from covrep.serialize import covrep_to_json, dump_json, instance_to_json
+from covrep.serialize import covrep_to_json, dump_json, instance_to_json, load_instance
 from covrep.examples import scalar_covrep
 from covrep.product import ProductRep
 
@@ -24,9 +27,41 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+#: the layouts each mutation of a matrix runs on: version-1 nested lists,
+#: written by the oracle, and the records of the current format
+LAYOUTS = ("lists", "records")
+
+
+def as_layout(inst, layout):
+    """The JSON data of ``inst``'s instance file in ``layout``."""
+    return oracles.instance_to_json_v1(inst) if layout == "lists" else instance_to_json(inst)
+
+
+def set_entry(data, layout, where, pos, value):
+    """Set the entry at ``pos`` of the matrix under the keys ``where`` to the
+    parts ``value``.  ``(..., "gram", b)`` is block b of a Gram, of shape
+    (e, e, d_b, d_b).  In a record, parts past the second go at the end of
+    ``im``, which then lists more values than ``index``."""
+    *keys, last = where
+    node = functools.reduce(operator.getitem, keys, data)
+    if layout == "lists":
+        # a version-1 Gram is gram[i][j][b]
+        path = (*pos[:2], last, *pos[2:]) if keys[-1:] == ["gram"] else (last, *pos)
+        functools.reduce(operator.getitem, path[:-1], node)[path[-1]] = value
+        return
+    record = node[last]
+    flat = int(np.ravel_multi_index(pos, record["shape"]))
+    k = bisect.bisect_left(record["index"], flat)
+    if record["index"][k : k + 1] != [flat]:
+        for field, part in (("index", flat), ("re", 0.0), ("im", 0.0)):
+            record[field].insert(k, part)
+    record["re"][k], record["im"][k] = value[:2]
+    record["im"] += value[2:]
+
+
 def _set_first_T_entry(value):
-    def edit(data):
-        data["T"][0][0][0] = value
+    def edit(data, layout):
+        set_entry(data, layout, ("T",), (0, 0, 0), value)
 
     return edit
 
@@ -37,11 +72,12 @@ class TestValidate:
         assert code == 0
         assert "PASS" in out
 
-    def test_bimodule_violation_exit_1_names_its_residual(self, corpus_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_bimodule_violation_exit_1_names_its_residual(self, corpus, tmp_path, capsys, layout):
         # T(f_0) gains an entry off sigma's blocks: the one-sided halves
         # measure the same residual, 1, as the relation over unit pairs
-        data = json.loads((corpus_dir / "g1-induced.json").read_text())
-        data["T"][0][0][2] = [1.0, 0.0]
+        data = as_layout(corpus["g1-induced"], layout)
+        set_entry(data, layout, ("T",), (0, 0, 2), [1.0, 0.0])
         path = tmp_path / "bimodule.json"
         path.write_text(dump_json(data))
         code, out, _ = run(capsys, "validate", path, "--format", "json")
@@ -55,9 +91,10 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", bad)
         assert code == 2
 
-    def test_negative_gram_exit_1_names_positivity(self, tmp_path, capsys):
-        data = covrep_to_json(scalar_covrep(np.eye(2)))
-        data["correspondence"]["gram"][0][0][0][0][0] = [-1.0, 0.0]
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_negative_gram_exit_1_names_positivity(self, tmp_path, capsys, layout):
+        data = as_layout(scalar_covrep(np.eye(2)), layout)
+        set_entry(data, layout, ("correspondence", "gram", 0), (0, 0, 0, 0), [-1.0, 0.0])
         path = tmp_path / "neg.json"
         path.write_text(dump_json(data))
         code, out, _ = run(capsys, "validate", path)
@@ -118,8 +155,9 @@ class TestValidate:
         ],
         ids=["covariant-T-5", "covariant-meta-5", "covariant-meta-list", "product-T-coordinate-5", "product-meta-5"],
     )
-    def test_malformed_T_or_meta_exit_2(self, corpus_dir, tmp_path, capsys, name, field, value):
-        data = json.loads((corpus_dir / f"{name}.json").read_text())
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_malformed_T_or_meta_exit_2(self, corpus, tmp_path, capsys, name, field, value, layout):
+        data = as_layout(corpus[name], layout)
         if isinstance(field, tuple):
             data[field[0]][field[1]] = value
         else:
@@ -133,36 +171,57 @@ class TestValidate:
     @pytest.mark.parametrize(
         "name,edit",
         [
-            ("g1-induced", lambda d: d["algebra"].update(blocks=[])),
-            ("g1-induced", lambda d: d["algebra"].update(blocks=[0])),
-            ("jordan-pair", lambda d: d["product_system"].update(flips={"1,2": d["product_system"]["flips"]["2,1"]})),
+            ("g1-induced", lambda d, _: d["algebra"].update(blocks=[])),
+            ("g1-induced", lambda d, _: d["algebra"].update(blocks=[0])),
+            ("jordan-pair", lambda d, _: d["product_system"].update(flips={"1,2": d["product_system"]["flips"]["2,1"]})),
             ("g1-induced", _set_first_T_entry([1.0, 0.0, 7.0])),
             ("g1-induced", _set_first_T_entry([10 ** 400, 0])),
-            ("g1-induced", lambda d: d["sigma"]["images"].append(d["sigma"]["images"][0])),
+            ("g1-induced", lambda d, _: d["sigma"]["images"].append(d["sigma"]["images"][0])),
             ("g1-induced", _set_first_T_entry(["1", "0"])),
+            ("g1-induced", _set_first_T_entry([True, 0.5])),
         ],
         ids=["no-blocks", "block-0", "flip-1,2", "three-entry-scalar", "400-digit-entry",
-             "extra-sigma-block", "numeric-strings"],
+             "extra-sigma-block", "numeric-strings", "bool-entry"],
     )
-    def test_malformed_structure_exit_2(self, corpus_dir, tmp_path, capsys, name, edit):
-        data = json.loads((corpus_dir / f"{name}.json").read_text())
-        edit(data)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_malformed_structure_exit_2(self, corpus, tmp_path, capsys, name, edit, layout):
+        data = as_layout(corpus[name], layout)
+        edit(data, layout)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         code, out, _ = run(capsys, "validate", path)
         assert code == 2
         assert "parse error" in out
 
-    def test_non_star_representation_is_a_reported_fail(self, tmp_path, capsys):
-        # sigma(1) an oblique idempotent: construction in sigma's own basis
-        # refuses it, and validate reports the failure with its residual
-        data = covrep_to_json(scalar_covrep(np.zeros((2, 2))))
-        data["sigma"]["images"][0][0] = [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_non_star_representation_is_a_reported_fail(self, tmp_path, capsys, layout):
+        # sigma(1) = [[1, 1], [0, 0]], an oblique idempotent: construction in
+        # sigma's own basis refuses it, and validate reports the failure with
+        # its residual
+        data = as_layout(scalar_covrep(np.zeros((2, 2))), layout)
+        set_entry(data, layout, ("sigma", "images", 0), (0, 0, 1), [1.0, 0.0])
+        set_entry(data, layout, ("sigma", "images", 0), (0, 1, 1), [0.0, 0.0])
         path = tmp_path / "oblique.json"
         path.write_text(dump_json(data))
         code, out, _ = run(capsys, "validate", path)
         assert code == 1
         assert "FAIL (NotStarRepresentation" in out and "residual" in out
+
+    def test_version_1_file_passes(self, corpus, tmp_path, capsys):
+        path = tmp_path / "v1.json"
+        path.write_text(oracles.dump_json(oracles.instance_to_json_v1(corpus["two-color-path"])))
+        code, out, _ = run(capsys, "validate", path)
+        assert code == 0 and "PASS" in out
+
+    @pytest.mark.parametrize("version", [99, 0, 3, None, True, 2.0, "2"], ids=repr)
+    def test_unsupported_format_exit_2_names_the_versions(self, corpus, tmp_path, capsys, version):
+        data = instance_to_json(corpus["g1-induced"])
+        data["format"] = version
+        path = tmp_path / "format.json"
+        path.write_text(dump_json(data))
+        code, out, _ = run(capsys, "validate", path)
+        assert code == 2
+        assert "formats 1 and 2" in out
 
     def test_graph_kind_instance(self, tmp_path, capsys):
         path = tmp_path / "graph.json"
@@ -193,18 +252,20 @@ class TestNonFiniteEntries:
     """NaN or Infinity anywhere in a matrix is an input error (exit 2) for
     every command that loads the instance, not a failed decomposition."""
 
+    #: the keys of a matrix and the position of its first entry
     PLACES = {
-        "T": lambda d: d["T"][0][0],
-        "sigma": lambda d: d["sigma"]["images"][0][0][0],
-        "gram": lambda d: d["correspondence"]["gram"][0][0][0][0],
+        "T": (("T",), (0, 0, 0)),
+        "sigma": (("sigma", "images", 0), (0, 0, 0)),
+        "gram": (("correspondence", "gram", 0), (0, 0, 0, 0)),
     }
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("place", list(PLACES))
     @pytest.mark.parametrize("command", [["validate"], ["check", "isometric"], ["decompose"]], ids=str)
-    def test_exit_2(self, corpus_dir, tmp_path, capsys, place, value, command):
-        data = json.loads((corpus_dir / "g1-induced.json").read_text())
-        self.PLACES[place](data)[0] = [value, 0.0]
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_exit_2(self, corpus, tmp_path, capsys, place, value, command, layout):
+        data = as_layout(corpus["g1-induced"], layout)
+        set_entry(data, layout, *self.PLACES[place], [value, 0.0])
         path = tmp_path / "nonfinite.json"
         path.write_text(json.dumps(data))
         argv = [command[0], path] + command[1:]
@@ -442,17 +503,22 @@ class TestJsonLayout:
             assert text == oracles.dump_json(json.loads(text)), name
 
     @staticmethod
-    def assert_reports_like_oracle(inst, path, capsys):
-        """Every command on the file ``path`` of ``inst``: each JSON report
-        is the stock encoder's bytes, and embeds ``inst`` as its lists."""
+    def argvs(inst, path):
+        """Every command on the file ``path`` of ``inst``."""
         if isinstance(inst, ProductRep):
             argvs = [["check", path, "rep-relation", "doubly-commuting", "isometric"]]
             argvs += [["verify", path, "--theorem", t] for t in ("p21", "t22", "t24")]
         else:
             argvs = [["check", path, "isometric", "concave", "shimorin", "analytic"], ["decompose", path]]
             argvs += [["verify", path, "--theorem", t] for t in ("richter", "muhly-solel", "mt1", "cd")]
+        return [["validate", path], *argvs]
+
+    @classmethod
+    def assert_reports_like_oracle(cls, inst, path, capsys):
+        """Every command on the file ``path`` of ``inst``: each JSON report
+        is the stock encoder's bytes, and embeds ``inst`` as its records."""
         embedded = oracles.dump_json(instance_to_json(inst))
-        for argv in [["validate", path], *argvs]:
+        for argv in cls.argvs(inst, path):
             code, out, _ = run(capsys, *argv, "--format", "json")
             # only a verifier whose hypothesis fails up front writes no report
             assert out or code == 3, argv
@@ -460,6 +526,20 @@ class TestJsonLayout:
             assert out == (oracles.dump_json(report) if out else ""), argv
             if report and "instance" in report:
                 assert oracles.dump_json(report["instance"]) == embedded, argv
+
+    def test_version_1_files_read_as_their_records(self, corpus, tmp_path, capsys):
+        """The version-1 file of each corpus instance, written by the oracle,
+        loads to the arrays of its record file bit for bit, and every command
+        on it exits with the same code and writes the same report."""
+        path = tmp_path / "instance.json"
+        for name, inst in corpus.items():
+            runs = []
+            for data in (instance_to_json(inst), oracles.instance_to_json_v1(inst)):
+                path.write_text(oracles.dump_json(data))
+                # repr round-trips every float, signed zeros included
+                assert dump_json(instance_to_json(load_instance(path))) == dump_json(instance_to_json(inst)), name
+                runs.append([run(capsys, *argv, "--format", "json")[:2] for argv in self.argvs(inst, path)])
+            assert runs[0] == runs[1], name
 
     def test_reports_on_the_corpus(self, corpus_dir, corpus, capsys):
         for name, inst in corpus.items():

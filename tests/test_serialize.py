@@ -9,10 +9,10 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from covrep.errors import ParseError
 from covrep.serialize import (
-    _Matrix,
     dump_json,
     instance_from_json,
     instance_to_json,
+    lists_from_json,
     matrix_from_json,
     matrix_to_json,
 )
@@ -20,6 +20,30 @@ from covrep.serialize import (
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _record(shape, index, re, im=None):
+    return {"shape": list(shape), "index": index, "re": re, "im": [0.0] * len(re) if im is None else im}
+
+
+#: finite entries that each take another branch of the codec: zeros of both
+#: signs, subnormals and the extremes of the exponent
+_FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300, 1e-300, -1e300]),
+)
+
+
+@st.composite
+def _arrays(draw):
+    """Complex arrays of ndim 1 to 4, zero-length axes included, or a real array."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=4))
+    # one of the two strategies is mostly zeros, as the instances of graphs are
+    fill = draw(st.sampled_from([_FINITE_FLOATS, st.just(0.0)]))
+    parts = draw(hnp.arrays(np.float64, shape + (2,), elements=_FINITE_FLOATS, fill=fill))
+    if draw(st.booleans()):
+        return parts[..., 0]
+    return parts.view(complex)[..., 0]
 
 
 class TestMatrixCodec:
@@ -39,12 +63,103 @@ class TestMatrixCodec:
             assert back.shape == shape and back.dtype == complex
             assert np.array_equal(_bits(back), _bits(a))
 
+    @given(_arrays())
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip_generated(self, a):
+        record = matrix_to_json(a)
+        text = dump_json(record)
+        assert text == oracles.dump_json(record)
+        back = matrix_from_json(json.loads(text), a.shape)
+        assert back.shape == a.shape and back.dtype == complex
+        assert np.array_equal(_bits(back), _bits(a.astype(complex)))
+
     def test_matches_entrywise_encoding(self, rng):
         a = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
-        assert matrix_to_json(a) == [[[[z.real, z.imag] for z in row] for row in m] for m in a]
+        a[0, 1] = 0.0
+        a[1, 2, 3] = complex(-0.0, 0.0)
+        a[1, 0, 0] = complex(0.0, -0.0)
+        live = [(i, z) for i, z in enumerate(a.flat) if _bits(np.array([z])).any()]
+        assert len(live) == a.size - 4
+        assert matrix_to_json(a) == {
+            "shape": [2, 3, 4],
+            "index": [i for i, _ in live],
+            "re": [z.real for _, z in live],
+            "im": [z.imag for _, z in live],
+        }
 
     def test_integers_that_fit_a_float(self):
-        back = matrix_from_json([[[1, 0], [2 ** 70, -3]]], (1, 2))
+        back = matrix_from_json(_record((1, 2), [0, 1], [1, 2 ** 70], [0, -3]), (1, 2))
+        assert back.tolist() == [[1 + 0j, float(2 ** 70) - 3j]]
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            _record((2, 3), [0], [1.0]),
+            _record((2,), [0], [1.0]),
+            _record((1.0, 1.0), [0], [1.0]),
+            _record((True, True), [0], [1.0]),
+            _record((2, 2), [1, 0], [1.0, 2.0]),
+            _record((2, 2), [1, 1], [1.0, 2.0]),
+            _record((2, 2), [4], [1.0]),
+            _record((2, 2), [-1], [1.0]),
+            _record((2, 2), [2 ** 70], [1.0]),
+            _record((2, 2), [0.0], [1.0]),
+            _record((2, 2), [False], [1.0]),
+            _record((2, 2), [0], [1.0], []),
+            _record((2, 2), [0], [1.0, 2.0], [0.0, 0.0]),
+            _record((2, 2), [0], [float("nan")]),
+            _record((2, 2), [0], [1.0], [float("-inf")]),
+            _record((2, 2), [0], ["1"]),
+            _record((2, 2), [0], [None]),
+            _record((2, 2), [0], [True]),
+            _record((2, 2), [0], [1.0], [[0.0]]),
+            _record((2, 2), [0], [10 ** 400]),
+            _record((2, 2), 0, [1.0]),
+            dict(_record((2, 2), [0], [1.0]), extra=1),
+            {"shape": [2, 2], "index": [0], "re": [1.0]},
+            [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+            5,
+        ],
+        ids=["shape-not-dims", "shape-short", "shape-floats", "shape-bools", "index-unsorted",
+             "index-repeated", "index-past-end", "index-negative", "index-beyond-int64",
+             "index-float", "index-bool", "im-short", "re-and-im-long", "nan", "-inf",
+             "numeric-string", "null", "bool-value", "list-value", "400-digits", "index-number",
+             "extra-field", "no-im", "nested-lists", "number"],
+    )
+    def test_refused(self, data):
+        with pytest.raises(ParseError):
+            matrix_from_json(data, (2, 2))
+
+    @pytest.mark.parametrize("shape", [(2 ** 31,) * 3, (2 ** 40, 2 ** 40)], ids=str)
+    def test_dims_numpy_refuses_at_once(self, shape):
+        # sizes past numpy's addressable range: refused before any allocation
+        with pytest.raises(ParseError, match="cannot be allocated"):
+            matrix_from_json(_record(shape, [0, 5], [1.0, 2.0]), shape)
+
+    def test_instance_dims_numpy_refuses_at_once(self, corpus):
+        data = instance_to_json(corpus["g1-induced"])
+        n = data["sigma"]["hilbert_dim"] = 2 ** 40
+        for record in data["sigma"]["images"]:
+            record["shape"] = [record["shape"][0], n, n]
+        with pytest.raises(ParseError, match="cannot be allocated"):
+            instance_from_json(data)
+
+
+class TestListCodec:
+    """The version-1 reader: ``lists_from_json`` of the oracle's nested
+    ``[re, im]`` lists is the array bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 2, 2), (0, 0), (0, 3, 3), (2, 0, 4)], ids=str)
+    def test_round_trip(self, rng, shape):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if a.size:
+            a.flat[0] = complex(-0.0, -0.0)
+            a.flat[-1] = complex(5e-324, -2.5e-310)
+        back = lists_from_json(json.loads(json.dumps(oracles.dense_matrix_json(a))), shape)
+        assert back.shape == shape and np.array_equal(_bits(back), _bits(a))
+
+    def test_integers_that_fit_a_float(self):
+        back = lists_from_json([[[1, 0], [2 ** 70, -3]]], (1, 2))
         assert back.tolist() == [[1 + 0j, float(2 ** 70) - 3j]]
 
     @pytest.mark.parametrize(
@@ -61,22 +176,59 @@ class TestMatrixCodec:
             ([[]], (0, 0)),
             (5, (1, 1)),
             ({"re": 1.0}, (1, 1)),
+            ([[[True, 0.5]]], (1, 1)),
+            ([[[1.0, False]], [[0.5, 0.0]]], (2, 1)),
+            ([[[True, False]]], (1, 1)),
+            ([[[float("nan"), 0.0]]], (1, 1)),
         ],
         ids=["three-entries", "one-entry", "ragged", "numeric-strings", "string-among-big-ints",
-             "null", "400-digits", "too-small", "empty-row", "number", "object"],
+             "null", "400-digits", "too-small", "empty-row", "number", "object", "bool-among-floats",
+             "bool-in-second-row", "bools", "nan"],
     )
     def test_refused(self, data, shape):
         with pytest.raises(ParseError):
-            matrix_from_json(data, shape)
+            lists_from_json(data, shape)
+
+
+class TestFormat:
+    """A file's ``format`` picks its layout: 1, or none, reads nested lists,
+    2 reads records, and any other value is a ParseError."""
+
+    def test_version_1_and_absent_read_lists(self, corpus):
+        inst = corpus["jordan-pair"]
+        want = dump_json(instance_to_json(inst))
+        data = oracles.instance_to_json_v1(inst)
+        assert data["format"] == 1
+        assert dump_json(instance_to_json(instance_from_json(data))) == want
+        del data["format"]
+        assert dump_json(instance_to_json(instance_from_json(data))) == want
+
+    def test_records_under_version_1_are_refused(self, corpus):
+        data = instance_to_json(corpus["g1-induced"])
+        data["format"] = 1
+        with pytest.raises(ParseError):
+            instance_from_json(data)
+
+    @pytest.mark.parametrize("kind", ["g1-induced", "jordan-pair", "graph"])
+    @pytest.mark.parametrize("version", [99, 0, -1, 3, None, True, 2.0, "2", [2]], ids=repr)
+    def test_unsupported_format(self, corpus, kind, version):
+        if kind == "graph":
+            data = {"kind": "graph", "vertices": 2, "edges": [[0, 1]]}
+        else:
+            data = instance_to_json(corpus[kind])
+        data["format"] = version
+        with pytest.raises(ParseError, match="formats 1 and 2"):
+            instance_from_json(data)
 
 
 def test_mixed_block_instance_round_trip(rng):
-    """A covariant representation over Mat(1) + Mat(2): the Gram's elements
-    list blocks of two sizes, and the file reloads to the same bits."""
+    """A covariant representation over Mat(1) + Mat(2): the Gram's records
+    have blocks of two sizes, and the file reloads to the same bits."""
     rep = oracles.algebra_over_itself((1, 2), (1, 2), rng)
     sigma, E = rep.sigma, rep.E
     data = json.loads(dump_json(instance_to_json(rep)))
-    assert [len(block) for block in data["correspondence"]["gram"][0][0]] == [1, 2]
+    e = E.dim
+    assert [r["shape"] for r in data["correspondence"]["gram"]] == [[e, e, 1, 1], [e, e, 2, 2]]
     back = instance_from_json(data)
     for mine, theirs in ((rep.T, back.T), (E.gram, back.E.gram), (sigma.images, back.sigma.images),
                          (E.left_action, back.E.left_action), (E.right_action, back.E.right_action)):
@@ -188,33 +340,27 @@ class TestDumpJson:
 
 
 
-#: entries that each take another branch of the leaf writer: zeros of both
-#: signs, subnormals, the extremes of the exponent, and non-finite values
-_LEAF_FLOATS = st.one_of(
+#: items of a flat row: mostly numbers, which take the fast path, and the
+#: bools, non-finite floats and big integers that it must spell as ``json`` does
+_ROW_ITEMS = st.one_of(
+    st.integers(),
+    st.integers(-(2 ** 200), 2 ** 200),
     st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300, 1e-300, -1e300]),
-    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.floats(),
+    st.booleans(),
+    st.sampled_from([2 ** 63, -(2 ** 63) - 1, 2 ** 64, float("nan"), float("inf"), -float("inf"), -0.0]),
 )
 
 
-@st.composite
-def _leaf_arrays(draw):
-    """Complex arrays of ndim 1 to 4, zero-length axes included, or a real array."""
-    shape = draw(hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=4))
-    # one of the two strategies is mostly zeros, as the instances of graphs are
-    fill = draw(st.sampled_from([_LEAF_FLOATS, st.just(0.0)]))
-    parts = draw(hnp.arrays(np.float64, shape + (2,), elements=_LEAF_FLOATS, fill=fill))
-    if draw(st.booleans()):
-        return parts[..., 0]
-    return parts.view(complex)[..., 0]
+class TestNumberRow:
+    """``dump_json`` writes a flat list of numbers, through its fast path or
+    not, as the stock encoder does, at any indent."""
 
-
-class TestMatrixLeaf:
-    """``dump_json`` writes a ``_Matrix`` leaf as the stock encoder writes
-    the ``matrix_to_json`` lists of its array, at any indent."""
-
-    @given(_leaf_arrays())
+    @given(st.one_of(
+        st.lists(st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False)), max_size=8),
+        st.lists(_ROW_ITEMS, max_size=8),
+    ))
     @settings(max_examples=300, deadline=None)
-    def test_matches_oracle_on_lists(self, a):
-        want = oracles.dump_json({"m": matrix_to_json(a), "n": [[matrix_to_json(a)]]})
-        assert dump_json({"m": _Matrix(a), "n": [[_Matrix(a)]]}) == want
+    def test_matches_oracle(self, row):
+        data = {"m": row, "n": [[row, tuple(row)]]}
+        assert dump_json(data) == oracles.dump_json(data)
